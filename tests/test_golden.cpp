@@ -1,0 +1,146 @@
+// Golden pins: the winner and a reward checksum of two small searches,
+// frozen as constants.  The determinism tests in test_parallel_search.cpp
+// only compare thread counts against each other, so a numerics change that
+// moves every thread count together would pass them silently; these pins
+// turn it into a visible diff.  A deliberate numerics change re-baselines
+// them: update the constants in the same commit and say why.
+//
+// The values depend on the floating-point engine (kernels::active_isa) and
+// the toolchain, so the cases skip on any engine but the one they were
+// computed on.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "accel/simulator.h"
+#include "arch/network.h"
+#include "core/artifact.h"
+#include "core/design_space.h"
+#include "core/evaluator.h"
+#include "core/reward.h"
+#include "core/search.h"
+#include "core/serialize.h"
+#include "linalg/kernels.h"
+#include "util/exec_context.h"
+
+namespace yoso {
+namespace {
+
+struct Golden {
+  const char* winner;       ///< serialize_candidate() of the best finalist
+  std::uint64_t checksum;   ///< reward_checksum() of the whole result
+};
+
+/// FNV-1a-64 over the raw bytes of best_fast_reward, then every finalist's
+/// fast and accurate reward in rank order.
+std::uint64_t reward_checksum(const SearchResult& r) {
+  std::vector<std::uint8_t> bytes;
+  const auto append = [&bytes](double v) {
+    std::uint8_t raw[sizeof v];
+    std::memcpy(raw, &v, sizeof v);
+    bytes.insert(bytes.end(), raw, raw + sizeof v);
+  };
+  append(r.best_fast_reward);
+  for (const RankedCandidate& f : r.finalists) {
+    append(f.fast_reward);
+    append(f.accurate_reward);
+  }
+  return fnv1a64(bytes);
+}
+
+class GoldenTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    space_ = std::make_unique<DesignSpace>();
+    skeleton_ = std::make_unique<NetworkSkeleton>(default_skeleton());
+    SystolicSimulator sim({}, SimFidelity::kAnalytical);
+    fast_ = std::make_unique<FastEvaluator>(
+        *space_, *skeleton_, sim,
+        FastEvaluatorOptions{.predictor_samples = 150, .seed = 9});
+    accurate_ = std::make_unique<AccurateEvaluator>(
+        *skeleton_, SystolicSimulator({}, SimFidelity::kAnalytical));
+  }
+  static void TearDownTestSuite() {
+    accurate_.reset();
+    fast_.reset();
+    skeleton_.reset();
+    space_.reset();
+  }
+
+  void SetUp() override {
+    if (kernels::active_isa() != "avx2+fma")
+      GTEST_SKIP() << "pins were computed on the avx2+fma engine, this "
+                      "process runs "
+                   << kernels::active_isa();
+  }
+
+  static SearchOptions options(std::size_t batch_size) {
+    SearchOptions opt;
+    opt.iterations = 120;
+    opt.top_n = 5;
+    opt.trace_every = 0;
+    opt.reward = balanced_reward();
+    opt.seed = 13;
+    opt.batch_size = batch_size;
+    return opt;
+  }
+
+  /// Runs `driver` memo-cold at 1 and at 4 threads; both must hit the pins.
+  static void expect_golden(SearchDriver& driver, const Golden& golden) {
+    for (std::size_t threads : {1u, 4u}) {
+      fast_->clear_cache();
+      const SearchResult r =
+          driver.run(*fast_, accurate_.get(), ExecContext::create(threads));
+      ASSERT_TRUE(r.best.has_value()) << threads;
+      EXPECT_EQ(serialize_candidate(r.best->candidate), golden.winner)
+          << "threads " << threads;
+      EXPECT_EQ(reward_checksum(r), golden.checksum) << "threads " << threads;
+    }
+  }
+
+  static std::unique_ptr<DesignSpace> space_;
+  static std::unique_ptr<NetworkSkeleton> skeleton_;
+  static std::unique_ptr<FastEvaluator> fast_;
+  static std::unique_ptr<AccurateEvaluator> accurate_;
+};
+
+std::unique_ptr<DesignSpace> GoldenTest::space_;
+std::unique_ptr<NetworkSkeleton> GoldenTest::skeleton_;
+std::unique_ptr<FastEvaluator> GoldenTest::fast_;
+std::unique_ptr<AccurateEvaluator> GoldenTest::accurate_;
+
+TEST_F(GoldenTest, YosoSearchBatch8) {
+  YosoSearch driver(*space_, options(8));
+  expect_golden(
+      driver,
+      {"normal=1,1,dwconv3x3,conv3x3;1,2,avgpool3x3,dwconv5x5;"
+       "0,3,dwconv3x3,dwconv3x3;3,0,avgpool3x3,avgpool3x3;"
+       "2,4,avgpool3x3,maxpool3x3|reduction=1,1,maxpool3x3,conv3x3;"
+       "1,1,maxpool3x3,dwconv3x3;1,1,dwconv3x3,dwconv5x5;"
+       "0,4,dwconv3x3,maxpool3x3;5,2,conv3x3,dwconv5x5"
+       "@16*24/108KB/512B/OS",
+       0xc4b7b7f85987822full});
+}
+
+TEST_F(GoldenTest, RandomSearchBatch60) {
+  // 60 distinct misses per batch: a ragged tail on any fixed block size
+  // that does not divide 60.
+  RandomSearchDriver driver(*space_, options(60));
+  expect_golden(
+      driver,
+      {"normal=1,1,dwconv5x5,dwconv5x5;2,1,dwconv5x5,conv3x3;"
+       "1,0,dwconv5x5,maxpool3x3;0,3,dwconv3x3,avgpool3x3;"
+       "0,4,avgpool3x3,avgpool3x3|reduction=0,1,maxpool3x3,avgpool3x3;"
+       "2,1,dwconv5x5,conv3x3;1,3,maxpool3x3,dwconv5x5;"
+       "0,2,dwconv5x5,conv3x3;2,0,maxpool3x3,dwconv5x5"
+       "@16*16/512KB/1024B/OS",
+       0x93c580956af992b2ull});
+}
+
+}  // namespace
+}  // namespace yoso
