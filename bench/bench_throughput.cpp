@@ -4,19 +4,19 @@
 // workloads bracket what the controller produces:
 //
 //   * memo-cold: every proposal is a distinct design, so the whole stream
-//     rides the two-stage worker/coordinator pipeline (the scaling story);
+//     is scored by the fused block fork-join (the scaling story);
 //   * revisit: ~85 % of submissions repeat one of `unique` designs already
 //     seen, as a converging RL controller does (the memoization story).
 //
 // Each is scored per-candidate with Evaluator::evaluate() (the serial
 // baseline) and with the batched engine (FastEvaluator::evaluate_batch —
-// pipelined across an ExecContext + memoized) at 1, 2, 4 and 8 threads.
+// parallel across an ExecContext + memoized) at 1, 2, 4 and 8 threads.
 // Every configuration reports the best of kReps repetitions (min total
 // time) to damp scheduler noise; the cache is cleared before every
 // repetition so each sees the same hit/miss profile.
 //
 // `--smoke` runs a trimmed memo-cold sweep and exits non-zero when the
-// 8-thread pipeline falls below 0.85x the 1-thread pipeline — the CI guard
+// 8-thread batched engine falls below 0.85x its 1-thread rate — the CI guard
 // that threading never becomes a pessimization (on multi-core hosts it is a
 // speedup; the tolerance keeps single-core runners honest).
 //
@@ -98,7 +98,7 @@ bool bench_candidate_throughput(yoso::BenchJson& json, bool smoke) {
   const std::size_t unique = smoke ? 40 : scaled(300, 50);
   const std::size_t total = smoke ? 240 : scaled(2000, 400);
   // Memo-cold stream: `total` fresh draws (collisions in this space are
-  // vanishingly rare), so every candidate goes through the pipeline.
+  // vanishingly rare), so every candidate is scored, none served by the memo.
   std::vector<CandidateDesign> cold;
   cold.reserve(total);
   for (std::size_t i = 0; i < total; ++i)

@@ -1,6 +1,7 @@
 #include "core/evaluator.h"
 
 #include <algorithm>
+#include <array>
 #include <string_view>
 
 #include "accel/simulator.h"
@@ -23,11 +24,11 @@ namespace {
 // case); further misses are still computed, just not retained.
 constexpr std::size_t kMaxCacheEntries = 1u << 20;
 
-// Misses stream through the worker/coordinator pipeline in chunks of this
-// fixed size.  Fixed — never derived from the thread count or batch size —
-// so the work decomposition (and therefore everything about the results)
-// is identical at any parallelism.
-constexpr std::size_t kPipelineChunk = 32;
+// Misses are scored in blocks of this many rows, one parallel_for index per
+// block.  Fixed — never derived from the thread count or batch size — so
+// the work decomposition (and therefore everything about the results) is
+// identical at any parallelism.
+constexpr std::size_t kMissBlock = 8;
 
 }  // namespace
 
@@ -117,7 +118,7 @@ std::vector<EvalResult> FastEvaluator::evaluate_batch(
   std::vector<EvalResult> results(n);
   if (n == 0) return results;
 
-  // Stage 0 (parallel, read-only): candidate keys + memo probes.  Workers
+  // Probe (parallel, read-only): candidate keys + memo lookups.  Workers
   // consult `snap`, a const view of the cache bound here while the
   // coordinator role is held: probes strictly precede this batch's inserts
   // and unordered_map nodes are pointer-stable, so concurrent find() is
@@ -137,7 +138,7 @@ std::vector<EvalResult> FastEvaluator::evaluate_batch(
   }
 
   // Misses: first occurrence of every key not already cached, in batch
-  // order.  Only these hit the pipeline; duplicates are computed once.
+  // order.  Only these are scored; duplicates are computed once.
   std::vector<std::size_t> miss;
   miss.reserve(n);
   std::unordered_map<std::string_view, std::size_t> miss_slot;
@@ -146,64 +147,41 @@ std::vector<EvalResult> FastEvaluator::evaluate_batch(
     if (miss_slot.emplace(keys[i], miss.size()).second) miss.push_back(i);
   }
 
-  // Stages 1+2 (pipelined, double-buffered): pool workers compute the
-  // HyperNet accuracy proxy + GP feature row for miss chunk k+1 while the
-  // coordinator runs the fused latency/energy GP predict for chunk k (its
-  // row fan-out rides the same pool, queued behind the feature job, so
-  // idle workers help with whichever stage has indices left).  Per-element
-  // results are bit-identical to evaluate(): each candidate's chain is
-  // self-contained and the chunking is fixed.
+  // One fork-join over fixed blocks of misses.  Each block runs its whole
+  // chain on one thread: one ArchFeatures per candidate feeds both the
+  // HyperNet accuracy proxy and the GP feature row (both models are built
+  // on the same skeleton), then the fused latency/energy GP predict scores
+  // the block's rows inline (a null pool: the body must not nest
+  // parallel_for).  Per-element results are bit-identical to evaluate():
+  // each candidate's chain is self-contained and the blocking is fixed.
   std::vector<EvalResult> computed(miss.size());
   if (!miss.empty()) {
     YOSO_TRACE_SPAN("eval.pipeline");
     const std::size_t m = miss.size();
-    constexpr std::size_t dim = kCodesignFeatureDim;
-    const std::size_t rows = std::min(kPipelineChunk, m);
-    std::vector<double> feats[2] = {std::vector<double>(rows * dim),
-                                    std::vector<double>(rows * dim)};
-    std::vector<double> acc[2] = {std::vector<double>(rows),
-                                  std::vector<double>(rows)};
-    std::vector<double> lat(rows);
-    std::vector<double> en(rows);
-
-    const auto stage_features = [&](std::size_t lo, std::size_t cnt,
-                                    std::size_t buf) {
-      // The accuracy proxy and the feature row share one ArchFeatures per
-      // candidate (both models are built on the same skeleton), halving
-      // the layer-extraction work the old split-phase path paid.
-      return pool().submit(0, cnt, [&, lo, buf](std::size_t j) {
+    const std::size_t blocks = (m + kMissBlock - 1) / kMissBlock;
+    pool().parallel_for(0, blocks, [&](std::size_t b) {
+      constexpr std::size_t dim = kCodesignFeatureDim;
+      const std::size_t lo = b * kMissBlock;
+      const std::size_t cnt = std::min(kMissBlock, m - lo);
+      std::array<double, kMissBlock * dim> feats{};
+      std::array<double, kMissBlock> lat{};
+      std::array<double, kMissBlock> en{};
+      for (std::size_t j = 0; j < cnt; ++j) {
         const CandidateDesign& cand = batch[miss[lo + j]];
         const ArchFeatures af =
             ArchFeatures::compute(cand.genotype, predictor_.skeleton());
-        acc[buf][j] = accuracy_.hypernet_accuracy(cand.genotype, af);
-        codesign_features_into(af, cand.config, feats[buf].data() + j * dim);
-      });
-    };
-
-    std::size_t lo = 0;
-    std::size_t cnt = std::min(kPipelineChunk, m);
-    std::size_t cur = 0;
-    std::size_t chunks = 0;
-    ThreadPool::JobTicket inflight = stage_features(lo, cnt, cur);
-    while (cnt > 0) {
-      inflight.wait();  // chunk k's accuracy + features are ready
-      const std::size_t next_lo = lo + cnt;
-      const std::size_t next_cnt = std::min(kPipelineChunk, m - next_lo);
-      if (next_cnt > 0)
-        inflight = stage_features(next_lo, next_cnt, 1 - cur);
-      predictor_.predict_latency_energy_batch(feats[cur].data(), cnt,
-                                              &pool(), lat.data(), en.data());
+        computed[lo + j].accuracy =
+            accuracy_.hypernet_accuracy(cand.genotype, af);
+        codesign_features_into(af, cand.config, feats.data() + j * dim);
+      }
+      predictor_.predict_latency_energy_batch(feats.data(), cnt,
+                                              /*pool=*/nullptr, lat.data(),
+                                              en.data());
       for (std::size_t j = 0; j < cnt; ++j) {
-        computed[lo + j].accuracy = acc[cur][j];
         computed[lo + j].latency_ms = std::max(1e-3, lat[j]);
         computed[lo + j].energy_mj = std::max(1e-3, en[j]);
       }
-      ++chunks;
-      lo = next_lo;
-      cnt = next_cnt;
-      cur = 1 - cur;
-    }
-    obs::counter_add("eval.pipeline_chunks", chunks);
+    });
   }
   obs::counter_add("eval.cache_misses", miss.size());
   obs::counter_add("eval.cache_hits", n - miss.size());

@@ -22,15 +22,15 @@
 // Batched evaluation: evaluate_batch() scores a span of candidates at once.
 // Both bundled evaluators are pure functions of the candidate after
 // construction (the GPs, the accuracy surrogate and the simulator are all
-// read-only and deterministic).  FastEvaluator runs a two-stage pipeline:
-// pool workers compute the accuracy proxy + GP feature row for miss chunk
-// k+1 while the coordinator runs the fused batched GP predict for chunk k
-// (double-buffered, no barrier between the stages), and memoizes results
-// keyed by the encoded candidate — which pays off when the controller
-// revisits designs.  Results are bit-identical to per-candidate serial
-// evaluation at any thread count: the chunking is fixed, every per-row
-// computation chain is self-contained, and all stateful bookkeeping stays
-// on the coordinator.
+// read-only and deterministic).  FastEvaluator probes its memo in parallel,
+// then scores the batch's distinct misses in one parallel_for over fixed
+// 8-row blocks — each block computes the accuracy proxy, the GP feature
+// rows and the fused latency/energy GP predict on one thread — and
+// memoizes results keyed by the encoded candidate, which pays off when the
+// controller revisits designs.  Results are bit-identical to per-candidate
+// serial evaluation at any thread count: the blocking is fixed, every
+// per-row computation chain is self-contained, and all stateful
+// bookkeeping stays on the coordinator.
 //
 // The memo cache is *coordinator-only writable* state: workers probe a
 // read-only snapshot of it (probes strictly precede this batch's inserts),
@@ -86,13 +86,6 @@ class Evaluator {
                       const EvalResult& /*accurate*/) {
     return false;
   }
-
-  /// Deprecated shim (one release): forwards to set_exec_context with a
-  /// fresh context of `threads` total threads (0 = all hardware threads).
-  /// Prefer constructing one ExecContext and sharing it between evaluators.
-  void set_parallelism(std::size_t threads) {
-    set_exec_context(ExecContext::create(threads));
-  }
 };
 
 /// Step-1 construction knobs for the fast evaluator.
@@ -134,10 +127,9 @@ class FastEvaluator : public Evaluator {
   /// Single-candidate evaluation: always recomputes (the serial baseline).
   EvalResult evaluate(const CandidateDesign& candidate) override;
 
-  /// Pipelined batched evaluation with memoization: distinct uncached
-  /// candidates stream through the two-stage worker/coordinator pipeline,
-  /// revisited ones are served from the cache.  Identical results to
-  /// evaluate() per element.
+  /// Batched evaluation with memoization: distinct uncached candidates are
+  /// scored in one fork-join over fixed 8-row blocks, revisited ones are
+  /// served from the cache.  Identical results to evaluate() per element.
   std::vector<EvalResult> evaluate_batch(
       std::span<const CandidateDesign> batch) override;
 

@@ -210,7 +210,7 @@ class SearchDriver {
 };
 
 /// The paper's Step-2 driver: LSTM controller + REINFORCE.  Proposes
-/// options.batch_size episodes per round, evaluates the batch (pipelined
+/// options.batch_size episodes per round, evaluates the batch (in parallel
 /// across the injected ExecContext), then applies feedback in proposal
 /// order.
 class YosoSearch : public SearchDriver {

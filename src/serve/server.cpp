@@ -5,6 +5,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <utility>
@@ -93,6 +94,19 @@ JobSpec spec_from_json(const JsonValue& job) {
   return spec;
 }
 
+// errno of a connect() to `addr`, or 0 when a peer accepted it.
+// ECONNREFUSED means whatever file sits at the path has no listener behind
+// it; ENOENT means there is no file.
+int connect_errno(const sockaddr_un& addr) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return errno;
+  const int rc =
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr);
+  const int err = rc == 0 ? 0 : errno;
+  ::close(fd);
+  return err;
+}
+
 // Pulls the job id out of a request; returns false (and fills the error
 // response) when it is missing.
 bool job_id_of(const JsonValue& request, std::uint64_t* id,
@@ -116,12 +130,17 @@ SearchServer::SearchServer(SearchService& service, std::string socket_path)
 
   YOSO_REQUIRE(socket_path_.size() < sizeof(sockaddr_un{}.sun_path),
                "socket path '", socket_path_, "' too long for AF_UNIX");
-  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  YOSO_REQUIRE(listen_fd_ >= 0, "cannot create AF_UNIX socket");
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   std::memcpy(addr.sun_path, socket_path_.c_str(), socket_path_.size() + 1);
-  ::unlink(socket_path_.c_str());  // replace a stale socket file
+  // Never steal a live server's socket; only a file nobody listens on (one
+  // left behind by a daemon that died) is replaced.
+  const int probe = connect_errno(addr);
+  YOSO_REQUIRE(probe != 0, "socket '", socket_path_,
+               "' is in use by a running server");
+  if (probe == ECONNREFUSED) ::unlink(socket_path_.c_str());
+  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  YOSO_REQUIRE(listen_fd_ >= 0, "cannot create AF_UNIX socket");
   if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
              sizeof addr) != 0 ||
       ::listen(listen_fd_, 8) != 0) {

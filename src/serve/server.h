@@ -39,8 +39,10 @@ namespace serve {
 
 class SearchServer {
  public:
-  /// Binds `socket_path` (an existing socket file is replaced) and starts
-  /// the accept thread; ContractViolation when the bind fails.
+  /// Binds `socket_path` and starts the accept thread.  A file at the path
+  /// that no server listens on (a stale socket) is replaced.
+  /// ContractViolation when a running server already answers there, or
+  /// when the bind fails.
   SearchServer(SearchService& service, std::string socket_path);
   ~SearchServer();  // stop()
 

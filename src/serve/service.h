@@ -11,7 +11,7 @@
 // Cross-job evaluation batching: every job evaluates through the SAME
 // FastEvaluator on the SAME ExecContext, so its memoization cache persists
 // across jobs — a candidate any earlier job scored is served from memory,
-// and each job's pipelined batches keep the shared pool fed.  Sharing is
+// and each job's batches keep the shared pool fed.  Sharing is
 // free of result skew because memoized entries are bit-identical to
 // recomputation (core/evaluator.h): a job's results match a fresh
 // in-process run of the same search exactly, byte for byte — the serving

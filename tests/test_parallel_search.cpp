@@ -1,9 +1,10 @@
 // Batched/parallel evaluation engine: bit-identical results at any thread
-// count (through the two-stage pipeline), memoization correctness, the
+// count (through the fused block scoring), memoization correctness, the
 // shared-ExecContext contract, and the negative-reward regression on
 // SearchResult::best_fast_reward.
 
 #include <cmath>
+#include <cstdint>
 #include <gtest/gtest.h>
 #include <memory>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "core/evaluator.h"
 #include "core/reward.h"
 #include "core/search.h"
+#include "obs/metrics.h"
 #include "util/exec_context.h"
 #include "util/rng.h"
 
@@ -84,9 +86,9 @@ std::unique_ptr<FastEvaluator> ParallelSearchTest::fast_;
 std::unique_ptr<AccurateEvaluator> ParallelSearchTest::accurate_;
 
 TEST_F(ParallelSearchTest, BatchMatchesSerialEvaluation) {
-  // 90 misses span three pipeline chunks (kPipelineChunk = 32) with a
-  // ragged tail, so the double-buffered stages and the chunk hand-off are
-  // all exercised; the appended repeats exercise in-batch dedupe.
+  // 90 misses span 12 fixed 8-row blocks with a ragged 2-row tail, so block
+  // seams and a short block are both exercised; the appended repeats
+  // exercise in-batch dedupe.
   Rng rng(4);
   std::vector<CandidateDesign> batch;
   for (int i = 0; i < 90; ++i) batch.push_back(space_->random_candidate(rng));
@@ -107,13 +109,34 @@ TEST_F(ParallelSearchTest, BatchMatchesSerialEvaluation) {
   }
 }
 
+TEST_F(ParallelSearchTest, MemoColdBatchCostsTwoForkJoins) {
+#ifdef YOSO_OBS_DISABLED
+  GTEST_SKIP() << "pool.jobs is compiled out (-DYOSO_OBS=OFF)";
+#endif
+  // One fork-join probes the memo; one more scores every miss, 8-row block
+  // by block, with nothing nested inside it.
+  Rng rng(23);
+  std::vector<CandidateDesign> batch;
+  for (int i = 0; i < 64; ++i) batch.push_back(space_->random_candidate(rng));
+  fast_->set_exec_context(ExecContext::create(4));
+  fast_->clear_cache();
+  const obs::Counter& jobs = obs::metrics_registry().counter("pool.jobs");
+  obs::set_enabled(true);
+  const std::uint64_t before = jobs.value();
+  fast_->evaluate_batch(batch);
+  const std::uint64_t added = jobs.value() - before;
+  obs::set_enabled(false);
+  EXPECT_EQ(fast_->cache_size(), 64u);
+  EXPECT_EQ(added, 2u);
+}
+
 TEST_F(ParallelSearchTest, EmptyBatchReturnsEmpty) {
   EXPECT_TRUE(fast_->evaluate_batch({}).empty());
   EXPECT_TRUE(accurate_->evaluate_batch({}).empty());
 }
 
 TEST_F(ParallelSearchTest, MemoizationCachesDistinctDesigns) {
-  fast_->set_parallelism(2);  // the deprecated shim must still route here
+  fast_->set_exec_context(ExecContext::create(2));
   EXPECT_EQ(fast_->parallelism(), 2u);
   fast_->clear_cache();
   Rng rng(6);

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -261,23 +262,31 @@ class LineClient {
 class ServeIntegration : public ::testing::Test {
  protected:
   // One trained artifact shared by every test in the suite (Step 1 is the
-  // expensive part; the tests exercise serving, not training).
+  // expensive part; the tests exercise serving, not training).  Every file
+  // the suite creates lives in one private directory per process: under
+  // `ctest -j` each case is its own process, and fixed names would let
+  // them overwrite each other's artifact and steal each other's sockets.
   static void SetUpTestSuite() {
-    artifact_path_ = std::make_unique<std::string>(
-        ::testing::TempDir() + "serve_test_artifact.bin");
+    std::string dir = ::testing::TempDir() + "yoso_serve_XXXXXX";
+    ASSERT_NE(::mkdtemp(dir.data()), nullptr) << "mkdtemp " << dir;
+    dir_ = std::make_unique<std::string>(dir + "/");
     DesignSpace space;
     const NetworkSkeleton skeleton = default_skeleton();
     SystolicSimulator simulator({}, SimFidelity::kAnalytical);
     const FastEvaluator trained(space, skeleton, simulator,
                                 {.predictor_samples = 150, .seed = 13});
-    save_fast_evaluator(*artifact_path_, trained, "test_serve");
+    save_fast_evaluator(artifact(), trained, "test_serve");
   }
   static void TearDownTestSuite() {
-    std::remove(artifact_path_->c_str());
-    artifact_path_.reset();
+    if (dir_ == nullptr) return;
+    std::remove(artifact().c_str());
+    ::rmdir(dir_->c_str());
+    dir_.reset();
   }
 
-  static const std::string& artifact() { return *artifact_path_; }
+  /// `name` inside this process's private directory.
+  static std::string path(const std::string& name) { return *dir_ + name; }
+  static std::string artifact() { return path("artifact.bin"); }
 
   // The reference result: the same search run in-process on a fresh
   // evaluator restored from the same artifact.
@@ -297,13 +306,13 @@ class ServeIntegration : public ::testing::Test {
     return RandomSearchDriver(space, opts).run(fast, nullptr);
   }
 
-  static std::unique_ptr<std::string> artifact_path_;
+  static std::unique_ptr<std::string> dir_;
 };
 
-std::unique_ptr<std::string> ServeIntegration::artifact_path_;
+std::unique_ptr<std::string> ServeIntegration::dir_;
 
 TEST_F(ServeIntegration, PrioritizedJobsOverSocketByteStable) {
-  const std::string socket_path = ::testing::TempDir() + "serve_test.sock";
+  const std::string socket_path = path("serve.sock");
   SearchService service(artifact(), {.start_paused = true});
   SearchServer server(service, socket_path);
 
@@ -398,8 +407,7 @@ TEST_F(ServeIntegration, PrioritizedJobsOverSocketByteStable) {
 
 TEST_F(ServeIntegration, DispatchErrorPathsAndCancel) {
   SearchService service(artifact(), {.start_paused = true});
-  SearchServer server(service,
-                      ::testing::TempDir() + "serve_test_dispatch.sock");
+  SearchServer server(service, path("dispatch.sock"));
 
   const auto dispatch = [&server](const std::string& line) {
     const std::optional<JsonValue> v = parse_json(server.dispatch_line(line));
@@ -436,9 +444,60 @@ TEST_F(ServeIntegration, DispatchErrorPathsAndCancel) {
   service.stop();
 }
 
+TEST_F(ServeIntegration, SecondServerOnLiveSocketIsRefused) {
+  const std::string socket_path = path("live.sock");
+  SearchService service(artifact(), {.start_paused = true});
+  SearchServer first(service, socket_path);
+  const std::uint64_t id = service.submit(spec_with(0));
+
+  // A second server on the same path must refuse, not unlink and rebind
+  // the path under the first one's clients.
+  EXPECT_THROW({ SearchServer second(service, socket_path); },
+               ContractViolation);
+
+  // The first server still owns the path and answers.
+  LineClient client(socket_path);
+  ASSERT_TRUE(client.ok());
+  const std::optional<JsonValue> status = client.request(
+      R"({"op":"status","job_id":)" + std::to_string(id) + "}");
+  ASSERT_TRUE(status.has_value());
+  ASSERT_TRUE(status->get("ok")->bool_or(false)) << status->dump();
+  EXPECT_EQ(status->get("job")->get("state")->string_or(""), "queued");
+
+  first.stop();
+  service.stop();
+}
+
+TEST_F(ServeIntegration, StaleSocketFileIsReplaced) {
+  // A socket file with no listener behind it, as a daemon that died without
+  // cleaning up leaves behind: connect() gets ECONNREFUSED, so a new
+  // server may take the path over.
+  const std::string socket_path = path("stale.sock");
+  {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
+    ASSERT_EQ(::bind(fd, reinterpret_cast<const sockaddr*>(&addr),
+                     sizeof addr),
+              0);
+    ::close(fd);
+  }
+  SearchService service(artifact(), {.start_paused = true});
+  SearchServer server(service, socket_path);
+  LineClient client(socket_path);
+  ASSERT_TRUE(client.ok());
+  const std::optional<JsonValue> list = client.request(R"({"op":"list"})");
+  ASSERT_TRUE(list.has_value());
+  EXPECT_TRUE(list->get("ok")->bool_or(false)) << list->dump();
+
+  server.stop();
+  service.stop();
+}
+
 TEST_F(ServeIntegration, SnapshotResumeReplaysQueuedJobs) {
-  const std::string snapshot_path =
-      ::testing::TempDir() + "serve_test_snapshot.bin";
+  const std::string snapshot_path = path("snapshot.bin");
   JobSpec spec_a = spec_with(0, 17);
   spec_a.iterations = 20;
   JobSpec spec_b = spec_with(3, 18);
@@ -484,7 +543,7 @@ TEST_F(ServeIntegration, SnapshotResumeReplaysQueuedJobs) {
 }
 
 TEST_F(ServeIntegration, CorruptArtifactRefusedAtStartup) {
-  const std::string bad_path = ::testing::TempDir() + "serve_test_bad.bin";
+  const std::string bad_path = path("bad.bin");
   {
     std::ifstream in(artifact(), std::ios::binary);
     std::vector<char> bytes((std::istreambuf_iterator<char>(in)),

@@ -3,10 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdint>
 #include <functional>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "base/contract.h"
@@ -135,147 +136,43 @@ TEST(ThreadPool, ResolveThreads) {
   EXPECT_GE(ThreadPool::resolve_threads(0), 1u);  // all hardware threads
 }
 
-// ------------------------------------------------------------ submit/wait
-
-TEST(ThreadPoolSubmit, TicketWaitCompletesEveryIndex) {
+TEST(ThreadPool, ConcurrentCallersEachFinishTheirOwnJob) {
+  // Two threads share one pool, as two evaluators sharing an ExecContext
+  // from different threads would.  Each caller drains its own job, so both
+  // always finish; every index runs exactly once; and a body's exception
+  // reaches only the caller whose job threw.  Problems are counted per
+  // caller and asserted on the main thread.
   ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(257);
-  ThreadPool::JobTicket ticket =
-      pool.submit(0, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
-  EXPECT_TRUE(ticket.valid());
-  ticket.wait();
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolSubmit, ZeroWorkersRunsAtWait) {
-  // With no workers nothing happens until wait() drains the job inline on
-  // the caller — the pipeline degrades to serial, it never deadlocks.
-  ThreadPool pool(0);
-  std::atomic<int> count{0};
-  ThreadPool::JobTicket ticket =
-      pool.submit(0, 16, [&](std::size_t) { count.fetch_add(1); });
-  ticket.wait();
-  EXPECT_EQ(count.load(), 16);
-}
-
-TEST(ThreadPoolSubmit, EmptyRangeYieldsInvalidTicket) {
-  ThreadPool pool(2);
-  ThreadPool::JobTicket ticket = pool.submit(4, 4, [](std::size_t) {});
-  EXPECT_FALSE(ticket.valid());
-  ticket.wait();  // no-op, not a crash
-}
-
-TEST(ThreadPoolSubmit, WaitRethrowsLowestIndexException) {
-  ThreadPool pool(2);
-  ThreadPool::JobTicket ticket = pool.submit(0, 100, [](std::size_t i) {
-    if (i % 25 == 2) throw std::runtime_error("sub " + std::to_string(i));
-  });
-  try {
-    ticket.wait();
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "sub 2");
-  }
-}
-
-TEST(ThreadPoolSubmit, ParallelForWhileJobInFlight) {
-  // The pipeline's shape: a submitted job overlaps a parallel_for on the
-  // same pool (the coordinator's GP fan-out runs behind the feature job).
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> a(300);
-  std::vector<std::atomic<int>> b(300);
-  ThreadPool::JobTicket ticket =
-      pool.submit(0, a.size(), [&](std::size_t i) { a[i].fetch_add(1); });
-  pool.parallel_for(0, b.size(), [&](std::size_t i) { b[i].fetch_add(1); });
-  ticket.wait();
-  for (const auto& h : a) EXPECT_EQ(h.load(), 1);
-  for (const auto& h : b) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolSubmit, TwoTicketsInFlightBothComplete) {
-  ThreadPool pool(2);
-  std::atomic<int> first{0};
-  std::atomic<int> second{0};
-  ThreadPool::JobTicket t1 =
-      pool.submit(0, 64, [&](std::size_t) { first.fetch_add(1); });
-  ThreadPool::JobTicket t2 =
-      pool.submit(0, 64, [&](std::size_t) { second.fetch_add(1); });
-  t2.wait();
-  t1.wait();
-  EXPECT_EQ(first.load(), 64);
-  EXPECT_EQ(second.load(), 64);
-}
-
-TEST(ThreadPoolSubmit, SubmitInsideBodyViolatesContract) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(0, 8,
-                                 [&](std::size_t) {
-                                   (void)pool.submit(0, 4, [](std::size_t) {});
-                                 }),
-               yoso::ContractViolation);
-}
-
-TEST(ThreadPoolSubmit, DestructorWaitsForUnwaitedTicket) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    ThreadPool::JobTicket ticket =
-        pool.submit(0, 128, [&](std::size_t) { count.fetch_add(1); });
-    (void)ticket;  // dropped without wait(): the ticket dtor must drain it
-  }
-  EXPECT_EQ(count.load(), 128);
-}
-
-// ------------------------------------------------------------ scratch
-
-TEST(ScratchArena, FrameRewindReusesMemory) {
-  ScratchArena arena;
-  double* first = nullptr;
-  {
-    ScratchArena::Frame frame(arena);
-    first = arena.alloc<double>(100);
-    ASSERT_NE(first, nullptr);
-    first[0] = 1.0;
-    first[99] = 2.0;
-  }
-  const std::size_t cap = arena.capacity_bytes();
-  {
-    ScratchArena::Frame frame(arena);
-    double* again = arena.alloc<double>(100);
-    EXPECT_EQ(again, first);  // rewound, so the same block is handed back
-  }
-  EXPECT_EQ(arena.capacity_bytes(), cap);  // no growth on reuse
-}
-
-TEST(ScratchArena, GrowsAcrossBlocksAndAligns) {
-  ScratchArena arena;
-  ScratchArena::Frame frame(arena);
-  for (int i = 0; i < 50; ++i) {
-    double* p = arena.alloc<double>(97);
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % alignof(double), 0u);
-    p[96] = static_cast<double>(i);  // touch the tail: the span is real
-  }
-  EXPECT_GE(arena.capacity_bytes(), 50u * 97u * sizeof(double));
-}
-
-TEST(ThreadPoolScratch, SlotsAreDistinctPerThread) {
-  // Slot 0 is the coordinator; workers get 1..N.  Each concurrent body
-  // records its slot — no two threads may share one at the same time, and
-  // the coordinator participates, so every observed slot is in range.
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.current_slot(), 0u);  // caller outside any body
-  std::vector<std::atomic<int>> by_slot(pool.workers() + 1);
-  pool.parallel_for(0, 64, [&](std::size_t) {
-    const std::size_t slot = pool.current_slot();
-    ASSERT_LT(slot, by_slot.size());
-    by_slot[slot].fetch_add(1);
-    double* p = pool.scratch().alloc<double>(8);  // per-slot arena is usable
-    p[7] = static_cast<double>(slot);
-  });
-  int total = 0;
-  for (const auto& s : by_slot) total += s.load();
-  EXPECT_EQ(total, 64);
+  constexpr int kRounds = 200;
+  constexpr std::size_t kCount = 37;
+  const auto caller = [&pool](int id, int* problems) {
+    const std::string mine = "caller " + std::to_string(id);
+    for (int round = 0; round < kRounds; ++round) {
+      const bool throws = round % 7 == id;
+      std::vector<std::atomic<int>> hits(kCount);
+      try {
+        pool.parallel_for(0, kCount, [&](std::size_t i) {
+          hits[i].fetch_add(1);
+          if (throws && i == 5) throw std::runtime_error(mine);
+        });
+        if (throws) ++*problems;  // the exception went missing
+      } catch (const std::runtime_error& e) {
+        if (!throws || e.what() != mine) ++*problems;  // someone else's
+      }
+      for (std::size_t i = 0; i < kCount; ++i) {
+        const int h = hits[i].load();
+        // After a throw the rest of the job is skipped, never repeated.
+        if (throws ? (h > 1 || (i == 5 && h != 1)) : h != 1) ++*problems;
+      }
+    }
+  };
+  int problems[2] = {0, 0};
+  std::thread a(caller, 0, &problems[0]);
+  std::thread b(caller, 1, &problems[1]);
+  a.join();
+  b.join();
+  EXPECT_EQ(problems[0], 0);
+  EXPECT_EQ(problems[1], 0);
 }
 
 }  // namespace

@@ -66,7 +66,7 @@ from YOSO_TRACE_SPAN-instrumented entry points through the project call
 graph.  Against that hot set:
 
   hot-alloc         heap allocation inside a hot loop body or inside a
-                    parallel_for / submit worker lambda: `new`,
+                    parallel_for worker lambda: `new`,
                     make_unique/make_shared, `std::function` construction,
                     a std::vector constructed per iteration, or
                     push_back/emplace_back growth with no dominating
@@ -79,8 +79,8 @@ graph.  Against that hot set:
                     a hot inner loop — devirtualise or hoist the call.
   hot-mutex         lock acquisition (MutexLock, std::lock_guard/unique_
                     lock/scoped_lock, .lock(), Synchronized<T>::with_lock)
-                    inside worker-role code (parallel_for / submit bodies
-                    and everything they reach).  The bottom infrastructure
+                    inside worker-role code (parallel_for bodies and
+                    everything they reach).  The bottom infrastructure
                     layers (src/base, src/obs, src/util) are exempt: the
                     pool's own handshake and the registry ARE the locks.
   hot-noexcept-move a type named inside hot code whose user-declared move
@@ -1171,7 +1171,7 @@ MUTEX_EXEMPT_PREFIXES = ("src/base/", "src/obs/", "src/util/")
 #: worker) that sit outside the evaluation pipeline — queue locks and
 #: per-request string building ARE its job — and the name-based call graph
 #: would otherwise pull it into the hot set through pure name collisions
-#: (`submit`, `run`, `stop` collide with ThreadPool/SearchDriver names).
+#: (`submit`, `run`, `stop` collide with SearchLoop/SearchDriver names).
 #: The eval-side code serve drives is still checked in its own files.
 PERF_EXEMPT_PREFIXES = ("src/serve/",)
 
@@ -1263,7 +1263,7 @@ def transitive_callees(seed, calls):
 class PerfFileInfo:
     """Per-file perf facts: function char-spans, the YOSO_TRACE_SPAN names
     each function opens, the local call graph, worker lambda regions
-    (parallel_for / submit bodies, inline or via a named `auto fn = [...]`),
+    (parallel_for bodies, inline or via a named `auto fn = [...]`),
     virtual-vs-plain method names, and throwing-move types."""
 
     def __init__(self, text, clean):
@@ -1302,9 +1302,9 @@ class PerfFileInfo:
                 lambda_spans[m.group(1)] = (
                     open_pos, SemanticEngine._match_close(clean, open_pos))
 
-        # Worker regions: lambda bodies handed to parallel_for / submit —
-        # inline, or by naming a lambda declared above.
-        for m in re.finditer(r"\b(?:parallel_for|submit)\s*\(", clean):
+        # Worker regions: lambda bodies handed to parallel_for — inline, or
+        # by naming a lambda declared above.
+        for m in re.finditer(r"\bparallel_for\s*\(", clean):
             args_open = m.end() - 1
             args_close = SemanticEngine._match_close(clean, args_open,
                                                      "(", ")")
@@ -1402,7 +1402,7 @@ def _scan_perf_regex(rel, text, clean_lines):
             violations.append(Violation(
                 rel, idx, "hot-alloc",
                 "heap allocation inside a loop in instrumented (hot) code "
-                "— hoist it out or use a ScratchArena frame"))
+                "— hoist it out of the loop"))
         if HEAVY_RANGE_FOR_LINE_RE.search(line):
             violations.append(Violation(
                 rel, idx, "hot-heavy-copy",
@@ -1467,7 +1467,7 @@ def scan_perf(rel, text, clean, clean_lines, ctx, tier):
             seen_alloc.add(m.start())
             emit(m.start(), "hot-alloc",
                  "heap allocation per iteration on a hot path — hoist it "
-                 "out of the loop or use a ScratchArena frame")
+                 "out of the loop")
         for m in STD_FUNCTION_RE.finditer(clean, a, b):
             if m.start() in seen_alloc:
                 continue
