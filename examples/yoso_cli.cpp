@@ -172,7 +172,6 @@ int main(int argc, char** argv) {
   options.reward = pick_reward(cli);
   options.seed = cli.seed;
   options.batch_size = cli.batch;
-  options.observe = observe;
   if (cli.predictor == "exact") options.predictor = GpBackend::kExact;
   else if (cli.predictor == "sparse") options.predictor = GpBackend::kSparse;
   else usage_error("unknown predictor backend '" + cli.predictor + "'");

@@ -8,9 +8,7 @@
 #
 # Each gate announces itself when it starts and the script prints a
 # per-gate wall-time summary on exit (success or failure), so a slow or
-# failing stage is identifiable at a glance.  A stale or missing
-# compile_commands.json is regenerated automatically before the lint gate
-# instead of failing fast and making the user re-run cmake by hand.
+# failing stage is identifiable at a glance.
 #
 # Build trees are kept under build-check-* so the developer's own build/ is
 # never clobbered.
@@ -76,23 +74,12 @@ ctest --test-dir build-check -j "$JOBS" --output-on-failure
 gate_end
 
 gate_begin "yoso-lint (tree + self-test + headers)"
-# A compile database older than the top-level CMakeLists.txt records flags
-# the tree no longer builds with; reconfigure to refresh it rather than
-# letting the lint gate fail with a tool error.
-DB=build-check/compile_commands.json
-if [ ! -f "$DB" ] || [ "$DB" -ot CMakeLists.txt ]; then
-  echo "compile database missing or stale — regenerating via cmake"
-  cmake -B build-check -S . -DYOSO_WERROR=ON
-fi
 # yoso-lint splits its exit status: 0 clean, 1 violations in the tree,
-# 2 tool error (missing/stale compile database, broken yoso_layers.json,
-# unusable engine).  --require-fresh-db makes staleness a tool error here
-# instead of silently degrading to a weaker engine, and the two failure
-# modes get different messages so "the tree is dirty" and "the lint could
-# not run" never masquerade as each other.
+# 2 configuration error (missing or broken tools/yoso_layers.json).  The two
+# failure modes get different messages so "the tree is dirty" and "the lint
+# could not run" never masquerade as each other.
 LINT_RC=0
 python3 tools/yoso_lint.py --root . \
-  --compile-db "$DB" --require-fresh-db \
   --check-headers --cxx "${CXX:-c++}" \
   --json build-check/lint_report.json || LINT_RC=$?
 case "$LINT_RC" in
@@ -102,9 +89,8 @@ case "$LINT_RC" in
     echo "report at build-check/lint_report.json)." >&2
     exit 1 ;;
   *)
-    echo "error: yoso-lint could not run (exit $LINT_RC): missing or stale" >&2
-    echo "compile database, or broken tools/yoso_layers.json.  Reconfigure" >&2
-    echo "with 'cmake -B build-check -S .' and retry." >&2
+    echo "error: yoso-lint could not run (exit $LINT_RC): tools/yoso_layers.json" >&2
+    echo "is missing or broken (see the message above)." >&2
     exit "$LINT_RC" ;;
 esac
 gate_end

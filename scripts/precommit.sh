@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
-# Fast pre-commit gate: formatting plus the dependency-free lint tiers.
+# Fast pre-commit gate: formatting plus yoso-lint.
 #
 #   ./scripts/precommit.sh
 #
-# Runs in well under a second-per-tool and needs no build tree: the builtin
-# formatting subset, then yoso-lint's regex and semantic engines (the
-# libclang tier needs a compile database — that is scripts/check.sh's and
+# Needs no build tree: the builtin formatting subset, then one yoso-lint run
+# over the tree (the standalone header compile is scripts/check.sh's and
 # CI's job, not this hook's).  Wire it up with:
 #
 #   ln -s ../../scripts/precommit.sh .git/hooks/pre-commit
@@ -16,10 +15,7 @@ cd "$(dirname "$0")/.."
 echo "precommit: format.check (builtin subset)"
 python3 tools/yoso_format.py --root . --check --builtin-only
 
-echo "precommit: yoso-lint (regex tier)"
-python3 tools/yoso_lint.py --root . --engine regex
-
-echo "precommit: yoso-lint (semantic tier)"
-python3 tools/yoso_lint.py --root . --engine semantic
+echo "precommit: yoso-lint"
+python3 tools/yoso_lint.py --root .
 
 echo "precommit: ok"

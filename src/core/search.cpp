@@ -104,7 +104,6 @@ void SearchOptions::validate() const {
 SearchResult SearchDriver::run(Evaluator& fast, Evaluator* accurate,
                                ExecContextPtr exec) {
   options_.validate();
-  if (options_.observe) obs::set_enabled(true);
   if (exec != nullptr) {
     fast.set_exec_context(exec);
     if (accurate != nullptr) accurate->set_exec_context(exec);

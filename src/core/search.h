@@ -68,11 +68,6 @@ struct SearchOptions {
   /// Requires the sparse predictor backend — validate() rejects the
   /// combination with exact, whose refine() is a guaranteed no-op.
   std::size_t refine_every = 0;
-  /// Turns the observability layer on for this run: run() flips
-  /// obs::set_enabled(true) before Step 2, so metrics and trace spans record
-  /// (docs/OBSERVABILITY.md).  Off by default — instrumentation then costs
-  /// one relaxed atomic load per site.  Never affects search output.
-  bool observe = false;
 
   /// The one place the option contracts live: throws ContractViolation on
   /// an unusable combination (zero iterations, zero batch_size, zero

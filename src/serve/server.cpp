@@ -5,9 +5,12 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "base/contract.h"
@@ -35,6 +38,11 @@ bool write_all(int fd, const std::string& data) {
     off += static_cast<std::size_t>(n);
   }
   return true;
+}
+
+// One error response line for a connection the server is about to close.
+void send_refusal(int fd, const std::string& why) {
+  write_all(fd, error_response(why).dump() + "\n");
 }
 
 JsonValue job_json(const JobRecord& record) {
@@ -66,32 +74,49 @@ JsonValue outcome_json(const JobRecord& record) {
   return v;
 }
 
-JobSpec spec_from_json(const JsonValue& job) {
-  JobSpec spec;
+// Reads the integer field `name` of `object` into `*out`, which keeps its
+// value when the field is absent.  JSON numbers arrive as doubles, and
+// casting one that is not finite or is out of T's range is undefined
+// behaviour, so only a finite integral value inside T's range is accepted;
+// anything else fills `*error` with a message naming the field.
+template <typename T>
+bool read_integer(const JsonValue& object, const char* name, T* out,
+                  std::string* error) {
+  const JsonValue* v = object.get(name);
+  if (v == nullptr) return true;
+  const double d = v->number_or(0.0);
+  // 2^digits is exact in a double and is the first value past T's max.
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  const double lowest = std::numeric_limits<T>::is_signed ? -limit : 0.0;
+  if (!v->is_number() || !std::isfinite(d) || d != std::trunc(d) ||
+      d < lowest || d >= limit) {
+    *error = std::string("'") + name + "' must be an integer in [" +
+             std::to_string(std::numeric_limits<T>::min()) + ", " +
+             std::to_string(std::numeric_limits<T>::max()) + "]";
+    return false;
+  }
+  *out = static_cast<T>(d);
+  return true;
+}
+
+// Fills `*spec` from a submit request's job object; returns false (and
+// fills `*error`) when an integer field does not fit its type.
+bool spec_from_json(const JsonValue& job, JobSpec* spec, std::string* error) {
+  YOSO_REQUIRE(spec != nullptr && error != nullptr,
+               "spec_from_json: null output parameter");
   if (const JsonValue* v = job.get("searcher"))
-    spec.searcher = v->string_or(spec.searcher);
-  if (const JsonValue* v = job.get("iterations"))
-    spec.iterations = static_cast<std::size_t>(
-        v->number_or(static_cast<double>(spec.iterations)));
-  if (const JsonValue* v = job.get("batch"))
-    spec.batch_size = static_cast<std::size_t>(
-        v->number_or(static_cast<double>(spec.batch_size)));
-  if (const JsonValue* v = job.get("top_n"))
-    spec.top_n = static_cast<std::size_t>(
-        v->number_or(static_cast<double>(spec.top_n)));
-  if (const JsonValue* v = job.get("seed"))
-    spec.seed = static_cast<std::uint64_t>(
-        v->number_or(static_cast<double>(spec.seed)));
+    spec->searcher = v->string_or(spec->searcher);
   if (const JsonValue* v = job.get("reward"))
-    spec.reward = v->string_or(spec.reward);
+    spec->reward = v->string_or(spec->reward);
   if (const JsonValue* v = job.get("t_lat"))
-    spec.t_lat_ms = v->number_or(spec.t_lat_ms);
+    spec->t_lat_ms = v->number_or(spec->t_lat_ms);
   if (const JsonValue* v = job.get("t_eer"))
-    spec.t_eer_mj = v->number_or(spec.t_eer_mj);
-  if (const JsonValue* v = job.get("priority"))
-    spec.priority = static_cast<int>(
-        v->number_or(static_cast<double>(spec.priority)));
-  return spec;
+    spec->t_eer_mj = v->number_or(spec->t_eer_mj);
+  return read_integer(job, "iterations", &spec->iterations, error) &&
+         read_integer(job, "batch", &spec->batch_size, error) &&
+         read_integer(job, "top_n", &spec->top_n, error) &&
+         read_integer(job, "seed", &spec->seed, error) &&
+         read_integer(job, "priority", &spec->priority, error);
 }
 
 // errno of a connect() to `addr`, or 0 when a peer accepted it.
@@ -108,17 +133,17 @@ int connect_errno(const sockaddr_un& addr) {
 }
 
 // Pulls the job id out of a request; returns false (and fills the error
-// response) when it is missing.
+// response) when it is missing or not a valid id.
 bool job_id_of(const JsonValue& request, std::uint64_t* id,
                JsonValue* error) {
   YOSO_REQUIRE(id != nullptr && error != nullptr,
                "job_id_of: null output parameter");
-  const JsonValue* v = request.get("job_id");
-  if (v == nullptr || !v->is_number()) {
-    *error = error_response("missing numeric 'job_id'");
+  std::string why = "missing numeric 'job_id'";
+  if (request.get("job_id") == nullptr ||
+      !read_integer(request, "job_id", id, &why)) {
+    *error = error_response(why);
     return false;
   }
-  *id = static_cast<std::uint64_t>(v->number_or(0.0));
   return true;
 }
 
@@ -186,10 +211,11 @@ void SearchServer::register_op(const std::string& name, Handler handler) {
 void SearchServer::register_default_ops() {
   register_op("submit", [this](const JsonValue& request) {
     const JsonValue* job = request.get("job");
-    const JobSpec spec =
-        job != nullptr ? spec_from_json(*job) : spec_from_json(request);
+    JobSpec spec;
     std::string why;
-    if (!valid_job_spec(spec, &why)) return error_response(why);
+    if (!spec_from_json(job != nullptr ? *job : request, &spec, &why) ||
+        !valid_job_spec(spec, &why))
+      return error_response(why);
     const std::uint64_t id = service_.submit(spec);
     JsonValue response = ok_response();
     response.set("job_id", JsonValue::integer(static_cast<std::int64_t>(id)));
@@ -302,14 +328,24 @@ void SearchServer::accept_loop() {
 
 void SearchServer::spawn_connection(int fd) {
   YOSO_REQUIRE(fd >= 0, "spawn_connection: invalid socket fd");
-  MutexLock lock(conn_mutex_);
-  const std::uint64_t id = next_conn_id_++;
-  connections_.emplace(id, std::thread([this, fd, id] {
-                         serve_connection(fd);
-                         ::close(fd);
-                         MutexLock done(conn_mutex_);
-                         finished_.push_back(id);
-                       }));
+  {
+    MutexLock lock(conn_mutex_);
+    // Finished threads wait in connections_ for the next reap; they hold no
+    // client, so only the others count against the cap.
+    if (connections_.size() < kMaxConnections + finished_.size()) {
+      const std::uint64_t id = next_conn_id_++;
+      connections_.emplace(id, std::thread([this, fd, id] {
+                             serve_connection(fd);
+                             ::close(fd);
+                             MutexLock done(conn_mutex_);
+                             finished_.push_back(id);
+                           }));
+      return;
+    }
+  }
+  send_refusal(fd, "too many connections (limit " +
+                       std::to_string(kMaxConnections) + ")");
+  ::close(fd);
 }
 
 void SearchServer::reap_connections(bool all) {
@@ -344,7 +380,7 @@ void SearchServer::serve_connection(int fd) {
   while (!stopping_.load()) {
     // Serve every complete line already buffered.
     std::size_t nl = buffer.find('\n');
-    while (nl != std::string::npos) {
+    while (nl != std::string::npos && nl <= kMaxLineBytes) {
       std::string line = buffer.substr(0, nl);
       buffer.erase(0, nl + 1);
       if (!line.empty() && line.back() == '\r') line.pop_back();
@@ -360,6 +396,13 @@ void SearchServer::serve_connection(int fd) {
       if (!line.empty() && !write_all(fd, dispatch_line(line) + "\n"))
         return;
       nl = buffer.find('\n');
+    }
+    // The next line, complete or not, is already over the limit: refuse it
+    // instead of buffering without bound.
+    if (std::min(nl, buffer.size()) > kMaxLineBytes) {
+      send_refusal(fd, "request line longer than " +
+                           std::to_string(kMaxLineBytes) + " bytes");
+      return;
     }
     pollfd pfd{};
     pfd.fd = fd;

@@ -20,9 +20,14 @@
 // worker thread.  Finished connection threads are reaped by the accept
 // loop.  stop() is graceful: in-flight lines finish, the sockets close,
 // every thread joins.
+//
+// What one client can make the daemon hold is bounded: a request line
+// longer than kMaxLineBytes, or a connection beyond kMaxConnections live
+// ones, gets one error line and is closed.
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -39,6 +44,11 @@ namespace serve {
 
 class SearchServer {
  public:
+  /// Longest request line (excluding its '\n') a connection may send.
+  static constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+  /// Most connections served at once; finished ones do not count.
+  static constexpr std::size_t kMaxConnections = 64;
+
   /// Binds `socket_path` and starts the accept thread.  A file at the path
   /// that no server listens on (a stale socket) is replaced.
   /// ContractViolation when a running server already answers there, or

@@ -37,8 +37,6 @@ SearchOptions options_from_spec(const JobSpec& spec) {
   opts.reward = reward_preset(spec.reward);
   if (spec.t_lat_ms > 0.0) opts.reward.t_lat_ms = spec.t_lat_ms;
   if (spec.t_eer_mj > 0.0) opts.reward.t_eer_mj = spec.t_eer_mj;
-  // The daemon owns the observability switch (flipped on at startup);
-  // observe stays false so run() leaves the global state alone.
   return opts;
 }
 

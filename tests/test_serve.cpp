@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -15,6 +17,8 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "accel/simulator.h"
@@ -224,16 +228,23 @@ class LineClient {
                   sizeof addr) != 0) {
       ::close(fd_);
       fd_ = -1;
+      return;
     }
+    // A server that never answers fails the test instead of hanging it.
+    const timeval timeout{20, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
   }
   ~LineClient() {
     if (fd_ >= 0) ::close(fd_);
   }
   bool ok() const { return fd_ >= 0; }
 
+  // MSG_NOSIGNAL: writing to a connection the server closed is a failed
+  // send, not a SIGPIPE that kills the test binary.
   bool send_raw(const std::string& data) {
-    return fd_ >= 0 && ::send(fd_, data.data(), data.size(), 0) ==
-                           static_cast<ssize_t>(data.size());
+    return fd_ >= 0 &&
+           ::send(fd_, data.data(), data.size(), MSG_NOSIGNAL) ==
+               static_cast<ssize_t>(data.size());
   }
 
   std::optional<JsonValue> request(const std::string& line) {
@@ -426,6 +437,21 @@ TEST_F(ServeIntegration, DispatchErrorPathsAndCancel) {
       dispatch(R"({"op":"submit","job":{"searcher":"anneal"}})")
           .get("ok")
           ->bool_or(true));
+  // Integer fields take only a finite integer their type can hold, and the
+  // error names the field.
+  const std::pair<const char*, const char*> misfits[] = {
+      {R"({"op":"submit","job":{"iterations":-1}})", "iterations"},
+      {R"({"op":"submit","job":{"iterations":1.5}})", "iterations"},
+      {R"({"op":"submit","job":{"priority":1e10}})", "priority"},
+      {R"({"op":"status","job_id":-1})", "job_id"},
+  };
+  for (const auto& [line, field] : misfits) {
+    const JsonValue response = dispatch(line);
+    EXPECT_FALSE(response.get("ok")->bool_or(true)) << line;
+    const JsonValue* error = response.get("error");
+    const std::string why = error != nullptr ? error->string_or("") : "";
+    EXPECT_NE(why.find(field), std::string::npos) << response.dump();
+  }
 
   const JsonValue submitted = dispatch(
       R"({"op":"submit","job":{"searcher":"random","iterations":10}})");
@@ -492,6 +518,82 @@ TEST_F(ServeIntegration, StaleSocketFileIsReplaced) {
   ASSERT_TRUE(list.has_value());
   EXPECT_TRUE(list->get("ok")->bool_or(false)) << list->dump();
 
+  server.stop();
+  service.stop();
+}
+
+TEST_F(ServeIntegration, OverlongLineIsRefused) {
+  const std::string socket_path = path("overlong.sock");
+  SearchService service(artifact(), {.start_paused = true});
+  SearchServer server(service, socket_path);
+  const std::uint64_t id = service.submit(spec_with(0));
+
+  // One byte over the limit and no newline yet: one error line, then EOF.
+  LineClient greedy(socket_path);
+  ASSERT_TRUE(greedy.ok());
+  ASSERT_TRUE(
+      greedy.send_raw(std::string(SearchServer::kMaxLineBytes + 1, 'x')));
+  const std::optional<std::string> refusal = greedy.read_until("\n");
+  ASSERT_TRUE(refusal.has_value());
+  const std::optional<JsonValue> error = parse_json(*refusal);
+  ASSERT_TRUE(error.has_value()) << *refusal;
+  EXPECT_FALSE(error->get("ok")->bool_or(true)) << *refusal;
+  const std::optional<std::string> eof = greedy.read_until("\n");
+  ASSERT_TRUE(eof.has_value());
+  EXPECT_TRUE(eof->empty()) << *eof;
+
+  // The daemon is unharmed: a fresh connection still answers.
+  LineClient fresh(socket_path);
+  ASSERT_TRUE(fresh.ok());
+  const std::optional<JsonValue> status = fresh.request(
+      R"({"op":"status","job_id":)" + std::to_string(id) + "}");
+  ASSERT_TRUE(status.has_value());
+  EXPECT_TRUE(status->get("ok")->bool_or(false)) << status->dump();
+
+  server.stop();
+  service.stop();
+}
+
+TEST_F(ServeIntegration, ConnectionsBeyondLimitAreRefused) {
+  const std::string socket_path = path("crowd.sock");
+  SearchService service(artifact(), {.start_paused = true});
+  SearchServer server(service, socket_path);
+
+  // Fill every slot; an answered request proves each connection is live.
+  std::vector<std::unique_ptr<LineClient>> clients;
+  for (std::size_t i = 0; i < SearchServer::kMaxConnections; ++i) {
+    clients.push_back(std::make_unique<LineClient>(socket_path));
+    const std::optional<JsonValue> list =
+        clients.back()->request(R"({"op":"list"})");
+    ASSERT_TRUE(list.has_value()) << "connection " << i;
+    ASSERT_TRUE(list->get("ok")->bool_or(false)) << list->dump();
+  }
+
+  // One more gets a single error line, then EOF.
+  LineClient extra(socket_path);
+  ASSERT_TRUE(extra.ok());
+  const std::optional<std::string> refusal = extra.read_until("\n");
+  ASSERT_TRUE(refusal.has_value());
+  const std::optional<JsonValue> error = parse_json(*refusal);
+  ASSERT_TRUE(error.has_value()) << *refusal;
+  EXPECT_FALSE(error->get("ok")->bool_or(true)) << *refusal;
+  const std::optional<std::string> eof = extra.read_until("\n");
+  ASSERT_TRUE(eof.has_value());
+  EXPECT_TRUE(eof->empty()) << *eof;
+
+  // Closing one connection frees its slot.  The server sees the hang-up
+  // on its own thread, so give it a moment.
+  clients.pop_back();
+  bool admitted = false;
+  for (int attempt = 0; attempt < 100 && !admitted; ++attempt) {
+    LineClient next(socket_path);
+    const std::optional<JsonValue> list = next.request(R"({"op":"list"})");
+    admitted = list.has_value() && list->get("ok")->bool_or(false);
+    if (!admitted) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  EXPECT_TRUE(admitted);
+
+  clients.clear();
   server.stop();
   service.stop();
 }

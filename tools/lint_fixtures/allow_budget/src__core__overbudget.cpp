@@ -2,7 +2,7 @@
 // suppressions live here; the self-test asserts that the default budget of
 // three trips (the fourth allow must fail the gate) while an explicit
 // budget of four accepts the same tree.  Scanned only by the allow-budget
-// self-test, not by the per-engine fixture loop.
+// self-test, not by the per-fixture expectation loop.
 
 namespace yoso {
 

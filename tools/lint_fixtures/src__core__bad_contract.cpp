@@ -2,10 +2,10 @@
 // pointer / index parameters reach indexing without a
 // YOSO_REQUIRE/YOSO_CHECK/YOSO_DCHECK guard naming them.
 //
-// The one-line definition is catchable by the regex tier (no tag); the
-// multi-line body needs function-span analysis, so only the AST tiers may
-// catch it — if the regex engine ever starts matching it, the fixture
-// stops proving the AST engines' superiority and the self-test fails.
+// Both a one-line definition and a multi-line body are seeded, since the
+// rule analyses whole function bodies rather than single lines.  The
+// guarded, nullptr-tested and file-local functions further down are the
+// negatives.
 #include "base/contract.h"
 
 namespace yoso {
@@ -14,7 +14,7 @@ double pick(const double* xs, std::size_t i) { return xs[i]; }  // expect-lint: 
 
 double nth_entry(const double* vals, std::size_t i) {
   double v = 0.0;
-  v = vals[i];  // expect-lint[ast]: contract-coverage
+  v = vals[i];  // expect-lint: contract-coverage
   return v;
 }
 

@@ -1,9 +1,9 @@
 // Fixture: hot-alloc — per-iteration heap allocation on a hot path.  The
 // file stands in for src/core/hot_alloc.cpp, so the perf family applies.
 // The span names are real profiled spans (tools/yoso_hot_profile.json), so
-// the functions below are hot with nonzero rank.  The regex tier only sees
-// the single-line loop+allocation shape; everything spanning lines is
-// AST-only.
+// the functions below are hot with nonzero rank.  The seeded allocations
+// cover the one-line loop+allocation shape and allocations on their own
+// lines inside a loop body.
 #include <memory>
 #include <vector>
 
@@ -13,37 +13,37 @@ namespace yoso {
 
 void consume_fx(int);
 
-// All tiers: loop head and allocation share a line.
+// Loop head and allocation share a line.
 void hot_fill_fx(std::vector<std::unique_ptr<int>>& out, int n) {
   YOSO_TRACE_SPAN("sim.network");
   for (int i = 0; i < n; ++i) { out.push_back(std::make_unique<int>(i)); }  // expect-lint: hot-alloc
 }
 
-// AST only: the allocation sits on its own line inside the loop body, so
-// the line-local regex tier cannot connect it to the loop.
+// The allocation sits on its own line inside the loop body; the loop is
+// found through the function's brace structure.
 void hot_scratch_fx(int n) {
   YOSO_TRACE_SPAN("sim.network");
   for (int i = 0; i < n; ++i) {
-    auto p = std::make_unique<int>(i);  // expect-lint[ast]: hot-alloc
+    auto p = std::make_unique<int>(i);  // expect-lint: hot-alloc
     consume_fx(*p);
   }
 }
 
-// AST only: a std::vector constructed per iteration re-allocates its
+// A std::vector constructed per iteration re-allocates its
 // buffer every pass.
 void hot_rows_fx(int n, int dim) {
   YOSO_TRACE_SPAN("gp.fit");
   for (int i = 0; i < n; ++i) {
-    std::vector<double> row(static_cast<unsigned long>(dim));  // expect-lint[ast]: hot-alloc
+    std::vector<double> row(static_cast<unsigned long>(dim));  // expect-lint: hot-alloc
     consume_fx(static_cast<int>(row.size()));
   }
 }
 
-// AST only: growth with no dominating reserve before the loop.
+// Growth with no dominating reserve before the loop.
 void hot_grow_fx(std::vector<int>& acc, int n) {
   YOSO_TRACE_SPAN("gp.fit");
   for (int i = 0; i < n; ++i) {
-    acc.push_back(i);  // expect-lint[ast]: hot-alloc
+    acc.push_back(i);  // expect-lint: hot-alloc
   }
 }
 

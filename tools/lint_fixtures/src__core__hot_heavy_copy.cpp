@@ -1,7 +1,7 @@
-// Fixture: hot-heavy-copy — heavy values copied on a hot path.  The regex
-// tier only catches an explicitly heavy-typed range-for on one line; the
-// by-value parameter, the `auto` element copy and the loop-body copy-init
-// all need the AST tiers' function spans and declaration tracking.
+// Fixture: hot-heavy-copy — heavy values copied on a hot path: a
+// heavy-typed range-for element, a by-value parameter, an `auto` element
+// copy and a loop-body copy-init, found through function spans and
+// declaration tracking.
 #include <string>
 #include <vector>
 
@@ -15,7 +15,7 @@ struct Matrix {
 
 void consume_copy_fx(double);
 
-// All tiers: an explicitly heavy-typed range-for element without `&`.
+// An explicitly heavy-typed range-for element without `&`.
 double hot_row_sums_fx(const std::vector<std::vector<double>>& rows) {
   YOSO_TRACE_SPAN("sim.network");
   double acc = 0.0;
@@ -25,32 +25,32 @@ double hot_row_sums_fx(const std::vector<std::vector<double>>& rows) {
   return acc;
 }
 
-// AST only: a hot function taking a heavy argument by value.
-double hot_mean_fx(std::vector<double> values) {  // expect-lint[ast]: hot-heavy-copy
+// A hot function taking a heavy argument by value.
+double hot_mean_fx(std::vector<double> values) {  // expect-lint: hot-heavy-copy
   YOSO_TRACE_SPAN("gp.fit");
   double acc = 0.0;
   for (double v : values) acc += v;
   return values.empty() ? 0.0 : acc / static_cast<double>(values.size());
 }
 
-// AST only: `auto` hides the heavy element type from the regex tier; the
-// semantic engine resolves it through the container declaration.
+// `auto` hides the heavy element type; the linter resolves it through the
+// container declaration.
 double hot_name_lengths_fx() {
   YOSO_TRACE_SPAN("gp.fit");
   std::vector<std::string> names_fx = {"a", "b"};
   double acc = 0.0;
-  for (auto name : names_fx) {  // expect-lint[ast]: hot-heavy-copy
+  for (auto name : names_fx) {  // expect-lint: hot-heavy-copy
     acc += static_cast<double>(name.size());
   }
   return acc;
 }
 
-// AST only: copy-initialising a matrix-like value from an lvalue inside a
+// Copy-initialising a matrix-like value from an lvalue inside a
 // hot loop.
 void hot_panel_fx(const Matrix& src, int n) {
   YOSO_TRACE_SPAN("sim.network");
   for (int i = 0; i < n; ++i) {
-    const Matrix panel = src;  // expect-lint[ast]: hot-heavy-copy
+    const Matrix panel = src;  // expect-lint: hot-heavy-copy
     consume_copy_fx(static_cast<double>(panel.data.size()));
   }
 }

@@ -1,8 +1,8 @@
 // Fixture: hot-mutex — lock acquisition in worker-role code.  Workers must
 // stay lock-free (DESIGN.md §9): a lock inside a parallel_for body (or in
 // any function the body calls) serialises the very region the pool exists
-// to parallelise.  Worker-region detection needs lambda spans and the call
-// graph, so every case is `[ast]`.  src/base, src/obs and src/util are
+// to parallelise.  Worker-region detection uses lambda spans and the call
+// graph.  src/base, src/obs and src/util are
 // exempt — the pool's own handshake and the obs registries ARE the locks —
 // but this fixture maps to src/core where the rule applies in full.
 #include <mutex>
@@ -22,19 +22,19 @@ struct SharedTallyFx {
   double sum = 0.0;
 };
 
-// AST only: lock taken directly inside the worker lambda body.
+// Lock taken directly inside the worker lambda body.
 void hot_tally_fx(PoolFx& pool, SharedTallyFx& shared,
                   const std::vector<double>& xs) {
   pool.parallel_for(0, xs.size(), [&](unsigned long i) {
-    std::lock_guard<std::mutex> g(shared.mu);  // expect-lint[ast]: hot-mutex
+    std::lock_guard<std::mutex> g(shared.mu);  // expect-lint: hot-mutex
     shared.sum += xs[i];
   });
 }
 
-// AST only: the lock hides one call deep — `record_hit_fx` is a transitive
+// The lock hides one call deep — `record_hit_fx` is a transitive
 // worker callee.
 void record_hit_fx(SharedTallyFx& shared, double x) {
-  std::lock_guard<std::mutex> g(shared.mu);  // expect-lint[ast]: hot-mutex
+  std::lock_guard<std::mutex> g(shared.mu);  // expect-lint: hot-mutex
   shared.sum += x;
 }
 

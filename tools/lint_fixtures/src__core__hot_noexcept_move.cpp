@@ -2,8 +2,8 @@
 // move operation is not `noexcept`.  std::vector only moves elements during
 // growth when the move cannot throw; otherwise it copies every element to
 // keep the strong exception guarantee.  Connecting a type's special members
-// to the hot set needs class spans plus the hot-function index, so every
-// case is `[ast]`.
+// to the hot set needs class spans plus the hot-function index; the
+// noexcept and cold types below are the negatives.
 #include <string>
 #include <vector>
 
@@ -16,7 +16,7 @@ namespace yoso {
 class RecordFx {
  public:
   explicit RecordFx(int v) : tag_(static_cast<unsigned long>(v), 'x') {}
-  RecordFx(RecordFx&& other);  // expect-lint[ast]: hot-noexcept-move
+  RecordFx(RecordFx&& other);  // expect-lint: hot-noexcept-move
   std::string tag_;
 };
 

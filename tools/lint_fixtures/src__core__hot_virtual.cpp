@@ -1,8 +1,8 @@
 // Fixture: hot-virtual — virtual dispatch inside a hot INNER loop (nesting
 // depth >= 2).  A per-batch virtual call amortises over the elements it
 // dispatches for; a per-element one pays the indirect branch every time.
-// Only the AST tiers own this rule: it needs function spans, loop nesting
-// and the virtual-vs-plain declaration index, so every case is `[ast]`.
+// The rule needs function spans, loop nesting and the virtual-vs-plain
+// declaration index.
 #include <vector>
 
 #define YOSO_TRACE_SPAN(name) (void)0
@@ -15,14 +15,14 @@ struct ModelFx {
   double scale_fx(double x) const { return x * 2.0; }
 };
 
-// AST only: per-element dispatch in the inner loop.
+// Per-element dispatch in the inner loop.
 double hot_score_all_fx(const ModelFx& m,
                         const std::vector<std::vector<double>>& rows) {
   YOSO_TRACE_SPAN("eval.pipeline");
   double acc = 0.0;
   for (const std::vector<double>& row : rows) {
     for (double v : row) {
-      acc += m.score_one_fx(v);  // expect-lint[ast]: hot-virtual
+      acc += m.score_one_fx(v);  // expect-lint: hot-virtual
     }
   }
   return acc;

@@ -1,9 +1,9 @@
 // Fixture: parallel-region purity.  Writes to namespace-scope mutable state
 // reachable from a parallel_for body — directly or through the call graph —
-// are a data race and make results depend on the thread count.  Only the
-// AST-grade engines own this rule (it needs scope classification plus a
-// call-graph walk), so the violations are tagged `[ast]` and the regex
-// engine must report nothing in this file.
+// are a data race and make results depend on the thread count.  Finding
+// them needs scope classification plus a call-graph walk: one seeded
+// violation writes the global directly, the other reaches it through two
+// calls.
 
 namespace yoso {
 
@@ -32,8 +32,8 @@ double record_and_scale(double x) {
 double run_batch(Pool& pool, double* out, unsigned long n) {
   if (out == nullptr) return 0.0;
   pool.parallel_for(0, n, [&](unsigned long i) {
-    g_eval_count += 1;               // expect-lint[ast]: parallel-purity
-    out[i] = record_and_scale(1.0);  // expect-lint[ast]: parallel-purity
+    g_eval_count += 1;               // expect-lint: parallel-purity
+    out[i] = record_and_scale(1.0);  // expect-lint: parallel-purity
   });
   return static_cast<double>(g_eval_count);
 }

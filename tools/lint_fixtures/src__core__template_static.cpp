@@ -1,8 +1,8 @@
-// Fixture: mutable statics inside templates.  Every engine must catch these
-// — the regex engine sees the `static` keyword, the AST engines the
-// VAR_DECL — but the declarations are template-local, a shape the v1 suite
-// never covered (each instantiation gets its own hidden mutable state, so
-// the reproducibility hazard multiplies with the instantiation set).
+// Fixture: mutable statics inside templates.  The declarations are
+// template-local, a shape the v1 suite never covered: each instantiation
+// gets its own hidden mutable state, so the reproducibility hazard
+// multiplies with the instantiation set.  The immutable statics at the end
+// are the negatives.
 
 namespace yoso {
 

@@ -1,12 +1,12 @@
-// Fixture: unordered containers hidden behind typedef/using aliases.  The
-// v1 regex engine resolves neither, so every violation here is tagged
-// `[ast]`: the semantic and clang engines must catch it AND the regex
-// engine must provably miss it — the self-test fails if regex ever "sees"
-// one of these, because then the fixture no longer demonstrates why the
-// AST-grade engines exist.
+// Fixture: unordered containers hidden behind typedef/using aliases and
+// behind a function returning one.  No iteration below names
+// `unordered_map` itself, so the linter must resolve each alias to the
+// container type before unordered-iter can see it; the std::map alias is
+// the negative.
 //
-// Hermetic std:: stand-ins keep the fixture parseable by libclang without
-// system headers; the canonical type names are what the engines key on.
+// Hermetic std:: stand-ins keep the fixture free of system headers; the
+// type names are what the linter keys on, not the library's
+// implementation.
 
 namespace std {
 
@@ -53,7 +53,7 @@ using SortedTable = std::map<int, double>;
 
 double sum_cache(const CacheTable& table) {
   double total = 0.0;
-  for (const auto& entry : table) {  // expect-lint[ast]: unordered-iter
+  for (const auto& entry : table) {  // expect-lint: unordered-iter
     total += entry.second;
   }
   return total;
@@ -61,7 +61,7 @@ double sum_cache(const CacheTable& table) {
 
 int walk_hits(HitCounts& hits) {
   int n = 0;
-  for (auto it = hits.begin(); it != hits.end(); ++it) {  // expect-lint[ast]: unordered-iter
+  for (auto it = hits.begin(); it != hits.end(); ++it) {  // expect-lint: unordered-iter
     ++n;
   }
   return n;
@@ -73,7 +73,7 @@ CacheTable copy_cache(const CacheTable& table) {
 
 double sum_twice(const CacheTable& table) {
   double total = 0.0;
-  for (const auto& entry : copy_cache(table)) {  // expect-lint[ast]: unordered-iter
+  for (const auto& entry : copy_cache(table)) {  // expect-lint: unordered-iter
     total += entry.second;
   }
   return total;

@@ -1,7 +1,7 @@
 // Fixture: the layer-dag rule.  The filename maps this to src/util/, and
 // util sits below core in tools/yoso_layers.json, so the include is an
-// upward dependency.  Include parsing needs no AST — every engine tier
-// must catch it, which is why the expectation carries no [ast] tag.
+// upward dependency the committed DAG does not declare, and the include
+// line itself is the finding.
 //
 // FinalistPool is referenced below so the include-hygiene rule cannot also
 // fire (the fixture isolates layer-dag).

@@ -44,19 +44,18 @@ docs/STATIC_ANALYSIS.md):
                     agree with the JSON exactly.
   include-hygiene   IWYU-lite over the project include graph: (a) a direct
                     include none of whose exported symbols the file uses is
-                    dead weight [AST tiers]; (b) a file that uses a symbol
-                    owned by a header it only reaches transitively must
-                    include that header directly [AST tiers]; (c) a TU that
-                    includes its paired header must include it FIRST, which
-                    machine-proves the header self-contained on every build;
-                    (d) duplicate includes.
+                    dead weight; (b) a file that uses a symbol owned by a
+                    header it only reaches transitively must include that
+                    header directly; (c) a TU that includes its paired
+                    header must include it FIRST, which machine-proves the
+                    header self-contained on every build; (d) duplicate
+                    includes.
   contract-coverage public entry points (named, non-static functions and
                     methods outside detail/anonymous namespaces in src/)
                     whose raw pointer or integral size/index parameters
-                    reach array indexing or a resize/reserve without a
-                    YOSO_REQUIRE / YOSO_CHECK / YOSO_DCHECK guard naming the
-                    parameter.  The regex tier sees single-line definitions
-                    only; the AST tiers analyse whole function bodies.
+                    reach array indexing or a resize/reserve anywhere in the
+                    function body without a YOSO_REQUIRE / YOSO_CHECK /
+                    YOSO_DCHECK guard naming the parameter.
 
 v4 adds the profile-guided perf-lint family (DESIGN.md §15).  A hot-set
 builder derives the set of hot functions from (a) the committed span-cost
@@ -93,26 +92,12 @@ measured cost.  `--profile PATH` points the hot-set builder at any
 span-aggregate or Chrome-trace JSON (default: the committed
 tools/yoso_hot_profile.json); `--rule NAME` filters the report to one rule.
 
-v2 replaced the v1 regex-only scanner with tiered engines:
-
-  regex     the v1 line scanner.  Fast, zero dependencies, blind through
-            typedefs, `auto`, templates and call graphs.  Kept as the
-            fallback of last resort so CI without clang still gates.
-  semantic  pure-Python AST-grade analysis: resolves typedef/using aliases
-            and function return types, tracks scopes with a brace
-            classifier, builds a per-file call graph, and walks it from
-            parallel_for bodies for the purity rule.  No dependencies, so
-            this is the default everywhere.
-  clang     libclang (clang.cindex) over the CMake-exported
-            compile_commands.json: canonical-type resolution, so aliases,
-            `auto` and template instantiations are seen exactly as the
-            compiler sees them.  Selected automatically when libclang is
-            importable and a compile database is present.
-
-`--engine auto` (the default) picks clang > semantic.  `--engine regex`
-exists for comparison and for the self-test, which uses it to prove the
-fixtures under tools/lint_fixtures/ that regex *cannot* catch
-(`expect-lint[ast]: ...`) stay caught by the AST-grade engines.
+The analysis is pure Python with no dependencies: it resolves typedef/using
+aliases and function return types, tracks scopes with a brace classifier,
+builds a per-file call graph, and walks it from parallel_for bodies for the
+purity rule.  `--self-test` checks every rule against the seeded fixtures
+under tools/lint_fixtures/ (`// expect-lint: <rule>` marks each line that
+must be reported).
 
 Escape hatch: append `// yoso-lint: allow(<rule>)` to the offending line (or
 the line directly above it) to suppress one rule there.  Allows are counted
@@ -122,17 +107,15 @@ policy.  The tree currently carries ZERO allows; keep it that way.
 Exit status (scripts/check.sh and CI branch on the distinction):
   0  clean — no violations and the allow budget holds
   1  violations found (or allow budget exceeded)
-  2  tool/configuration error — the lint could not run as asked: --engine
-     clang without libclang, a missing/stale compile database under
-     --require-fresh-db, or a broken tools/yoso_layers.json (unparseable,
-     unknown module, or a cycle in the declared DAG).
+  2  configuration error — the lint could not run: tools/yoso_layers.json is
+     missing or broken (unparseable, unknown module, or a cycle in the
+     declared DAG).
 
-`--json PATH` additionally writes a machine-readable report (engine,
-violations, per-rule counts, allows, exit code); CI archives it.
+`--json PATH` additionally writes a machine-readable report (violations,
+per-rule counts, allows, exit code); CI archives it.
 """
 
 import argparse
-import glob
 import json
 import os
 import re
@@ -169,22 +152,20 @@ SCAN_DIRS = ("src", "tests", "bench", "examples")
 CPP_EXTENSIONS = (".cpp", ".cc", ".cxx", ".h", ".hpp")
 
 ALLOW_RE = re.compile(r"//\s*yoso-lint:\s*allow\(([a-z-]+)\)")
-EXPECT_RE = re.compile(r"//\s*expect-lint(?:\[([a-z,]+)\])?:\s*([a-z-]+)")
+EXPECT_RE = re.compile(r"//\s*expect-lint:\s*([a-z-]+)")
 
 UNORDERED_NAME_RE = re.compile(
     r"\bunordered_(?:map|set|multimap|multiset)\b")
 
 
 class Violation:
-    def __init__(self, path, line, rule, message, rank=0, span=None,
-                 tier=None):
+    def __init__(self, path, line, rule, message, rank=0, span=None):
         self.path = path
         self.line = line
         self.rule = rule
         self.message = message
         self.rank = rank    # profiled self-time (ns) of the enclosing span
         self.span = span    # name of the innermost enclosing profiled span
-        self.tier = tier    # engine tier that produced the finding
 
     def __str__(self):
         cost = f" (span {self.span}, self {self.rank} ns)" if self.span \
@@ -268,9 +249,8 @@ def collect_allows(raw_lines):
 
 
 # ---------------------------------------------------------------------------
-# Shared per-line rules (global-rng, static-state, naked-new) — identical in
-# the regex and semantic engines; the clang engine re-derives them from the
-# AST so typedef'd aliases cannot hide them either.
+# Per-line rules (global-rng, static-state, naked-new) and the unordered-iter
+# scan over a known set of container names.
 # ---------------------------------------------------------------------------
 
 GLOBAL_RNG_RE = re.compile(
@@ -369,9 +349,9 @@ def scan_lines_shared(rel, clean_lines, scopes):
 
 
 def unordered_iter_violations(rel, clean_lines, unordered_vars,
-                              unordered_fns=()):
+                              unordered_fns):
     """Range-for / iterator-walk findings over a known set of container
-    variable names (and optionally functions returning unordered)."""
+    variable names and functions returning unordered containers."""
     violations = []
     for idx, line in enumerate(clean_lines, start=1):
         mfor = RANGE_FOR_RE.search(line)
@@ -406,10 +386,7 @@ def unordered_iter_violations(rel, clean_lines, unordered_vars,
 
 # ---------------------------------------------------------------------------
 # v3 architecture analysis: ProjectContext + layer-dag / include-hygiene /
-# contract-coverage rule families.  The rules are engine-tiered: `tier` is
-# "regex" (line-local subset) or "ast" (full include-graph / function-span
-# analysis, shared by the semantic and clang engines; the clang engine
-# additionally validates the compile database it was pointed at).
+# contract-coverage rule families.
 # ---------------------------------------------------------------------------
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
@@ -484,7 +461,7 @@ def extract_header_symbols(clean):
 def _blank_function_bodies(clean):
     """Replaces the contents of every function-like body with spaces,
     preserving offsets/line structure."""
-    _, spans = SemanticEngine._classify_braces(clean)
+    _, spans = classify_braces(clean)
     out = list(clean)
     for _, start, end in spans:
         for i in range(start + 1, min(end, len(out))):
@@ -812,16 +789,15 @@ def paired_header(rel):
     return None
 
 
-def include_hygiene_violations(rel, raw_lines, clean, clean_lines, ctx,
-                               tier):
+def include_hygiene_violations(rel, raw_lines, clean, clean_lines, ctx):
     if ctx is None:
         return []
     violations = []
     includes = ctx.parse_includes(raw_lines, clean_lines)
     pair = paired_header(rel)
 
-    # (c) paired header first — any tier.  A TU that includes its own header
-    # behind other includes hides missing includes in that header.
+    # (c) paired header first.  A TU that includes its own header behind
+    # other includes hides missing includes in that header.
     pair_entries = [e for e in includes if e[0] == pair]
     if pair_entries and includes and includes[0][0] != pair:
         violations.append(Violation(
@@ -829,7 +805,7 @@ def include_hygiene_violations(rel, raw_lines, clean, clean_lines, ctx,
             f'paired header "{pair}" must be the first include — including '
             "it first proves it self-contained on every build"))
 
-    # (d) duplicate includes — any tier.
+    # (d) duplicate includes.
     seen = {}
     for inc, idx in includes:
         if inc in seen:
@@ -838,9 +814,6 @@ def include_hygiene_violations(rel, raw_lines, clean, clean_lines, ctx,
                 f'duplicate include "{inc}" (first at line {seen[inc]})'))
         else:
             seen[inc] = idx
-
-    if tier != "ast":
-        return violations
 
     # Token set of the file minus its include lines.
     body_lines = [("" if INCLUDE_RE.match(raw) else clean_line)
@@ -991,25 +964,23 @@ def _ns_spans(clean, names=("detail",), anonymous=True):
         nm = m.group(1)
         if (nm in names) or (anonymous and nm == ""):
             open_pos = m.end() - 1
-            close = SemanticEngine._match_close(clean, open_pos)
+            close = match_close(clean, open_pos)
             spans.append((open_pos, close))
     for m in re.finditer(r"\bnamespace\s*\{", clean):
         open_pos = m.end() - 1
-        close = SemanticEngine._match_close(clean, open_pos)
+        close = match_close(clean, open_pos)
         if anonymous:
             spans.append((open_pos, close))
     return spans
 
 
-def contract_coverage_violations(rel, clean, ctx, tier):
+def contract_coverage_violations(rel, clean):
     norm = rel.replace(os.sep, "/")
     if not norm.startswith("src/"):
         return []
-    if tier != "ast":
-        return _contract_coverage_regex(rel, clean)
 
     hidden = _ns_spans(clean)
-    _, function_spans = SemanticEngine._classify_braces(clean)
+    _, function_spans = classify_braces(clean)
     violations = []
     reported = set()
     for fn_name, bstart, bend in function_spans:
@@ -1033,7 +1004,7 @@ def contract_coverage_violations(rel, clean, ctx, tier):
                 continue
             if _guarded(body, pname, kind) or _shadowed(body, pname):
                 continue
-            line = SemanticEngine._line_of(clean, bstart + off)
+            line = line_of(clean, bstart + off)
             key = (line, pname)
             if key in reported:
                 continue
@@ -1091,38 +1062,6 @@ def _signature_before(clean, brace_pos):
     return first.group(1).lstrip("~"), params, flat[:first.start()]
 
 
-ONE_LINE_DEF_RE = re.compile(
-    r"\(([^()]*)\)\s*(?:const\s*)?(?:noexcept\s*)?\{(.*)\}")
-
-
-def _contract_coverage_regex(rel, clean):
-    """Regex tier: single-line definitions only — `T f(size_t i) { v[i] }`
-    with no guard on the line.  Multi-line bodies need the AST tiers."""
-    violations = []
-    for idx, line in enumerate(clean.splitlines(), start=1):
-        if any(g in line for g in GUARD_MACROS):
-            continue
-        m = ONE_LINE_DEF_RE.search(line)
-        if not m:
-            continue
-        head = line[:m.start()].rstrip()
-        if head.endswith("]") or re.search(r"\bstatic\b", head):
-            continue
-        params, body = m.group(1), m.group(2)
-        for piece in _split_params(params):
-            kind, pname = _classify_param(piece)
-            if kind is None:
-                continue
-            if _risky_use(body, kind, pname) is not None:
-                what = ("raw pointer" if kind == "pointer"
-                        else "size/index parameter")
-                violations.append(Violation(
-                    rel, idx, "contract-coverage",
-                    f"single-line definition lets {what} `{pname}` reach "
-                    "indexing with no contract guard"))
-    return violations
-
-
 # ---------------------------------------------------------------------------
 # v4 perf-lint: profile-guided hot-path rules (DESIGN.md §15).
 #
@@ -1157,11 +1096,6 @@ HEAVY_TYPE_RE = re.compile(  # no `<`: callers may have stripped <args>
 HEAVY_ELEM_DECL_RE = re.compile(
     r"\bstd\s*::\s*vector\s*<\s*(?:std\s*::\s*vector|std\s*::\s*string"
     r"|Matrix|Tensor)\b[^;]*?[\s>]\s*(\w+)\s*[;({=]")
-HEAVY_RANGE_FOR_LINE_RE = re.compile(
-    r"\bfor\s*\(\s*(?:const\s+)?"
-    r"(?:Matrix|Tensor|std\s*::\s*vector\s*<[^&]*?>|std\s*::\s*string)"
-    r"\s+\w+\s*:")
-
 #: hot-mutex does not apply to the bottom infrastructure layers: the pool's
 #: own queue handshake and the obs registries ARE the locks.
 MUTEX_EXEMPT_PREFIXES = ("src/base/", "src/obs/", "src/util/")
@@ -1268,7 +1202,7 @@ class PerfFileInfo:
 
     def __init__(self, text, clean):
         self.clean = clean
-        _, self.function_spans = SemanticEngine._classify_braces(clean)
+        _, self.function_spans = classify_braces(clean)
         self.spans_of = {}        # fn -> set of span names it opens
         self.calls = {}           # fn -> set of called names
         self.worker_regions = []  # [(start, end)] worker-body char spans
@@ -1290,28 +1224,28 @@ class PerfFileInfo:
         # Named lambdas: `auto name = [caps](args) { ... }`.
         lambda_spans = {}
         for m in re.finditer(r"\bauto\s+(\w+)\s*=\s*\[", clean):
-            j = SemanticEngine._match_close(clean, m.end() - 1, "[", "]") + 1
+            j = match_close(clean, m.end() - 1, "[", "]") + 1
             while j < len(clean) and clean[j] in " \t\n":
                 j += 1
             if j < len(clean) and clean[j] == "(":
-                j = SemanticEngine._match_close(clean, j, "(", ")") + 1
+                j = match_close(clean, j, "(", ")") + 1
             mm = re.match(r"[\s]*(?:mutable|noexcept)?[\s]*"
                           r"(?:->\s*[\w:<>,\s&*]+?)?[\s]*\{", clean[j:])
             if mm:
                 open_pos = j + mm.end() - 1
                 lambda_spans[m.group(1)] = (
-                    open_pos, SemanticEngine._match_close(clean, open_pos))
+                    open_pos, match_close(clean, open_pos))
 
         # Worker regions: lambda bodies handed to parallel_for — inline, or
         # by naming a lambda declared above.
         for m in re.finditer(r"\bparallel_for\s*\(", clean):
             args_open = m.end() - 1
-            args_close = SemanticEngine._match_close(clean, args_open,
+            args_close = match_close(clean, args_open,
                                                      "(", ")")
             body_open = clean.find("{", args_open, args_close)
             if body_open != -1:
                 self.worker_regions.append(
-                    (body_open, SemanticEngine._match_close(clean,
+                    (body_open, match_close(clean,
                                                             body_open)))
             for ident in IDENT_RE.findall(clean[args_open:args_close + 1]):
                 if ident in lambda_spans:
@@ -1336,7 +1270,7 @@ class PerfFileInfo:
                              r"[^;{()]*\{", clean):
             cname = m.group(1)
             body_open = m.end() - 1
-            body_close = SemanticEngine._match_close(clean, body_open)
+            body_close = match_close(clean, body_open)
             body = clean[body_open:body_close]
             esc = re.escape(cname)
             for dm in re.finditer(
@@ -1350,7 +1284,7 @@ class PerfFileInfo:
                     continue
                 self.throwing_moves.append(
                     (cname,
-                     SemanticEngine._line_of(clean, body_open + dm.start())))
+                     line_of(clean, body_open + dm.start())))
 
     def worker_callee_seed(self):
         seed = set()
@@ -1369,11 +1303,11 @@ def _loop_regions(clean, start, end):
         head_open = clean.find("(", m.start(), end)
         if head_open == -1:
             continue
-        head_close = SemanticEngine._match_close(clean, head_open, "(", ")")
+        head_close = match_close(clean, head_open, "(", ")")
         body_open = clean.find("{", head_close, end)
         if body_open == -1 or clean[head_close + 1:body_open].strip():
             continue  # braceless or `while (...);`
-        body_close = min(SemanticEngine._match_close(clean, body_open), end)
+        body_close = min(match_close(clean, body_open), end)
         regions.append([m.start(), body_open, body_close, 1])
     for r in regions:
         r[3] += sum(1 for o in regions
@@ -1389,37 +1323,13 @@ def _enclosing_fn(function_spans, off):
     return best[0] if best else None
 
 
-def _scan_perf_regex(rel, text, clean_lines):
-    """Regex tier: line-local subset only.  A file is presumed hot when it
-    is instrumented at all (contains YOSO_TRACE_SPAN); the catchable shapes
-    are single-line loop+allocation and single-line heavy by-value
-    range-for.  Everything else needs the AST tiers."""
-    if "YOSO_TRACE_SPAN" not in text:
-        return []
-    violations = []
-    for idx, line in enumerate(clean_lines, start=1):
-        if LOOP_HEAD_RE.search(line) and ALLOC_CALL_RE.search(line):
-            violations.append(Violation(
-                rel, idx, "hot-alloc",
-                "heap allocation inside a loop in instrumented (hot) code "
-                "— hoist it out of the loop"))
-        if HEAVY_RANGE_FOR_LINE_RE.search(line):
-            violations.append(Violation(
-                rel, idx, "hot-heavy-copy",
-                "range-for copies a heavy element per iteration in "
-                "instrumented (hot) code — take `const auto&`"))
-    return violations
-
-
-def scan_perf(rel, text, clean, clean_lines, ctx, tier):
+def scan_perf(rel, text, clean, ctx):
     """The v4 perf-rule family.  Applies to src/ only (fixtures map there);
     fixtures outside the project index classify themselves through their
     own YOSO_TRACE_SPAN roots, merged with the project-wide hot set."""
     norm = rel.replace(os.sep, "/")
     if not norm.startswith("src/") or norm.startswith(PERF_EXEMPT_PREFIXES):
         return []
-    if tier != "ast":
-        return _scan_perf_regex(rel, text, clean_lines)
 
     info = PerfFileInfo(text, clean)
     profile = ctx.hot_profile if ctx is not None else HotProfile()
@@ -1446,7 +1356,7 @@ def scan_perf(rel, text, clean, clean_lines, ctx, tier):
     def emit(off, rule, message):
         fn = _enclosing_fn(info.function_spans, off)
         violations.append(Violation(
-            rel, SemanticEngine._line_of(clean, off), rule, message,
+            rel, line_of(clean, off), rule, message,
             rank=cost.get(fn, 0), span=span.get(fn)))
 
     hot_fn_spans = [(fn, s, e) for fn, s, e in info.function_spans
@@ -1593,40 +1503,9 @@ def scan_perf(rel, text, clean, clean_lines, ctx, tier):
                 "mark it `noexcept` (or `= default`)"))
     return violations
 
-class RegexEngine:
-    name = "regex"
-    tier = "regex"
-
-    def scan_file(self, rel, text, ctx=None):
-        clean = strip_comments_and_strings(text)
-        clean_lines = clean.splitlines()
-        scopes = path_scopes(rel)
-        unordered_vars = set()
-        for line in clean_lines:
-            for m in UNORDERED_DECL_RE.finditer(line):
-                unordered_vars.add(m.group(1))
-        violations = scan_lines_shared(rel, clean_lines, scopes)
-        violations.extend(
-            unordered_iter_violations(rel, clean_lines, unordered_vars))
-        violations.extend(scan_architecture(rel, text, clean, clean_lines,
-                                            ctx, self.tier))
-        return violations
-
-
-def scan_architecture(rel, text, clean, clean_lines, ctx, tier):
-    """The v3/v4 per-file rules, shared by every engine at its tier."""
-    raw_lines = text.splitlines()
-    violations = []
-    violations.extend(layer_dag_violations(rel, raw_lines, clean_lines, ctx))
-    violations.extend(include_hygiene_violations(
-        rel, raw_lines, clean, clean_lines, ctx, tier))
-    violations.extend(contract_coverage_violations(rel, clean, ctx, tier))
-    violations.extend(scan_perf(rel, text, clean, clean_lines, ctx, tier))
-    return violations
-
 
 # ---------------------------------------------------------------------------
-# Engine: semantic (pure-Python AST-grade analysis)
+# Scope, alias and call-graph analysis
 # ---------------------------------------------------------------------------
 
 ALIAS_USING_RE = re.compile(r"\busing\s+(\w+)\s*=\s*([^;]+);")
@@ -1661,610 +1540,269 @@ class _Scope:
         self.start = start  # offset of the opening brace
 
 
-class SemanticEngine:
-    """AST-grade analysis without libclang: a brace/scope classifier plus
-    alias and return-type resolution and a per-file call graph.  Sees through
-    `typedef`/`using`, `auto`, and templates where the regex engine is blind;
-    powers the parallel-purity rule."""
+def collect_aliases(clean):
+    """{alias: resolved right-hand side} of a file's typedef/using
+    aliases."""
+    aliases = {}
+    for m in ALIAS_USING_RE.finditer(clean):
+        aliases[m.group(1)] = m.group(2)
+    for m in ALIAS_TYPEDEF_RE.finditer(clean):
+        aliases[m.group(2)] = m.group(1)
+    # Resolve transitively (aliases of aliases), bounded to avoid cycles.
+    for _ in range(4):
+        changed = False
+        for name, rhs in list(aliases.items()):
+            def sub(mm):
+                return aliases[mm.group(0)]
+            new = re.sub(
+                r"\b(" + "|".join(map(re.escape, aliases)) + r")\b",
+                sub, rhs) if aliases else rhs
+            if new != rhs and name not in IDENT_RE.findall(new):
+                aliases[name] = new
+                changed = True
+        if not changed:
+            break
+    return aliases
 
-    name = "semantic"
-    tier = "ast"
 
-    # -- alias resolution ---------------------------------------------------
+def classify_braces(clean):
+    """Returns (scopes_at, function_spans): for every opening-brace
+    offset its scope kind, and [(name, start, end)] for function-like
+    bodies.  Classification looks at the preamble between the previous
+    ';' / '{' / '}' and the brace."""
+    stack = []
+    scopes_at = {}
+    function_spans = []
+    boundary = 0
+    i, n = 0, len(clean)
+    while i < n:
+        c = clean[i]
+        if c in ";":
+            boundary = i + 1
+        elif c == "{":
+            preamble = clean[boundary:i]
+            kind, name = classify_preamble(preamble)
+            # A brace directly inside a class with no '(' is usually a
+            # member initializer — treat as block; close enough.
+            scopes_at[i] = kind
+            stack.append(_Scope(kind, name, i))
+            boundary = i + 1
+        elif c == "}":
+            if stack:
+                scope = stack.pop()
+                if scope.kind == "function" and scope.name:
+                    function_spans.append((scope.name, scope.start, i))
+            boundary = i + 1
+        i += 1
+    return scopes_at, function_spans
 
-    @staticmethod
-    def _collect_aliases(clean):
-        aliases = {}
-        for m in ALIAS_USING_RE.finditer(clean):
-            aliases[m.group(1)] = m.group(2)
-        for m in ALIAS_TYPEDEF_RE.finditer(clean):
-            aliases[m.group(2)] = m.group(1)
-        # Resolve transitively (aliases of aliases), bounded to avoid cycles.
-        for _ in range(4):
-            changed = False
-            for name, rhs in list(aliases.items()):
-                def sub(mm):
-                    return aliases[mm.group(0)]
-                new = re.sub(
-                    r"\b(" + "|".join(map(re.escape, aliases)) + r")\b",
-                    sub, rhs) if aliases else rhs
-                if new != rhs and name not in IDENT_RE.findall(new):
-                    aliases[name] = new
-                    changed = True
-            if not changed:
-                break
-        return aliases
 
-    @staticmethod
-    def _unordered_aliases(aliases):
-        return {name for name, rhs in aliases.items()
-                if UNORDERED_NAME_RE.search(rhs)}
-
-    # -- scope classification ----------------------------------------------
-
-    @staticmethod
-    def _classify_braces(clean):
-        """Returns (scopes_at, function_spans): for every opening-brace
-        offset its scope kind, and [(name, start, end)] for function-like
-        bodies.  Classification looks at the preamble between the previous
-        ';' / '{' / '}' and the brace."""
-        stack = []
-        scopes_at = {}
-        function_spans = []
-        boundary = 0
-        i, n = 0, len(clean)
-        while i < n:
-            c = clean[i]
-            if c in ";":
-                boundary = i + 1
-            elif c == "{":
-                preamble = clean[boundary:i]
-                kind, name = SemanticEngine._classify_preamble(preamble)
-                # A brace directly inside a class with no '(' is usually a
-                # member initializer — treat as block; close enough.
-                scopes_at[i] = kind
-                stack.append(_Scope(kind, name, i))
-                boundary = i + 1
-            elif c == "}":
-                if stack:
-                    scope = stack.pop()
-                    if scope.kind == "function" and scope.name:
-                        function_spans.append((scope.name, scope.start, i))
-                boundary = i + 1
-            i += 1
-        return scopes_at, function_spans
-
-    @staticmethod
-    def _classify_preamble(preamble):
-        p = preamble.strip()
-        if re.search(r"\bnamespace\b", p):
-            return "namespace", None
-        if re.search(r'\bextern\s*$', p):
-            return "namespace", None
-        m_class = re.match(r"^(?:template\s*<[^{]*>\s*)?"
-                           r"(?:class|struct|union|enum)\b", p)
-        if m_class:
-            return "class", None
-        if "=" in p.split("(")[0] and "(" not in p:
-            return "block", None  # brace initializer
-        # Function-ish: has a parameter list; name is the identifier before
-        # the last top-level '('.
-        if "(" in p:
-            flat = re.sub(r"<[^<>]*>", "", p)
-            m = None
-            for m in re.finditer(r"(~?\w+)\s*\(", flat):
-                pass
-            if m and m.group(1) not in ("if", "for", "while", "switch",
-                                        "catch"):
-                name = m.group(1).lstrip("~")
-                return "function", name
-            return "block", None
+def classify_preamble(preamble):
+    p = preamble.strip()
+    if re.search(r"\bnamespace\b", p):
+        return "namespace", None
+    if re.search(r'\bextern\s*$', p):
+        return "namespace", None
+    m_class = re.match(r"^(?:template\s*<[^{]*>\s*)?"
+                       r"(?:class|struct|union|enum)\b", p)
+    if m_class:
+        return "class", None
+    if "=" in p.split("(")[0] and "(" not in p:
+        return "block", None  # brace initializer
+    # Function-ish: has a parameter list; name is the identifier before
+    # the last top-level '('.
+    if "(" in p:
+        flat = re.sub(r"<[^<>]*>", "", p)
+        m = None
+        for m in re.finditer(r"(~?\w+)\s*\(", flat):
+            pass
+        if m and m.group(1) not in ("if", "for", "while", "switch",
+                                    "catch"):
+            name = m.group(1).lstrip("~")
+            return "function", name
         return "block", None
+    return "block", None
 
-    @staticmethod
-    def _scope_kind_stack(clean, offset, scopes_at):
-        """Kinds of all scopes enclosing `offset`."""
-        kinds = []
-        depth_stack = []
-        for i in range(offset):
-            c = clean[i]
-            if c == "{":
-                depth_stack.append(scopes_at.get(i, "block"))
-            elif c == "}":
-                if depth_stack:
-                    depth_stack.pop()
-        return depth_stack or kinds
 
-    # -- main scan ----------------------------------------------------------
+def line_of(clean, offset):
+    return clean.count("\n", 0, offset) + 1
 
-    def scan_file(self, rel, text, ctx=None):
-        clean = strip_comments_and_strings(text)
-        clean_lines = clean.splitlines()
-        scopes = path_scopes(rel)
 
-        violations = scan_lines_shared(rel, clean_lines, scopes)
-        violations.extend(scan_architecture(rel, text, clean, clean_lines,
-                                            ctx, self.tier))
+def match_close(clean, open_pos, open_ch="{", close_ch="}"):
+    depth = 0
+    for i in range(open_pos, len(clean)):
+        if clean[i] == open_ch:
+            depth += 1
+        elif clean[i] == close_ch:
+            depth -= 1
+            if depth == 0:
+                return i
+    return len(clean) - 1
 
-        aliases = self._collect_aliases(clean)
-        unordered_alias_names = self._unordered_aliases(aliases)
 
-        # Unordered variables: direct declarations (v1) + alias-typed
-        # declarations + `auto` bound to a known unordered variable.
-        unordered_vars = set()
-        for line in clean_lines:
-            for m in UNORDERED_DECL_RE.finditer(line):
-                unordered_vars.add(m.group(1))
-        for alias in unordered_alias_names:
-            for m in re.finditer(
-                    rf"\b{re.escape(alias)}\b\s*[&*]?\s*(\w+)\s*[;,)({{=]",
-                    clean):
-                unordered_vars.add(m.group(1))
-        for m in re.finditer(r"\bauto\s*[&*]?\s*(\w+)\s*=\s*([^;]+);", clean):
-            rhs_idents = set(IDENT_RE.findall(m.group(2)))
-            if rhs_idents & unordered_vars and not re.search(
-                    r"\.\s*(find|count|at|size|contains|emplace|insert|"
-                    r"erase)\b", m.group(2)):
-                unordered_vars.add(m.group(1))
+def unordered_names(clean, clean_lines):
+    """(variables, functions) of unordered-container type, seen through
+    typedef/using aliases and `auto`."""
+    aliases = collect_aliases(clean)
+    unordered_alias_names = {name for name, rhs in aliases.items()
+                             if UNORDERED_NAME_RE.search(rhs)}
 
-        # Functions returning unordered containers: `Ret name(...) {` where
-        # Ret resolves (through aliases) to an unordered container.
-        unordered_fns = set()
+    # Unordered variables: direct declarations (v1) + alias-typed
+    # declarations + `auto` bound to a known unordered variable.
+    unordered_vars = set()
+    for line in clean_lines:
+        for m in UNORDERED_DECL_RE.finditer(line):
+            unordered_vars.add(m.group(1))
+    for alias in unordered_alias_names:
         for m in re.finditer(
-                r"^[ \t]*((?:[\w:]+\s*(?:<[^;{}()]*>)?[\s&*]+))(\w+)"
-                r"\s*\([^;{}]*\)\s*(?:const\s*)?\{",
-                clean, re.MULTILINE):
-            ret = m.group(1)
-            ret_resolved = ret
-            for alias in unordered_alias_names:
-                if re.search(rf"\b{re.escape(alias)}\b", ret):
-                    ret_resolved = aliases[alias]
-            if UNORDERED_NAME_RE.search(ret_resolved):
-                unordered_fns.add(m.group(2))
+                rf"\b{re.escape(alias)}\b\s*[&*]?\s*(\w+)\s*[;,)({{=]",
+                clean):
+            unordered_vars.add(m.group(1))
+    for m in re.finditer(r"\bauto\s*[&*]?\s*(\w+)\s*=\s*([^;]+);", clean):
+        rhs_idents = set(IDENT_RE.findall(m.group(2)))
+        if rhs_idents & unordered_vars and not re.search(
+                r"\.\s*(find|count|at|size|contains|emplace|insert|"
+                r"erase)\b", m.group(2)):
+            unordered_vars.add(m.group(1))
 
-        violations.extend(unordered_iter_violations(
-            rel, clean_lines, unordered_vars, unordered_fns))
+    # Functions returning unordered containers: `Ret name(...) {` where
+    # Ret resolves (through aliases) to an unordered container.
+    unordered_fns = set()
+    for m in re.finditer(
+            r"^[ \t]*((?:[\w:]+\s*(?:<[^;{}()]*>)?[\s&*]+))(\w+)"
+            r"\s*\([^;{}]*\)\s*(?:const\s*)?\{",
+            clean, re.MULTILINE):
+        ret = m.group(1)
+        ret_resolved = ret
+        for alias in unordered_alias_names:
+            if re.search(rf"\b{re.escape(alias)}\b", ret):
+                ret_resolved = aliases[alias]
+        if UNORDERED_NAME_RE.search(ret_resolved):
+            unordered_fns.add(m.group(2))
+    return unordered_vars, unordered_fns
 
-        violations.extend(self._parallel_purity(rel, clean))
-        return violations
 
-    # -- parallel-region purity --------------------------------------------
+# -- rule: parallel-purity --------------------------------------------------
 
-    @staticmethod
-    def _line_of(clean, offset):
-        return clean.count("\n", 0, offset) + 1
+def parallel_purity_violations(rel, clean):
+    scopes_at, function_spans = classify_braces(clean)
 
-    @staticmethod
-    def _match_close(clean, open_pos, open_ch="{", close_ch="}"):
-        depth = 0
-        for i in range(open_pos, len(clean)):
-            if clean[i] == open_ch:
-                depth += 1
-            elif clean[i] == close_ch:
-                depth -= 1
-                if depth == 0:
-                    return i
-        return len(clean) - 1
+    # Namespace-scope mutable variables (the shared state the rule
+    # protects).  thread_local is exempt here — it is per-thread by
+    # construction (and already banned in src/ by static-state).
+    global_vars = set()
+    offset = 0
+    depth_stack = []
+    for raw_line in clean.splitlines(keepends=True):
+        at_ns_scope = all(k == "namespace" for k in depth_stack)
+        if at_ns_scope and "thread_local" not in raw_line:
+            m = NS_VAR_DECL_RE.match(raw_line.rstrip("\n"))
+            if m and "(" not in raw_line.split("=")[0]:
+                global_vars.add(m.group(1))
+        for i, ch in enumerate(raw_line):
+            if ch == "{":
+                depth_stack.append(scopes_at.get(offset + i, "block"))
+            elif ch == "}" and depth_stack:
+                depth_stack.pop()
+        offset += len(raw_line)
 
-    def _parallel_purity(self, rel, clean):
-        scopes_at, function_spans = self._classify_braces(clean)
+    if not global_vars:
+        return []
 
-        # Namespace-scope mutable variables (the shared state the rule
-        # protects).  thread_local is exempt here — it is per-thread by
-        # construction (and already banned in src/ by static-state).
-        global_vars = set()
-        offset = 0
-        depth_stack = []
-        for raw_line in clean.splitlines(keepends=True):
-            at_ns_scope = all(k == "namespace" for k in depth_stack)
-            if at_ns_scope and "thread_local" not in raw_line:
-                m = NS_VAR_DECL_RE.match(raw_line.rstrip("\n"))
-                if m and "(" not in raw_line.split("=")[0]:
-                    global_vars.add(m.group(1))
-            for i, ch in enumerate(raw_line):
-                if ch == "{":
-                    depth_stack.append(scopes_at.get(offset + i, "block"))
-                elif ch == "}" and depth_stack:
-                    depth_stack.pop()
-            offset += len(raw_line)
+    def writes_in(span_text):
+        found = {}
+        for m in WRITE_RE.finditer(span_text):
+            name = m.group(1) or m.group(2)
+            if name in global_vars:
+                found.setdefault(name, m.start())
+        return found
 
-        if not global_vars:
-            return []
+    def calls_in(span_text):
+        return {m.group(1) for m in CALL_RE.finditer(span_text)
+                if m.group(1) not in CALL_KEYWORDS}
 
-        def writes_in(span_text):
-            found = {}
-            for m in WRITE_RE.finditer(span_text):
-                name = m.group(1) or m.group(2)
-                if name in global_vars:
-                    found.setdefault(name, m.start())
-            return found
-
-        def calls_in(span_text):
-            return {m.group(1) for m in CALL_RE.finditer(span_text)
-                    if m.group(1) not in CALL_KEYWORDS}
-
-        # Direct writers, then transitive closure over the call graph.
-        body_of = {}
-        for fn_name, start, end in function_spans:
-            body_of.setdefault(fn_name, []).append(clean[start:end])
-        impure = {fn for fn, bodies in body_of.items()
-                  if any(writes_in(b) for b in bodies)}
-        for _ in range(len(body_of)):
-            grew = False
-            for fn, bodies in body_of.items():
-                if fn in impure:
-                    continue
-                if any(calls_in(b) & impure for b in bodies):
-                    impure.add(fn)
-                    grew = True
-            if not grew:
-                break
-
-        violations = []
-        for m in re.finditer(r"\bparallel_for\s*\(", clean):
-            args_open = m.end() - 1
-            args_close = self._match_close(clean, args_open, "(", ")")
-            body_open = clean.find("{", args_open, args_close)
-            if body_open == -1:
+    # Direct writers, then transitive closure over the call graph.
+    body_of = {}
+    for fn_name, start, end in function_spans:
+        body_of.setdefault(fn_name, []).append(clean[start:end])
+    impure = {fn for fn, bodies in body_of.items()
+              if any(writes_in(b) for b in bodies)}
+    for _ in range(len(body_of)):
+        grew = False
+        for fn, bodies in body_of.items():
+            if fn in impure:
                 continue
-            body_close = self._match_close(clean, body_open)
-            body = clean[body_open:body_close]
-            for name, rel_off in sorted(writes_in(body).items(),
-                                        key=lambda kv: kv[1]):
+            if any(calls_in(b) & impure for b in bodies):
+                impure.add(fn)
+                grew = True
+        if not grew:
+            break
+
+    violations = []
+    for m in re.finditer(r"\bparallel_for\s*\(", clean):
+        args_open = m.end() - 1
+        args_close = match_close(clean, args_open, "(", ")")
+        body_open = clean.find("{", args_open, args_close)
+        if body_open == -1:
+            continue
+        body_close = match_close(clean, body_open)
+        body = clean[body_open:body_close]
+        for name, rel_off in sorted(writes_in(body).items(),
+                                    key=lambda kv: kv[1]):
+            violations.append(Violation(
+                rel, line_of(clean, body_open + rel_off),
+                "parallel-purity",
+                f"parallel_for body writes namespace-scope mutable "
+                f"`{name}` — a data race and thread-count-dependent "
+                "behaviour"))
+        for cm in CALL_RE.finditer(body):
+            callee = cm.group(1)
+            if callee in CALL_KEYWORDS or callee == "parallel_for":
+                continue
+            if callee in impure:
                 violations.append(Violation(
-                    rel, self._line_of(clean, body_open + rel_off),
+                    rel, line_of(clean, body_open + cm.start()),
                     "parallel-purity",
-                    f"parallel_for body writes namespace-scope mutable "
-                    f"`{name}` — a data race and thread-count-dependent "
-                    "behaviour"))
-            for cm in CALL_RE.finditer(body):
-                callee = cm.group(1)
-                if callee in CALL_KEYWORDS or callee == "parallel_for":
-                    continue
-                if callee in impure:
-                    violations.append(Violation(
-                        rel, self._line_of(clean, body_open + cm.start()),
-                        "parallel-purity",
-                        f"parallel_for body calls `{callee}` which "
-                        "(transitively) writes namespace-scope mutable "
-                        "state — not pure, races under the pool"))
-        return violations
+                    f"parallel_for body calls `{callee}` which "
+                    "(transitively) writes namespace-scope mutable "
+                    "state — not pure, races under the pool"))
+    return violations
 
 
-# ---------------------------------------------------------------------------
-# Engine: clang (libclang over compile_commands.json)
-# ---------------------------------------------------------------------------
-
-def find_libclang():
-    """Best-effort discovery of the libclang shared object."""
-    try:
-        import clang.cindex as ci
-    except ImportError:
-        return None
-    try:
-        ci.Index.create()
-        return ci
-    except Exception:
-        pass
-    candidates = []
-    import ctypes.util
-    lib = ctypes.util.find_library("clang")
-    if lib:
-        candidates.append(lib)
-    for pattern in ("/usr/lib/llvm-*/lib/libclang.so*",
-                    "/usr/lib/llvm-*/lib/libclang-*.so*",
-                    "/usr/lib/*/libclang.so*",
-                    "/usr/lib/*/libclang-*.so*"):
-        candidates.extend(sorted(glob.glob(pattern), reverse=True))
-    for cand in candidates:
-        if "cpp" in os.path.basename(cand):
-            continue  # libclang-cpp is the C++ API, not the C API
-        try:
-            ci.Config.set_library_file(cand)
-            ci.Index.create()
-            return ci
-        except Exception:
-            ci.conf.lib = None  # reset and try the next candidate
-            ci.Config.loaded = False
-    return None
-
-
-class ClangEngine:
-    """libclang-backed analysis: rules resolved through canonical types, so
-    typedefs, `auto` and template instantiations cannot hide a container or
-    a static.  Uses per-file flags from compile_commands.json when given."""
-
-    name = "clang"
-    tier = "ast"
-
-    def __init__(self, cindex, compile_db=None):
-        self.ci = cindex
-        self.index = cindex.Index.create()
-        self.db = {}
-        if compile_db and os.path.isfile(compile_db):
-            with open(compile_db, encoding="utf-8") as f:
-                for entry in json.load(f):
-                    path = os.path.normpath(
-                        os.path.join(entry["directory"], entry["file"]))
-                    args = self._clean_args(entry)
-                    self.db[path] = args
-
-    @staticmethod
-    def _clean_args(entry):
-        if "arguments" in entry:
-            args = list(entry["arguments"])[1:]
-        else:
-            args = entry.get("command", "").split()[1:]
-        cleaned, skip = [], False
-        for a in args:
-            if skip:
-                skip = False
-                continue
-            if a in ("-c", "-o"):
-                skip = a == "-o"
-                continue
-            if a.endswith((".cpp", ".cc", ".cxx", ".o")):
-                continue
-            cleaned.append(a)
-        return cleaned
-
-    def _args_for(self, path):
-        return self.db.get(os.path.normpath(os.path.abspath(path)),
-                           ["-std=c++20"])
-
-    def scan_file(self, rel, text, ctx=None, path=None):
-        ci = self.ci
-        path = path or rel
-        clean = strip_comments_and_strings(text)
-        arch_violations = scan_architecture(rel, text, clean,
-                                            clean.splitlines(), ctx,
-                                            self.tier)
-        try:
-            tu = self.index.parse(
-                path, args=self._args_for(path),
-                unsaved_files=[(path, text)],
-                options=ci.TranslationUnit.PARSE_DETAILED_PROCESSING_RECORD)
-        except ci.TranslationUnitLoadError as e:
-            return arch_violations + [
-                Violation(rel, 1, "parallel-purity",
-                          f"libclang failed to parse: {e}")]
-        scopes = path_scopes(rel)
-        violations = list(arch_violations)
-        global_vars = set()
-        fn_writes_global = {}
-        fn_calls = {}
-        parallel_bodies = []
-
-        def canonical(node_type):
-            try:
-                return node_type.get_canonical().spelling
-            except Exception:
-                return ""
-
-        def in_this_file(node):
-            f = node.location.file
-            return f is not None and os.path.normpath(f.name) == \
-                os.path.normpath(path)
-
-        def tokens_text(node):
-            try:
-                return " ".join(t.spelling for t in node.get_tokens())
-            except Exception:
-                return ""
-
-        def visit(node, fn_stack):
-            k = node.kind
-            K = ci.CursorKind
-            here = in_this_file(node)
-
-            if k in (K.FUNCTION_DECL, K.CXX_METHOD, K.FUNCTION_TEMPLATE,
-                     K.CONSTRUCTOR, K.DESTRUCTOR, K.LAMBDA_EXPR):
-                fn_stack = fn_stack + [node.spelling or "<lambda>"]
-
-            if here:
-                if k == K.VAR_DECL:
-                    toks = tokens_text(node)
-                    is_static = re.search(r"\b(static|thread_local)\b", toks)
-                    is_immutable = re.search(
-                        r"\b(const|constexpr|constinit)\b", toks)
-                    sem = node.semantic_parent
-                    at_ns = sem is not None and sem.kind in (
-                        K.NAMESPACE, K.TRANSLATION_UNIT)
-                    if at_ns and not is_immutable and \
-                            "thread_local" not in toks:
-                        global_vars.add(node.spelling)
-                    if is_static and not is_immutable and \
-                            scopes["in_src"] and not scopes["in_exempt_layer"]:
-                        violations.append(Violation(
-                            rel, node.location.line, "static-state",
-                            "mutable static/thread_local state — hidden "
-                            "state breaks run-to-run reproducibility and "
-                            "races under the parallel evaluator"))
-                elif k == K.CXX_NEW_EXPR:
-                    violations.append(Violation(
-                        rel, node.location.line, "naked-new",
-                        "raw `new` — use std::make_unique/make_shared or a "
-                        "container"))
-                elif k == K.CXX_DELETE_EXPR:
-                    violations.append(Violation(
-                        rel, node.location.line, "naked-new",
-                        "raw `delete` — ownership belongs in a smart "
-                        "pointer"))
-                elif k == K.CALL_EXPR:
-                    name = node.spelling
-                    if not scopes["is_rng_impl"] and name in (
-                            "rand", "srand", "time"):
-                        violations.append(Violation(
-                            rel, node.location.line, "global-rng",
-                            f"forbidden nondeterministic source `{name}` — "
-                            "route randomness through util/rng (yoso::Rng)"))
-                    if name in ("begin", "cbegin"):
-                        for ch in node.get_children():
-                            if UNORDERED_NAME_RE.search(canonical(ch.type)):
-                                violations.append(Violation(
-                                    rel, node.location.line, "unordered-iter",
-                                    "iterator walk over unordered container "
-                                    "— iteration order is implementation-"
-                                    "defined"))
-                                break
-                    if name == "parallel_for":
-                        parallel_bodies.append(node)
-                    if fn_stack:
-                        fn_calls.setdefault(fn_stack[-1], set()).add(name)
-                elif k in (K.TYPE_REF, K.DECL_REF_EXPR):
-                    if not scopes["is_rng_impl"] and \
-                            "random_device" in (node.spelling or ""):
-                        violations.append(Violation(
-                            rel, node.location.line, "global-rng",
-                            "forbidden nondeterministic source "
-                            "`random_device` — route randomness through "
-                            "util/rng (yoso::Rng)"))
-                elif k == K.CXX_FOR_RANGE_STMT:
-                    children = list(node.get_children())
-                    body = children[-1] if children else None
-                    for ch in children:
-                        if ch is body:
-                            continue
-                        if self._subtree_has_unordered(ch, canonical):
-                            violations.append(Violation(
-                                rel, node.location.line, "unordered-iter",
-                                "range-for over unordered container — "
-                                "iteration order is implementation-defined"))
-                            break
-
-            for ch in node.get_children():
-                visit(ch, fn_stack)
-
-        visit(tu.cursor, [])
-
-        # Call-graph purity: functions (by name) that write namespace-scope
-        # mutable state, then the closure over calls.
-        if global_vars:
-            for fn_name, start, end in self._function_extents(tu, path):
-                body = text[start:end]
-                writes = {m.group(1) or m.group(2)
-                          for m in WRITE_RE.finditer(body)}
-                if writes & global_vars:
-                    fn_writes_global[fn_name] = True
-            impure = {fn for fn, w in fn_writes_global.items() if w}
-            for _ in range(len(fn_calls)):
-                grew = False
-                for fn, callees in fn_calls.items():
-                    if fn not in impure and callees & impure:
-                        impure.add(fn)
-                        grew = True
-                if not grew:
-                    break
-            import bisect
-            for call in parallel_bodies:
-                # Re-join the call's tokens into scannable text, remembering
-                # which source line each character came from so findings land
-                # on the precise write/call line, not the call head.
-                try:
-                    toks = [(t.spelling, t.location.line)
-                            for t in call.get_tokens()]
-                except Exception:
-                    toks = []
-                parts, starts, pos = [], [], 0
-                for spelling, _ in toks:
-                    starts.append(pos)
-                    parts.append(spelling)
-                    pos += len(spelling) + 1
-                body_text = " ".join(parts)
-
-                def line_at(off, toks=toks, starts=starts, call=call):
-                    if not toks:
-                        return call.location.line
-                    return toks[bisect.bisect_right(starts, off) - 1][1]
-
-                for m in WRITE_RE.finditer(body_text):
-                    name = m.group(1) or m.group(2)
-                    if name in global_vars:
-                        violations.append(Violation(
-                            rel, line_at(m.start()), "parallel-purity",
-                            f"parallel_for body writes namespace-scope "
-                            f"mutable `{name}` — a data race and "
-                            "thread-count-dependent behaviour"))
-                for m in CALL_RE.finditer(body_text):
-                    if m.group(1) in impure:
-                        violations.append(Violation(
-                            rel, line_at(m.start()), "parallel-purity",
-                            f"parallel_for body calls `{m.group(1)}` which "
-                            "(transitively) writes namespace-scope mutable "
-                            "state — not pure, races under the pool"))
-        return violations
-
-    def _function_extents(self, tu, path):
-        K = self.ci.CursorKind
-        out = []
-
-        def walk(node):
-            if node.kind in (K.FUNCTION_DECL, K.CXX_METHOD,
-                             K.FUNCTION_TEMPLATE, K.CONSTRUCTOR):
-                f = node.location.file
-                if f and os.path.normpath(f.name) == os.path.normpath(path) \
-                        and node.is_definition():
-                    ext = node.extent
-                    out.append((node.spelling, ext.start.offset,
-                                ext.end.offset))
-            for ch in node.get_children():
-                walk(ch)
-
-        walk(tu.cursor)
-        return out
-
-    def _subtree_has_unordered(self, node, canonical):
-        if UNORDERED_NAME_RE.search(canonical(node.type)):
-            return True
-        return any(self._subtree_has_unordered(ch, canonical)
-                   for ch in node.get_children())
+def scan_file(rel, text, ctx=None):
+    """Every per-file rule over one file.  `ctx` is the whole-tree
+    ProjectContext; without it layer-dag and include-hygiene are skipped
+    and the perf rules see only the file's own spans."""
+    clean = strip_comments_and_strings(text)
+    clean_lines = clean.splitlines()
+    raw_lines = text.splitlines()
+    violations = scan_lines_shared(rel, clean_lines, path_scopes(rel))
+    violations.extend(layer_dag_violations(rel, raw_lines, clean_lines, ctx))
+    violations.extend(include_hygiene_violations(
+        rel, raw_lines, clean, clean_lines, ctx))
+    violations.extend(contract_coverage_violations(rel, clean))
+    violations.extend(scan_perf(rel, text, clean, ctx))
+    unordered_vars, unordered_fns = unordered_names(clean, clean_lines)
+    violations.extend(unordered_iter_violations(
+        rel, clean_lines, unordered_vars, unordered_fns))
+    violations.extend(parallel_purity_violations(rel, clean))
+    return violations
 
 
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
-def make_engine(choice, compile_db, for_self_test=False):
-    """Resolves --engine to an instance; returns (engine, note)."""
-    if choice == "regex":
-        return RegexEngine(), None
-    if choice == "clang":
-        ci = find_libclang()
-        if ci is None:
-            return None, ("--engine clang: libclang (python3 clang.cindex + "
-                          "libclang.so) is not available")
-        if not for_self_test and (
-                not compile_db or not os.path.isfile(compile_db)):
-            return None, ("--engine clang: compile database not found"
-                          f" ({compile_db or 'none given'}); configure with "
-                          "CMake first (compile_commands.json is exported "
-                          "unconditionally) and pass --compile-db")
-        return ClangEngine(ci, compile_db), None
-    if choice == "semantic":
-        return SemanticEngine(), None
-    # auto: clang when fully available, else semantic.
-    ci = find_libclang()
-    if ci is not None and compile_db and os.path.isfile(compile_db):
-        return ClangEngine(ci, compile_db), "engine: clang (auto)"
-    return SemanticEngine(), "engine: semantic (auto)"
-
-
-def scan_with_allows(engine, rel, text, path=None, ctx=None):
-    raw_lines = text.splitlines()
-    if isinstance(engine, ClangEngine):
-        violations = engine.scan_file(rel, text, ctx=ctx, path=path)
-    else:
-        violations = engine.scan_file(rel, text, ctx=ctx)
-    allows = collect_allows(raw_lines)
+def scan_with_allows(rel, text, ctx=None):
+    violations = scan_file(rel, text, ctx=ctx)
+    allows = collect_allows(text.splitlines())
     kept, used_allows = [], 0
     seen = set()
     for v in violations:
         key = (v.line, v.rule, v.message)
         if key in seen:
-            continue  # engines may derive the same finding twice
+            continue  # e.g. a write inside nested parallel_for bodies
         seen.add(key)
-        if v.tier is None:
-            v.tier = engine.tier
         if v.rule in allows.get(v.line, set()):
             used_allows += 1
         else:
@@ -2332,20 +1870,18 @@ def collect_observed_includes(root, ctx):
     return observed
 
 
-def json_report_dict(engine_name, violations, total_allows, max_allows,
-                     exit_code, profile_path=None):
+def json_report_dict(violations, total_allows, max_allows, exit_code,
+                     profile_path=None):
     counts = {}
     for v in violations:
         counts[v.rule] = counts.get(v.rule, 0) + 1
     return {
         "tool": "yoso-lint",
-        "schema_version": 4,
-        "engine": engine_name,
+        "schema_version": 5,
         "profile": profile_path,
         "violations": [
             {"path": v.path, "line": v.line, "rule": v.rule,
-             "message": v.message, "rank": v.rank, "span": v.span,
-             "tier": v.tier}
+             "message": v.message, "rank": v.rank, "span": v.span}
             for v in violations
         ],
         "counts": dict(sorted(counts.items())),
@@ -2355,33 +1891,30 @@ def json_report_dict(engine_name, violations, total_allows, max_allows,
     }
 
 
-def write_json_report(path, engine_name, violations, total_allows,
-                      max_allows, exit_code, profile_path=None):
-    report = json_report_dict(engine_name, violations, total_allows,
-                              max_allows, exit_code,
-                              profile_path=profile_path)
+def write_json_report(path, violations, total_allows, max_allows, exit_code,
+                      profile_path=None):
+    report = json_report_dict(violations, total_allows, max_allows,
+                              exit_code, profile_path=profile_path)
     with open(path, "w", encoding="utf-8") as f:
         json.dump(report, f, indent=2, sort_keys=False)
         f.write("\n")
 
 
-def run_tree(root, engine, check_hdrs, cxx, max_allows, note=None,
-             json_out=None, profile=None, rule_filter=None):
-    if note:
-        print(f"yoso-lint: {note}")
+def run_tree(root, check_hdrs, cxx, max_allows, json_out=None, profile=None,
+             rule_filter=None):
     ctx = ProjectContext(root, profile_path=profile)
     if ctx.config_errors:
         for err in ctx.config_errors:
             print(f"yoso-lint: {err}", file=sys.stderr)
         if json_out:
-            write_json_report(json_out, engine.name, [], 0, max_allows, 2)
+            write_json_report(json_out, [], 0, max_allows, 2)
         return 2
     violations, total_allows = [], 0
     for path in iter_cpp_files(root):
         rel = os.path.relpath(path, root)
         with open(path, encoding="utf-8", errors="replace") as f:
             text = f.read()
-        found, used = scan_with_allows(engine, rel, text, path=path, ctx=ctx)
+        found, used = scan_with_allows(rel, text, ctx=ctx)
         violations.extend(found)
         total_allows += used
     violations.extend(layer_dag_tree_violations(
@@ -2404,9 +1937,8 @@ def run_tree(root, engine, check_hdrs, cxx, max_allows, note=None,
               f"{max_allows}); remove suppressions or fix the code")
         exit_code = 1
     if json_out:
-        write_json_report(json_out, engine.name, violations, total_allows,
-                          max_allows, exit_code,
-                          profile_path=ctx.hot_profile.path)
+        write_json_report(json_out, violations, total_allows, max_allows,
+                          exit_code, profile_path=ctx.hot_profile.path)
     return exit_code
 
 
@@ -2414,48 +1946,18 @@ def run_tree(root, engine, check_hdrs, cxx, max_allows, note=None,
 # Self-test
 # ---------------------------------------------------------------------------
 
-AST_ENGINES = ("semantic", "clang")
-
-
 def parse_expectations(text):
-    """Returns {engine_name: set((line, rule))}.  Untagged annotations apply
-    to every engine; `[ast]` means the AST-grade engines must catch it and
-    the regex engine must provably MISS it."""
-    per_engine = {"regex": set(), "semantic": set(), "clang": set()}
-    ast_only = set()
-    for idx, line in enumerate(text.splitlines(), start=1):
-        for m in EXPECT_RE.finditer(line):
-            tags, rule = m.group(1), m.group(2)
-            if not tags:
-                for s in per_engine.values():
-                    s.add((idx, rule))
-            else:
-                names = set()
-                for t in tags.split(","):
-                    names.update(AST_ENGINES if t == "ast" else (t,))
-                for name in names:
-                    per_engine.setdefault(name, set()).add((idx, rule))
-                if "regex" not in names:
-                    ast_only.add((idx, rule))
-    return per_engine, ast_only
+    """{(line, rule)} seeded by `// expect-lint: <rule>` annotations."""
+    return {(idx, m.group(1))
+            for idx, line in enumerate(text.splitlines(), start=1)
+            for m in EXPECT_RE.finditer(line)}
 
 
-def self_test_engines(compile_db):
-    engines = {"regex": RegexEngine(), "semantic": SemanticEngine()}
-    ci = find_libclang()
-    if ci is not None:
-        engines["clang"] = ClangEngine(ci, compile_db)
-    return engines
-
-
-def run_self_test(script_dir, compile_db=None):
+def run_self_test(script_dir):
     fixtures = os.path.join(script_dir, "lint_fixtures")
     if not os.path.isdir(fixtures):
         print(f"yoso-lint --self-test: fixture dir missing: {fixtures}")
         return 1
-    engines = self_test_engines(compile_db)
-    print("yoso-lint --self-test: engines under test: "
-          + ", ".join(sorted(engines)))
     failures = 0
 
     # Fixtures are scanned against the REAL repository context, so
@@ -2475,31 +1977,21 @@ def run_self_test(script_dir, compile_db=None):
         rel = name.replace("__", "/")
         with open(path, encoding="utf-8") as f:
             text = f.read()
-        per_engine, ast_only = parse_expectations(text)
-
-        for engine_name, engine in sorted(engines.items()):
-            expected = per_engine.get(engine_name, set())
-            found_list, _ = scan_with_allows(engine, rel, text, path=path,
-                                             ctx=ctx)
-            found = {(v.line, v.rule) for v in found_list}
-            missed = expected - found
-            spurious = found - expected
-            for line, rule in sorted(missed):
-                print(f"SELF-TEST FAIL {name}:{line} [{engine_name}]: "
-                      f"seeded [{rule}] not detected")
-                failures += 1
-            for line, rule in sorted(spurious):
-                if engine_name == "regex" and (line, rule) in ast_only:
-                    print(f"SELF-TEST FAIL {name}:{line} [regex]: "
-                          f"unexpectedly detects [{rule}] — the fixture no "
-                          "longer proves the AST engines' superiority")
-                else:
-                    print(f"SELF-TEST FAIL {name}:{line} [{engine_name}]: "
-                          f"spurious [{rule}]")
-                failures += 1
-            status = "ok" if not (missed or spurious) else "FAIL"
-            print(f"self-test {name} [{engine_name}]: {len(expected)} "
-                  f"expected, {len(found & expected)} detected — {status}")
+        expected = parse_expectations(text)
+        found_list, _ = scan_with_allows(rel, text, ctx=ctx)
+        found = {(v.line, v.rule) for v in found_list}
+        missed = expected - found
+        spurious = found - expected
+        for line, rule in sorted(missed):
+            print(f"SELF-TEST FAIL {name}:{line}: seeded [{rule}] not "
+                  "detected")
+            failures += 1
+        for line, rule in sorted(spurious):
+            print(f"SELF-TEST FAIL {name}:{line}: spurious [{rule}]")
+            failures += 1
+        status = "ok" if not (missed or spurious) else "FAIL"
+        print(f"self-test {name}: {len(expected)} expected, "
+              f"{len(found & expected)} detected — {status}")
 
     failures += self_test_allow_budget(fixtures)
     failures += self_test_rank_order(fixtures, ctx)
@@ -2515,7 +2007,6 @@ def self_test_allow_budget(fixtures):
     if not os.path.isdir(budget_dir):
         print("SELF-TEST FAIL allow_budget/: fixture dir missing")
         return 1
-    engine = SemanticEngine()
     failures = 0
     total_allows, violations = 0, []
     for name in sorted(os.listdir(budget_dir)):
@@ -2524,7 +2015,7 @@ def self_test_allow_budget(fixtures):
         rel = name.replace("__", "/")
         with open(os.path.join(budget_dir, name), encoding="utf-8") as f:
             text = f.read()
-        found, used = scan_with_allows(engine, rel, text)
+        found, used = scan_with_allows(rel, text)
         violations.extend(found)
         total_allows += used
     if violations:
@@ -2555,12 +2046,11 @@ def self_test_rank_order(fixtures, ctx):
     """Profile-guided ranking, end to end: the rank_order/ fixture seeds two
     hot-alloc violations in ascending span-cost file order; sorted output
     (the `--rule hot-alloc --profile ... --json` path) must reverse them,
-    and the v4 JSON report must carry rank/span/tier per finding."""
+    and the JSON report must carry rank/span per finding."""
     rank_dir = os.path.join(fixtures, "rank_order")
     if not os.path.isdir(rank_dir):
         print("SELF-TEST FAIL rank_order/: fixture dir missing")
         return 1
-    engine = SemanticEngine()
     violations = []
     for name in sorted(os.listdir(rank_dir)):
         if not name.endswith(CPP_EXTENSIONS):
@@ -2568,7 +2058,7 @@ def self_test_rank_order(fixtures, ctx):
         rel = name.replace("__", "/")
         with open(os.path.join(rank_dir, name), encoding="utf-8") as f:
             text = f.read()
-        found, _ = scan_with_allows(engine, rel, text, ctx=ctx)
+        found, _ = scan_with_allows(rel, text, ctx=ctx)
         violations.extend(v for v in found if v.rule == "hot-alloc")
     violations.sort(key=lambda v: (-v.rank, v.path, v.line, v.rule))
     failures = 0
@@ -2590,53 +2080,26 @@ def self_test_rank_order(fixtures, ctx):
         print(f"SELF-TEST FAIL rank_order/: span attribution wrong "
               f"({first.span!r}, {second.span!r})")
         failures += 1
-    report = json_report_dict(engine.name, violations, 0, 3, 1,
+    report = json_report_dict(violations, 0, 3, 1,
                               profile_path=ctx.hot_profile.path)
     finding = report["violations"][0]
-    if report.get("schema_version") != 4 or \
+    if report.get("schema_version") != 5 or \
             report.get("counts", {}).get("hot-alloc") != 2 or \
             finding.get("rank") != first.rank or \
-            finding.get("span") != "sim.network" or \
-            finding.get("tier") != "ast":
-        print("SELF-TEST FAIL rank_order/: v4 JSON schema incomplete "
-              f"(schema_version/counts/rank/span/tier): {finding}")
+            finding.get("span") != "sim.network":
+        print("SELF-TEST FAIL rank_order/: JSON schema incomplete "
+              f"(schema_version/counts/rank/span): {finding}")
         failures += 1
     if not failures:
         print("self-test rank_order/: 2 seeded violations sorted by span "
-              "cost, v4 JSON schema intact — ok")
+              "cost, JSON schema intact — ok")
     return failures
-
-
-def compile_db_state(root, compile_db):
-    """"ok" | "missing" | "stale".  Stale = older than the top-level
-    CMakeLists.txt, i.e. the flags it records are not the flags the tree
-    builds with.  This is a TOOL error (exit 2), never "violations"."""
-    if not compile_db or not os.path.isfile(compile_db):
-        return "missing"
-    top = os.path.join(root, "CMakeLists.txt")
-    if os.path.isfile(top) and os.path.getmtime(compile_db) < \
-            os.path.getmtime(top):
-        return "stale"
-    return "ok"
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=".",
                         help="repository root (default: cwd)")
-    parser.add_argument("--engine",
-                        choices=("auto", "regex", "semantic", "clang"),
-                        default="auto",
-                        help="analysis engine (auto = clang if available, "
-                             "else semantic; regex is the v1 fallback)")
-    parser.add_argument("--compile-db", default=None, metavar="JSON",
-                        help="path to compile_commands.json (required by "
-                             "--engine clang; exported by CMake "
-                             "unconditionally)")
-    parser.add_argument("--require-fresh-db", action="store_true",
-                        help="exit 2 (tool error) when the compile database "
-                             "is missing or older than CMakeLists.txt, "
-                             "instead of silently degrading the engine")
     parser.add_argument("--check-headers", action="store_true",
                         help="also compile every src/ header standalone")
     parser.add_argument("--cxx", default=os.environ.get("CXX", "c++"),
@@ -2656,39 +2119,15 @@ def main(argv=None):
                         metavar="NAME",
                         help="report only this rule's findings")
     parser.add_argument("--self-test", action="store_true",
-                        help="run every engine against tools/lint_fixtures/")
+                        help="check every rule against the seeded fixtures "
+                             "in tools/lint_fixtures/")
     args = parser.parse_args(argv)
 
-    script_dir = os.path.dirname(os.path.abspath(__file__))
     if args.self_test:
-        return run_self_test(script_dir, compile_db=args.compile_db)
-
-    root = os.path.abspath(args.root)
-    db_state = compile_db_state(root, args.compile_db)
-    if db_state != "ok" and (args.require_fresh_db
-                             or args.engine == "clang"):
-        if args.compile_db and db_state == "stale":
-            print(f"yoso-lint: compile database {args.compile_db} is stale "
-                  "(older than CMakeLists.txt) — reconfigure with CMake so "
-                  "the lint analyses the flags the tree actually builds "
-                  "with", file=sys.stderr)
-        else:
-            print("yoso-lint: compile database "
-                  f"{args.compile_db or '(none given)'} is missing — "
-                  "configure with CMake first (compile_commands.json is "
-                  "exported unconditionally)", file=sys.stderr)
-        return 2
-    compile_db = args.compile_db if db_state == "ok" else None
-
-    engine, note = make_engine(args.engine, compile_db)
-    if engine is None:
-        print(f"yoso-lint: {note}", file=sys.stderr)
-        return 2
-    return run_tree(root, engine, args.check_headers,
-                    args.cxx, args.max_allows,
-                    note=note if args.engine == "auto" else None,
-                    json_out=args.json, profile=args.profile,
-                    rule_filter=args.rule)
+        return run_self_test(os.path.dirname(os.path.abspath(__file__)))
+    return run_tree(os.path.abspath(args.root), args.check_headers,
+                    args.cxx, args.max_allows, json_out=args.json,
+                    profile=args.profile, rule_filter=args.rule)
 
 
 if __name__ == "__main__":
