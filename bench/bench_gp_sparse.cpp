@@ -9,18 +9,15 @@
 //     faster at n = 10k with m = 512 inducing points);
 //   * held-out RMSE for both backends (target: sparse within 5% relative
 //     of exact at n = 10k);
-//   * predict_batch latency per query, plus the O(m^2) update() cost;
-//   * a thread 1/2/8 bit-identity check on sparse predict_batch — any
-//     differing byte fails the run, smoke or full.
+//   * predict_batch latency per query, plus the O(m^2) update() cost.
 //
 // The exact fit is skipped above kExactCeiling (the n x n Cholesky alone
 // would take tens of minutes) and the skip is recorded in the JSON rather
 // than silently capped.  `--smoke` runs tiny sizes with no speed/RMSE
-// thresholds (CI wiring + bit-identity check); either way the numbers land
-// in BENCH_gp_sparse.json.
+// thresholds (CI wiring); either way the numbers land in
+// BENCH_gp_sparse.json.
 
 #include <cmath>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -29,7 +26,6 @@
 #include "bench_json.h"
 #include "linalg/matrix.h"
 #include "predictor/gp.h"
-#include "util/exec_context.h"
 #include "util/rng.h"
 
 namespace {
@@ -88,32 +84,12 @@ double rmse(std::span<const double> pred, std::span<const double> truth) {
   return std::sqrt(acc / static_cast<double>(pred.size()));
 }
 
-/// predict_batch at 1/2/8 threads must agree byte-for-byte; returns false
-/// (and reports) on the first mismatch.
-bool check_thread_bit_identity(const GpRegressor& gp, const Matrix& queries) {
-  const std::vector<double> serial = gp.predict_batch(queries);
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    const ExecContextPtr exec = ExecContext::create(threads);
-    const std::vector<double> parallel =
-        gp.predict_batch(queries, &exec->pool());
-    if (std::memcmp(serial.data(), parallel.data(),
-                    serial.size() * sizeof(double)) != 0) {
-      std::cout << "BIT-IDENTITY FAILURE: sparse predict_batch at "
-                << threads << " threads differs from serial\n";
-      return false;
-    }
-  }
-  g_sink += serial.back();
-  return true;
-}
-
 struct ScaleResult {
   bool exact_ran = false;
   double exact_fit_s = 0.0, sparse_fit_s = 0.0;
   double exact_rmse = 0.0, sparse_rmse = 0.0;
   double exact_predict_us = 0.0, sparse_predict_us = 0.0;
   double update_us = 0.0;
-  bool bit_identical = false;
 };
 
 ScaleResult run_scale(const GpHyperParams& hp, std::size_t n, std::size_t m,
@@ -146,7 +122,6 @@ ScaleResult run_scale(const GpHyperParams& hp, std::size_t n, std::size_t m,
   res.sparse_predict_us = time_best(smoke ? 1 : 3, [&] {
     g_sink += sparse.predict_batch(xq)[0];
   }) / static_cast<double>(n_test) * 1e6;
-  res.bit_identical = check_thread_bit_identity(sparse, xq);
 
   // O(m^2) online refresh: fold a handful of held-out points in and report
   // the per-call cost (no refit happens — distance_builds() stays flat).
@@ -206,7 +181,7 @@ int main(int argc, char** argv) {
 
   TextTable table({"n", "exact fit (s)", "sparse fit (s)", "fit speedup",
                    "exact rmse", "sparse rmse", "sparse us/query",
-                   "update us", "threads 1/2/8"});
+                   "update us"});
   bool ok = true;
   double speedup_10k = 0.0, rmse_rel_10k = 0.0;
   for (const std::size_t n : sizes) {
@@ -221,8 +196,7 @@ int main(int argc, char** argv) {
          r.exact_ran ? TextTable::fmt(r.exact_rmse, 4) : "-",
          TextTable::fmt(r.sparse_rmse, 4),
          TextTable::fmt(r.sparse_predict_us, 2),
-         TextTable::fmt(r.update_us, 1),
-         r.bit_identical ? "bit-identical" : "DIFFER"});
+         TextTable::fmt(r.update_us, 1)});
     json.record("n_" + std::to_string(n));
     json.value("n", static_cast<double>(n));
     json.value("exact_fit_s", r.exact_ran ? r.exact_fit_s : -1.0);
@@ -239,8 +213,6 @@ int main(int argc, char** argv) {
                r.exact_ran ? r.exact_predict_us : -1.0);
     json.value("sparse_predict_us_per_query", r.sparse_predict_us);
     json.value("update_us", r.update_us);
-    json.value("threads_bit_identical", r.bit_identical ? 1.0 : 0.0);
-    ok = ok && r.bit_identical;
     if (n == 10000 && r.exact_ran) {
       speedup_10k = speedup;
       rmse_rel_10k = (r.sparse_rmse - r.exact_rmse) / r.exact_rmse;

@@ -113,9 +113,10 @@ else
     gate_begin "TSan build and threaded tests"
     cmake -B build-check-tsan -S . -DYOSO_SANITIZE=thread
     cmake --build build-check-tsan -j "$JOBS"
-    # The threaded surfaces: pool, batched evaluator, parallel drivers.
+    # The threaded surfaces: pool, batched evaluator, parallel drivers, the
+    # serving daemon's threads, lock primitives, metrics, golden pins.
     ctest --test-dir build-check-tsan -j "$JOBS" --output-on-failure \
-      -R 'ThreadPool|Parallel|Evaluator|Batch'
+      -R 'ThreadPool|Parallel|Evaluator|Batch|ServeIntegration|JobQueueTest|SynchronizedTest|MutexTest|ObsTest|GoldenTest|SearchRefineTest'
     gate_end
   else
     printf '\n(TSan gate skipped: pass --tsan to enable)\n'

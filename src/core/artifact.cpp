@@ -146,9 +146,15 @@ void ByteWriter::u64_vec(std::span<const std::size_t> v) {
 // --- ByteReader --------------------------------------------------------------
 
 void ByteReader::need(std::size_t n) const {
-  YOSO_REQUIRE(pos_ + n <= bytes_.size(),
-               "artifact: truncated section (need ", n, " bytes at offset ",
-               pos_, ", have ", bytes_.size() - pos_, ")");
+  YOSO_REQUIRE(n <= remaining(), "artifact: truncated section (need ", n,
+               " bytes at offset ", pos_, ", have ", remaining(), ")");
+}
+
+void ByteReader::need_items(std::uint64_t count,
+                            std::size_t item_bytes) const {
+  YOSO_REQUIRE(count <= remaining() / item_bytes, "artifact: stored count ",
+               count, " of ", item_bytes, "-byte items exceeds the ",
+               remaining(), " bytes left at offset ", pos_);
 }
 
 std::uint8_t ByteReader::u8() {
@@ -201,7 +207,7 @@ std::string ByteReader::str() {
 
 std::vector<double> ByteReader::f64_vec() {
   const std::uint64_t n = u64();
-  need(n * 8);
+  need_items(n, 8);
   std::vector<double> v(n);
   for (std::uint64_t i = 0; i < n; ++i) v[i] = f64();
   return v;
@@ -209,7 +215,7 @@ std::vector<double> ByteReader::f64_vec() {
 
 std::vector<float> ByteReader::f32_vec() {
   const std::uint64_t n = u64();
-  need(n * 4);
+  need_items(n, 4);
   std::vector<float> v(n);
   for (std::uint64_t i = 0; i < n; ++i) v[i] = f32();
   return v;
@@ -217,7 +223,7 @@ std::vector<float> ByteReader::f32_vec() {
 
 std::vector<std::size_t> ByteReader::u64_vec() {
   const std::uint64_t n = u64();
-  need(n * 8);
+  need_items(n, 8);
   std::vector<std::size_t> v(n);
   for (std::uint64_t i = 0; i < n; ++i) v[i] = u64();
   return v;
@@ -455,6 +461,7 @@ void encode_skeleton(ByteWriter& w, const NetworkSkeleton& skeleton) {
 NetworkSkeleton decode_skeleton(ByteReader& r) {
   NetworkSkeleton s;
   const std::uint32_t cells = r.u32();
+  r.need_items(cells, 1);
   s.cells.reserve(cells);
   for (std::uint32_t i = 0; i < cells; ++i) {
     const std::uint8_t k = r.u8();
@@ -487,7 +494,8 @@ Matrix decode_matrix(ByteReader& r) {
   const std::uint64_t cols = r.u64();
   const std::vector<double> data = r.f64_vec();
   if (rows == 0 && cols == 0 && data.empty()) return Matrix();
-  YOSO_REQUIRE(rows > 0 && cols > 0 && data.size() == rows * cols,
+  YOSO_REQUIRE(rows > 0 && cols > 0 && rows <= data.size() / cols &&
+                   data.size() == rows * cols,
                "artifact: matrix shape ", rows, "x", cols, " does not match ",
                data.size(), " elements");
   Matrix m(rows, cols);
@@ -705,6 +713,7 @@ void load_hypernet_section(const ArtifactReader& reader, PathNetwork& net) {
     Param* p = params[i];
     YOSO_REQUIRE(p != nullptr, "artifact: null parameter from HyperNet");
     const std::uint32_t rank = r.u32();
+    r.need_items(rank, 4);
     std::vector<int> shape(rank);
     for (std::uint32_t d = 0; d < rank; ++d) shape[d] = r.i32();
     YOSO_REQUIRE(shape == p->value.shape(),

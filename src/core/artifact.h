@@ -116,6 +116,11 @@ class ByteReader {
   std::vector<float> f32_vec();
   std::vector<std::size_t> u64_vec();
 
+  /// Checks, without overflow, that `count` items of at least `item_bytes`
+  /// bytes each fit in the unread bytes (ContractViolation otherwise).
+  /// Decoders call it on a stored count before sizing a container by it.
+  void need_items(std::uint64_t count, std::size_t item_bytes) const;
+
   std::size_t remaining() const { return bytes_.size() - pos_; }
   bool done() const { return remaining() == 0; }
 

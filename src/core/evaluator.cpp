@@ -151,8 +151,8 @@ std::vector<EvalResult> FastEvaluator::evaluate_batch(
   // chain on one thread: one ArchFeatures per candidate feeds both the
   // HyperNet accuracy proxy and the GP feature row (both models are built
   // on the same skeleton), then the fused latency/energy GP predict scores
-  // the block's rows inline (a null pool: the body must not nest
-  // parallel_for).  Per-element results are bit-identical to evaluate():
+  // the block's rows on the same thread.  Per-element results are
+  // bit-identical to evaluate():
   // each candidate's chain is self-contained and the blocking is fixed.
   std::vector<EvalResult> computed(miss.size());
   if (!miss.empty()) {
@@ -174,8 +174,7 @@ std::vector<EvalResult> FastEvaluator::evaluate_batch(
             accuracy_.hypernet_accuracy(cand.genotype, af);
         codesign_features_into(af, cand.config, feats.data() + j * dim);
       }
-      predictor_.predict_latency_energy_batch(feats.data(), cnt,
-                                              /*pool=*/nullptr, lat.data(),
+      predictor_.predict_latency_energy_batch(feats.data(), cnt, lat.data(),
                                               en.data());
       for (std::size_t j = 0; j < cnt; ++j) {
         computed[lo + j].latency_ms = std::max(1e-3, lat[j]);

@@ -7,7 +7,6 @@
 #include <limits>
 
 #include "base/contract.h"
-#include "util/thread_pool.h"
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -17,16 +16,14 @@
 // Engine layout: every kernel has a generic scalar body plus (on x86-64) an
 // AVX2+FMA body carrying __attribute__((target("avx2,fma"))), all in this
 // one TU so there is no cross-TU ODR hazard from mixed -m flags.  The
-// engine is picked once per process by use_avx2(); block partitioning is a
-// fixed row granularity (kRowBlock) so results are bit-identical at any
-// thread count, and the single-row micro-kernel variants issue the same
-// per-element operation chains as the paired-row variants, so a row's
-// result never depends on how the surrounding rows were grouped.
+// engine is picked once per process by use_avx2(), and the single-row
+// micro-kernel variants issue the same per-element operation chains as the
+// paired-row variants, so a row's result never depends on how the
+// surrounding rows were grouped.
 
 namespace yoso::kernels {
 namespace {
 
-constexpr std::size_t kRowBlock = 8;    // pool partition unit (rows)
 constexpr std::size_t kAccIBlock = 128; // i-blocking for A^T B accumulation
 
 bool use_avx2() {
@@ -37,24 +34,6 @@ bool use_avx2() {
 #else
   return false;
 #endif
-}
-
-// Runs fn(row_begin, row_end) over [0, rows) in fixed kRowBlock chunks.
-// Block boundaries are independent of the worker count (that is the
-// determinism contract), and block starts are always multiples of
-// kRowBlock, so paired-row micro-kernels pair the same rows whether the
-// range arrives whole or split.
-template <typename Fn>
-void for_row_blocks(ThreadPool* pool, std::size_t rows, const Fn& fn) {
-  if (pool == nullptr || pool->workers() == 0 || rows <= kRowBlock) {
-    fn(std::size_t{0}, rows);
-    return;
-  }
-  const std::size_t blocks = (rows + kRowBlock - 1) / kRowBlock;
-  pool->parallel_for(0, blocks, [&](std::size_t b) {
-    const std::size_t lo = b * kRowBlock;
-    fn(lo, std::min(rows, lo + kRowBlock));
-  });
 }
 
 // --- exp: range-reduced polynomial shared by both engines ------------------
@@ -112,9 +91,8 @@ double dot_generic(const double* a, const double* b, std::size_t n) {
 }
 
 void gemm_rows_generic(const double* a, const double* b, double* c,
-                       std::size_t r0, std::size_t r1, std::size_t kk,
-                       std::size_t n) {
-  for (std::size_t i = r0; i < r1; ++i) {
+                       std::size_t rows, std::size_t kk, std::size_t n) {
+  for (std::size_t i = 0; i < rows; ++i) {
     const double* ai = a + i * kk;
     double* ci = c + i * n;
     std::fill(ci, ci + n, 0.0);
@@ -127,9 +105,9 @@ void gemm_rows_generic(const double* a, const double* b, double* c,
 }
 
 void sgemm_ab_rows_generic(const float* a, const float* b, float* c,
-                           std::size_t r0, std::size_t r1, std::size_t kk,
+                           std::size_t rows, std::size_t kk,
                            std::size_t n) {
-  for (std::size_t i = r0; i < r1; ++i) {
+  for (std::size_t i = 0; i < rows; ++i) {
     const float* ai = a + i * kk;
     float* ci = c + i * n;
     std::fill(ci, ci + n, 0.0f);
@@ -142,14 +120,12 @@ void sgemm_ab_rows_generic(const float* a, const float* b, float* c,
 }
 
 void satb_rows_generic(const float* a, const float* b, float* c,
-                       std::size_t t0, std::size_t t1, std::size_t m,
-                       std::size_t kk, std::size_t n) {
-  // i is blocked at a fixed granularity so the per-element accumulation
-  // chains (C reloaded once per i-block) do not depend on the t-range
-  // partition a pool hands us.
+                       std::size_t m, std::size_t kk, std::size_t n) {
+  // i is blocked so an i-block of A and B stays cache resident across the
+  // t sweep; C is reloaded once per i-block, in ascending block order.
   for (std::size_t ib = 0; ib < m; ib += kAccIBlock) {
     const std::size_t ie = std::min(m, ib + kAccIBlock);
-    for (std::size_t t = t0; t < t1; ++t) {
+    for (std::size_t t = 0; t < kk; ++t) {
       float* ct = c + t * n;
       for (std::size_t j = 0; j < n; ++j) {
         float s = ct[j];
@@ -161,10 +137,10 @@ void satb_rows_generic(const float* a, const float* b, float* c,
   }
 }
 
-void pairwise_rows_generic(const double* q, std::size_t d, std::size_t r0,
-                           std::size_t r1, const double* trn,
-                           const double* tn, std::size_t n, double* out) {
-  for (std::size_t i = r0; i < r1; ++i) {
+void pairwise_rows_generic(const double* q, std::size_t d, std::size_t rows,
+                           const double* trn, const double* tn, std::size_t n,
+                           double* out) {
+  for (std::size_t i = 0; i < rows; ++i) {
     const double* qi = q + i * d;
     const double qn = dot_generic(qi, qi, d);
     double* oi = out + i * n;
@@ -233,10 +209,10 @@ __attribute__((target("avx2,fma"))) double dot_avx2(const double* a,
 }
 
 __attribute__((target("avx2,fma"))) void gemm_rows_avx2(
-    const double* a, const double* b, double* c, std::size_t r0,
-    std::size_t r1, std::size_t kk, std::size_t n) {
-  std::size_t i = r0;
-  for (; i + 2 <= r1; i += 2) {
+    const double* a, const double* b, double* c, std::size_t rows,
+    std::size_t kk, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 2 <= rows; i += 2) {
     const double* a0 = a + i * kk;
     const double* a1 = a0 + kk;
     double* c0 = c + i * n;
@@ -295,7 +271,7 @@ __attribute__((target("avx2,fma"))) void gemm_rows_avx2(
       c1[j] = s1;
     }
   }
-  for (; i < r1; ++i) {
+  for (; i < rows; ++i) {
     const double* a0 = a + i * kk;
     double* c0 = c + i * n;
     std::size_t j = 0;
@@ -332,10 +308,10 @@ __attribute__((target("avx2,fma"))) void gemm_rows_avx2(
 }
 
 __attribute__((target("avx2,fma"))) void sgemm_ab_rows_avx2(
-    const float* a, const float* b, float* c, std::size_t r0, std::size_t r1,
+    const float* a, const float* b, float* c, std::size_t rows,
     std::size_t kk, std::size_t n) {
-  std::size_t i = r0;
-  for (; i + 2 <= r1; i += 2) {
+  std::size_t i = 0;
+  for (; i + 2 <= rows; i += 2) {
     const float* a0 = a + i * kk;
     const float* a1 = a0 + kk;
     float* c0 = c + i * n;
@@ -394,7 +370,7 @@ __attribute__((target("avx2,fma"))) void sgemm_ab_rows_avx2(
       c1[j] = s1;
     }
   }
-  for (; i < r1; ++i) {
+  for (; i < rows; ++i) {
     const float* a0 = a + i * kk;
     float* c0 = c + i * n;
     std::size_t j = 0;
@@ -431,11 +407,11 @@ __attribute__((target("avx2,fma"))) void sgemm_ab_rows_avx2(
 }
 
 __attribute__((target("avx2,fma"))) void satb_rows_avx2(
-    const float* a, const float* b, float* c, std::size_t t0, std::size_t t1,
-    std::size_t m, std::size_t kk, std::size_t n) {
+    const float* a, const float* b, float* c, std::size_t m, std::size_t kk,
+    std::size_t n) {
   for (std::size_t ib = 0; ib < m; ib += kAccIBlock) {
     const std::size_t ie = std::min(m, ib + kAccIBlock);
-    for (std::size_t t = t0; t < t1; ++t) {
+    for (std::size_t t = 0; t < kk; ++t) {
       float* ct = c + t * n;
       const float* at = a + t;
       std::size_t j = 0;
@@ -475,17 +451,17 @@ __attribute__((target("avx2,fma"))) void satb_rows_avx2(
 }
 
 __attribute__((target("avx2,fma"))) void pairwise_rows_avx2(
-    const double* q, std::size_t d, std::size_t r0, std::size_t r1,
-    const double* trn, const double* tn, std::size_t n, double* out) {
+    const double* q, std::size_t d, std::size_t rows, const double* trn,
+    const double* tn, std::size_t n, double* out) {
   const __m256d vzero = _mm256_setzero_pd();
   const __m256d vtwo = _mm256_set1_pd(2.0);
-  std::size_t i = r0;
+  std::size_t i = 0;
   // Four query rows per training-panel sweep: halves the panel traffic of
   // the paired loop below.  Every output element still accumulates one fma
   // per dimension in ascending order, so its value is bit-identical across
   // the 4-row / 2-row / single-row variants — row grouping never leaks
   // into results (see the SubRangeRowsMatchFullRange test).
-  for (; i + 4 <= r1; i += 4) {
+  for (; i + 4 <= rows; i += 4) {
     const double* q0 = q + i * d;
     const double* q1 = q0 + d;
     const double* q2 = q1 + d;
@@ -597,7 +573,7 @@ __attribute__((target("avx2,fma"))) void pairwise_rows_avx2(
       o3[t] = std::max(0.0, std::fma(-2.0, s3, qn3 + tn[t]));
     }
   }
-  for (; i + 2 <= r1; i += 2) {
+  for (; i + 2 <= rows; i += 2) {
     const double* q0 = q + i * d;
     const double* q1 = q0 + d;
     const double qn0 = dot(q0, q0, d);
@@ -692,7 +668,7 @@ __attribute__((target("avx2,fma"))) void pairwise_rows_avx2(
       o1[t] = std::max(0.0, std::fma(-2.0, s1, qn1 + tn[t]));
     }
   }
-  for (; i < r1; ++i) {
+  for (; i < rows; ++i) {
     const double* q0 = q + i * d;
     const double qn0 = dot(q0, q0, d);
     const __m256d vqn0 = _mm256_set1_pd(qn0);
@@ -846,7 +822,7 @@ double dot(const double* a, const double* b, std::size_t n) {
 }
 
 void gemm(const double* a, const double* b, double* c, std::size_t m,
-          std::size_t k, std::size_t n, ThreadPool* pool) {
+          std::size_t k, std::size_t n) {
   if (m == 0 || n == 0) return;
   YOSO_REQUIRE(c != nullptr, "kernels::gemm: null output");
   if (k == 0) {
@@ -854,15 +830,13 @@ void gemm(const double* a, const double* b, double* c, std::size_t m,
     return;
   }
   YOSO_REQUIRE(a != nullptr && b != nullptr, "kernels::gemm: null input");
-  for_row_blocks(pool, m, [&](std::size_t r0, std::size_t r1) {
 #if YOSO_KERNELS_X86
-    if (use_avx2()) {
-      gemm_rows_avx2(a, b, c, r0, r1, k, n);
-      return;
-    }
+  if (use_avx2()) {
+    gemm_rows_avx2(a, b, c, m, k, n);
+    return;
+  }
 #endif
-    gemm_rows_generic(a, b, c, r0, r1, k, n);
-  });
+  gemm_rows_generic(a, b, c, m, k, n);
 }
 
 void gemv(const double* a, const double* x, double* y, std::size_t m,
@@ -874,7 +848,7 @@ void gemv(const double* a, const double* x, double* y, std::size_t m,
 }
 
 void sgemm_ab(const float* a, const float* b, float* c, std::size_t m,
-              std::size_t k, std::size_t n, ThreadPool* pool) {
+              std::size_t k, std::size_t n) {
   if (m == 0 || n == 0) return;
   YOSO_REQUIRE(c != nullptr, "kernels::sgemm_ab: null output");
   if (k == 0) {
@@ -882,19 +856,17 @@ void sgemm_ab(const float* a, const float* b, float* c, std::size_t m,
     return;
   }
   YOSO_REQUIRE(a != nullptr && b != nullptr, "kernels::sgemm_ab: null input");
-  for_row_blocks(pool, m, [&](std::size_t r0, std::size_t r1) {
 #if YOSO_KERNELS_X86
-    if (use_avx2()) {
-      sgemm_ab_rows_avx2(a, b, c, r0, r1, k, n);
-      return;
-    }
+  if (use_avx2()) {
+    sgemm_ab_rows_avx2(a, b, c, m, k, n);
+    return;
+  }
 #endif
-    sgemm_ab_rows_generic(a, b, c, r0, r1, k, n);
-  });
+  sgemm_ab_rows_generic(a, b, c, m, k, n);
 }
 
 void sgemm_abt(const float* a, const float* b, float* c, std::size_t m,
-               std::size_t n, std::size_t k, ThreadPool* pool) {
+               std::size_t n, std::size_t k) {
   if (m == 0 || n == 0) return;
   YOSO_REQUIRE(c != nullptr, "kernels::sgemm_abt: null output");
   if (k == 0) {
@@ -911,32 +883,27 @@ void sgemm_abt(const float* a, const float* b, float* c, std::size_t m,
     const float* bj = b + j * k;
     for (std::size_t t = 0; t < k; ++t) bt[t * n + j] = bj[t];
   }
-  const float* btp = bt.data();
-  for_row_blocks(pool, m, [&](std::size_t r0, std::size_t r1) {
 #if YOSO_KERNELS_X86
-    if (use_avx2()) {
-      sgemm_ab_rows_avx2(a, btp, c, r0, r1, k, n);
-      return;
-    }
+  if (use_avx2()) {
+    sgemm_ab_rows_avx2(a, bt.data(), c, m, k, n);
+    return;
+  }
 #endif
-    sgemm_ab_rows_generic(a, btp, c, r0, r1, k, n);
-  });
+  sgemm_ab_rows_generic(a, bt.data(), c, m, k, n);
 }
 
 void sgemm_atb_acc(const float* a, const float* b, float* c, std::size_t m,
-                   std::size_t k, std::size_t n, ThreadPool* pool) {
+                   std::size_t k, std::size_t n) {
   if (k == 0 || n == 0 || m == 0) return;
   YOSO_REQUIRE(a != nullptr && b != nullptr && c != nullptr,
                "kernels::sgemm_atb_acc: null operand");
-  for_row_blocks(pool, k, [&](std::size_t t0, std::size_t t1) {
 #if YOSO_KERNELS_X86
-    if (use_avx2()) {
-      satb_rows_avx2(a, b, c, t0, t1, m, k, n);
-      return;
-    }
+  if (use_avx2()) {
+    satb_rows_avx2(a, b, c, m, k, n);
+    return;
+  }
 #endif
-    satb_rows_generic(a, b, c, t0, t1, m, k, n);
-  });
+  satb_rows_generic(a, b, c, m, k, n);
 }
 
 PackedRows pack_rows(const double* src, std::size_t rows, std::size_t dim) {
@@ -959,8 +926,7 @@ PackedRows pack_rows(const double* src, std::size_t rows, std::size_t dim) {
 }
 
 void pairwise_sq_dists(const double* queries, std::size_t q,
-                       const PackedRows& packed, double* out,
-                       ThreadPool* pool) {
+                       const PackedRows& packed, double* out) {
   if (q == 0 || packed.rows == 0) return;
   YOSO_REQUIRE(queries != nullptr && out != nullptr,
                "kernels::pairwise_sq_dists: null operand");
@@ -971,15 +937,13 @@ void pairwise_sq_dists(const double* queries, std::size_t q,
   const double* tn = packed.norms.data();
   const std::size_t d = packed.dim;
   const std::size_t n = packed.rows;
-  for_row_blocks(pool, q, [&](std::size_t r0, std::size_t r1) {
 #if YOSO_KERNELS_X86
-    if (use_avx2()) {
-      pairwise_rows_avx2(queries, d, r0, r1, trn, tn, n, out);
-      return;
-    }
+  if (use_avx2()) {
+    pairwise_rows_avx2(queries, d, q, trn, tn, n, out);
+    return;
+  }
 #endif
-    pairwise_rows_generic(queries, d, r0, r1, trn, tn, n, out);
-  });
+  pairwise_rows_generic(queries, d, q, trn, tn, n, out);
 }
 
 void exp_scale(const double* in, double* out, std::size_t n, double scale,

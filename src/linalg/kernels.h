@@ -6,37 +6,29 @@
 // Every kernel is cache-blocked and FMA-friendly (restrict pointers,
 // register-tiled multi-accumulator inner loops) with two engine variants
 // selected once per process: an AVX2+FMA path (x86-64 hosts that report
-// both features at runtime) and a portable generic path.  An optional
-// ThreadPool parallelises over fixed-size row blocks.
+// both features at runtime) and a portable generic path.  Kernels run on
+// the calling thread; parallelism lives in the callers above them.
 //
-// Determinism contract (matches the PR-1 batched-evaluation promise):
-//   * results are bit-identical at any thread count, because row blocks are
-//     a fixed size (independent of the worker count) and every output
-//     element is produced by its own accumulator chain in a fixed reduction
-//     order;
+// Determinism contract:
+//   * every output element is produced by its own accumulator chain in a
+//     fixed reduction order;
 //   * a kernel invoked on a sub-range of rows produces bit-identical rows
 //     to the full-range call (single-row and paired-row micro-kernel
 //     variants issue the same per-element operation sequence), which is
 //     what makes GpRegressor::predict() == predict_batch() row-for-row.
-// Callers already inside a ThreadPool::parallel_for body must pass a null
-// pool (nested parallel_for throws by contract).
 
 #include <cstddef>
 #include <string>
 #include <vector>
 
-namespace yoso {
-
-class ThreadPool;
-
-namespace kernels {
+namespace yoso::kernels {
 
 /// Engine selected for this process: "avx2+fma" or "generic".
 std::string active_isa();
 
 /// C (m x n) = A (m x k) * B (k x n); all row-major, C overwritten.
 void gemm(const double* a, const double* b, double* c, std::size_t m,
-          std::size_t k, std::size_t n, ThreadPool* pool = nullptr);
+          std::size_t k, std::size_t n);
 
 /// y (m) = A (m x n) * x; one fixed-order dot per output row.
 void gemv(const double* a, const double* x, double* y, std::size_t m,
@@ -50,16 +42,16 @@ double dot(const double* a, const double* b, std::size_t n);
 /// C (m x n) = A (m x k) * B^T where B is (n x k): the im2col conv forward
 /// product (out = cols * W^T).  B is packed to k x n internally.
 void sgemm_abt(const float* a, const float* b, float* c, std::size_t m,
-               std::size_t n, std::size_t k, ThreadPool* pool = nullptr);
+               std::size_t n, std::size_t k);
 
 /// C (m x n) = A (m x k) * B (k x n); C overwritten.
 void sgemm_ab(const float* a, const float* b, float* c, std::size_t m,
-              std::size_t k, std::size_t n, ThreadPool* pool = nullptr);
+              std::size_t k, std::size_t n);
 
 /// C (k x n) += A^T * B where A is (m x k), B is (m x n): the conv weight
 /// gradient accumulation.
 void sgemm_atb_acc(const float* a, const float* b, float* c, std::size_t m,
-                   std::size_t k, std::size_t n, ThreadPool* pool = nullptr);
+                   std::size_t k, std::size_t n);
 
 /// Column-major pack of a row-major (rows x dim) matrix plus per-row
 /// squared norms: the GP training set is packed once at fit time so every
@@ -77,8 +69,7 @@ PackedRows pack_rows(const double* src, std::size_t rows, std::size_t dim);
 /// |a-b|^2 = |a|^2 + |b|^2 - 2 a.b with the clamp fused into the product
 /// epilogue (no second pass over the q x n block).
 void pairwise_sq_dists(const double* queries, std::size_t q,
-                       const PackedRows& packed, double* out,
-                       ThreadPool* pool = nullptr);
+                       const PackedRows& packed, double* out);
 
 /// out[i] = mult * exp(scale * in[i]); in == out aliasing is allowed.
 /// Both engines use the same range-reduced polynomial (max relative error
@@ -98,5 +89,4 @@ void exp_scale(const double* in, double* out, std::size_t n, double scale,
 double exp_scale_dot(const double* in, double* out, const double* w,
                      std::size_t n, double scale, double mult);
 
-}  // namespace kernels
-}  // namespace yoso
+}  // namespace yoso::kernels

@@ -9,7 +9,6 @@
 #include "obs/trace.h"
 #include "predictor/regressor.h"
 #include "util/stats.h"
-#include "util/thread_pool.h"
 
 namespace yoso {
 
@@ -96,7 +95,7 @@ void GpRegressor::fit(const Matrix& x, std::span<const double> y) {
       kernels::pack_rows(train_x_.data().data(), n, train_x_.cols());
   Matrix d2(n, n);
   kernels::pairwise_sq_dists(train_x_.data().data(), n, packed_train_,
-                             d2.data().data(), nullptr);
+                             d2.data().data());
   dist_builds_.full = 1;
 
   if (!tune_) {
@@ -137,7 +136,7 @@ void GpRegressor::fit(const Matrix& x, std::span<const double> y) {
 }
 
 void GpRegressor::predict_rows(const double* x, std::size_t nq, double* mu,
-                               double* var, ThreadPool* pool) const {
+                               double* var) const {
   YOSO_REQUIRE(nq == 0 || (x != nullptr && mu != nullptr),
                "GpRegressor::predict_rows: null input/output");
   const std::size_t n = train_x_.rows();
@@ -153,9 +152,9 @@ void GpRegressor::predict_rows(const double* x, std::size_t nq, double* mu,
   std::vector<double> xs(buf_rows * dim);
   std::vector<double> kbuf(buf_rows * n);
   // The sparse (DTC) variance needs two triangular solves against an
-  // intact kernel row, so it gets a separate per-row solve buffer; the
-  // exact path keeps its in-place solve and allocates nothing extra.
-  std::vector<double> vbuf((var != nullptr && sparse) ? buf_rows * n : 0);
+  // intact kernel row, so it gets a separate solve row; the exact path
+  // keeps its in-place solve and allocates nothing extra.
+  std::vector<double> vrow((var != nullptr && sparse) ? n : 0);
   for (std::size_t lo = 0; lo < nq; lo += kChunk) {
     const std::size_t cnt = std::min(kChunk, nq - lo);
     // Standardize with the exact per-row arithmetic single predict() uses.
@@ -164,9 +163,8 @@ void GpRegressor::predict_rows(const double* x, std::size_t nq, double* mu,
           std::span<const double>(x + (lo + r) * dim, dim),
           xs.data() + r * dim);
     }
-    kernels::pairwise_sq_dists(xs.data(), cnt, packed_train_, kbuf.data(),
-                               pool);
-    const auto row_work = [&](std::size_t r) {
+    kernels::pairwise_sq_dists(xs.data(), cnt, packed_train_, kbuf.data());
+    for (std::size_t r = 0; r < cnt; ++r) {
       double* krow = kbuf.data() + r * n;
       // One fused pass: krow = s^2 exp(scale * d2), mean = krow . alpha.
       mu[lo + r] = y_mean_ + kernels::exp_scale_dot(krow, krow, alpha_.data(),
@@ -175,7 +173,7 @@ void GpRegressor::predict_rows(const double* x, std::size_t nq, double* mu,
       if (var != nullptr && !sparse) {
         // var = k(x,x) - k*^T K^-1 k*; the solve overwrites krow in place
         // (safe: forward substitution consumes krow[i] before writing it),
-        // which keeps the hot per-row lambda allocation-free.
+        // which keeps the hot per-row loop allocation-free.
         chol_->solve_lower_into(std::span<const double>(krow, n), krow);
         const double reduce = kernels::dot(krow, krow, n);
         var[lo + r] = std::max(
@@ -185,20 +183,15 @@ void GpRegressor::predict_rows(const double* x, std::size_t nq, double* mu,
         //   k** + nv - k^T K_mm^-1 k + nv * k^T A^-1 k
         // Both quadratic forms come from forward solves into the scratch
         // row (krow itself must stay intact between them).
-        double* vrow = vbuf.data() + r * n;
-        chol_kmm_->solve_lower_into(std::span<const double>(krow, n), vrow);
-        const double prior_drop = kernels::dot(vrow, vrow, n);
-        chol_->solve_lower_into(std::span<const double>(krow, n), vrow);
-        const double info_gain = kernels::dot(vrow, vrow, n);
+        chol_kmm_->solve_lower_into(std::span<const double>(krow, n),
+                                    vrow.data());
+        const double prior_drop = kernels::dot(vrow.data(), vrow.data(), n);
+        chol_->solve_lower_into(std::span<const double>(krow, n), vrow.data());
+        const double info_gain = kernels::dot(vrow.data(), vrow.data(), n);
         var[lo + r] = std::max(
             0.0, hp_.signal_variance + hp_.noise_variance - prior_drop +
                      hp_.noise_variance * info_gain);
       }
-    };
-    if (pool != nullptr && pool->workers() > 0 && cnt > 1) {
-      pool->parallel_for(0, cnt, row_work);
-    } else {
-      for (std::size_t r = 0; r < cnt; ++r) row_work(r);
     }
   }
 }
@@ -209,12 +202,11 @@ double GpRegressor::predict(std::span<const double> x) const {
                "GpRegressor::predict: feature dimension ", x.size(),
                " != fitted dimension ", train_x_.cols());
   double mu = 0.0;
-  predict_rows(x.data(), 1, &mu, nullptr, nullptr);
+  predict_rows(x.data(), 1, &mu, nullptr);
   return mu;
 }
 
-std::vector<double> GpRegressor::predict_batch(const Matrix& queries,
-                                               ThreadPool* pool) const {
+std::vector<double> GpRegressor::predict_batch(const Matrix& queries) const {
   YOSO_TRACE_SPAN("gp.predict_batch");
   obs::counter_add("gp.predict_rows", queries.rows());
   YOSO_REQUIRE(!alpha_.empty(), "GpRegressor::predict_batch: not fitted");
@@ -223,15 +215,14 @@ std::vector<double> GpRegressor::predict_batch(const Matrix& queries,
                queries.cols(), " != fitted dimension ", train_x_.cols());
   std::vector<double> mu(queries.rows());
   if (!mu.empty())
-    predict_rows(queries.data().data(), queries.rows(), mu.data(), nullptr,
-                 pool);
+    predict_rows(queries.data().data(), queries.rows(), mu.data(), nullptr);
   return mu;
 }
 
 void GpRegressor::predict_means_pair(const GpRegressor& a,
                                      const GpRegressor& b, const double* x,
                                      std::size_t nq, double* mu_a,
-                                     double* mu_b, ThreadPool* pool) {
+                                     double* mu_b) {
   YOSO_REQUIRE(!a.alpha_.empty() && !b.alpha_.empty(),
                "GpRegressor::predict_means_pair: not fitted");
   YOSO_REQUIRE(a.train_x_.rows() == b.train_x_.rows() &&
@@ -260,8 +251,8 @@ void GpRegressor::predict_means_pair(const GpRegressor& a,
   constexpr std::size_t kChunk = 256;
   const std::size_t buf_rows = std::min(kChunk, nq);
   std::vector<double> xs(buf_rows * dim);
-  std::vector<double> d2(buf_rows * n);   // shared K* distance panel
-  std::vector<double> ebuf(buf_rows * n); // per-row exp scratch
+  std::vector<double> d2(buf_rows * n);  // shared K* distance panel
+  std::vector<double> erow(n);            // per-row exp scratch
   for (std::size_t lo = 0; lo < nq; lo += kChunk) {
     const std::size_t cnt = std::min(kChunk, nq - lo);
     // Standardize once with model a's scaler; identical training inputs
@@ -272,43 +263,19 @@ void GpRegressor::predict_means_pair(const GpRegressor& a,
           std::span<const double>(x + (lo + r) * dim, dim),
           xs.data() + r * dim);
     }
-    kernels::pairwise_sq_dists(xs.data(), cnt, a.packed_train_, d2.data(),
-                               pool);
-    const auto row_work = [&](std::size_t r) {
+    kernels::pairwise_sq_dists(xs.data(), cnt, a.packed_train_, d2.data());
+    for (std::size_t r = 0; r < cnt; ++r) {
       const double* drow = d2.data() + r * n;
-      double* erow = ebuf.data() + r * n;
       // The distance row is read-only here (exp output goes to the scratch
       // row), so the second model reuses it untouched.
       mu_a[lo + r] = a.y_mean_ + kernels::exp_scale_dot(
-                                     drow, erow, a.alpha_.data(), n, scale_a,
-                                     a.hp_.signal_variance);
+                                     drow, erow.data(), a.alpha_.data(), n,
+                                     scale_a, a.hp_.signal_variance);
       mu_b[lo + r] = b.y_mean_ + kernels::exp_scale_dot(
-                                     drow, erow, b.alpha_.data(), n, scale_b,
-                                     b.hp_.signal_variance);
-    };
-    if (pool != nullptr && pool->workers() > 0 && cnt > 1) {
-      pool->parallel_for(0, cnt, row_work);
-    } else {
-      for (std::size_t r = 0; r < cnt; ++r) row_work(r);
+                                     drow, erow.data(), b.alpha_.data(), n,
+                                     scale_b, b.hp_.signal_variance);
     }
   }
-}
-
-std::vector<std::pair<double, double>> GpRegressor::predict_batch_with_variance(
-    const Matrix& queries, ThreadPool* pool) const {
-  YOSO_REQUIRE(!alpha_.empty(),
-               "GpRegressor::predict_batch_with_variance: not fitted");
-  YOSO_REQUIRE(queries.cols() == train_x_.cols(),
-               "GpRegressor::predict_batch_with_variance: feature dimension ",
-               queries.cols(), " != fitted dimension ", train_x_.cols());
-  std::vector<double> mu(queries.rows());
-  std::vector<double> var(queries.rows());
-  if (!mu.empty())
-    predict_rows(queries.data().data(), queries.rows(), mu.data(), var.data(),
-                 pool);
-  std::vector<std::pair<double, double>> out(queries.rows());
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = {mu[i], var[i]};
-  return out;
 }
 
 std::pair<double, double> GpRegressor::predict_with_variance(
@@ -320,7 +287,7 @@ std::pair<double, double> GpRegressor::predict_with_variance(
                x.size(), " != fitted dimension ", train_x_.cols());
   double mu = 0.0;
   double var = 0.0;
-  predict_rows(x.data(), 1, &mu, &var, nullptr);
+  predict_rows(x.data(), 1, &mu, &var);
   return {mu, var};
 }
 

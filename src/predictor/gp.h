@@ -22,7 +22,7 @@
 // (linalg/kernels.h), and prediction stores the (training | inducing) panel
 // in the same packed layout, so predict() / predict_batch() /
 // predict_means_pair() share one per-row operation chain: batched means are
-// bit-identical to per-row calls at any thread count for either backend.
+// bit-identical to per-row calls for either backend.
 
 #include <cstdint>
 #include <memory>
@@ -33,8 +33,6 @@
 #include "predictor/regressor.h"
 
 namespace yoso {
-
-class ThreadPool;
 
 struct GpHyperParams {
   double lengthscale = 4.0;
@@ -103,29 +101,22 @@ class GpRegressor : public Regressor {
   }
 
   /// Predictive means for every row of `queries` (raw feature space).
-  /// Bit-identical to calling predict() per row, at any thread count; pass
-  /// a pool to spread the K* rows across workers (never from inside a
-  /// parallel_for body — nested pools throw).
-  std::vector<double> predict_batch(const Matrix& queries,
-                                    ThreadPool* pool = nullptr) const;
-
-  /// Batched predictive mean + variance (same determinism contract).
-  std::vector<std::pair<double, double>> predict_batch_with_variance(
-      const Matrix& queries, ThreadPool* pool = nullptr) const;
+  /// Bit-identical to calling predict() per row.
+  std::vector<double> predict_batch(const Matrix& queries) const;
 
   /// Fused means for two models fitted on the *same* training inputs (the
   /// performance predictor's energy/latency pair): the query rows are
   /// standardized once and one K* squared-distance panel feeds both models'
   /// kernel chains, so the shared O(n·d) work is paid once instead of
   /// twice.  Each output is bit-identical to the corresponding
-  /// predict_batch() call at any thread count.  The shape check is always
+  /// predict_batch() call.  The shape check is always
   /// on; debug builds additionally YOSO_DCHECK a training-set fingerprint
   /// (n, d, first/last standardized-row hash) so fitting the models on
   /// different inputs trips a ContractViolation instead of silently
   /// reusing the wrong distance panel.
   static void predict_means_pair(const GpRegressor& a, const GpRegressor& b,
                                  const double* x, std::size_t nq,
-                                 double* mu_a, double* mu_b, ThreadPool* pool);
+                                 double* mu_a, double* mu_b);
 
   /// Predictive mean and variance for one input.
   std::pair<double, double> predict_with_variance(
@@ -217,8 +208,8 @@ class GpRegressor : public Regressor {
   void stamp_train_fingerprint();
   /// Shared mean(/variance) path over `nq` contiguous raw query rows;
   /// `var` may be null for mean-only prediction.
-  void predict_rows(const double* x, std::size_t nq, double* mu, double* var,
-                    ThreadPool* pool) const;
+  void predict_rows(const double* x, std::size_t nq, double* mu,
+                    double* var) const;
 
   GpHyperParams hp_;
   bool tune_;

@@ -121,7 +121,7 @@ void GpRegressor::select_inducing_rows(const Matrix& xs, std::size_t m) {
       inducing_idx_.push_back(pick);
       if (k + 1 == m) break;
       kernels::pairwise_sq_dists(xs.row(pick).data(), 1, packed_all,
-                                 dist_row.data(), nullptr);
+                                 dist_row.data());
       std::size_t next = 0;
       double best = -1.0;
       for (std::size_t i = 0; i < n; ++i) {
@@ -169,11 +169,11 @@ void GpRegressor::fit_sparse(const Matrix& x, std::span<const double> y) {
   // mirroring the exact flow's build-once discipline.
   Matrix d_nm(n, mm);
   kernels::pairwise_sq_dists(xs.data().data(), n, packed_train_,
-                             d_nm.data().data(), nullptr);
+                             d_nm.data().data());
   dist_builds_.cross = 1;
   Matrix d_mm(mm, mm);
   kernels::pairwise_sq_dists(train_x_.data().data(), mm, packed_train_,
-                             d_mm.data().data(), nullptr);
+                             d_mm.data().data());
   dist_builds_.inducing = 1;
 
   SparsePanels panels;
@@ -246,8 +246,7 @@ void GpRegressor::update(std::span<const double> x, double y) {
   upd_xs_.resize(train_x_.cols());
   upd_k_.resize(m);
   scaler_.transform_row_into(x, upd_xs_.data());
-  kernels::pairwise_sq_dists(upd_xs_.data(), 1, packed_train_, upd_k_.data(),
-                             nullptr);
+  kernels::pairwise_sq_dists(upd_xs_.data(), 1, packed_train_, upd_k_.data());
   kernels::exp_scale(upd_k_.data(), upd_k_.data(), m, scale,
                      hp_.signal_variance);
   // A += k k^T (rank-1, O(m^2)), b += k (y - mean), one re-solve.  No

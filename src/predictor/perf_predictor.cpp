@@ -149,25 +149,9 @@ double PerformancePredictor::predict_latency_ms(
       latency_gp_.predict(codesign_features(g, config, skeleton_)));
 }
 
-std::vector<double> PerformancePredictor::predict_energy_mj_batch(
-    const Matrix& features, ThreadPool* pool) const {
-  if (!fitted_) throw std::logic_error("PerformancePredictor: not fitted");
-  std::vector<double> out = energy_gp_.predict_batch(features, pool);
-  for (double& v : out) v = std::exp(v);
-  return out;
-}
-
-std::vector<double> PerformancePredictor::predict_latency_ms_batch(
-    const Matrix& features, ThreadPool* pool) const {
-  if (!fitted_) throw std::logic_error("PerformancePredictor: not fitted");
-  std::vector<double> out = latency_gp_.predict_batch(features, pool);
-  for (double& v : out) v = std::exp(v);
-  return out;
-}
-
 void PerformancePredictor::predict_latency_energy_batch(
-    const double* features, std::size_t rows, ThreadPool* pool,
-    double* latency_ms, double* energy_mj) const {
+    const double* features, std::size_t rows, double* latency_ms,
+    double* energy_mj) const {
   YOSO_REQUIRE(rows == 0 || (features != nullptr && latency_ms != nullptr &&
                              energy_mj != nullptr),
                "predict_latency_energy_batch: null input/output");
@@ -176,7 +160,7 @@ void PerformancePredictor::predict_latency_energy_batch(
   // the precondition letting the pair call share one standardization and
   // one K* distance panel.
   GpRegressor::predict_means_pair(latency_gp_, energy_gp_, features, rows,
-                                  latency_ms, energy_mj, pool);
+                                  latency_ms, energy_mj);
   for (std::size_t r = 0; r < rows; ++r) {
     latency_ms[r] = std::exp(latency_ms[r]);
     energy_mj[r] = std::exp(energy_mj[r]);

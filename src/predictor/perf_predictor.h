@@ -16,6 +16,7 @@
 namespace yoso {
 
 struct ArchFeatures;  // surrogate/accuracy_model.h
+class ThreadPool;     // util/thread_pool.h
 
 /// Feature vector for the regression models: architecture descriptors +
 /// hardware configuration descriptors + a couple of interaction terms.
@@ -96,27 +97,14 @@ class PerformancePredictor {
   double predict_latency_ms(const Genotype& g,
                             const AcceleratorConfig& config) const;
 
-  /// Batched predictions over pre-computed feature rows (one row per
-  /// candidate, from codesign_features).  One blocked K* product instead of
-  /// per-candidate scalar kernel dots; bit-identical to the per-candidate
-  /// calls at any thread count.  `pool` must not be a pool this thread is
-  /// already running a parallel_for on.
-  std::vector<double> predict_energy_mj_batch(const Matrix& features,
-                                              ThreadPool* pool = nullptr)
-      const;
-  std::vector<double> predict_latency_ms_batch(const Matrix& features,
-                                               ThreadPool* pool = nullptr)
-      const;
-
   /// Fused batch prediction of both targets over `rows` contiguous raw
-  /// feature rows (row-major, kCodesignFeatureDim wide): because both GPs
-  /// are fitted on the same inputs, standardization and the K* squared-
-  /// distance panel are computed once and shared, roughly halving the
-  /// per-candidate GP cost versus the two separate *_batch calls.  Outputs
-  /// are bit-identical to predict_latency_ms_batch / predict_energy_mj_batch
-  /// at any thread count.
+  /// feature rows (row-major, kCodesignFeatureDim wide, one row per
+  /// candidate from codesign_features): because both GPs are fitted on the
+  /// same inputs, standardization and the K* squared-distance panel are
+  /// computed once and shared.  Outputs are bit-identical to the
+  /// per-candidate predict_latency_ms / predict_energy_mj calls.
   void predict_latency_energy_batch(const double* features, std::size_t rows,
-                                    ThreadPool* pool, double* latency_ms,
+                                    double* latency_ms,
                                     double* energy_mj) const;
 
   /// Folds one accurate-simulator result into both fitted GPs in O(m^2)

@@ -1,8 +1,6 @@
 #include "rl/controller.h"
 
 #include <cmath>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 
 #include "base/contract.h"
@@ -14,9 +12,17 @@ namespace {
 
 double sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 
+// The two matvec helpers hold the controller's hot inner loops.  Their
+// speed depends on where those loops fall relative to 64-byte boundaries
+// (a ~25% swing in sampling and backward time on a 5th-gen Xeon), and any
+// edit elsewhere in this file can move them, so their start is pinned.
+
 /// y += M x  where M is (rows x cols) row-major.
-void matvec_acc(std::span<const double> m, std::span<const double> x,
-                std::span<double> y, std::size_t rows, std::size_t cols) {
+__attribute__((aligned(64))) void matvec_acc(std::span<const double> m,
+                                             std::span<const double> x,
+                                             std::span<double> y,
+                                             std::size_t rows,
+                                             std::size_t cols) {
   for (std::size_t r = 0; r < rows; ++r) {
     double acc = 0.0;
     const double* row = m.data() + r * cols;
@@ -26,8 +32,11 @@ void matvec_acc(std::span<const double> m, std::span<const double> x,
 }
 
 /// y += M^T x  where M is (rows x cols) row-major, x has `rows` entries.
-void matvec_t_acc(std::span<const double> m, std::span<const double> x,
-                  std::span<double> y, std::size_t rows, std::size_t cols) {
+__attribute__((aligned(64))) void matvec_t_acc(std::span<const double> m,
+                                               std::span<const double> x,
+                                               std::span<double> y,
+                                               std::size_t rows,
+                                               std::size_t cols) {
   for (std::size_t r = 0; r < rows; ++r) {
     const double xr = x[r];
     if (xr == 0.0) continue;
@@ -295,35 +304,6 @@ void LstmController::accumulate_gradient(const Episode& ep, double advantage,
     std::fill(dh_next.begin(), dh_next.end(), 0.0);
     if (t > 0) matvec_t_acc(store_.value(w_h_), dpre, dh_next, 4 * h, h);
   }
-}
-
-void LstmController::save(std::ostream& os) const {
-  os << "yoso-controller-v1 " << cardinalities_.size();
-  for (int c : cardinalities_) os << " " << c;
-  os << " " << options_.hidden_size << " " << options_.embed_size << "\n";
-  store_.save(os);
-}
-
-void LstmController::load(std::istream& is) {
-  std::string magic;
-  std::size_t steps = 0;
-  if (!(is >> magic >> steps) || magic != "yoso-controller-v1")
-    throw std::invalid_argument("LstmController::load: bad header");
-  if (steps != cardinalities_.size())
-    throw std::invalid_argument(
-        "LstmController::load: action-count mismatch");
-  for (std::size_t i = 0; i < steps; ++i) {
-    int c = 0;
-    if (!(is >> c) || c != cardinalities_[i])
-      throw std::invalid_argument(
-          "LstmController::load: cardinality mismatch at step " +
-          std::to_string(i));
-  }
-  int hidden = 0, embed = 0;
-  if (!(is >> hidden >> embed) || hidden != options_.hidden_size ||
-      embed != options_.embed_size)
-    throw std::invalid_argument("LstmController::load: shape mismatch");
-  store_.load(is);
 }
 
 void LstmController::update(double lr, double max_grad_norm) {

@@ -69,12 +69,6 @@ class LstmController {
   /// zeroes gradients.  Gradients are clipped to `max_grad_norm`.
   void update(double lr, double max_grad_norm = 5.0);
 
-  /// Checkpoint the controller (weights + optimiser state).  load() throws
-  /// std::invalid_argument when the checkpoint's action space or sizes do
-  /// not match this controller.
-  void save(std::ostream& os) const;
-  void load(std::istream& is);
-
  private:
   /// Runs one LSTM step; fills episode caches at position t.
   /// Returns the logits (pre-softmax, after squashing) for step t.

@@ -1,10 +1,7 @@
 #include "rl/param_store.h"
 
 #include <cmath>
-#include <istream>
-#include <limits>
-#include <ostream>
-#include <stdexcept>
+#include <algorithm>
 
 #include "util/rng.h"
 
@@ -51,38 +48,6 @@ double ParamStore::grad_norm() const {
 void ParamStore::scale_grad(double factor) {
   ThreadRoleGuard coordinator(role_);
   for (double& g : grad_) g *= factor;
-}
-
-void ParamStore::save(std::ostream& os) const {
-  ThreadRoleGuard coordinator(role_);
-  os << "yoso-paramstore-v1 " << value_.size() << " " << adam_t_ << "\n";
-  os.precision(std::numeric_limits<double>::max_digits10);
-  for (std::size_t i = 0; i < value_.size(); ++i)
-    os << value_[i] << " " << adam_m_[i] << " " << adam_v_[i] << "\n";
-}
-
-void ParamStore::load(std::istream& is) {
-  ThreadRoleGuard coordinator(role_);
-  std::string magic;
-  std::size_t n = 0;
-  long long t = 0;
-  if (!(is >> magic >> n >> t) || magic != "yoso-paramstore-v1")
-    throw std::invalid_argument("ParamStore::load: bad header");
-  if (n != value_.size())
-    throw std::invalid_argument(
-        "ParamStore::load: size mismatch (checkpoint " + std::to_string(n) +
-        ", store " + std::to_string(value_.size()) + ")");
-  std::vector<double> v(n), m(n), av(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!(is >> v[i] >> m[i] >> av[i]))
-      throw std::invalid_argument("ParamStore::load: truncated at entry " +
-                                  std::to_string(i));
-  }
-  value_ = std::move(v);
-  adam_m_ = std::move(m);
-  adam_v_ = std::move(av);
-  adam_t_ = t;
-  std::fill(grad_.begin(), grad_.end(), 0.0);
 }
 
 }  // namespace yoso

@@ -11,7 +11,6 @@
 // parallel-region write instead of leaving the rule to review.
 
 #include <cstddef>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -60,13 +59,6 @@ class ParamStore {
 
   /// Scales all gradients by `factor`.
   void scale_grad(double factor);
-
-  /// Serialises values + Adam state (not gradients) as text; enables
-  /// checkpoint/resume of a search.  load() requires the store to have the
-  /// identical layout (same alloc sequence) and throws std::invalid_argument
-  /// on any mismatch or malformed input.
-  void save(std::ostream& os) const;
-  void load(std::istream& is);
 
  private:
   mutable ThreadRole role_;

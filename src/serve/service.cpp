@@ -177,32 +177,38 @@ std::string SearchService::metrics_text() const {
   return os.str();
 }
 
+namespace {
+
+void encode_job_record(ByteWriter& w, const JobRecord& r) {
+  w.u64(r.id);
+  w.u8(static_cast<std::uint8_t>(r.state));
+  w.str(r.error);
+  w.str(r.spec.searcher);
+  w.u64(r.spec.iterations);
+  w.u64(r.spec.batch_size);
+  w.u64(r.spec.top_n);
+  w.u64(r.spec.seed);
+  w.str(r.spec.reward);
+  w.f64(r.spec.t_lat_ms);
+  w.f64(r.spec.t_eer_mj);
+  w.i32(r.spec.priority);
+  w.u8(r.outcome.has_best ? 1 : 0);
+  w.str(r.outcome.best_candidate);
+  w.f64(r.outcome.best_reward);
+  w.f64(r.outcome.accuracy);
+  w.f64(r.outcome.latency_ms);
+  w.f64(r.outcome.energy_mj);
+  w.u64(r.outcome.iterations_run);
+  w.u64(r.outcome.finalists);
+}
+
+}  // namespace
+
 void encode_job_state(ByteWriter& w, std::uint64_t next_id,
                       const std::vector<JobRecord>& records) {
   w.u64(next_id);
   w.u32(static_cast<std::uint32_t>(records.size()));
-  for (const JobRecord& r : records) {
-    w.u64(r.id);
-    w.u8(static_cast<std::uint8_t>(r.state));
-    w.str(r.error);
-    w.str(r.spec.searcher);
-    w.u64(r.spec.iterations);
-    w.u64(r.spec.batch_size);
-    w.u64(r.spec.top_n);
-    w.u64(r.spec.seed);
-    w.str(r.spec.reward);
-    w.f64(r.spec.t_lat_ms);
-    w.f64(r.spec.t_eer_mj);
-    w.i32(r.spec.priority);
-    w.u8(r.outcome.has_best ? 1 : 0);
-    w.str(r.outcome.best_candidate);
-    w.f64(r.outcome.best_reward);
-    w.f64(r.outcome.accuracy);
-    w.f64(r.outcome.latency_ms);
-    w.f64(r.outcome.energy_mj);
-    w.u64(r.outcome.iterations_run);
-    w.u64(r.outcome.finalists);
-  }
+  for (const JobRecord& r : records) encode_job_record(w, r);
 }
 
 std::vector<JobRecord> decode_job_state(ByteReader& r,
@@ -210,6 +216,14 @@ std::vector<JobRecord> decode_job_state(ByteReader& r,
   YOSO_REQUIRE(next_id != nullptr, "decode_job_state: null next_id");
   *next_id = r.u64();
   const std::uint32_t count = r.u32();
+  // The smallest record the encoder writes has every string empty; the
+  // stored count is checked against its size before anything is reserved.
+  JobRecord smallest;
+  smallest.spec.searcher.clear();
+  smallest.spec.reward.clear();
+  ByteWriter w;
+  encode_job_record(w, smallest);
+  r.need_items(count, w.bytes().size());
   std::vector<JobRecord> records;
   records.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {

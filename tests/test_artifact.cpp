@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -21,6 +22,7 @@
 #include "core/design_space.h"
 #include "core/evaluator.h"
 #include "core/reward.h"
+#include "nn/module.h"
 #include "nn/network.h"
 #include "nn/tensor.h"
 #include "predictor/gp.h"
@@ -184,6 +186,39 @@ TEST(ArtifactFormat, ByteReaderRejectsTruncatedPayload) {
   EXPECT_EQ(r2.u32(), 12345u);
   EXPECT_TRUE(r2.done());
   EXPECT_THROW(r2.u8(), ContractViolation);
+
+  // A stored length whose byte count wraps: (2^61 + 1) * 8 == 8 mod 2^64.
+  ByteWriter wrap;
+  wrap.u64((std::uint64_t{1} << 61) + 1);
+  wrap.f64(0.0);
+  ByteReader r3(wrap.bytes());
+  EXPECT_THROW(r3.f64_vec(), ContractViolation);
+
+  // A well-formed GP state except for a 2^32 x 2^32 training panel over
+  // zero elements: rows * cols wraps to the stored element count.
+  ByteWriter gp;
+  gp.u32(static_cast<std::uint32_t>(GpBackend::kExact));
+  gp.u8(1);                                  // tune
+  gp.u64(512);                               // inducing target
+  for (int i = 0; i < 3; ++i) gp.f64(1.0);   // hyper-parameters
+  gp.f64_vec({});                            // scaler mean
+  gp.f64_vec({});                            // scaler std
+  gp.u64(std::uint64_t{1} << 32);            // train_x rows
+  gp.u64(std::uint64_t{1} << 32);            // train_x cols
+  gp.f64_vec({});                            // train_x data
+  gp.f64_vec({});                            // alpha
+  for (int i = 0; i < 2; ++i) {              // empty Cholesky factors
+    gp.u64(0);
+    gp.u64(0);
+    gp.f64_vec({});
+  }
+  gp.f64_vec({});                            // b
+  gp.u64_vec({});                            // inducing indices
+  gp.f64(0.0);                               // y_mean
+  gp.f64(0.0);                               // lml
+  gp.u64(0);                                 // updates applied
+  ByteReader rg(gp.bytes());
+  EXPECT_THROW(decode_gp_state(rg), ContractViolation);
 }
 
 TEST(ArtifactCodec, SkeletonRoundTrip) {
@@ -201,6 +236,13 @@ TEST(ArtifactCodec, SkeletonRoundTrip) {
   ASSERT_EQ(restored.cells.size(), original.cells.size());
   for (std::size_t i = 0; i < original.cells.size(); ++i)
     EXPECT_EQ(restored.cells[i], original.cells[i]);
+
+  // A cell count far beyond the bytes present is rejected before anything
+  // is reserved for it.
+  ByteWriter huge;
+  huge.u32(0xFFFFFFFFu);
+  ByteReader rh(huge.bytes());
+  EXPECT_THROW(decode_skeleton(rh), ContractViolation);
 }
 
 TEST(ArtifactHyperNet, WeightsRoundTripBitIdentical) {
@@ -232,6 +274,20 @@ TEST(ArtifactHyperNet, WeightsRoundTripBitIdentical) {
   // A net that materialised a different parameter set is rejected.
   PathNetwork fresh(skeleton, 1);  // nothing driven: no materialised params
   EXPECT_THROW(load_hypernet_section(reader, fresh), ContractViolation);
+
+  // A parameter rank far beyond the bytes present is rejected before the
+  // shape is sized by it.
+  std::vector<Param*> params;
+  loaded_net.collect_params(params);
+  ByteWriter bad;
+  bad.u32(static_cast<std::uint32_t>(params.size()));
+  bad.u32(0xFFFFFFFFu);
+  ArtifactWriter bad_writer;
+  bad_writer.add_section(ArtifactSection::kHyperNet, bad.take());
+  EXPECT_THROW(load_hypernet_section(
+                   ArtifactReader::from_bytes(bad_writer.to_bytes()),
+                   loaded_net),
+               ContractViolation);
 }
 
 }  // namespace

@@ -205,7 +205,7 @@ TEST(ContractCoverage, GpPredictMeansPairRejectsNullOutput) {
   gp.fit(x, y);
   const double xq[1] = {0.5};
   EXPECT_THROW(GpRegressor::predict_means_pair(gp, gp, xq, 1, nullptr,
-                                               nullptr, nullptr),
+                                               nullptr),
                ContractViolation);
 }
 
@@ -219,9 +219,9 @@ TEST(ContractCoverage, CodesignFeaturesIntoRejectsNullOutput) {
 TEST(ContractCoverage, PredictBatchRejectsNullOutputs) {
   PerformancePredictor predictor(default_skeleton());
   const double features[1] = {0.0};
-  EXPECT_THROW(predictor.predict_latency_energy_batch(features, 1, nullptr,
-                                                      nullptr, nullptr),
-               ContractViolation);
+  EXPECT_THROW(
+      predictor.predict_latency_energy_batch(features, 1, nullptr, nullptr),
+      ContractViolation);
 }
 
 TEST(ContractCoverage, SkeletonForRejectsOutOfRangeIndices) {

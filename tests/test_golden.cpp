@@ -1,20 +1,26 @@
-// Golden pins: the winner and a reward checksum of two small searches,
-// frozen as constants.  The determinism tests in test_parallel_search.cpp
-// only compare thread counts against each other, so a numerics change that
-// moves every thread count together would pass them silently; these pins
-// turn it into a visible diff.  A deliberate numerics change re-baselines
-// them: update the constants in the same commit and say why.
+// Golden pins: the winner and a reward checksum of two small searches and
+// of one yoso_serve job, frozen as constants.  The determinism tests in
+// test_parallel_search.cpp only compare thread counts against each other,
+// so a numerics change that moves every thread count together would pass
+// them silently; these pins turn it into a visible diff.  A deliberate
+// numerics change re-baselines them: update the constants in the same
+// commit and say why.
 //
 // The values depend on the floating-point engine (kernels::active_isa) and
 // the toolchain, so the cases skip on any engine but the one they were
 // computed on.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "accel/simulator.h"
@@ -26,6 +32,9 @@
 #include "core/search.h"
 #include "core/serialize.h"
 #include "linalg/kernels.h"
+#include "obs/metrics.h"
+#include "serve/job_queue.h"
+#include "serve/service.h"
 #include "util/exec_context.h"
 
 namespace yoso {
@@ -51,6 +60,25 @@ std::uint64_t reward_checksum(const SearchResult& r) {
     append(f.accurate_reward);
   }
   return fnv1a64(bytes);
+}
+
+/// FNV-1a-64 over the raw bytes of a serve job's best reward, accuracy,
+/// latency and energy.
+std::uint64_t outcome_checksum(const serve::JobOutcome& o) {
+  std::vector<std::uint8_t> bytes;
+  for (const double v :
+       {o.best_reward, o.accuracy, o.latency_ms, o.energy_mj}) {
+    std::uint8_t raw[sizeof v];
+    std::memcpy(raw, &v, sizeof v);
+    bytes.insert(bytes.end(), raw, raw + sizeof v);
+  }
+  return fnv1a64(bytes);
+}
+
+std::uint64_t counter_value(std::string_view name) {
+  for (const auto& c : obs::metrics_registry().snapshot().counters)
+    if (c.name == name) return c.value;
+  return 0;
 }
 
 class GoldenTest : public ::testing::Test {
@@ -140,6 +168,55 @@ TEST_F(GoldenTest, RandomSearchBatch60) {
        "0,2,dwconv5x5,conv3x3;2,0,maxpool3x3,dwconv5x5"
        "@16*16/512KB/1024B/OS",
        0x93c580956af992b2ull});
+}
+
+// One rl job through an in-process SearchService at 4 threads, then the
+// same spec again: the repeat must be served entirely by the shared memo
+// and land on the same pinned outcome.
+TEST_F(GoldenTest, ServeJobAndMemoRepeat) {
+  std::string dir = ::testing::TempDir() + "yoso_golden_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr) << "mkdtemp " << dir;
+  const std::string artifact = dir + "/artifact.bin";
+  save_fast_evaluator(artifact, *fast_, "test_golden");
+
+  serve::JobSpec spec;
+  spec.searcher = "rl";
+  spec.iterations = 120;
+  spec.seed = 13;
+  std::vector<std::optional<serve::JobRecord>> records;
+  std::uint64_t repeat_misses = 0;
+  {
+    serve::SearchService service(artifact, {.threads = 4});
+    for (int run = 0; run < 2; ++run) {
+      const std::uint64_t misses = counter_value("eval.cache_misses");
+      const std::uint64_t id = service.submit(spec);
+      service.wait_idle();
+      records.push_back(service.jobs().get(id));
+      repeat_misses = counter_value("eval.cache_misses") - misses;
+    }
+    service.stop();
+  }
+  std::remove(artifact.c_str());
+  ::rmdir(dir.c_str());
+
+  EXPECT_EQ(repeat_misses, 0u);
+  const Golden golden{
+      "normal=1,1,dwconv3x3,conv3x3;2,2,dwconv5x5,dwconv5x5;"
+      "0,3,dwconv3x3,conv3x3;3,0,conv3x3,avgpool3x3;"
+      "5,4,avgpool3x3,maxpool3x3|reduction=1,1,conv3x3,avgpool3x3;"
+      "1,1,dwconv3x3,dwconv3x3;1,2,dwconv3x3,dwconv5x5;"
+      "0,4,dwconv3x3,maxpool3x3;4,2,maxpool3x3,dwconv5x5"
+      "@16*24/196KB/256B/OS",
+      0xcc5c4502bf26475aull};
+  for (std::size_t run = 0; run < records.size(); ++run) {
+    ASSERT_TRUE(records[run].has_value()) << run;
+    ASSERT_EQ(records[run]->state, serve::JobState::kDone)
+        << run << ": " << records[run]->error;
+    const serve::JobOutcome& o = records[run]->outcome;
+    ASSERT_TRUE(o.has_best) << run;
+    EXPECT_EQ(o.best_candidate, golden.winner) << "run " << run;
+    EXPECT_EQ(outcome_checksum(o), golden.checksum) << "run " << run;
+  }
 }
 
 }  // namespace

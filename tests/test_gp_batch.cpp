@@ -1,11 +1,10 @@
 // Batched GP inference: predict_batch must be bit-identical to per-row
-// predict() at any thread count, the tuned fit must build the pairwise
-// distance matrix exactly once, and the PerformancePredictor batch path
-// must reproduce the scalar per-candidate path exactly.
+// predict(), the tuned fit must build the pairwise distance matrix exactly
+// once, and the PerformancePredictor batch path must reproduce the scalar
+// per-candidate path exactly.
 
 #include <cmath>
 #include <gtest/gtest.h>
-#include <utility>
 #include <vector>
 
 #include "accel/config.h"
@@ -17,7 +16,6 @@
 #include "predictor/gp.h"
 #include "predictor/perf_predictor.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace yoso {
 namespace {
@@ -65,20 +63,6 @@ TEST(GpBatchTest, BatchMeansBitIdenticalToPerRowPredict) {
         << "row " << r;
 }
 
-TEST(GpBatchTest, BatchVarianceBitIdenticalToPerRow) {
-  const GpData d = make_data(120, 5, 41, 5);
-  GpRegressor gp;
-  gp.fit(d.x, d.y);
-  const auto batch = gp.predict_batch_with_variance(d.queries);
-  ASSERT_EQ(batch.size(), d.queries.rows());
-  for (std::size_t r = 0; r < d.queries.rows(); ++r) {
-    const auto [mu, var] = gp.predict_with_variance(query_row(d.queries, r));
-    EXPECT_DOUBLE_EQ(batch[r].first, mu) << "row " << r;
-    EXPECT_DOUBLE_EQ(batch[r].second, var) << "row " << r;
-    EXPECT_GE(batch[r].second, 0.0);
-  }
-}
-
 // Chunking (kChunk = 256) must not change results at the chunk seams.
 TEST(GpBatchTest, LargeBatchCrossesChunkBoundary) {
   const GpData d = make_data(90, 4, 600, 7);
@@ -88,28 +72,6 @@ TEST(GpBatchTest, LargeBatchCrossesChunkBoundary) {
   for (const std::size_t r : {0u, 255u, 256u, 257u, 511u, 512u, 599u})
     EXPECT_DOUBLE_EQ(batch[r], gp.predict(query_row(d.queries, r)))
         << "row " << r;
-}
-
-TEST(GpBatchTest, PoolResultsBitIdenticalAcrossThreadCounts) {
-  const GpData d = make_data(150, 6, 83, 11);
-  GpRegressor gp;
-  gp.fit(d.x, d.y);
-  const std::vector<double> serial = gp.predict_batch(d.queries, nullptr);
-  const auto serial_var = gp.predict_batch_with_variance(d.queries, nullptr);
-  // Worker counts 0/1/7 = total thread counts 1/2/8.
-  for (const std::size_t workers : {0u, 1u, 7u}) {
-    ThreadPool pool(workers);
-    const std::vector<double> pooled = gp.predict_batch(d.queries, &pool);
-    const auto pooled_var = gp.predict_batch_with_variance(d.queries, &pool);
-    ASSERT_EQ(pooled.size(), serial.size());
-    for (std::size_t r = 0; r < serial.size(); ++r) {
-      ASSERT_EQ(pooled[r], serial[r]) << "workers=" << workers << " r=" << r;
-      ASSERT_EQ(pooled_var[r].first, serial_var[r].first)
-          << "workers=" << workers << " r=" << r;
-      ASSERT_EQ(pooled_var[r].second, serial_var[r].second)
-          << "workers=" << workers << " r=" << r;
-    }
-  }
 }
 
 TEST(GpBatchTest, TunedFitBuildsDistanceMatrixOnce) {
@@ -147,9 +109,7 @@ TEST(GpBatchTest, PerformancePredictorBatchMatchesScalarPath) {
   // Query candidates distinct from the training draws.
   std::vector<Genotype> genos;
   std::vector<AcceleratorConfig> configs;
-  Matrix fx(24, codesign_features(samples.front().genotype,
-                                  samples.front().config, skeleton)
-                    .size());
+  Matrix fx(24, kCodesignFeatureDim);
   for (std::size_t i = 0; i < fx.rows(); ++i) {
     genos.push_back(random_genotype(rng));
     std::vector<int> actions(ConfigSpace::kActionCount);
@@ -161,9 +121,10 @@ TEST(GpBatchTest, PerformancePredictorBatchMatchesScalarPath) {
     for (std::size_t c = 0; c < f.size(); ++c) fx(i, c) = f[c];
   }
 
-  ThreadPool pool(3);
-  const std::vector<double> lat = pred.predict_latency_ms_batch(fx, &pool);
-  const std::vector<double> en = pred.predict_energy_mj_batch(fx, &pool);
+  std::vector<double> lat(fx.rows());
+  std::vector<double> en(fx.rows());
+  pred.predict_latency_energy_batch(fx.data().data(), fx.rows(), lat.data(),
+                                    en.data());
   for (std::size_t i = 0; i < fx.rows(); ++i) {
     EXPECT_DOUBLE_EQ(lat[i], pred.predict_latency_ms(genos[i], configs[i]))
         << "cand " << i;
@@ -174,10 +135,12 @@ TEST(GpBatchTest, PerformancePredictorBatchMatchesScalarPath) {
 
 TEST(GpBatchTest, UnfittedPredictorBatchThrows) {
   PerformancePredictor pred(default_skeleton());
-  EXPECT_THROW(pred.predict_latency_ms_batch(Matrix(1, 21)),
-               std::logic_error);
-  EXPECT_THROW(pred.predict_energy_mj_batch(Matrix(1, 21)),
-               std::logic_error);
+  const std::vector<double> features(kCodesignFeatureDim, 0.0);
+  double lat = 0.0;
+  double en = 0.0;
+  EXPECT_THROW(
+      pred.predict_latency_energy_batch(features.data(), 1, &lat, &en),
+      std::logic_error);
 }
 
 }  // namespace

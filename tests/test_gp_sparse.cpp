@@ -1,5 +1,5 @@
 // Sparse GP backend: deterministic inducing selection, batched prediction
-// parity with per-row calls (chunk seams, thread counts), rank-1 update
+// parity with per-row calls (chunk seams, after updates), rank-1 update
 // parity against a naive from-scratch rebuild of the information matrix,
 // distance-build accounting, the predict_means_pair fingerprint contract,
 // and an exact-vs-sparse accuracy bound on seeded simulator samples.
@@ -18,7 +18,6 @@
 #include "predictor/gp.h"
 #include "predictor/perf_predictor.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace yoso {
 namespace {
@@ -73,44 +72,13 @@ TEST(GpSparseTest, BatchMeansBitIdenticalToPerRowAcrossChunkSeams) {
   EXPECT_EQ(gp.inducing_count(), 48u);
   const std::vector<double> batch = gp.predict_batch(d.queries);
   ASSERT_EQ(batch.size(), d.queries.rows());
-  for (const std::size_t r : {0u, 1u, 255u, 256u, 257u, 511u, 512u, 599u})
+  for (const std::size_t r : {0u, 1u, 255u, 256u, 257u, 511u, 512u, 599u}) {
     EXPECT_DOUBLE_EQ(batch[r], gp.predict(query_row(d.queries, r)))
         << "row " << r;
-}
-
-TEST(GpSparseTest, BatchVarianceBitIdenticalToPerRow) {
-  const GpData d = make_data(200, 4, 73, 5);
-  GpRegressor gp = sparse_gp(32);
-  gp.fit(d.x, d.y);
-  const auto batch = gp.predict_batch_with_variance(d.queries);
-  ASSERT_EQ(batch.size(), d.queries.rows());
-  for (std::size_t r = 0; r < d.queries.rows(); ++r) {
+    // The DTC variance path shares the mean chain.
     const auto [mu, var] = gp.predict_with_variance(query_row(d.queries, r));
-    EXPECT_DOUBLE_EQ(batch[r].first, mu) << "row " << r;
-    EXPECT_DOUBLE_EQ(batch[r].second, var) << "row " << r;
-    EXPECT_GE(batch[r].second, 0.0);
-  }
-}
-
-TEST(GpSparseTest, PoolResultsBitIdenticalAcrossThreadCounts) {
-  const GpData d = make_data(260, 6, 90, 11);
-  GpRegressor gp = sparse_gp(40);
-  gp.fit(d.x, d.y);
-  const std::vector<double> serial = gp.predict_batch(d.queries, nullptr);
-  const auto serial_var = gp.predict_batch_with_variance(d.queries, nullptr);
-  // Worker counts 0/1/7 = total thread counts 1/2/8.
-  for (const std::size_t workers : {0u, 1u, 7u}) {
-    ThreadPool pool(workers);
-    const std::vector<double> pooled = gp.predict_batch(d.queries, &pool);
-    const auto pooled_var = gp.predict_batch_with_variance(d.queries, &pool);
-    ASSERT_EQ(pooled.size(), serial.size());
-    for (std::size_t r = 0; r < serial.size(); ++r) {
-      ASSERT_EQ(pooled[r], serial[r]) << "workers=" << workers << " r=" << r;
-      ASSERT_EQ(pooled_var[r].first, serial_var[r].first)
-          << "workers=" << workers << " r=" << r;
-      ASSERT_EQ(pooled_var[r].second, serial_var[r].second)
-          << "workers=" << workers << " r=" << r;
-    }
+    EXPECT_DOUBLE_EQ(mu, batch[r]) << "row " << r;
+    EXPECT_GE(var, 0.0) << "row " << r;
   }
 }
 
@@ -231,13 +199,10 @@ TEST(GpSparseTest, UpdatedModelBatchStaysBitIdenticalAcrossThreads) {
   gp.fit(d.x, d.y);
   gp.update(query_row(d.queries, 0), 0.5);
   gp.update(query_row(d.queries, 1), -0.25);
-  const std::vector<double> serial = gp.predict_batch(d.queries, nullptr);
-  for (const std::size_t workers : {1u, 7u}) {
-    ThreadPool pool(workers);
-    const std::vector<double> pooled = gp.predict_batch(d.queries, &pool);
-    for (std::size_t r = 0; r < serial.size(); ++r)
-      ASSERT_EQ(pooled[r], serial[r]) << "workers=" << workers << " r=" << r;
-  }
+  const std::vector<double> batch = gp.predict_batch(d.queries);
+  ASSERT_EQ(batch.size(), d.queries.rows());
+  for (std::size_t r = 0; r < batch.size(); ++r)
+    ASSERT_EQ(batch[r], gp.predict(query_row(d.queries, r))) << "r=" << r;
 }
 
 TEST(GpSparseTest, UpdateContractViolations) {
@@ -279,10 +244,8 @@ TEST(GpSparseTest, PairedMeansMatchIndividualBatches) {
   const std::vector<double> ref_b = b.predict_batch(d.queries);
   std::vector<double> mu_a(d.queries.rows());
   std::vector<double> mu_b(d.queries.rows());
-  ThreadPool pool(3);
   GpRegressor::predict_means_pair(a, b, d.queries.data().data(),
-                                  d.queries.rows(), mu_a.data(), mu_b.data(),
-                                  &pool);
+                                  d.queries.rows(), mu_a.data(), mu_b.data());
   for (std::size_t r = 0; r < mu_a.size(); ++r) {
     ASSERT_EQ(mu_a[r], ref_a[r]) << r;
     ASSERT_EQ(mu_b[r], ref_b[r]) << r;
@@ -305,7 +268,7 @@ TEST(GpSparseTest, PairFingerprintMismatchTripsContract) {
   EXPECT_THROW(
       GpRegressor::predict_means_pair(a, b, d1.queries.data().data(),
                                       d1.queries.rows(), mu_a.data(),
-                                      mu_b.data(), nullptr),
+                                      mu_b.data()),
       ContractViolation);
 }
 #endif

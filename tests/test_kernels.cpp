@@ -1,8 +1,7 @@
 // The shared blocked/SIMD kernel layer (linalg/kernels.h): correctness
 // against naive references on randomized shapes — including sizes that are
 // not multiples of any register-tile width — plus the determinism contract
-// (bit-identical output at any thread count, sub-range calls identical to
-// full-range calls).
+// (sub-range calls identical to full-range calls).
 
 #include <cmath>
 #include <vector>
@@ -11,7 +10,6 @@
 
 #include "linalg/kernels.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace yoso {
 namespace {
@@ -256,62 +254,10 @@ TEST(KernelsTest, ExpScaleExtremeArgumentsStayFinite) {
   for (const double v : out) EXPECT_TRUE(std::isfinite(v));
 }
 
-// --- determinism: thread-count invariance (runs under TSan in CI) ----------
-
-class KernelsParallelTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(KernelsParallelTest, GemmBitIdenticalToSerial) {
-  Rng rng(37);
-  const std::size_t m = 45, k = 22, n = 50;
-  const auto a = random_vec(rng, m * k);
-  const auto b = random_vec(rng, k * n);
-  std::vector<double> serial(m * n, 0.0);
-  kernels::gemm(a.data(), b.data(), serial.data(), m, k, n, nullptr);
-  ThreadPool pool(GetParam());
-  std::vector<double> pooled(m * n, -1.0);
-  kernels::gemm(a.data(), b.data(), pooled.data(), m, k, n, &pool);
-  for (std::size_t i = 0; i < serial.size(); ++i)
-    ASSERT_EQ(serial[i], pooled[i]) << "workers=" << GetParam() << " @" << i;
-}
-
-TEST_P(KernelsParallelTest, PairwiseBitIdenticalToSerial) {
-  Rng rng(41);
-  const std::size_t q = 37, n = 61, d = 22;
-  const auto train = random_vec(rng, n * d);
-  const auto queries = random_vec(rng, q * d);
-  const kernels::PackedRows packed = kernels::pack_rows(train.data(), n, d);
-  std::vector<double> serial(q * n, 0.0);
-  kernels::pairwise_sq_dists(queries.data(), q, packed, serial.data(),
-                             nullptr);
-  ThreadPool pool(GetParam());
-  std::vector<double> pooled(q * n, -1.0);
-  kernels::pairwise_sq_dists(queries.data(), q, packed, pooled.data(), &pool);
-  for (std::size_t i = 0; i < serial.size(); ++i)
-    ASSERT_EQ(serial[i], pooled[i]) << "workers=" << GetParam() << " @" << i;
-}
-
-TEST_P(KernelsParallelTest, SgemmAtbAccBitIdenticalToSerial) {
-  Rng rng(43);
-  const std::size_t m = 300, k = 33, n = 40;
-  const auto a = random_vecf(rng, m * k);
-  const auto b = random_vecf(rng, m * n);
-  std::vector<float> serial(k * n, 0.5f);
-  std::vector<float> pooled = serial;
-  kernels::sgemm_atb_acc(a.data(), b.data(), serial.data(), m, k, n, nullptr);
-  ThreadPool pool(GetParam());
-  kernels::sgemm_atb_acc(a.data(), b.data(), pooled.data(), m, k, n, &pool);
-  for (std::size_t i = 0; i < serial.size(); ++i)
-    ASSERT_EQ(serial[i], pooled[i]) << "workers=" << GetParam() << " @" << i;
-}
-
-// Worker counts 0/1/7 give total thread counts 1/2/8 (caller participates).
-INSTANTIATE_TEST_SUITE_P(ThreadCounts, KernelsParallelTest,
-                         ::testing::Values(0, 1, 7));
-
 // A row computed as part of a larger batch must be bit-identical to the
 // same row computed alone — the property that keeps GpRegressor::predict()
 // equal to predict_batch() rows.
-TEST(KernelsParallelTest, SubRangeRowsMatchFullRange) {
+TEST(KernelsTest, SubRangeRowsMatchFullRange) {
   Rng rng(47);
   const std::size_t q = 9, n = 37, d = 22;
   const auto train = random_vec(rng, n * d);

@@ -211,6 +211,14 @@ TEST(JobStateCodec, RoundTrip) {
   ByteReader cut(w.bytes().first(w.bytes().size() - 4));
   std::uint64_t ignored = 0;
   EXPECT_THROW(decode_job_state(cut, &ignored), ContractViolation);
+
+  // A record count far beyond the bytes present is rejected before
+  // anything is reserved for it.
+  ByteWriter huge;
+  huge.u64(8);
+  huge.u32(0xFFFFFFFFu);
+  ByteReader rh(huge.bytes());
+  EXPECT_THROW(decode_job_state(rh, &ignored), ContractViolation);
 }
 
 // --- End-to-end serving -----------------------------------------------------
