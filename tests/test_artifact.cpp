@@ -6,12 +6,14 @@
 // doubles, not near-comparisons.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "accel/simulator.h"
@@ -26,6 +28,7 @@
 #include "nn/network.h"
 #include "nn/tensor.h"
 #include "predictor/gp.h"
+#include "serve/service.h"
 #include "util/rng.h"
 
 namespace yoso {
@@ -243,6 +246,80 @@ TEST(ArtifactCodec, SkeletonRoundTrip) {
   huge.u32(0xFFFFFFFFu);
   ByteReader rh(huge.bytes());
   EXPECT_THROW(decode_skeleton(rh), ContractViolation);
+}
+
+// Readers skip section ids they do not know (docs/ARTIFACTS.md): a file that
+// also carries the retired id 0x06 and an id no build has named still loads
+// into a bit-identical evaluator, and a yoso_serve snapshot of it copies
+// every source section forward byte for byte.
+TEST(ArtifactCompat, UnknownSectionsLoadAndCopyForward) {
+  std::string dir = ::testing::TempDir() + "yoso_artifact_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr) << "mkdtemp " << dir;
+  const std::string plain = dir + "/plain.bin";
+  const std::string extended = dir + "/extended.bin";
+  const std::string snapshot = dir + "/snapshot.bin";
+
+  DesignSpace space;
+  SystolicSimulator simulator({}, SimFidelity::kAnalytical);
+  FastEvaluator trained(space, default_skeleton(), simulator,
+                        {.predictor_samples = 150, .seed = 21});
+  save_fast_evaluator(plain, trained, "test_artifact");
+
+  const std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>>
+      extras = {{0x06, {0x06, 0xA5, 0x00, 0xFF, 0x13}},
+                {0x40, std::vector<std::uint8_t>(37, 0x40)}};
+  ArtifactWriter writer;
+  {
+    const ArtifactReader source = ArtifactReader::from_file(plain);
+    for (const std::uint32_t id : source.section_ids()) {
+      const auto payload = source.section(static_cast<ArtifactSection>(id));
+      writer.add_section(static_cast<ArtifactSection>(id),
+                         {payload.begin(), payload.end()});
+    }
+  }
+  for (const auto& [id, payload] : extras)
+    writer.add_section(static_cast<ArtifactSection>(id), payload);
+  writer.write_file(extended);
+
+  FastEvaluator restored =
+      make_fast_evaluator(load_fast_evaluator_artifact(extended));
+  Rng rng(78);
+  for (int i = 0; i < 25; ++i) {
+    const CandidateDesign c = space.random_candidate(rng);
+    const EvalResult a = trained.evaluate(c);
+    const EvalResult b = restored.evaluate(c);
+    EXPECT_EQ(a.accuracy, b.accuracy);
+    EXPECT_EQ(a.latency_ms, b.latency_ms);
+    EXPECT_EQ(a.energy_mj, b.energy_mj);
+  }
+
+  {
+    serve::SearchService service(extended, {.start_paused = true});
+    service.snapshot_to(snapshot);
+    service.stop();
+  }
+  const ArtifactReader source = ArtifactReader::from_file(extended);
+  const ArtifactReader copied = ArtifactReader::from_file(snapshot);
+  std::vector<std::uint32_t> expected_ids = source.section_ids();
+  expected_ids.push_back(
+      static_cast<std::uint32_t>(ArtifactSection::kJobState));
+  EXPECT_EQ(copied.section_ids(), expected_ids);
+  for (const std::uint32_t id : source.section_ids()) {
+    const auto want = source.section(static_cast<ArtifactSection>(id));
+    const auto got = copied.section(static_cast<ArtifactSection>(id));
+    EXPECT_EQ(std::vector<std::uint8_t>(got.begin(), got.end()),
+              std::vector<std::uint8_t>(want.begin(), want.end()))
+        << "section " << id;
+  }
+  for (const auto& [id, payload] : extras) {
+    const auto got = copied.section(static_cast<ArtifactSection>(id));
+    EXPECT_EQ(std::vector<std::uint8_t>(got.begin(), got.end()), payload)
+        << "section " << id;
+  }
+
+  for (const std::string& p : {plain, extended, snapshot})
+    std::remove(p.c_str());
+  ::rmdir(dir.c_str());
 }
 
 TEST(ArtifactHyperNet, WeightsRoundTripBitIdentical) {
