@@ -15,15 +15,6 @@ std::string dataflow_name(Dataflow df) {
   throw std::invalid_argument("dataflow_name: invalid dataflow");
 }
 
-Dataflow dataflow_from_name(const std::string& name) {
-  for (int i = 0; i < kNumDataflows; ++i) {
-    const auto df = static_cast<Dataflow>(i);
-    if (dataflow_name(df) == name) return df;
-  }
-  throw std::invalid_argument("dataflow_from_name: unknown dataflow '" +
-                              name + "'");
-}
-
 std::string AcceleratorConfig::to_string() const {
   std::ostringstream ss;
   ss << pe_rows << "*" << pe_cols << "/" << g_buf_kb << "KB/" << r_buf_bytes

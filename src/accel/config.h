@@ -27,7 +27,6 @@ enum class Dataflow : int {
 inline constexpr int kNumDataflows = 4;
 
 std::string dataflow_name(Dataflow df);
-Dataflow dataflow_from_name(const std::string& name);
 
 /// One point in the accelerator configuration space.
 struct AcceleratorConfig {

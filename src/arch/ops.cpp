@@ -46,10 +46,4 @@ std::string op_name(Op op) {
   throw std::invalid_argument("op_name: invalid op");
 }
 
-Op op_from_name(const std::string& name) {
-  for (Op op : all_ops())
-    if (op_name(op) == name) return op;
-  throw std::invalid_argument("op_from_name: unknown op '" + name + "'");
-}
-
 }  // namespace yoso

@@ -41,7 +41,4 @@ bool op_has_weights(Op op);
 
 std::string op_name(Op op);
 
-/// Parses an op name (as produced by op_name); throws on unknown name.
-Op op_from_name(const std::string& name);
-
 }  // namespace yoso

@@ -14,9 +14,6 @@
 #include "base/contract.h"
 #include "core/evaluator.h"
 #include "linalg/matrix.h"
-#include "nn/module.h"
-#include "nn/network.h"
-#include "nn/tensor.h"
 #include "predictor/gp.h"
 #include "predictor/perf_predictor.h"
 #include "surrogate/accuracy_model.h"
@@ -682,48 +679,6 @@ FastEvaluator make_fast_evaluator(const FastEvaluatorArtifact& bundle,
       AccuracyModel(bundle.skeleton, bundle.accuracy_params,
                     bundle.accuracy_seed),
       PerformancePredictor::from_state(bundle.predictor), std::move(exec));
-}
-
-// --- HyperNet weights --------------------------------------------------------
-
-void add_hypernet_section(ArtifactWriter& writer, PathNetwork& net) {
-  std::vector<Param*> params;
-  net.collect_params(params);
-  ByteWriter w;
-  w.u32(static_cast<std::uint32_t>(params.size()));
-  for (const Param* p : params) {
-    YOSO_REQUIRE(p != nullptr, "artifact: null parameter from HyperNet");
-    const std::vector<int>& shape = p->value.shape();
-    w.u32(static_cast<std::uint32_t>(shape.size()));
-    for (int d : shape) w.i32(d);
-    w.f32_vec(p->value.data());
-  }
-  writer.add_section(ArtifactSection::kHyperNet, w.take());
-}
-
-void load_hypernet_section(const ArtifactReader& reader, PathNetwork& net) {
-  std::vector<Param*> params;
-  net.collect_params(params);
-  ByteReader r(reader.section(ArtifactSection::kHyperNet));
-  const std::uint32_t count = r.u32();
-  YOSO_REQUIRE(count == params.size(), "artifact: HyperNet has ",
-               params.size(), " materialised parameters, section holds ",
-               count, " (drive the same paths before loading)");
-  for (std::uint32_t i = 0; i < count; ++i) {
-    Param* p = params[i];
-    YOSO_REQUIRE(p != nullptr, "artifact: null parameter from HyperNet");
-    const std::uint32_t rank = r.u32();
-    r.need_items(rank, 4);
-    std::vector<int> shape(rank);
-    for (std::uint32_t d = 0; d < rank; ++d) shape[d] = r.i32();
-    YOSO_REQUIRE(shape == p->value.shape(),
-                 "artifact: HyperNet parameter ", i, " shape mismatch");
-    const std::vector<float> data = r.f32_vec();
-    YOSO_REQUIRE(data.size() == p->value.numel(),
-                 "artifact: HyperNet parameter ", i, " size mismatch");
-    std::copy(data.begin(), data.end(), p->value.data().begin());
-  }
-  YOSO_REQUIRE(r.done(), "artifact: trailing bytes in HyperNet section");
 }
 
 }  // namespace yoso

@@ -8,8 +8,8 @@
 // (one 32-byte entry per section: id, offset, size, FNV-1a 64 payload
 // checksum), then the 8-byte-aligned payloads.  Sections carry the fitted
 // GP pair of the performance predictor (exact or sparse backend), the
-// accuracy-model parameters, the network skeleton, optional HyperNet
-// weights from src/nn, and — for yoso_serve — a snapshot of the job table.
+// accuracy-model parameters, the network skeleton and — for yoso_serve — a
+// snapshot of the job table.
 //
 // The contract is load-once / verify-by-checksum / fail-loud:
 //
@@ -43,8 +43,6 @@
 
 namespace yoso {
 
-class PathNetwork;  // nn/network.h (artifact.cpp includes it)
-
 /// File magic: the bytes 'Y' 'A' 'R' 'T' (read as a little-endian u32).
 inline constexpr std::uint32_t kArtifactMagic = 0x54524159u;
 /// Format version.  A major bump breaks compatibility (readers reject);
@@ -61,7 +59,7 @@ enum class ArtifactSection : std::uint32_t {
   kAccuracyModel = 0x03,  ///< AccuracyModelParams + residual seed
   kGpLatency = 0x04,      ///< fitted latency GpRegressorState
   kGpEnergy = 0x05,       ///< fitted energy GpRegressorState
-  kHyperNet = 0x06,       ///< materialised PathNetwork parameter tensors
+  // 0x06 is retired (formerly kHyperNet) and reserved: never reuse it.
   kJobState = 0x07,       ///< yoso_serve job-table snapshot
 };
 
@@ -239,17 +237,5 @@ FastEvaluatorArtifact decode_fast_evaluator(const ArtifactReader& reader);
 /// bit-identical to the evaluator that was saved.
 FastEvaluator make_fast_evaluator(const FastEvaluatorArtifact& bundle,
                                   ExecContextPtr exec = nullptr);
-
-// --- HyperNet weights --------------------------------------------------------
-
-/// Appends a kHyperNet section holding every parameter tensor `net` has
-/// materialised (shape + raw f32 data, collect_params order).
-void add_hypernet_section(ArtifactWriter& writer, PathNetwork& net);
-
-/// Loads kHyperNet into `net`, which must have materialised the same
-/// parameter list (same count, same shapes — ContractViolation otherwise;
-/// drive the same paths through forward() first, or train the same
-/// schedule).  Restored weights are bit-identical.
-void load_hypernet_section(const ArtifactReader& reader, PathNetwork& net);
 
 }  // namespace yoso

@@ -1,58 +1,14 @@
 #include "core/trace_io.h"
 
-#include <istream>
 #include <ostream>
-#include <sstream>
-#include <stdexcept>
 
 #include "core/search.h"
 #include "core/serialize.h"
 
 namespace yoso {
 
-namespace {
-
-constexpr const char* kTraceHeader =
-    "iteration,reward,accuracy,latency_ms,energy_mj,candidate";
-
-std::vector<std::string> split_line(const std::string& line, char sep,
-                                    std::size_t expect, std::size_t lineno) {
-  std::vector<std::string> fields;
-  std::string cur;
-  for (char c : line) {
-    if (c == sep && fields.size() + 1 < expect) {
-      // The final field (the candidate) may itself contain commas inside
-      // the genotype grammar, so only the first expect-1 separators split.
-      fields.push_back(cur);
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  fields.push_back(cur);
-  if (fields.size() != expect)
-    throw std::invalid_argument("trace csv: line " + std::to_string(lineno) +
-                                ": expected " + std::to_string(expect) +
-                                " fields");
-  return fields;
-}
-
-double parse_double(const std::string& s, std::size_t lineno) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument("trailing");
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("trace csv: line " + std::to_string(lineno) +
-                                ": bad number '" + s + "'");
-  }
-}
-
-}  // namespace
-
 void write_trace_csv(std::ostream& os, const SearchResult& result) {
-  os << kTraceHeader << "\n";
+  os << "iteration,reward,accuracy,latency_ms,energy_mj,candidate\n";
   for (const SearchTracePoint& p : result.trace) {
     os << p.iteration << "," << p.reward << "," << p.result.accuracy << ","
        << p.result.latency_ms << "," << p.result.energy_mj << ","
@@ -71,33 +27,6 @@ void write_finalists_csv(std::ostream& os, const SearchResult& result) {
        << (f.feasible ? 1 : 0) << "," << serialize_candidate(f.candidate)
        << "\n";
   }
-}
-
-std::vector<SearchTracePoint> read_trace_csv(std::istream& is) {
-  std::vector<SearchTracePoint> trace;
-  std::string line;
-  std::size_t lineno = 0;
-  if (!std::getline(is, line))
-    throw std::invalid_argument("trace csv: empty stream");
-  ++lineno;
-  if (line != kTraceHeader)
-    throw std::invalid_argument("trace csv: unexpected header '" + line +
-                                "'");
-  while (std::getline(is, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    const auto fields = split_line(line, ',', 6, lineno);
-    SearchTracePoint p;
-    p.iteration =
-        static_cast<std::size_t>(parse_double(fields[0], lineno));
-    p.reward = parse_double(fields[1], lineno);
-    p.result.accuracy = parse_double(fields[2], lineno);
-    p.result.latency_ms = parse_double(fields[3], lineno);
-    p.result.energy_mj = parse_double(fields[4], lineno);
-    p.candidate = parse_candidate(fields[5]);
-    trace.push_back(std::move(p));
-  }
-  return trace;
 }
 
 }  // namespace yoso

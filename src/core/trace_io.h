@@ -1,8 +1,8 @@
 #pragma once
-// CSV export/import for search artefacts: iteration traces for plotting
-// (the Fig-6 series), and finalist tables.  The CSV dialect is plain
-// comma-separated with a header row; candidate designs use the serialize.h
-// grammar so a trace row can be decoded back into a runnable design.
+// CSV export for search artefacts: iteration traces for plotting (the Fig-6
+// series), and finalist tables.  The CSV dialect is plain comma-separated
+// with a header row; the last column is the candidate in the serialize.h
+// grammar.  Export only: nothing in the library reads these files back.
 
 #include <iosfwd>
 #include <string>
@@ -18,9 +18,5 @@ void write_trace_csv(std::ostream& os, const SearchResult& result);
 /// Writes the reranked finalists:
 /// rank,fast_reward,accurate_reward,accuracy,latency_ms,energy_mj,feasible,candidate
 void write_finalists_csv(std::ostream& os, const SearchResult& result);
-
-/// Reads a trace written by write_trace_csv.  Throws std::invalid_argument
-/// on malformed rows (with the offending line number).
-std::vector<SearchTracePoint> read_trace_csv(std::istream& is);
 
 }  // namespace yoso

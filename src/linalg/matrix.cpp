@@ -208,31 +208,6 @@ void Cholesky::rank1_update(std::span<const double> v) {
   }
 }
 
-void Cholesky::rank1_downdate(std::span<const double> v) {
-  const std::size_t n = l_.rows();
-  YOSO_REQUIRE(v.size() == n, "Cholesky::rank1_downdate: v has ", v.size(),
-               " entries, factor is ", n, "x", n);
-  std::vector<double> w(v.begin(), v.end());
-  double* ld = l_.data().data();
-  for (std::size_t j = 0; j < n; ++j) {
-    const double ljj = ld[j * n + j];
-    const double rsq = ljj * ljj - w[j] * w[j];
-    if (rsq <= 0.0)
-      throw std::runtime_error(
-          "Cholesky::rank1_downdate: result not positive definite");
-    const double r = std::sqrt(rsq);
-    const double c = r / ljj;
-    const double s = w[j] / ljj;
-    ld[j * n + j] = r;
-    for (std::size_t i = j + 1; i < n; ++i) {
-      double lij = ld[i * n + j];
-      lij = (lij - s * w[i]) / c;
-      ld[i * n + j] = lij;
-      w[i] = c * w[i] - s * lij;
-    }
-  }
-}
-
 std::vector<double> ridge_solve(const Matrix& x, std::span<const double> y,
                                 double lambda) {
   YOSO_REQUIRE(x.rows() == y.size(), "ridge_solve: x has ", x.rows(),

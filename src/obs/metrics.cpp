@@ -1,7 +1,6 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <iomanip>
 #include <ostream>
 #include <sstream>
 
@@ -166,33 +165,6 @@ void gauge_set(std::string_view name, double value) {
 void histogram_observe(std::string_view name, double value) {
   if (!enabled()) return;
   metrics_registry().histogram(name).observe(value);
-}
-
-std::string render_metrics_table(const MetricsSnapshot& snap) {
-  std::ostringstream os;
-  os << "counters:\n";
-  for (const auto& c : snap.counters)
-    os << "  " << std::left << std::setw(32) << c.name << " " << c.value
-       << "\n";
-  os << "gauges:\n";
-  for (const auto& g : snap.gauges)
-    os << "  " << std::left << std::setw(32) << g.name << " " << g.value
-       << "\n";
-  os << "histograms:\n";
-  for (const auto& h : snap.histograms) {
-    os << "  " << std::left << std::setw(32) << h.name << " count=" << h.count
-       << " sum=" << h.sum << "\n";
-    for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-      if (h.buckets[i] == 0) continue;
-      os << "    ";
-      if (i < h.bounds.size())
-        os << "le " << h.bounds[i];
-      else
-        os << "overflow";
-      os << ": " << h.buckets[i] << "\n";
-    }
-  }
-  return os.str();
 }
 
 void write_metrics_json(std::ostream& os, const MetricsSnapshot& snap) {

@@ -181,9 +181,6 @@ void counter_add(std::string_view name, std::uint64_t delta = 1);
 void gauge_set(std::string_view name, double value);
 void histogram_observe(std::string_view name, double value);
 
-/// Renders the snapshot as an aligned text table (sorted, stable).
-std::string render_metrics_table(const MetricsSnapshot& snap);
-
 /// Writes the snapshot as a JSON object:
 ///   {"counters": {...}, "gauges": {...}, "histograms": {...}}
 /// Keys appear in sorted order so the document is byte-stable for a given

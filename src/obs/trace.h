@@ -12,8 +12,7 @@
 // keeps per-name running aggregates (count / total / self time) that are
 // exact even after the ring wraps.  Recording only happens while
 // obs::enabled() is on; a span constructed while disabled is a single
-// relaxed atomic load.  With -DYOSO_OBS=OFF the macro compiles away
-// entirely.
+// relaxed atomic load.
 //
 // Exports:
 //   * write_chrome_trace() — Chrome trace_event JSON ("X" complete events),
@@ -100,11 +99,5 @@ void reset_tracing();
 #define YOSO_OBS_CONCAT2(a, b) a##b
 #define YOSO_OBS_CONCAT(a, b) YOSO_OBS_CONCAT2(a, b)
 
-#ifdef YOSO_OBS_DISABLED
-// Compile-time kill switch (-DYOSO_OBS=OFF): the span object is never
-// constructed, so instrumented hot paths carry zero code.
-#define YOSO_TRACE_SPAN(name)
-#else
 #define YOSO_TRACE_SPAN(name) \
   ::yoso::obs::TraceSpan YOSO_OBS_CONCAT(yoso_trace_span_, __LINE__)(name)
-#endif

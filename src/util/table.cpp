@@ -45,18 +45,6 @@ void TextTable::print(std::ostream& os) const {
   for (const auto& row : rows_) print_row(row);
 }
 
-void TextTable::print_csv(std::ostream& os) const {
-  auto print_row = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      os << row[c];
-      if (c + 1 != row.size()) os << ',';
-    }
-    os << '\n';
-  };
-  print_row(header_);
-  for (const auto& row : rows_) print_row(row);
-}
-
 std::string TextTable::fmt(double v, int precision) {
   std::ostringstream ss;
   ss << std::fixed << std::setprecision(precision) << v;

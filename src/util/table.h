@@ -1,5 +1,5 @@
 #pragma once
-// Small fixed-width ASCII table / CSV emitter used by the benchmark binaries
+// Small fixed-width ASCII table emitter used by the benchmark binaries
 // to print the paper's tables and figure data series in a uniform format.
 
 #include <ostream>
@@ -18,9 +18,6 @@ class TextTable {
 
   /// Renders the table with column alignment and a header separator.
   void print(std::ostream& os) const;
-
-  /// Renders as CSV (no quoting needed for our numeric content).
-  void print_csv(std::ostream& os) const;
 
   std::size_t rows() const { return rows_.size(); }
 

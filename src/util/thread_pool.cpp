@@ -110,11 +110,9 @@ void ThreadPool::worker_loop() {
   std::uint64_t idle_gen = 0;
   for (;;) {
     std::shared_ptr<Job> job;
-#ifndef YOSO_OBS_DISABLED
     // Sentinel 0 = "observability was off when the window opened"; a window
     // that straddles a toggle is simply not recorded.
     const std::uint64_t wait_begin = obs::enabled() ? obs::now_ns() : 0;
-#endif
     // Short spin before committing to a futex sleep: a batch's fork-joins
     // follow each other within microseconds.  Pointless (and harmful) when
     // there is only one core.
@@ -137,14 +135,10 @@ void ThreadPool::worker_loop() {
         mutex_.wait(wake_);
       }
     }
-#ifndef YOSO_OBS_DISABLED
     if (wait_begin != 0) obs_idle_ns_->add(obs::now_ns() - wait_begin);
     const std::uint64_t run_begin = obs::enabled() ? obs::now_ns() : 0;
-#endif
     run_job(*job);
-#ifndef YOSO_OBS_DISABLED
     if (run_begin != 0) obs_busy_ns_->add(obs::now_ns() - run_begin);
-#endif
   }
 }
 
@@ -171,12 +165,10 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   job->begin = begin;
   job->count = count;
   job->fn = &fn;
-#ifndef YOSO_OBS_DISABLED
   if (obs::enabled()) {
     obs_jobs_->add();
     obs_depth_->set(static_cast<double>(count));
   }
-#endif
   {
     MutexLock lock(mutex_);
     job_ = job;
@@ -193,9 +185,7 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   {
     MutexLock lock(mutex_);
     if (job_ == job) job_ = nullptr;
-#ifndef YOSO_OBS_DISABLED
     obs_depth_->set(0.0);
-#endif
   }
   const Job::ErrorSlot failure = job->error.load();
   if (failure.error) std::rethrow_exception(failure.error);

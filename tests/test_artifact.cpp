@@ -17,16 +17,12 @@
 #include <vector>
 
 #include "accel/simulator.h"
-#include "arch/genotype.h"
 #include "arch/network.h"
 #include "base/contract.h"
 #include "core/artifact.h"
 #include "core/design_space.h"
 #include "core/evaluator.h"
 #include "core/reward.h"
-#include "nn/module.h"
-#include "nn/network.h"
-#include "nn/tensor.h"
 #include "predictor/gp.h"
 #include "serve/service.h"
 #include "util/rng.h"
@@ -320,51 +316,6 @@ TEST(ArtifactCompat, UnknownSectionsLoadAndCopyForward) {
   for (const std::string& p : {plain, extended, snapshot})
     std::remove(p.c_str());
   ::rmdir(dir.c_str());
-}
-
-TEST(ArtifactHyperNet, WeightsRoundTripBitIdentical) {
-  const NetworkSkeleton skeleton = tiny_skeleton(8, 4);
-  Rng rng(31);
-  const Genotype path = random_genotype(rng);
-  Tensor images({2, 3, 8, 8});
-  for (float& v : images.data()) v = static_cast<float>(rng.normal(0.0, 0.5));
-
-  // Materialise the same parameter set in two nets with different seeds.
-  PathNetwork saved_net(skeleton, 42);
-  PathNetwork loaded_net(skeleton, 9);
-  (void)saved_net.forward(path, images);
-  (void)loaded_net.forward(path, images);
-  saved_net.clear_cache();
-  loaded_net.clear_cache();
-
-  ArtifactWriter writer;
-  add_hypernet_section(writer, saved_net);
-  const ArtifactReader reader = ArtifactReader::from_bytes(writer.to_bytes());
-  load_hypernet_section(reader, loaded_net);
-
-  const Tensor expected = saved_net.forward(path, images);
-  const Tensor actual = loaded_net.forward(path, images);
-  ASSERT_EQ(actual.numel(), expected.numel());
-  for (std::size_t i = 0; i < expected.numel(); ++i)
-    EXPECT_EQ(actual[i], expected[i]);  // bit-identical, not just close
-
-  // A net that materialised a different parameter set is rejected.
-  PathNetwork fresh(skeleton, 1);  // nothing driven: no materialised params
-  EXPECT_THROW(load_hypernet_section(reader, fresh), ContractViolation);
-
-  // A parameter rank far beyond the bytes present is rejected before the
-  // shape is sized by it.
-  std::vector<Param*> params;
-  loaded_net.collect_params(params);
-  ByteWriter bad;
-  bad.u32(static_cast<std::uint32_t>(params.size()));
-  bad.u32(0xFFFFFFFFu);
-  ArtifactWriter bad_writer;
-  bad_writer.add_section(ArtifactSection::kHyperNet, bad.take());
-  EXPECT_THROW(load_hypernet_section(
-                   ArtifactReader::from_bytes(bad_writer.to_bytes()),
-                   loaded_net),
-               ContractViolation);
 }
 
 }  // namespace

@@ -78,6 +78,11 @@ TEST(Encoding, DecodeOutOfRangeThrows) {
   EXPECT_THROW(decode_genotype(actions), std::invalid_argument);
   actions[0] = -1;
   EXPECT_THROW(decode_genotype(actions), std::invalid_argument);
+  actions[0] = 0;
+  actions[2] = 6;  // op_a has kNumOps (6) choices
+  EXPECT_THROW(decode_genotype(actions), std::invalid_argument);
+  actions[2] = -1;
+  EXPECT_THROW(decode_genotype(actions), std::invalid_argument);
 }
 
 TEST(Encoding, AllZeroActionsDecode) {

@@ -191,13 +191,7 @@ TEST_F(ObsTest, MetricsJsonIsWellFormedAndByteStable) {
   EXPECT_NE(a.str().find("\"t.json_counter\": 3"), std::string::npos);
 }
 
-// The next four tests exercise YOSO_TRACE_SPAN itself; with -DYOSO_OBS=OFF
-// the macro expands to nothing, so they skip rather than assert on spans
-// that were never recorded.
 TEST_F(ObsTest, SpanAggregatesNestAndAttributeSelfTime) {
-#ifdef YOSO_OBS_DISABLED
-  GTEST_SKIP() << "YOSO_TRACE_SPAN compiled out (-DYOSO_OBS=OFF)";
-#endif
   obs::set_enabled(true);
   {
     YOSO_TRACE_SPAN("t.parent");
@@ -236,9 +230,6 @@ TEST_F(ObsTest, UnbalancedOrCrossedScopesViolateTheContract) {
 }
 
 TEST_F(ObsTest, SpanOpenedWhileEnabledClosesAfterDisable) {
-#ifdef YOSO_OBS_DISABLED
-  GTEST_SKIP() << "YOSO_TRACE_SPAN compiled out (-DYOSO_OBS=OFF)";
-#endif
   obs::set_enabled(true);
   {
     YOSO_TRACE_SPAN("t.straddling");
@@ -252,9 +243,6 @@ TEST_F(ObsTest, SpanOpenedWhileEnabledClosesAfterDisable) {
 }
 
 TEST_F(ObsTest, ChromeTraceRoundTripsThroughTheParserCheck) {
-#ifdef YOSO_OBS_DISABLED
-  GTEST_SKIP() << "YOSO_TRACE_SPAN compiled out (-DYOSO_OBS=OFF)";
-#endif
   obs::set_enabled(true);
   {
     YOSO_TRACE_SPAN("t.export_outer");
@@ -271,9 +259,6 @@ TEST_F(ObsTest, ChromeTraceRoundTripsThroughTheParserCheck) {
 }
 
 TEST_F(ObsTest, RingDropsOldestEventsButAggregatesStayExact) {
-#ifdef YOSO_OBS_DISABLED
-  GTEST_SKIP() << "YOSO_TRACE_SPAN compiled out (-DYOSO_OBS=OFF)";
-#endif
   obs::set_enabled(true);
   obs::set_trace_capacity(8);
   // The capacity applies to buffers registered after the call, so record

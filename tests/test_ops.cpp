@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <stdexcept>
+#include <string>
+
 namespace yoso {
 namespace {
 
@@ -41,11 +45,13 @@ TEST(Ops, WeightsOnlyForConvs) {
 }
 
 TEST(Ops, NameRoundTrip) {
-  for (Op op : all_ops()) EXPECT_EQ(op_from_name(op_name(op)), op);
+  std::set<std::string> names;
+  for (Op op : all_ops()) names.insert(op_name(op));
+  EXPECT_EQ(names.size(), all_ops().size());
 }
 
 TEST(Ops, UnknownNameThrows) {
-  EXPECT_THROW(op_from_name("conv7x7"), std::invalid_argument);
+  EXPECT_THROW(op_name(static_cast<Op>(kNumOps)), std::invalid_argument);
 }
 
 TEST(Ops, SixOps) {

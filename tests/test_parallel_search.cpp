@@ -110,9 +110,6 @@ TEST_F(ParallelSearchTest, BatchMatchesSerialEvaluation) {
 }
 
 TEST_F(ParallelSearchTest, MemoColdBatchCostsTwoForkJoins) {
-#ifdef YOSO_OBS_DISABLED
-  GTEST_SKIP() << "pool.jobs is compiled out (-DYOSO_OBS=OFF)";
-#endif
   // One fork-join probes the memo; one more scores every miss, 8-row block
   // by block, with nothing nested inside it.
   Rng rng(23);

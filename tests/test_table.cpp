@@ -31,14 +31,6 @@ TEST(TextTable, PrintsAlignedColumns) {
   EXPECT_EQ(t.rows(), 2u);
 }
 
-TEST(TextTable, CsvOutput) {
-  TextTable t({"a", "b"});
-  t.add_row({"1", "2"});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "a,b\n1,2\n");
-}
-
 TEST(TextTable, NumberFormatting) {
   EXPECT_EQ(TextTable::fmt(3.14159, 2), "3.14");
   EXPECT_EQ(TextTable::fmt(2.0, 0), "2");
