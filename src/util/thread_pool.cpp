@@ -1,7 +1,9 @@
 #include "util/thread_pool.h"
 
 #include <cstdint>
+#include <exception>
 #include <limits>
+#include <utility>
 
 #include "base/contract.h"
 #include "base/thread_annotations.h"
@@ -187,8 +189,12 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     if (job_ == job) job_ = nullptr;
     obs_depth_->set(0.0);
   }
-  const Job::ErrorSlot failure = job->error.load();
-  if (failure.error) std::rethrow_exception(failure.error);
+  // Move the exception out of the job so its last reference drops on this
+  // thread: a worker may release the job last, and the exception's own
+  // refcount (inside libstdc++) is invisible to ThreadSanitizer.
+  std::exception_ptr error = job->error.with_lock(
+      [](Job::ErrorSlot& slot) { return std::exchange(slot.error, nullptr); });
+  if (error) std::rethrow_exception(std::move(error));
 }
 
 }  // namespace yoso
