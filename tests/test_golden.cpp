@@ -1,5 +1,6 @@
-// Golden pins: the winner and a reward checksum of two small searches and
-// of one yoso_serve job, frozen as constants.  The determinism tests in
+// Golden pins: the winner and a reward checksum of three searches and of
+// one yoso_serve job, plus a checksum of a bare controller's REINFORCE
+// trajectory, frozen as constants.  The determinism tests in
 // test_parallel_search.cpp only compare thread counts against each other,
 // so a numerics change that moves every thread count together would pass
 // them silently; these pins turn it into a visible diff.  A deliberate
@@ -33,9 +34,12 @@
 #include "core/serialize.h"
 #include "linalg/kernels.h"
 #include "obs/metrics.h"
+#include "predictor/gp.h"
+#include "rl/controller.h"
 #include "serve/job_queue.h"
 #include "serve/service.h"
 #include "util/exec_context.h"
+#include "util/rng.h"
 
 namespace yoso {
 namespace {
@@ -45,19 +49,22 @@ struct Golden {
   std::uint64_t checksum;   ///< reward_checksum() of the whole result
 };
 
+/// Appends the raw bytes of `v` to `bytes`.
+template <typename T>
+void append_raw(std::vector<std::uint8_t>& bytes, T v) {
+  std::uint8_t raw[sizeof v];
+  std::memcpy(raw, &v, sizeof v);
+  bytes.insert(bytes.end(), raw, raw + sizeof v);
+}
+
 /// FNV-1a-64 over the raw bytes of best_fast_reward, then every finalist's
 /// fast and accurate reward in rank order.
 std::uint64_t reward_checksum(const SearchResult& r) {
   std::vector<std::uint8_t> bytes;
-  const auto append = [&bytes](double v) {
-    std::uint8_t raw[sizeof v];
-    std::memcpy(raw, &v, sizeof v);
-    bytes.insert(bytes.end(), raw, raw + sizeof v);
-  };
-  append(r.best_fast_reward);
+  append_raw(bytes, r.best_fast_reward);
   for (const RankedCandidate& f : r.finalists) {
-    append(f.fast_reward);
-    append(f.accurate_reward);
+    append_raw(bytes, f.fast_reward);
+    append_raw(bytes, f.accurate_reward);
   }
   return fnv1a64(bytes);
 }
@@ -67,11 +74,8 @@ std::uint64_t reward_checksum(const SearchResult& r) {
 std::uint64_t outcome_checksum(const serve::JobOutcome& o) {
   std::vector<std::uint8_t> bytes;
   for (const double v :
-       {o.best_reward, o.accuracy, o.latency_ms, o.energy_mj}) {
-    std::uint8_t raw[sizeof v];
-    std::memcpy(raw, &v, sizeof v);
-    bytes.insert(bytes.end(), raw, raw + sizeof v);
-  }
+       {o.best_reward, o.accuracy, o.latency_ms, o.energy_mj})
+    append_raw(bytes, v);
   return fnv1a64(bytes);
 }
 
@@ -217,6 +221,67 @@ TEST_F(GoldenTest, ServeJobAndMemoRepeat) {
     EXPECT_EQ(o.best_candidate, golden.winner) << "run " << run;
     EXPECT_EQ(outcome_checksum(o), golden.checksum) << "run " << run;
   }
+}
+
+// yoso_cli's default run shortened to 150 samples and 400 iterations:
+// the cycle-level simulator, the exact GP, batch 8, top-10, seed 7, the
+// balanced reward at t_lat 1.2 / t_eer 9.0, one thread.  It pins the
+// controller on the default 44-step action space inside the real driver.
+TEST_F(GoldenTest, CycleLevelCliRun) {
+  SearchOptions opt;
+  opt.iterations = 400;
+  opt.top_n = 10;
+  opt.reward = balanced_reward();
+  opt.reward.t_lat_ms = 1.2;
+  opt.reward.t_eer_mj = 9.0;
+  opt.seed = 7;
+  opt.batch_size = 8;
+  const ExecContextPtr exec = ExecContext::create(1);
+  FastEvaluator fast(*space_, *skeleton_,
+                     SystolicSimulator({}, SimFidelity::kCycleLevel),
+                     {.predictor_samples = 150,
+                      .seed = 7,
+                      .predictor_backend = GpBackend::kExact,
+                      .exec = exec});
+  AccurateEvaluator accurate(
+      *skeleton_, SystolicSimulator({}, SimFidelity::kCycleLevel), exec);
+  const SearchResult r = YosoSearch(*space_, opt).run(fast, &accurate, exec);
+  ASSERT_TRUE(r.best.has_value());
+  EXPECT_EQ(serialize_candidate(r.best->candidate),
+            "normal=1,1,dwconv5x5,dwconv3x3;2,1,avgpool3x3,dwconv3x3;"
+            "3,1,dwconv3x3,dwconv5x5;1,4,maxpool3x3,dwconv3x3;"
+            "5,0,dwconv5x5,maxpool3x3|reduction=1,0,conv3x3,conv3x3;"
+            "0,1,dwconv5x5,dwconv3x3;0,0,avgpool3x3,avgpool3x3;"
+            "2,2,avgpool3x3,dwconv3x3;1,1,dwconv3x3,dwconv3x3"
+            "@16*24/196KB/512B/OS");
+  EXPECT_EQ(reward_checksum(r), 0x1c4559d6c3b895abull);
+}
+
+// 150 REINFORCE episodes of a bare controller over the default action
+// space: sample, accumulate_gradient with an advantage that depends only on
+// the actions, and one Adam step each.  Every episode's actions, log_prob
+// and entropy enter the checksum, so any change to the sampler, the
+// backward pass or Adam shows here first.
+TEST_F(GoldenTest, ControllerTrajectory) {
+  LstmController controller(space_->cardinalities(), {});
+  Rng rng(21);
+  std::vector<std::uint8_t> bytes;
+  for (int episode = 0; episode < 150; ++episode) {
+    const Episode ep = controller.sample(rng);
+    int even = 0;
+    for (const int a : ep.actions) {
+      append_raw(bytes, a);
+      even += a % 2 == 0 ? 1 : 0;
+    }
+    append_raw(bytes, ep.log_prob);
+    append_raw(bytes, ep.entropy);
+    const double advantage =
+        static_cast<double>(even) / static_cast<double>(ep.actions.size()) -
+        0.5;
+    controller.accumulate_gradient(ep, advantage, 1e-4);
+    controller.update(0.0035);
+  }
+  EXPECT_EQ(fnv1a64(bytes), 0xa9cc5316066483b7ull);
 }
 
 }  // namespace
