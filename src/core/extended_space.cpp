@@ -200,7 +200,7 @@ ExtendedSearchResult ExtendedSearch::run(
         (options_.iterations + options_.trace_every - 1) /
         options_.trace_every);
   for (std::size_t it = 0; it < options_.iterations; ++it) {
-    Episode ep = trainer.propose(rng);
+    Episode ep = controller.sample(rng);
     const ExtendedCandidate candidate = space_.decode(ep.actions);
     const EvalResult eval = fast.evaluate(candidate);
     const double reward = options_.reward.compute(eval);

@@ -174,7 +174,7 @@ void YosoSearch::search(SearchLoop& loop, Rng& rng) {
     episodes.clear();
     batch.clear();
     for (std::size_t j = 0; j < k; ++j) {
-      episodes.push_back(trainer.propose(rng));
+      episodes.push_back(controller.sample(rng));
       batch.push_back(space_.decode(episodes.back().actions));
     }
     const std::vector<double> rewards = loop.submit(batch);

@@ -1,6 +1,9 @@
 #include "rl/controller.h"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <span>
 #include <stdexcept>
 
 #include "base/contract.h"
@@ -88,203 +91,160 @@ LstmController::LstmController(std::vector<int> cardinalities,
   }
 }
 
-std::vector<double> LstmController::step_forward(Episode& ep, int t,
-                                                 int prev_action) {
+Episode LstmController::sample(Rng& rng) {
+  const std::size_t t_max = cardinalities_.size();
   const auto h = static_cast<std::size_t>(options_.hidden_size);
   const auto e = static_cast<std::size_t>(options_.embed_size);
-  const auto ti = static_cast<std::size_t>(t);
-
-  // Input embedding.
-  ep.x[ti].assign(e, 0.0);
-  if (t == 0) {
-    const auto sv = store_.value(start_);
-    for (std::size_t i = 0; i < e; ++i) ep.x[ti][i] = sv[i];
-  } else {
-    const auto ev = store_.value(embed_[ti]);
-    YOSO_REQUIRE(prev_action >= 0 &&
-                     static_cast<std::size_t>(prev_action + 1) * e <=
-                         ev.size(),
-                 "Controller::step_forward: prev_action ", prev_action,
-                 " out of range");
-    for (std::size_t i = 0; i < e; ++i)
-      ep.x[ti][i] = ev[static_cast<std::size_t>(prev_action) * e + i];
-  }
-
-  // Gate pre-activations.
-  std::vector<double> pre(4 * h);
-  {
-    const auto bv = store_.value(b_);
-    for (std::size_t i = 0; i < 4 * h; ++i) pre[i] = bv[i];
-  }
-  matvec_acc(store_.value(w_x_), ep.x[ti], pre, 4 * h, e);
-  if (t > 0) matvec_acc(store_.value(w_h_), ep.h[ti - 1], pre, 4 * h, h);
-
-  ep.gi[ti].resize(h);
-  ep.gf[ti].resize(h);
-  ep.gg[ti].resize(h);
-  ep.go[ti].resize(h);
-  ep.c[ti].resize(h);
-  ep.h[ti].resize(h);
-  for (std::size_t i = 0; i < h; ++i) {
-    ep.gi[ti][i] = sigmoid(pre[i]);
-    ep.gf[ti][i] = sigmoid(pre[h + i]);
-    ep.gg[ti][i] = std::tanh(pre[2 * h + i]);
-    ep.go[ti][i] = sigmoid(pre[3 * h + i]);
-    const double c_prev = t > 0 ? ep.c[ti - 1][i] : 0.0;
-    ep.c[ti][i] = ep.gf[ti][i] * c_prev + ep.gi[ti][i] * ep.gg[ti][i];
-    ep.h[ti][i] = ep.go[ti][i] * std::tanh(ep.c[ti][i]);
-  }
-
-  // Head logits with temperature + tanh-constant squashing.
-  const auto card = static_cast<std::size_t>(cardinalities_[ti]);
-  ep.head_u[ti].assign(card, 0.0);
-  {
-    const auto bv = store_.value(head_b_[ti]);
-    for (std::size_t i = 0; i < card; ++i) ep.head_u[ti][i] = bv[i];
-  }
-  matvec_acc(store_.value(head_w_[ti]), ep.h[ti], ep.head_u[ti], card, h);
-
-  std::vector<double> z(card);
-  for (std::size_t i = 0; i < card; ++i)
-    z[i] = options_.tanh_constant *
-           std::tanh(ep.head_u[ti][i] / options_.temperature);
-  return z;
-}
-
-Episode LstmController::sample(Rng& rng) {
-  const int t_max = num_steps();
   Episode ep;
-  const auto n = static_cast<std::size_t>(t_max);
-  ep.actions.resize(n);
-  ep.x.resize(n);
-  ep.h.resize(n);
-  ep.c.resize(n);
-  ep.gi.resize(n);
-  ep.gf.resize(n);
-  ep.gg.resize(n);
-  ep.go.resize(n);
-  ep.probs.resize(n);
-  ep.head_u.resize(n);
+  ep.actions.resize(t_max);
+  ep.x.resize(t_max * e);
+  ep.gates.resize(t_max * 4 * h);
+  ep.c.resize(t_max * h);
+  ep.h.resize(t_max * h);
+  const auto heads = static_cast<std::size_t>(
+      std::accumulate(cardinalities_.begin(), cardinalities_.end(), 0));
+  ep.probs.resize(heads);
+  ep.head_tanh.resize(heads);
 
-  int prev = 0;
-  for (int t = 0; t < t_max; ++t) {
-    const auto ti = static_cast<std::size_t>(t);
-    const std::vector<double> z = step_forward(ep, t, prev);
-    // Softmax.
-    double zmax = z[0];
-    for (double v : z) zmax = std::max(zmax, v);
+  std::size_t head = 0;  // offset of step t's head entries
+  for (std::size_t t = 0; t < t_max; ++t) {
+    // Input: the start vector, then the previous action's embedding.
+    const std::span<double> x(ep.x.data() + t * e, e);
+    std::span<const double> in = store_.value(start_);
+    if (t > 0) {
+      const auto prev = static_cast<std::size_t>(ep.actions[t - 1]);
+      in = store_.value(embed_[t]);
+      YOSO_REQUIRE((prev + 1) * e <= in.size(),
+                   "LstmController::sample: previous action ", prev,
+                   " out of range");
+      in = in.subspan(prev * e, e);
+    }
+    std::copy(in.begin(), in.end(), x.begin());
+
+    // Gate pre-activations, replaced in place by the activations.
+    const std::span<double> g(ep.gates.data() + t * 4 * h, 4 * h);
+    const auto bv = store_.value(b_);
+    std::copy(bv.begin(), bv.end(), g.begin());
+    matvec_acc(store_.value(w_x_), x, g, 4 * h, e);
+    if (t > 0)
+      matvec_acc(store_.value(w_h_), {ep.h.data() + (t - 1) * h, h}, g,
+                 4 * h, h);
+    const std::span<double> hs(ep.h.data() + t * h, h);
+    for (std::size_t i = 0; i < h; ++i) {
+      g[i] = sigmoid(g[i]);
+      g[h + i] = sigmoid(g[h + i]);
+      g[2 * h + i] = std::tanh(g[2 * h + i]);
+      g[3 * h + i] = sigmoid(g[3 * h + i]);
+      const double c_prev = t > 0 ? ep.c[(t - 1) * h + i] : 0.0;
+      double& c = ep.c[t * h + i];
+      c = g[h + i] * c_prev + g[i] * g[2 * h + i];
+      hs[i] = g[3 * h + i] * std::tanh(c);
+    }
+
+    // Head logits u, squashed in place to tanh(u / T); the logits are
+    // z = tanh_constant * tanh(u / T), and probs their softmax.
+    const auto card = static_cast<std::size_t>(cardinalities_[t]);
+    const std::span<double> th(ep.head_tanh.data() + head, card);
+    const std::span<double> p(ep.probs.data() + head, card);
+    const auto hb = store_.value(head_b_[t]);
+    std::copy(hb.begin(), hb.end(), th.begin());
+    matvec_acc(store_.value(head_w_[t]), hs, th, card, h);
+    for (std::size_t k = 0; k < card; ++k) {
+      th[k] = std::tanh(th[k] / options_.temperature);
+      p[k] = options_.tanh_constant * th[k];
+    }
+    double zmax = p[0];
+    for (double z : p) zmax = std::max(zmax, z);
     double denom = 0.0;
-    ep.probs[ti].resize(z.size());
-    for (std::size_t i = 0; i < z.size(); ++i) {
-      ep.probs[ti][i] = std::exp(z[i] - zmax);
-      denom += ep.probs[ti][i];
+    for (double& z : p) {
+      z = std::exp(z - zmax);
+      denom += z;
     }
     double ent = 0.0;
-    for (auto& p : ep.probs[ti]) {
-      p /= denom;
-      if (p > 0.0) ent -= p * std::log(p);
+    for (double& pk : p) {
+      pk /= denom;
+      if (pk > 0.0) ent -= pk * std::log(pk);
     }
-    const auto a = rng.weighted_index(ep.probs[ti]);
-    ep.actions[ti] = static_cast<int>(a);
-    ep.log_prob += std::log(std::max(ep.probs[ti][a], 1e-300));
+    const std::size_t a = rng.weighted_index(p);
+    ep.actions[t] = static_cast<int>(a);
+    ep.log_prob += std::log(std::max(p[a], 1e-300));
     ep.entropy += ent;
-    prev = static_cast<int>(a);
+    head += card;
   }
   return ep;
 }
 
-std::vector<int> LstmController::argmax_actions() {
-  const int t_max = num_steps();
-  Episode ep;
-  const auto n = static_cast<std::size_t>(t_max);
-  ep.actions.resize(n);
-  ep.x.resize(n);
-  ep.h.resize(n);
-  ep.c.resize(n);
-  ep.gi.resize(n);
-  ep.gf.resize(n);
-  ep.gg.resize(n);
-  ep.go.resize(n);
-  ep.probs.resize(n);
-  ep.head_u.resize(n);
-
-  int prev = 0;
-  for (int t = 0; t < t_max; ++t) {
-    const std::vector<double> z = step_forward(ep, t, prev);
-    int best = 0;
-    for (std::size_t i = 1; i < z.size(); ++i)
-      if (z[i] > z[static_cast<std::size_t>(best)]) best = static_cast<int>(i);
-    ep.actions[static_cast<std::size_t>(t)] = best;
-    prev = best;
-  }
-  return ep.actions;
-}
-
 void LstmController::accumulate_gradient(const Episode& ep, double advantage,
                                          double entropy_weight) {
-  const int t_max = num_steps();
   const auto h = static_cast<std::size_t>(options_.hidden_size);
   const auto e = static_cast<std::size_t>(options_.embed_size);
 
   std::vector<double> dh_next(h, 0.0);
   std::vector<double> dc_next(h, 0.0);
   std::vector<double> dx(e);
+  std::vector<double> du(static_cast<std::size_t>(
+      *std::max_element(cardinalities_.begin(), cardinalities_.end())));
+  std::vector<double> dh(h);
+  std::vector<double> dpre(4 * h);
 
-  for (int t = t_max - 1; t >= 0; --t) {
-    const auto ti = static_cast<std::size_t>(t);
-    const auto card = static_cast<std::size_t>(cardinalities_[ti]);
-    const auto& p = ep.probs[ti];
-    const auto a = static_cast<std::size_t>(ep.actions[ti]);
+  std::size_t head = ep.probs.size();  // end of step t's head entries
+  for (std::size_t t = cardinalities_.size(); t-- > 0;) {
+    const auto card = static_cast<std::size_t>(cardinalities_[t]);
+    head -= card;
+    const double* p = ep.probs.data() + head;
+    const double* th = ep.head_tanh.data() + head;
+    const auto a = static_cast<std::size_t>(ep.actions[t]);
+    const std::span<const double> hs(ep.h.data() + t * h, h);
 
-    // dL/dz with L = -advantage * log p(a) - entropy_weight * H.
+    // dL/dz with L = -advantage * log p(a) - entropy_weight * H, then
+    // through z = C * tanh(u / T).
     double step_entropy = 0.0;
     for (std::size_t k = 0; k < card; ++k)
       if (p[k] > 0.0) step_entropy -= p[k] * std::log(p[k]);
-    std::vector<double> dz(card);
     for (std::size_t k = 0; k < card; ++k) {
       const double logp = p[k] > 0.0 ? std::log(p[k]) : -700.0;
-      dz[k] = advantage * (p[k] - (k == a ? 1.0 : 0.0)) +
-              entropy_weight * p[k] * (logp + step_entropy);
-    }
-
-    // Through z = C * tanh(u / T).
-    std::vector<double> du(card);
-    for (std::size_t k = 0; k < card; ++k) {
-      const double th = std::tanh(ep.head_u[ti][k] / options_.temperature);
-      du[k] = dz[k] * options_.tanh_constant * (1.0 - th * th) /
+      const double dz = advantage * (p[k] - (k == a ? 1.0 : 0.0)) +
+                        entropy_weight * p[k] * (logp + step_entropy);
+      du[k] = dz * options_.tanh_constant * (1.0 - th[k] * th[k]) /
               options_.temperature;
     }
+    const std::span<const double> du_t(du.data(), card);
 
     // Head gradients and dh from the head.
-    outer_acc(store_.grad(head_w_[ti]), du, ep.h[ti], card, h);
+    outer_acc(store_.grad(head_w_[t]), du_t, hs, card, h);
     {
-      auto gb = store_.grad(head_b_[ti]);
+      auto gb = store_.grad(head_b_[t]);
       for (std::size_t k = 0; k < card; ++k) gb[k] += du[k];
     }
-    std::vector<double> dh(h, 0.0);
-    matvec_t_acc(store_.value(head_w_[ti]), du, dh, card, h);
+    std::fill(dh.begin(), dh.end(), 0.0);
+    matvec_t_acc(store_.value(head_w_[t]), du_t, dh, card, h);
     for (std::size_t i = 0; i < h; ++i) dh[i] += dh_next[i];
 
     // LSTM cell backward.
-    std::vector<double> dpre(4 * h);
-    std::vector<double> dc(h);
+    const double* g = ep.gates.data() + t * 4 * h;
     for (std::size_t i = 0; i < h; ++i) {
-      const double tc = std::tanh(ep.c[ti][i]);
-      dc[i] = dc_next[i] + dh[i] * ep.go[ti][i] * (1.0 - tc * tc);
+      const double gi = g[i];
+      const double gf = g[h + i];
+      const double gg = g[2 * h + i];
+      const double go = g[3 * h + i];
+      const double tc = std::tanh(ep.c[t * h + i]);
+      const double dc = dc_next[i] + dh[i] * go * (1.0 - tc * tc);
       const double do_ = dh[i] * tc;
-      const double c_prev = t > 0 ? ep.c[ti - 1][i] : 0.0;
-      const double di = dc[i] * ep.gg[ti][i];
-      const double dg = dc[i] * ep.gi[ti][i];
-      const double df = dc[i] * c_prev;
-      dpre[i] = di * ep.gi[ti][i] * (1.0 - ep.gi[ti][i]);
-      dpre[h + i] = df * ep.gf[ti][i] * (1.0 - ep.gf[ti][i]);
-      dpre[2 * h + i] = dg * (1.0 - ep.gg[ti][i] * ep.gg[ti][i]);
-      dpre[3 * h + i] = do_ * ep.go[ti][i] * (1.0 - ep.go[ti][i]);
-      dc_next[i] = dc[i] * ep.gf[ti][i];
+      const double c_prev = t > 0 ? ep.c[(t - 1) * h + i] : 0.0;
+      const double di = dc * gg;
+      const double dg = dc * gi;
+      const double df = dc * c_prev;
+      dpre[i] = di * gi * (1.0 - gi);
+      dpre[h + i] = df * gf * (1.0 - gf);
+      dpre[2 * h + i] = dg * (1.0 - gg * gg);
+      dpre[3 * h + i] = do_ * go * (1.0 - go);
+      dc_next[i] = dc * gf;
     }
 
-    outer_acc(store_.grad(w_x_), dpre, ep.x[ti], 4 * h, e);
-    if (t > 0) outer_acc(store_.grad(w_h_), dpre, ep.h[ti - 1], 4 * h, h);
+    outer_acc(store_.grad(w_x_), dpre, {ep.x.data() + t * e, e}, 4 * h, e);
+    if (t > 0)
+      outer_acc(store_.grad(w_h_), dpre, {ep.h.data() + (t - 1) * h, h},
+                4 * h, h);
     {
       auto gb = store_.grad(b_);
       for (std::size_t i = 0; i < 4 * h; ++i) gb[i] += dpre[i];
@@ -296,8 +256,8 @@ void LstmController::accumulate_gradient(const Episode& ep, double advantage,
       auto gs = store_.grad(start_);
       for (std::size_t i = 0; i < e; ++i) gs[i] += dx[i];
     } else {
-      auto ge = store_.grad(embed_[ti]);
-      const auto prev = static_cast<std::size_t>(ep.actions[ti - 1]);
+      auto ge = store_.grad(embed_[t]);
+      const auto prev = static_cast<std::size_t>(ep.actions[t - 1]);
       for (std::size_t i = 0; i < e; ++i) ge[prev * e + i] += dx[i];
     }
 

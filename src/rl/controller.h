@@ -29,17 +29,19 @@ struct ControllerOptions {
 };
 
 /// One sampled action sequence with everything needed for the policy
-/// gradient.
+/// gradient.  The caches are flat, one row per step t = 0..T-1: row t of an
+/// array with width W starts at t * W.  The head arrays hold step t's
+/// card_t entries right after step t-1's, sum(card) in all.
 struct Episode {
   std::vector<int> actions;
   double log_prob = 0.0;  ///< sum over steps of log pi(a_t)
   double entropy = 0.0;   ///< sum over steps of H(pi_t)
 
-  // Per-step caches for backprop (sized [T][...]).
-  std::vector<std::vector<double>> x, h, c;           // inputs and states
-  std::vector<std::vector<double>> gi, gf, gg, go;    // gate activations
-  std::vector<std::vector<double>> probs;             // softmax outputs
-  std::vector<std::vector<double>> head_u;            // pre-squash logits
+  std::vector<double> x;          ///< LSTM inputs (T x E)
+  std::vector<double> gates;      ///< activations i, f, g, o (T x 4H)
+  std::vector<double> c, h;       ///< cell and hidden states (T x H)
+  std::vector<double> probs;      ///< head softmax
+  std::vector<double> head_tanh;  ///< tanh(u / temperature) of head logits u
 };
 
 class LstmController {
@@ -55,10 +57,6 @@ class LstmController {
   /// Samples one action sequence (with caches for a later gradient pass).
   Episode sample(Rng& rng);
 
-  /// Greedy (argmax) decode — used to report the controller's current
-  /// preferred design.
-  std::vector<int> argmax_actions();
-
   /// Accumulates the REINFORCE gradient of
   ///   L = -(advantage) * log pi(a) - entropy_weight * H(pi)
   /// for one episode into the parameter store.
@@ -70,10 +68,6 @@ class LstmController {
   void update(double lr, double max_grad_norm = 5.0);
 
  private:
-  /// Runs one LSTM step; fills episode caches at position t.
-  /// Returns the logits (pre-softmax, after squashing) for step t.
-  std::vector<double> step_forward(Episode& ep, int t, int prev_action);
-
   std::vector<int> cardinalities_;
   ControllerOptions options_;
   ParamStore store_;

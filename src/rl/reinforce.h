@@ -27,9 +27,6 @@ class ReinforceTrainer {
         options_(options),
         baseline_(options.baseline_decay) {}
 
-  /// Samples one candidate action sequence.
-  Episode propose(Rng& rng) { return controller_.sample(rng); }
-
   /// Feeds back the reward for an episode; accumulates the gradient and
   /// applies an Adam update every batch_size episodes.
   void feedback(const Episode& episode, double reward);

@@ -82,7 +82,7 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }
 
-std::size_t Rng::weighted_index(const std::vector<double>& weights) {
+std::size_t Rng::weighted_index(std::span<const double> weights) {
   if (weights.empty())
     throw std::invalid_argument("Rng::weighted_index: empty weights");
   double total = 0.0;

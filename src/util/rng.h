@@ -9,6 +9,7 @@
 // a child off a parent with Rng::fork().
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace yoso {
@@ -44,7 +45,7 @@ class Rng {
 
   /// Samples an index from an (unnormalised, non-negative) weight vector.
   /// Falls back to uniform choice when all weights are zero.
-  std::size_t weighted_index(const std::vector<double>& weights);
+  std::size_t weighted_index(std::span<const double> weights);
 
   /// Fisher-Yates shuffle of an index range [0, n); returns the permutation.
   std::vector<std::size_t> permutation(std::size_t n);

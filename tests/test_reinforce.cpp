@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "rl/controller.h"
 #include "rl/reinforce.h"
 #include "util/rng.h"
@@ -16,10 +18,10 @@ TEST(ReinforceTrainer, BaselineTracksRewards) {
   ReinforceTrainer trainer(ctrl, opt);
   EXPECT_DOUBLE_EQ(trainer.baseline_value(), 0.0);
   Rng rng(1);
-  const Episode ep = trainer.propose(rng);
+  const Episode ep = ctrl.sample(rng);
   trainer.feedback(ep, 2.0);
   EXPECT_DOUBLE_EQ(trainer.baseline_value(), 2.0);
-  trainer.feedback(trainer.propose(rng), 4.0);
+  trainer.feedback(ctrl.sample(rng), 4.0);
   EXPECT_DOUBLE_EQ(trainer.baseline_value(), 3.0);
   EXPECT_EQ(trainer.episodes_seen(), 2u);
 }
@@ -29,14 +31,20 @@ TEST(ReinforceTrainer, LearnsToyObjective) {
   ReinforceTrainer trainer(ctrl, {});
   Rng rng(2);
   for (int it = 0; it < 1500; ++it) {
-    const Episode ep = trainer.propose(rng);
+    const Episode ep = ctrl.sample(rng);
     double r = 0.0;
     for (int a : ep.actions) r += a == 2 ? 1.0 : 0.0;
     trainer.feedback(ep, r / 6.0);
   }
-  const auto best = ctrl.argmax_actions();
+  // Action 2 should now carry the largest softmax mass at almost every
+  // step (all six heads have 3 actions).
+  const Episode ep = ctrl.sample(rng);
+  ASSERT_EQ(ep.probs.size(), 18u);
   int correct = 0;
-  for (int a : best) correct += a == 2 ? 1 : 0;
+  for (std::size_t t = 0; t < 6; ++t) {
+    const double* p = ep.probs.data() + 3 * t;
+    correct += p[2] > p[0] && p[2] > p[1] ? 1 : 0;
+  }
   EXPECT_GE(correct, 5);
 }
 
@@ -46,13 +54,17 @@ TEST(ReinforceTrainer, BatchedUpdatesDeferAdam) {
   opt.batch_size = 4;
   ReinforceTrainer trainer(ctrl, opt);
   Rng rng(3);
-  const auto before = ctrl.argmax_actions();
+  // The softmax of a fixed-seed sample shows whether the weights moved.
+  const auto probe_probs = [&ctrl] {
+    Rng probe(30);
+    return ctrl.sample(probe).probs;
+  };
+  const std::vector<double> before = probe_probs();
   // Three feedbacks: still pending, no Adam step applied yet.
-  for (int i = 0; i < 3; ++i) trainer.feedback(trainer.propose(rng), 1.0);
-  EXPECT_EQ(ctrl.argmax_actions(), before);
-  trainer.feedback(trainer.propose(rng), 1.0);  // fourth triggers update
-  // (Policy may or may not change argmax; we only require no crash and the
-  // episode counter being right.)
+  for (int i = 0; i < 3; ++i) trainer.feedback(ctrl.sample(rng), 1.0);
+  EXPECT_EQ(probe_probs(), before);
+  trainer.feedback(ctrl.sample(rng), 1.0);  // fourth triggers update
+  EXPECT_NE(probe_probs(), before);
   EXPECT_EQ(trainer.episodes_seen(), 4u);
 }
 
@@ -62,7 +74,7 @@ TEST(ReinforceTrainer, NoBaselineModeRuns) {
   opt.use_baseline = false;
   ReinforceTrainer trainer(ctrl, opt);
   Rng rng(4);
-  for (int i = 0; i < 20; ++i) trainer.feedback(trainer.propose(rng), 0.5);
+  for (int i = 0; i < 20; ++i) trainer.feedback(ctrl.sample(rng), 0.5);
   EXPECT_EQ(trainer.episodes_seen(), 20u);
 }
 

@@ -121,8 +121,10 @@ TEST(Rng, WeightedIndexAllZeroFallsBackToUniform) {
 
 TEST(Rng, WeightedIndexErrors) {
   Rng rng(1);
-  EXPECT_THROW(rng.weighted_index({}), std::invalid_argument);
-  EXPECT_THROW(rng.weighted_index({1.0, -0.5}), std::invalid_argument);
+  EXPECT_THROW(rng.weighted_index(std::vector<double>{}),
+               std::invalid_argument);
+  EXPECT_THROW(rng.weighted_index(std::vector<double>{1.0, -0.5}),
+               std::invalid_argument);
 }
 
 TEST(Rng, PermutationIsAPermutation) {
