@@ -93,11 +93,6 @@ std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
 
 // --- ByteWriter --------------------------------------------------------------
 
-void ByteWriter::u16(std::uint16_t v) {
-  bytes_.resize(bytes_.size() + 2);
-  put_u16(bytes_.data() + bytes_.size() - 2, v);
-}
-
 void ByteWriter::u32(std::uint32_t v) {
   bytes_.resize(bytes_.size() + 4);
   put_u32(bytes_.data() + bytes_.size() - 4, v);
@@ -106,12 +101,6 @@ void ByteWriter::u32(std::uint32_t v) {
 void ByteWriter::u64(std::uint64_t v) {
   bytes_.resize(bytes_.size() + 8);
   put_u64(bytes_.data() + bytes_.size() - 8, v);
-}
-
-void ByteWriter::f32(float v) {
-  std::uint32_t bits = 0;
-  std::memcpy(&bits, &v, sizeof bits);
-  u32(bits);
 }
 
 void ByteWriter::f64(double v) {
@@ -128,11 +117,6 @@ void ByteWriter::str(const std::string& s) {
 void ByteWriter::f64_vec(std::span<const double> v) {
   u64(v.size());
   for (double d : v) f64(d);
-}
-
-void ByteWriter::f32_vec(std::span<const float> v) {
-  u64(v.size());
-  for (float f : v) f32(f);
 }
 
 void ByteWriter::u64_vec(std::span<const std::size_t> v) {
@@ -159,13 +143,6 @@ std::uint8_t ByteReader::u8() {
   return bytes_[pos_++];
 }
 
-std::uint16_t ByteReader::u16() {
-  need(2);
-  const std::uint16_t v = get_u16(bytes_.data() + pos_);
-  pos_ += 2;
-  return v;
-}
-
 std::uint32_t ByteReader::u32() {
   need(4);
   const std::uint32_t v = get_u32(bytes_.data() + pos_);
@@ -177,13 +154,6 @@ std::uint64_t ByteReader::u64() {
   need(8);
   const std::uint64_t v = get_u64(bytes_.data() + pos_);
   pos_ += 8;
-  return v;
-}
-
-float ByteReader::f32() {
-  const std::uint32_t bits = u32();
-  float v = 0.0f;
-  std::memcpy(&v, &bits, sizeof v);
   return v;
 }
 
@@ -211,14 +181,6 @@ __attribute__((aligned(64))) std::vector<double> ByteReader::f64_vec() {
   need_items(n, 8);
   std::vector<double> v(n);
   for (std::uint64_t i = 0; i < n; ++i) v[i] = f64();
-  return v;
-}
-
-std::vector<float> ByteReader::f32_vec() {
-  const std::uint64_t n = u64();
-  need_items(n, 4);
-  std::vector<float> v(n);
-  for (std::uint64_t i = 0; i < n; ++i) v[i] = f32();
   return v;
 }
 

@@ -20,7 +20,7 @@
 //   * Decoding validates every cross-field shape contract (via
 //     GpRegressor::from_state etc.), so a structurally valid file with an
 //     inconsistent payload is rejected too.
-//   * Round-trips are bit-exact: doubles/floats are stored as raw IEEE-754
+//   * Round-trips are bit-exact: doubles are stored as raw IEEE-754
 //     little-endian bytes and derived structures (packed kernel panels,
 //     training fingerprints) are recomputed by the same deterministic code
 //     fit() runs, so a restored FastEvaluator evaluates bit-identically to
@@ -73,18 +73,14 @@ std::uint32_t crc32(std::span<const std::uint8_t> bytes);
 class ByteWriter {
  public:
   void u8(std::uint8_t v) { bytes_.push_back(v); }
-  void u16(std::uint16_t v);
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void f32(float v);
   void f64(double v);
   /// u32 length prefix + raw bytes.
   void str(const std::string& s);
   /// u64 count prefix + raw IEEE-754 doubles.
   void f64_vec(std::span<const double> v);
-  /// u64 count prefix + raw IEEE-754 floats.
-  void f32_vec(std::span<const float> v);
   /// u64 count prefix + u64 values.
   void u64_vec(std::span<const std::size_t> v);
 
@@ -103,15 +99,12 @@ class ByteReader {
   explicit ByteReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
 
   std::uint8_t u8();
-  std::uint16_t u16();
   std::uint32_t u32();
   std::uint64_t u64();
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  float f32();
   double f64();
   std::string str();
   std::vector<double> f64_vec();
-  std::vector<float> f32_vec();
   std::vector<std::size_t> u64_vec();
 
   /// Checks, without overflow, that `count` items of at least `item_bytes`

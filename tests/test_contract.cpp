@@ -144,9 +144,9 @@ TEST(Contract, GpPredictRejectsDimensionMismatch) {
 // ---------------------------------------------------------------------------
 // Guards the contract-coverage lint rule (tools/yoso_lint.py) forced into
 // public entry points: every YOSO_REQUIRE/YOSO_CHECK it added gets a
-// violation case here.  (LstmController::step_forward and
-// GpRegressor::predict_rows also gained guards, but both are private
-// methods whose public callers always pass in-range arguments.)
+// violation case here.  (GpRegressor::predict_rows also gained guards,
+// but it is a private method whose public callers always pass in-range
+// arguments.)
 
 TEST(ContractCoverage, ThreadPoolRejectsAbsurdWorkerCount) {
   EXPECT_THROW(ThreadPool pool(2048), ContractViolation);
