@@ -50,8 +50,6 @@ class LstmController {
   /// full co-design space).
   LstmController(std::vector<int> cardinalities, ControllerOptions options);
 
-  const std::vector<int>& cardinalities() const { return cardinalities_; }
-  int num_steps() const { return static_cast<int>(cardinalities_.size()); }
   std::size_t param_count() const { return store_.size(); }
 
   /// Samples one action sequence (with caches for a later gradient pass).
