@@ -91,7 +91,9 @@ LstmController::LstmController(std::vector<int> cardinalities,
   }
 }
 
-Episode LstmController::sample(Rng& rng) {
+// sample() and accumulate_gradient() run the rest of the per-step loops;
+// their start is pinned for the same reason as the matvec helpers above.
+__attribute__((aligned(64))) Episode LstmController::sample(Rng& rng) {
   const std::size_t t_max = cardinalities_.size();
   const auto h = static_cast<std::size_t>(options_.hidden_size);
   const auto e = static_cast<std::size_t>(options_.embed_size);
@@ -174,8 +176,8 @@ Episode LstmController::sample(Rng& rng) {
   return ep;
 }
 
-void LstmController::accumulate_gradient(const Episode& ep, double advantage,
-                                         double entropy_weight) {
+__attribute__((aligned(64))) void LstmController::accumulate_gradient(
+    const Episode& ep, double advantage, double entropy_weight) {
   const auto h = static_cast<std::size_t>(options_.hidden_size);
   const auto e = static_cast<std::size_t>(options_.embed_size);
 
