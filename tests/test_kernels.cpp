@@ -4,6 +4,8 @@
 // (sub-range calls identical to full-range calls).
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -252,6 +254,67 @@ TEST(KernelsTest, ExpScaleExtremeArgumentsStayFinite) {
   // range rather than producing inf from the exponent-field construction.
   kernels::exp_scale(in.data(), out.data(), in.size(), 1.0, 1.0);
   for (const double v : out) EXPECT_TRUE(std::isfinite(v));
+}
+
+/// Folds the raw bytes of every element of `v` into an FNV-1a-64 hash.
+template <typename T>
+void fnv1a_fold(std::uint64_t& h, const std::vector<T>& v) {
+  for (const T x : v) {
+    unsigned char raw[sizeof x];
+    std::memcpy(raw, &x, sizeof x);
+    for (const unsigned char byte : raw) {
+      h ^= byte;
+      h *= 0x100000001b3ull;
+    }
+  }
+}
+
+// Golden pin of the register tiles: an FNV-1a-64 over the output bits of
+// the distance and GEMM kernels on shapes that reach every row group (4, 2
+// and 1 query rows for pairwise_sq_dists, 2 and 1 rows for the GEMMs) and
+// every column stage (the full tile, the one-vector tail and the scalar
+// tail).  A change to any tile's per-element operation chain moves the
+// constant.  Like GoldenTest, it holds only on the engine it was computed
+// on.
+TEST(KernelsTest, GoldenTileChecksum) {
+  if (kernels::active_isa() != "avx2+fma")
+    GTEST_SKIP() << "pin was computed on the avx2+fma engine, this process "
+                    "runs "
+                 << kernels::active_isa();
+  Rng rng(61);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  // 7 query rows = one 4-row, one 2-row and one 1-row group; n = 31 and 45
+  // leave a full tile, one-vector tails and a scalar tail in every group.
+  for (const std::size_t d : {1u, 5u, 22u})
+    for (const std::size_t n : {3u, 4u, 31u, 45u}) {
+      const std::size_t q = 7;
+      const auto train = random_vec(rng, n * d);
+      const auto queries = random_vec(rng, q * d);
+      const kernels::PackedRows packed =
+          kernels::pack_rows(train.data(), n, d);
+      std::vector<double> out(q * n);
+      kernels::pairwise_sq_dists(queries.data(), q, packed, out.data());
+      fnv1a_fold(h, out);
+    }
+  // 3 rows = one 2-row and one 1-row group.  Doubles tile 16 columns with
+  // a 4-wide tail, floats 32 with an 8-wide tail.
+  for (const std::size_t k : {1u, 7u, 22u})
+    for (const std::size_t n : {3u, 23u, 45u}) {
+      const std::size_t m = 3;
+      const auto a = random_vec(rng, m * k);
+      const auto b = random_vec(rng, k * n);
+      std::vector<double> c(m * n);
+      kernels::gemm(a.data(), b.data(), c.data(), m, k, n);
+      fnv1a_fold(h, c);
+      const auto af = random_vecf(rng, m * k);
+      const auto bf = random_vecf(rng, k * n);
+      std::vector<float> cf(m * n);
+      kernels::sgemm_ab(af.data(), bf.data(), cf.data(), m, k, n);
+      fnv1a_fold(h, cf);
+      kernels::sgemm_abt(af.data(), bf.data(), cf.data(), m, n, k);
+      fnv1a_fold(h, cf);
+    }
+  EXPECT_EQ(h, 0x9663d622ff5f9dc1ull);
 }
 
 // A row computed as part of a larger batch must be bit-identical to the
