@@ -16,10 +16,10 @@
 // Engine layout: every kernel has a generic scalar body plus (on x86-64) an
 // AVX2+FMA body carrying __attribute__((target("avx2,fma"))), all in this
 // one TU so there is no cross-TU ODR hazard from mixed -m flags.  The
-// engine is picked once per process by use_avx2(), and the single-row
-// micro-kernel variants issue the same per-element operation chains as the
-// paired-row variants, so a row's result never depends on how the
-// surrounding rows were grouped.
+// engine is picked once per process by use_avx2().  The AVX2 GEMMs and
+// distances run on one register-tile template, and their 4-, 2- and 1-row
+// sweeps are instantiations of it, so a row's result never depends on how
+// the surrounding rows were grouped.
 
 namespace yoso::kernels {
 namespace {
@@ -171,14 +171,41 @@ void exp_scale_generic(const double* in, double* out, std::size_t n,
 }
 
 // --- AVX2+FMA engine -------------------------------------------------------
-// Register-tiled micro-kernels: 2 rows x 16 columns of doubles (8 ymm
-// accumulators) / 2 rows x 32 floats, broadcast-FMA over the shared
-// dimension.  Each output element owns one accumulator lane updated in a
-// fixed order, so there is never a cross-lane reduction whose order could
-// depend on tiling, and the single-row variants replay the identical
-// per-element chains as the paired variants.
+// One register-tile template per algorithm.  A tile holds R rows x V ymm
+// vectors of accumulators and issues one broadcast-FMA per (row, vector)
+// for each step of the shared index, in ascending order.  The 2- and 1-row
+// GEMM sweeps, the 4-, 2- and 1-row distance sweeps and their one-vector
+// column tails are instantiations of it; the scalar column tail replays the
+// same chain with std::fma.  So each output element owns one accumulator
+// lane updated in a fixed order, never a cross-lane reduction, and its bits
+// do not depend on how rows or columns were grouped.
 
 #if YOSO_KERNELS_X86
+
+#define YOSO_AVX2_INLINE \
+  __attribute__((target("avx2,fma"), always_inline)) inline
+
+// A tile's R and V loops must unroll completely, or gcc keeps the
+// accumulator arrays on the stack instead of in ymm registers.
+#if defined(__clang__)
+#define YOSO_UNROLL _Pragma("unroll")
+#else
+#define YOSO_UNROLL _Pragma("GCC unroll 8")
+#endif
+
+// The ymm operations a GEMM tile needs, overloaded on the element type.
+YOSO_AVX2_INLINE __m256d splat(double x) { return _mm256_set1_pd(x); }
+YOSO_AVX2_INLINE __m256 splat(float x) { return _mm256_set1_ps(x); }
+YOSO_AVX2_INLINE __m256d load(const double* p) { return _mm256_loadu_pd(p); }
+YOSO_AVX2_INLINE __m256 load(const float* p) { return _mm256_loadu_ps(p); }
+YOSO_AVX2_INLINE void store(double* p, __m256d v) { _mm256_storeu_pd(p, v); }
+YOSO_AVX2_INLINE void store(float* p, __m256 v) { _mm256_storeu_ps(p, v); }
+YOSO_AVX2_INLINE __m256d fmadd(__m256d a, __m256d b, __m256d c) {
+  return _mm256_fmadd_pd(a, b, c);
+}
+YOSO_AVX2_INLINE __m256 fmadd(__m256 a, __m256 b, __m256 c) {
+  return _mm256_fmadd_ps(a, b, c);
+}
 
 __attribute__((target("avx2,fma"))) double dot_avx2(const double* a,
                                                     const double* b,
@@ -208,202 +235,74 @@ __attribute__((target("avx2,fma"))) double dot_avx2(const double* a,
   return acc;
 }
 
-__attribute__((target("avx2,fma"))) void gemm_rows_avx2(
-    const double* a, const double* b, double* c, std::size_t rows,
-    std::size_t kk, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= rows; i += 2) {
-    const double* a0 = a + i * kk;
-    const double* a1 = a0 + kk;
-    double* c0 = c + i * n;
-    double* c1 = c0 + n;
-    std::size_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-      __m256d s00 = _mm256_setzero_pd(), s01 = _mm256_setzero_pd();
-      __m256d s02 = _mm256_setzero_pd(), s03 = _mm256_setzero_pd();
-      __m256d s10 = _mm256_setzero_pd(), s11 = _mm256_setzero_pd();
-      __m256d s12 = _mm256_setzero_pd(), s13 = _mm256_setzero_pd();
-      for (std::size_t t = 0; t < kk; ++t) {
-        const double* bt = b + t * n + j;
-        const __m256d b0 = _mm256_loadu_pd(bt);
-        const __m256d b1 = _mm256_loadu_pd(bt + 4);
-        const __m256d b2 = _mm256_loadu_pd(bt + 8);
-        const __m256d b3 = _mm256_loadu_pd(bt + 12);
-        const __m256d v0 = _mm256_set1_pd(a0[t]);
-        const __m256d v1 = _mm256_set1_pd(a1[t]);
-        s00 = _mm256_fmadd_pd(v0, b0, s00);
-        s01 = _mm256_fmadd_pd(v0, b1, s01);
-        s02 = _mm256_fmadd_pd(v0, b2, s02);
-        s03 = _mm256_fmadd_pd(v0, b3, s03);
-        s10 = _mm256_fmadd_pd(v1, b0, s10);
-        s11 = _mm256_fmadd_pd(v1, b1, s11);
-        s12 = _mm256_fmadd_pd(v1, b2, s12);
-        s13 = _mm256_fmadd_pd(v1, b3, s13);
-      }
-      _mm256_storeu_pd(c0 + j, s00);
-      _mm256_storeu_pd(c0 + j + 4, s01);
-      _mm256_storeu_pd(c0 + j + 8, s02);
-      _mm256_storeu_pd(c0 + j + 12, s03);
-      _mm256_storeu_pd(c1 + j, s10);
-      _mm256_storeu_pd(c1 + j + 4, s11);
-      _mm256_storeu_pd(c1 + j + 8, s12);
-      _mm256_storeu_pd(c1 + j + 12, s13);
-    }
-    for (; j + 4 <= n; j += 4) {
-      __m256d s0 = _mm256_setzero_pd();
-      __m256d s1 = _mm256_setzero_pd();
-      for (std::size_t t = 0; t < kk; ++t) {
-        const __m256d bv = _mm256_loadu_pd(b + t * n + j);
-        s0 = _mm256_fmadd_pd(_mm256_set1_pd(a0[t]), bv, s0);
-        s1 = _mm256_fmadd_pd(_mm256_set1_pd(a1[t]), bv, s1);
-      }
-      _mm256_storeu_pd(c0 + j, s0);
-      _mm256_storeu_pd(c1 + j, s1);
-    }
-    for (; j < n; ++j) {
-      double s0 = 0.0, s1 = 0.0;
-      for (std::size_t t = 0; t < kk; ++t) {
-        const double bv = b[t * n + j];
-        s0 = std::fma(a0[t], bv, s0);
-        s1 = std::fma(a1[t], bv, s1);
-      }
-      c0[j] = s0;
-      c1[j] = s1;
-    }
+/// The register tile under every AVX2 GEMM and distance block: for t
+/// ascending in [0, kk), s[r][v] += a[r * kk + t] * b[t * n + v * width ...]
+/// for every row r < R and vector v < V, one broadcast-FMA each.
+template <typename T, typename Vec, std::size_t R, std::size_t V>
+YOSO_AVX2_INLINE void tile_fma(Vec (&s)[R][V], const T* a, const T* b,
+                               std::size_t kk, std::size_t n) {
+  constexpr std::size_t w = sizeof(Vec) / sizeof(T);
+  YOSO_UNROLL
+  for (std::size_t r = 0; r < R; ++r) {
+    YOSO_UNROLL
+    for (std::size_t v = 0; v < V; ++v) s[r][v] = splat(T{0});
   }
-  for (; i < rows; ++i) {
-    const double* a0 = a + i * kk;
-    double* c0 = c + i * n;
-    std::size_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-      __m256d s00 = _mm256_setzero_pd(), s01 = _mm256_setzero_pd();
-      __m256d s02 = _mm256_setzero_pd(), s03 = _mm256_setzero_pd();
-      for (std::size_t t = 0; t < kk; ++t) {
-        const double* bt = b + t * n + j;
-        const __m256d v0 = _mm256_set1_pd(a0[t]);
-        s00 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(bt), s00);
-        s01 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(bt + 4), s01);
-        s02 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(bt + 8), s02);
-        s03 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(bt + 12), s03);
-      }
-      _mm256_storeu_pd(c0 + j, s00);
-      _mm256_storeu_pd(c0 + j + 4, s01);
-      _mm256_storeu_pd(c0 + j + 8, s02);
-      _mm256_storeu_pd(c0 + j + 12, s03);
-    }
-    for (; j + 4 <= n; j += 4) {
-      __m256d s0 = _mm256_setzero_pd();
-      for (std::size_t t = 0; t < kk; ++t)
-        s0 = _mm256_fmadd_pd(_mm256_set1_pd(a0[t]),
-                             _mm256_loadu_pd(b + t * n + j), s0);
-      _mm256_storeu_pd(c0 + j, s0);
-    }
-    for (; j < n; ++j) {
-      double s0 = 0.0;
-      for (std::size_t t = 0; t < kk; ++t)
-        s0 = std::fma(a0[t], b[t * n + j], s0);
-      c0[j] = s0;
+  for (std::size_t t = 0; t < kk; ++t) {
+    Vec bv[V];
+    YOSO_UNROLL
+    for (std::size_t v = 0; v < V; ++v) bv[v] = load(b + t * n + v * w);
+    YOSO_UNROLL
+    for (std::size_t r = 0; r < R; ++r) {
+      const Vec av = splat(a[r * kk + t]);
+      YOSO_UNROLL
+      for (std::size_t v = 0; v < V; ++v) s[r][v] = fmadd(av, bv[v], s[r][v]);
     }
   }
 }
 
-__attribute__((target("avx2,fma"))) void sgemm_ab_rows_avx2(
-    const float* a, const float* b, float* c, std::size_t rows,
-    std::size_t kk, std::size_t n) {
+/// C[r][j, j + V vectors) = (A B)[r][...] for r < R.
+template <typename T, std::size_t R, std::size_t V>
+YOSO_AVX2_INLINE void gemm_tile(const T* a, const T* b, T* c, std::size_t kk,
+                                std::size_t n, std::size_t j) {
+  decltype(splat(T{})) s[R][V];
+  constexpr std::size_t w = sizeof(s[0][0]) / sizeof(T);
+  tile_fma(s, a, b + j, kk, n);
+  YOSO_UNROLL
+  for (std::size_t r = 0; r < R; ++r) {
+    YOSO_UNROLL
+    for (std::size_t v = 0; v < V; ++v) store(c + r * n + j + v * w, s[r][v]);
+  }
+}
+
+/// Rows [0, R) of C (R x n) = A B: 4-vector tiles, then one-vector tiles,
+/// then a scalar std::fma tail.
+template <typename T, std::size_t R>
+__attribute__((target("avx2,fma"))) void gemm_row_group(
+    const T* a, const T* b, T* c, std::size_t kk, std::size_t n) {
+  constexpr std::size_t w = sizeof(splat(T{})) / sizeof(T);
+  std::size_t j = 0;
+  for (; j + 4 * w <= n; j += 4 * w) gemm_tile<T, R, 4>(a, b, c, kk, n, j);
+  for (; j + w <= n; j += w) gemm_tile<T, R, 1>(a, b, c, kk, n, j);
+  for (; j < n; ++j) {
+    T s[R] = {};
+    for (std::size_t t = 0; t < kk; ++t) {
+      YOSO_UNROLL
+      for (std::size_t r = 0; r < R; ++r)
+        s[r] = std::fma(a[r * kk + t], b[t * n + j], s[r]);
+    }
+    for (std::size_t r = 0; r < R; ++r) c[r * n + j] = s[r];
+  }
+}
+
+/// C (rows x n) = A (rows x kk) * B (kk x n) in row pairs, then one row.
+template <typename T>
+__attribute__((target("avx2,fma"))) void gemm_avx2(
+    const T* a, const T* b, T* c, std::size_t rows, std::size_t kk,
+    std::size_t n) {
   std::size_t i = 0;
-  for (; i + 2 <= rows; i += 2) {
-    const float* a0 = a + i * kk;
-    const float* a1 = a0 + kk;
-    float* c0 = c + i * n;
-    float* c1 = c0 + n;
-    std::size_t j = 0;
-    for (; j + 32 <= n; j += 32) {
-      __m256 s00 = _mm256_setzero_ps(), s01 = _mm256_setzero_ps();
-      __m256 s02 = _mm256_setzero_ps(), s03 = _mm256_setzero_ps();
-      __m256 s10 = _mm256_setzero_ps(), s11 = _mm256_setzero_ps();
-      __m256 s12 = _mm256_setzero_ps(), s13 = _mm256_setzero_ps();
-      for (std::size_t t = 0; t < kk; ++t) {
-        const float* bt = b + t * n + j;
-        const __m256 b0 = _mm256_loadu_ps(bt);
-        const __m256 b1 = _mm256_loadu_ps(bt + 8);
-        const __m256 b2 = _mm256_loadu_ps(bt + 16);
-        const __m256 b3 = _mm256_loadu_ps(bt + 24);
-        const __m256 v0 = _mm256_set1_ps(a0[t]);
-        const __m256 v1 = _mm256_set1_ps(a1[t]);
-        s00 = _mm256_fmadd_ps(v0, b0, s00);
-        s01 = _mm256_fmadd_ps(v0, b1, s01);
-        s02 = _mm256_fmadd_ps(v0, b2, s02);
-        s03 = _mm256_fmadd_ps(v0, b3, s03);
-        s10 = _mm256_fmadd_ps(v1, b0, s10);
-        s11 = _mm256_fmadd_ps(v1, b1, s11);
-        s12 = _mm256_fmadd_ps(v1, b2, s12);
-        s13 = _mm256_fmadd_ps(v1, b3, s13);
-      }
-      _mm256_storeu_ps(c0 + j, s00);
-      _mm256_storeu_ps(c0 + j + 8, s01);
-      _mm256_storeu_ps(c0 + j + 16, s02);
-      _mm256_storeu_ps(c0 + j + 24, s03);
-      _mm256_storeu_ps(c1 + j, s10);
-      _mm256_storeu_ps(c1 + j + 8, s11);
-      _mm256_storeu_ps(c1 + j + 16, s12);
-      _mm256_storeu_ps(c1 + j + 24, s13);
-    }
-    for (; j + 8 <= n; j += 8) {
-      __m256 s0 = _mm256_setzero_ps();
-      __m256 s1 = _mm256_setzero_ps();
-      for (std::size_t t = 0; t < kk; ++t) {
-        const __m256 bv = _mm256_loadu_ps(b + t * n + j);
-        s0 = _mm256_fmadd_ps(_mm256_set1_ps(a0[t]), bv, s0);
-        s1 = _mm256_fmadd_ps(_mm256_set1_ps(a1[t]), bv, s1);
-      }
-      _mm256_storeu_ps(c0 + j, s0);
-      _mm256_storeu_ps(c1 + j, s1);
-    }
-    for (; j < n; ++j) {
-      float s0 = 0.0f, s1 = 0.0f;
-      for (std::size_t t = 0; t < kk; ++t) {
-        const float bv = b[t * n + j];
-        s0 = std::fma(a0[t], bv, s0);
-        s1 = std::fma(a1[t], bv, s1);
-      }
-      c0[j] = s0;
-      c1[j] = s1;
-    }
-  }
-  for (; i < rows; ++i) {
-    const float* a0 = a + i * kk;
-    float* c0 = c + i * n;
-    std::size_t j = 0;
-    for (; j + 32 <= n; j += 32) {
-      __m256 s00 = _mm256_setzero_ps(), s01 = _mm256_setzero_ps();
-      __m256 s02 = _mm256_setzero_ps(), s03 = _mm256_setzero_ps();
-      for (std::size_t t = 0; t < kk; ++t) {
-        const float* bt = b + t * n + j;
-        const __m256 v0 = _mm256_set1_ps(a0[t]);
-        s00 = _mm256_fmadd_ps(v0, _mm256_loadu_ps(bt), s00);
-        s01 = _mm256_fmadd_ps(v0, _mm256_loadu_ps(bt + 8), s01);
-        s02 = _mm256_fmadd_ps(v0, _mm256_loadu_ps(bt + 16), s02);
-        s03 = _mm256_fmadd_ps(v0, _mm256_loadu_ps(bt + 24), s03);
-      }
-      _mm256_storeu_ps(c0 + j, s00);
-      _mm256_storeu_ps(c0 + j + 8, s01);
-      _mm256_storeu_ps(c0 + j + 16, s02);
-      _mm256_storeu_ps(c0 + j + 24, s03);
-    }
-    for (; j + 8 <= n; j += 8) {
-      __m256 s0 = _mm256_setzero_ps();
-      for (std::size_t t = 0; t < kk; ++t)
-        s0 = _mm256_fmadd_ps(_mm256_set1_ps(a0[t]),
-                             _mm256_loadu_ps(b + t * n + j), s0);
-      _mm256_storeu_ps(c0 + j, s0);
-    }
-    for (; j < n; ++j) {
-      float s0 = 0.0f;
-      for (std::size_t t = 0; t < kk; ++t)
-        s0 = std::fma(a0[t], b[t * n + j], s0);
-      c0[j] = s0;
-    }
-  }
+  for (; i + 2 <= rows; i += 2)
+    gemm_row_group<T, 2>(a + i * kk, b, c + i * n, kk, n);
+  if (i < rows) gemm_row_group<T, 1>(a + i * kk, b, c + i * n, kk, n);
 }
 
 __attribute__((target("avx2,fma"))) void satb_rows_avx2(
@@ -450,278 +349,67 @@ __attribute__((target("avx2,fma"))) void satb_rows_avx2(
   }
 }
 
-__attribute__((target("avx2,fma"))) void pairwise_rows_avx2(
+/// out[r][t, t + 4V) for R query rows: the tile's cross products with the
+/// packed panel (dimension c ascending), stored through the fused epilogue
+/// max(0, (qn + tn) - 2 cross).
+template <std::size_t R, std::size_t V>
+YOSO_AVX2_INLINE void pairwise_tile(const double* q, std::size_t d,
+                                    const double* trn, const double* tn,
+                                    std::size_t n, const double* qn,
+                                    double* out, std::size_t t) {
+  __m256d s[R][V];
+  tile_fma(s, q, trn + t, d, n);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d two = _mm256_set1_pd(2.0);
+  YOSO_UNROLL
+  for (std::size_t v = 0; v < V; ++v) {
+    const __m256d nv = load(tn + t + 4 * v);
+    YOSO_UNROLL
+    for (std::size_t r = 0; r < R; ++r) {
+      const __m256d sum = _mm256_add_pd(splat(qn[r]), nv);
+      store(out + r * n + t + 4 * v,
+            _mm256_max_pd(zero, _mm256_fnmadd_pd(two, s[r][v], sum)));
+    }
+  }
+}
+
+/// Distance rows for R query rows: V-vector tiles, then one-vector tiles,
+/// then a scalar std::fma tail with the same epilogue.
+template <std::size_t R, std::size_t V>
+__attribute__((target("avx2,fma"))) void pairwise_row_group(
+    const double* q, std::size_t d, const double* trn, const double* tn,
+    std::size_t n, double* out) {
+  double qn[R];
+  for (std::size_t r = 0; r < R; ++r) qn[r] = dot(q + r * d, q + r * d, d);
+  std::size_t t = 0;
+  for (; t + 4 * V <= n; t += 4 * V)
+    pairwise_tile<R, V>(q, d, trn, tn, n, qn, out, t);
+  for (; t + 4 <= n; t += 4) pairwise_tile<R, 1>(q, d, trn, tn, n, qn, out, t);
+  for (; t < n; ++t) {
+    double s[R] = {};
+    for (std::size_t c = 0; c < d; ++c) {
+      YOSO_UNROLL
+      for (std::size_t r = 0; r < R; ++r)
+        s[r] = std::fma(q[r * d + c], trn[c * n + t], s[r]);
+    }
+    for (std::size_t r = 0; r < R; ++r)
+      out[r * n + t] = std::max(0.0, std::fma(-2.0, s[r], qn[r] + tn[t]));
+  }
+}
+
+/// Four query rows per panel sweep (4 x 2 tile: half the panel traffic of
+/// row pairs), then a pair (2 x 4), then a single row (1 x 4).
+__attribute__((target("avx2,fma"))) void pairwise_avx2(
     const double* q, std::size_t d, std::size_t rows, const double* trn,
     const double* tn, std::size_t n, double* out) {
-  const __m256d vzero = _mm256_setzero_pd();
-  const __m256d vtwo = _mm256_set1_pd(2.0);
   std::size_t i = 0;
-  // Four query rows per training-panel sweep: halves the panel traffic of
-  // the paired loop below.  Every output element still accumulates one fma
-  // per dimension in ascending order, so its value is bit-identical across
-  // the 4-row / 2-row / single-row variants — row grouping never leaks
-  // into results (see the SubRangeRowsMatchFullRange test).
-  for (; i + 4 <= rows; i += 4) {
-    const double* q0 = q + i * d;
-    const double* q1 = q0 + d;
-    const double* q2 = q1 + d;
-    const double* q3 = q2 + d;
-    const double qn0 = dot(q0, q0, d);
-    const double qn1 = dot(q1, q1, d);
-    const double qn2 = dot(q2, q2, d);
-    const double qn3 = dot(q3, q3, d);
-    const __m256d vqn0 = _mm256_set1_pd(qn0);
-    const __m256d vqn1 = _mm256_set1_pd(qn1);
-    const __m256d vqn2 = _mm256_set1_pd(qn2);
-    const __m256d vqn3 = _mm256_set1_pd(qn3);
-    double* o0 = out + i * n;
-    double* o1 = o0 + n;
-    double* o2 = o1 + n;
-    double* o3 = o2 + n;
-    std::size_t t = 0;
-    for (; t + 8 <= n; t += 8) {
-      __m256d s00 = _mm256_setzero_pd(), s01 = _mm256_setzero_pd();
-      __m256d s10 = _mm256_setzero_pd(), s11 = _mm256_setzero_pd();
-      __m256d s20 = _mm256_setzero_pd(), s21 = _mm256_setzero_pd();
-      __m256d s30 = _mm256_setzero_pd(), s31 = _mm256_setzero_pd();
-      for (std::size_t c = 0; c < d; ++c) {
-        const double* col = trn + c * n + t;
-        const __m256d b0 = _mm256_loadu_pd(col);
-        const __m256d b1 = _mm256_loadu_pd(col + 4);
-        const __m256d v0 = _mm256_set1_pd(q0[c]);
-        const __m256d v1 = _mm256_set1_pd(q1[c]);
-        const __m256d v2 = _mm256_set1_pd(q2[c]);
-        const __m256d v3 = _mm256_set1_pd(q3[c]);
-        s00 = _mm256_fmadd_pd(v0, b0, s00);
-        s01 = _mm256_fmadd_pd(v0, b1, s01);
-        s10 = _mm256_fmadd_pd(v1, b0, s10);
-        s11 = _mm256_fmadd_pd(v1, b1, s11);
-        s20 = _mm256_fmadd_pd(v2, b0, s20);
-        s21 = _mm256_fmadd_pd(v2, b1, s21);
-        s30 = _mm256_fmadd_pd(v3, b0, s30);
-        s31 = _mm256_fmadd_pd(v3, b1, s31);
-      }
-      const __m256d n0 = _mm256_loadu_pd(tn + t);
-      const __m256d n1 = _mm256_loadu_pd(tn + t + 4);
-      _mm256_storeu_pd(
-          o0 + t, _mm256_max_pd(vzero, _mm256_fnmadd_pd(
-                                           vtwo, s00, _mm256_add_pd(vqn0, n0))));
-      _mm256_storeu_pd(
-          o0 + t + 4,
-          _mm256_max_pd(vzero, _mm256_fnmadd_pd(vtwo, s01,
-                                                _mm256_add_pd(vqn0, n1))));
-      _mm256_storeu_pd(
-          o1 + t, _mm256_max_pd(vzero, _mm256_fnmadd_pd(
-                                           vtwo, s10, _mm256_add_pd(vqn1, n0))));
-      _mm256_storeu_pd(
-          o1 + t + 4,
-          _mm256_max_pd(vzero, _mm256_fnmadd_pd(vtwo, s11,
-                                                _mm256_add_pd(vqn1, n1))));
-      _mm256_storeu_pd(
-          o2 + t, _mm256_max_pd(vzero, _mm256_fnmadd_pd(
-                                           vtwo, s20, _mm256_add_pd(vqn2, n0))));
-      _mm256_storeu_pd(
-          o2 + t + 4,
-          _mm256_max_pd(vzero, _mm256_fnmadd_pd(vtwo, s21,
-                                                _mm256_add_pd(vqn2, n1))));
-      _mm256_storeu_pd(
-          o3 + t, _mm256_max_pd(vzero, _mm256_fnmadd_pd(
-                                           vtwo, s30, _mm256_add_pd(vqn3, n0))));
-      _mm256_storeu_pd(
-          o3 + t + 4,
-          _mm256_max_pd(vzero, _mm256_fnmadd_pd(vtwo, s31,
-                                                _mm256_add_pd(vqn3, n1))));
-    }
-    for (; t + 4 <= n; t += 4) {
-      __m256d s0 = _mm256_setzero_pd();
-      __m256d s1 = _mm256_setzero_pd();
-      __m256d s2 = _mm256_setzero_pd();
-      __m256d s3 = _mm256_setzero_pd();
-      for (std::size_t c = 0; c < d; ++c) {
-        const __m256d bv = _mm256_loadu_pd(trn + c * n + t);
-        s0 = _mm256_fmadd_pd(_mm256_set1_pd(q0[c]), bv, s0);
-        s1 = _mm256_fmadd_pd(_mm256_set1_pd(q1[c]), bv, s1);
-        s2 = _mm256_fmadd_pd(_mm256_set1_pd(q2[c]), bv, s2);
-        s3 = _mm256_fmadd_pd(_mm256_set1_pd(q3[c]), bv, s3);
-      }
-      const __m256d nv = _mm256_loadu_pd(tn + t);
-      _mm256_storeu_pd(
-          o0 + t, _mm256_max_pd(vzero, _mm256_fnmadd_pd(
-                                           vtwo, s0, _mm256_add_pd(vqn0, nv))));
-      _mm256_storeu_pd(
-          o1 + t, _mm256_max_pd(vzero, _mm256_fnmadd_pd(
-                                           vtwo, s1, _mm256_add_pd(vqn1, nv))));
-      _mm256_storeu_pd(
-          o2 + t, _mm256_max_pd(vzero, _mm256_fnmadd_pd(
-                                           vtwo, s2, _mm256_add_pd(vqn2, nv))));
-      _mm256_storeu_pd(
-          o3 + t, _mm256_max_pd(vzero, _mm256_fnmadd_pd(
-                                           vtwo, s3, _mm256_add_pd(vqn3, nv))));
-    }
-    for (; t < n; ++t) {
-      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-      for (std::size_t c = 0; c < d; ++c) {
-        const double bv = trn[c * n + t];
-        s0 = std::fma(q0[c], bv, s0);
-        s1 = std::fma(q1[c], bv, s1);
-        s2 = std::fma(q2[c], bv, s2);
-        s3 = std::fma(q3[c], bv, s3);
-      }
-      o0[t] = std::max(0.0, std::fma(-2.0, s0, qn0 + tn[t]));
-      o1[t] = std::max(0.0, std::fma(-2.0, s1, qn1 + tn[t]));
-      o2[t] = std::max(0.0, std::fma(-2.0, s2, qn2 + tn[t]));
-      o3[t] = std::max(0.0, std::fma(-2.0, s3, qn3 + tn[t]));
-    }
+  for (; i + 4 <= rows; i += 4)
+    pairwise_row_group<4, 2>(q + i * d, d, trn, tn, n, out + i * n);
+  if (i + 2 <= rows) {
+    pairwise_row_group<2, 4>(q + i * d, d, trn, tn, n, out + i * n);
+    i += 2;
   }
-  for (; i + 2 <= rows; i += 2) {
-    const double* q0 = q + i * d;
-    const double* q1 = q0 + d;
-    const double qn0 = dot(q0, q0, d);
-    const double qn1 = dot(q1, q1, d);
-    const __m256d vqn0 = _mm256_set1_pd(qn0);
-    const __m256d vqn1 = _mm256_set1_pd(qn1);
-    double* o0 = out + i * n;
-    double* o1 = o0 + n;
-    std::size_t t = 0;
-    for (; t + 16 <= n; t += 16) {
-      __m256d s00 = _mm256_setzero_pd(), s01 = _mm256_setzero_pd();
-      __m256d s02 = _mm256_setzero_pd(), s03 = _mm256_setzero_pd();
-      __m256d s10 = _mm256_setzero_pd(), s11 = _mm256_setzero_pd();
-      __m256d s12 = _mm256_setzero_pd(), s13 = _mm256_setzero_pd();
-      for (std::size_t c = 0; c < d; ++c) {
-        const double* col = trn + c * n + t;
-        const __m256d b0 = _mm256_loadu_pd(col);
-        const __m256d b1 = _mm256_loadu_pd(col + 4);
-        const __m256d b2 = _mm256_loadu_pd(col + 8);
-        const __m256d b3 = _mm256_loadu_pd(col + 12);
-        const __m256d v0 = _mm256_set1_pd(q0[c]);
-        const __m256d v1 = _mm256_set1_pd(q1[c]);
-        s00 = _mm256_fmadd_pd(v0, b0, s00);
-        s01 = _mm256_fmadd_pd(v0, b1, s01);
-        s02 = _mm256_fmadd_pd(v0, b2, s02);
-        s03 = _mm256_fmadd_pd(v0, b3, s03);
-        s10 = _mm256_fmadd_pd(v1, b0, s10);
-        s11 = _mm256_fmadd_pd(v1, b1, s11);
-        s12 = _mm256_fmadd_pd(v1, b2, s12);
-        s13 = _mm256_fmadd_pd(v1, b3, s13);
-      }
-      // Fused epilogue: d = max(0, (qn + tn) - 2 * cross), no second pass.
-      const __m256d n0 = _mm256_loadu_pd(tn + t);
-      const __m256d n1 = _mm256_loadu_pd(tn + t + 4);
-      const __m256d n2 = _mm256_loadu_pd(tn + t + 8);
-      const __m256d n3 = _mm256_loadu_pd(tn + t + 12);
-      _mm256_storeu_pd(
-          o0 + t, _mm256_max_pd(vzero, _mm256_fnmadd_pd(
-                                           vtwo, s00, _mm256_add_pd(vqn0, n0))));
-      _mm256_storeu_pd(
-          o0 + t + 4,
-          _mm256_max_pd(vzero, _mm256_fnmadd_pd(vtwo, s01,
-                                                _mm256_add_pd(vqn0, n1))));
-      _mm256_storeu_pd(
-          o0 + t + 8,
-          _mm256_max_pd(vzero, _mm256_fnmadd_pd(vtwo, s02,
-                                                _mm256_add_pd(vqn0, n2))));
-      _mm256_storeu_pd(
-          o0 + t + 12,
-          _mm256_max_pd(vzero, _mm256_fnmadd_pd(vtwo, s03,
-                                                _mm256_add_pd(vqn0, n3))));
-      _mm256_storeu_pd(
-          o1 + t, _mm256_max_pd(vzero, _mm256_fnmadd_pd(
-                                           vtwo, s10, _mm256_add_pd(vqn1, n0))));
-      _mm256_storeu_pd(
-          o1 + t + 4,
-          _mm256_max_pd(vzero, _mm256_fnmadd_pd(vtwo, s11,
-                                                _mm256_add_pd(vqn1, n1))));
-      _mm256_storeu_pd(
-          o1 + t + 8,
-          _mm256_max_pd(vzero, _mm256_fnmadd_pd(vtwo, s12,
-                                                _mm256_add_pd(vqn1, n2))));
-      _mm256_storeu_pd(
-          o1 + t + 12,
-          _mm256_max_pd(vzero, _mm256_fnmadd_pd(vtwo, s13,
-                                                _mm256_add_pd(vqn1, n3))));
-    }
-    for (; t + 4 <= n; t += 4) {
-      __m256d s0 = _mm256_setzero_pd();
-      __m256d s1 = _mm256_setzero_pd();
-      for (std::size_t c = 0; c < d; ++c) {
-        const __m256d bv = _mm256_loadu_pd(trn + c * n + t);
-        s0 = _mm256_fmadd_pd(_mm256_set1_pd(q0[c]), bv, s0);
-        s1 = _mm256_fmadd_pd(_mm256_set1_pd(q1[c]), bv, s1);
-      }
-      const __m256d nv = _mm256_loadu_pd(tn + t);
-      _mm256_storeu_pd(
-          o0 + t, _mm256_max_pd(vzero, _mm256_fnmadd_pd(
-                                           vtwo, s0, _mm256_add_pd(vqn0, nv))));
-      _mm256_storeu_pd(
-          o1 + t, _mm256_max_pd(vzero, _mm256_fnmadd_pd(
-                                           vtwo, s1, _mm256_add_pd(vqn1, nv))));
-    }
-    for (; t < n; ++t) {
-      double s0 = 0.0, s1 = 0.0;
-      for (std::size_t c = 0; c < d; ++c) {
-        const double bv = trn[c * n + t];
-        s0 = std::fma(q0[c], bv, s0);
-        s1 = std::fma(q1[c], bv, s1);
-      }
-      o0[t] = std::max(0.0, std::fma(-2.0, s0, qn0 + tn[t]));
-      o1[t] = std::max(0.0, std::fma(-2.0, s1, qn1 + tn[t]));
-    }
-  }
-  for (; i < rows; ++i) {
-    const double* q0 = q + i * d;
-    const double qn0 = dot(q0, q0, d);
-    const __m256d vqn0 = _mm256_set1_pd(qn0);
-    double* o0 = out + i * n;
-    std::size_t t = 0;
-    for (; t + 16 <= n; t += 16) {
-      __m256d s00 = _mm256_setzero_pd(), s01 = _mm256_setzero_pd();
-      __m256d s02 = _mm256_setzero_pd(), s03 = _mm256_setzero_pd();
-      for (std::size_t c = 0; c < d; ++c) {
-        const double* col = trn + c * n + t;
-        const __m256d v0 = _mm256_set1_pd(q0[c]);
-        s00 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(col), s00);
-        s01 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(col + 4), s01);
-        s02 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(col + 8), s02);
-        s03 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(col + 12), s03);
-      }
-      const __m256d n0 = _mm256_loadu_pd(tn + t);
-      const __m256d n1 = _mm256_loadu_pd(tn + t + 4);
-      const __m256d n2 = _mm256_loadu_pd(tn + t + 8);
-      const __m256d n3 = _mm256_loadu_pd(tn + t + 12);
-      _mm256_storeu_pd(
-          o0 + t, _mm256_max_pd(vzero, _mm256_fnmadd_pd(
-                                           vtwo, s00, _mm256_add_pd(vqn0, n0))));
-      _mm256_storeu_pd(
-          o0 + t + 4,
-          _mm256_max_pd(vzero, _mm256_fnmadd_pd(vtwo, s01,
-                                                _mm256_add_pd(vqn0, n1))));
-      _mm256_storeu_pd(
-          o0 + t + 8,
-          _mm256_max_pd(vzero, _mm256_fnmadd_pd(vtwo, s02,
-                                                _mm256_add_pd(vqn0, n2))));
-      _mm256_storeu_pd(
-          o0 + t + 12,
-          _mm256_max_pd(vzero, _mm256_fnmadd_pd(vtwo, s03,
-                                                _mm256_add_pd(vqn0, n3))));
-    }
-    for (; t + 4 <= n; t += 4) {
-      __m256d s0 = _mm256_setzero_pd();
-      for (std::size_t c = 0; c < d; ++c)
-        s0 = _mm256_fmadd_pd(_mm256_set1_pd(q0[c]),
-                             _mm256_loadu_pd(trn + c * n + t), s0);
-      const __m256d nv = _mm256_loadu_pd(tn + t);
-      _mm256_storeu_pd(
-          o0 + t, _mm256_max_pd(vzero, _mm256_fnmadd_pd(
-                                           vtwo, s0, _mm256_add_pd(vqn0, nv))));
-    }
-    for (; t < n; ++t) {
-      double s0 = 0.0;
-      for (std::size_t c = 0; c < d; ++c)
-        s0 = std::fma(q0[c], trn[c * n + t], s0);
-      o0[t] = std::max(0.0, std::fma(-2.0, s0, qn0 + tn[t]));
-    }
-  }
+  if (i < rows) pairwise_row_group<1, 4>(q + i * d, d, trn, tn, n, out + i * n);
 }
 
 /// One vector of mult * exp(scale * x): the exact operation sequence of the
@@ -832,7 +520,7 @@ void gemm(const double* a, const double* b, double* c, std::size_t m,
   YOSO_REQUIRE(a != nullptr && b != nullptr, "kernels::gemm: null input");
 #if YOSO_KERNELS_X86
   if (use_avx2()) {
-    gemm_rows_avx2(a, b, c, m, k, n);
+    gemm_avx2(a, b, c, m, k, n);
     return;
   }
 #endif
@@ -858,7 +546,7 @@ void sgemm_ab(const float* a, const float* b, float* c, std::size_t m,
   YOSO_REQUIRE(a != nullptr && b != nullptr, "kernels::sgemm_ab: null input");
 #if YOSO_KERNELS_X86
   if (use_avx2()) {
-    sgemm_ab_rows_avx2(a, b, c, m, k, n);
+    gemm_avx2(a, b, c, m, k, n);
     return;
   }
 #endif
@@ -885,7 +573,7 @@ void sgemm_abt(const float* a, const float* b, float* c, std::size_t m,
   }
 #if YOSO_KERNELS_X86
   if (use_avx2()) {
-    sgemm_ab_rows_avx2(a, bt.data(), c, m, k, n);
+    gemm_avx2(a, bt.data(), c, m, k, n);
     return;
   }
 #endif
@@ -939,7 +627,7 @@ void pairwise_sq_dists(const double* queries, std::size_t q,
   const std::size_t n = packed.rows;
 #if YOSO_KERNELS_X86
   if (use_avx2()) {
-    pairwise_rows_avx2(queries, d, q, trn, tn, n, out);
+    pairwise_avx2(queries, d, q, trn, tn, n, out);
     return;
   }
 #endif

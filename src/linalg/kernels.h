@@ -13,9 +13,10 @@
 //   * every output element is produced by its own accumulator chain in a
 //     fixed reduction order;
 //   * a kernel invoked on a sub-range of rows produces bit-identical rows
-//     to the full-range call (single-row and paired-row micro-kernel
-//     variants issue the same per-element operation sequence), which is
-//     what makes GpRegressor::predict() == predict_batch() row-for-row.
+//     to the full-range call (the 4-, 2- and 1-row sweeps are
+//     instantiations of one register-tile template, so they issue the same
+//     per-element operation sequence), which is what makes
+//     GpRegressor::predict() == predict_batch() row-for-row.
 
 #include <cstddef>
 #include <string>
