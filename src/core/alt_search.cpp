@@ -5,6 +5,7 @@
 #include <numbers>
 
 #include "arch/network.h"
+#include "base/contract.h"
 #include "core/design_space.h"
 #include "core/search.h"
 #include "linalg/matrix.h"
@@ -24,6 +25,17 @@ double expected_improvement(double mu, double variance, double best) {
 }
 
 // ------------------------------------------------------------ evolution
+
+EvolutionarySearch::EvolutionarySearch(const DesignSpace& space,
+                                       SearchOptions options,
+                                       EvolutionOptions evolution)
+    : SearchDriver(space, std::move(options)), evolution_(evolution) {
+  YOSO_REQUIRE(evolution_.population >= 1,
+               "EvolutionOptions: population must be >= 1");
+  YOSO_REQUIRE(evolution_.tournament >= 1,
+               "EvolutionOptions: tournament must be >= 1 (its best "
+               "contestant is the parent)");
+}
 
 void EvolutionarySearch::search(SearchLoop& loop, Rng& rng) {
   const std::vector<int> cards = space_.cardinalities();
@@ -75,6 +87,16 @@ void EvolutionarySearch::search(SearchLoop& loop, Rng& rng) {
 }
 
 // -------------------------------------------------------------- BayesOpt
+
+BayesOptSearch::BayesOptSearch(const DesignSpace& space,
+                               SearchOptions options, BayesOptOptions bayes)
+    : SearchDriver(space, std::move(options)), bayes_(bayes) {
+  YOSO_REQUIRE(bayes_.refit_every >= 1,
+               "BayesOptOptions: refit_every must be >= 1");
+  YOSO_REQUIRE(bayes_.acquisition_pool >= 1,
+               "BayesOptOptions: acquisition_pool must be >= 1 (the "
+               "acquisition picks from it)");
+}
 
 void BayesOptSearch::search(SearchLoop& loop, Rng& rng) {
   // Observations (features -> reward), windowed.

@@ -36,9 +36,9 @@ struct EvolutionOptions {
 /// Regularized evolution over the 44-action sequence.
 class EvolutionarySearch : public SearchDriver {
  public:
+  /// Throws ContractViolation unless population and tournament are >= 1.
   EvolutionarySearch(const DesignSpace& space, SearchOptions options,
-                     EvolutionOptions evolution = {})
-      : SearchDriver(space, std::move(options)), evolution_(evolution) {}
+                     EvolutionOptions evolution = {});
 
  protected:
   void search(SearchLoop& loop, Rng& rng) override;
@@ -58,9 +58,10 @@ struct BayesOptOptions {
 /// GP-surrogate Bayesian optimisation with expected improvement.
 class BayesOptSearch : public SearchDriver {
  public:
+  /// Throws ContractViolation unless refit_every and acquisition_pool are
+  /// >= 1.
   BayesOptSearch(const DesignSpace& space, SearchOptions options,
-                 BayesOptOptions bayes = {})
-      : SearchDriver(space, std::move(options)), bayes_(bayes) {}
+                 BayesOptOptions bayes = {});
 
  protected:
   void search(SearchLoop& loop, Rng& rng) override;

@@ -168,6 +168,7 @@ EvalResult ExtendedAccurateEvaluator::evaluate(
 ExtendedSearchResult ExtendedSearch::run(
     const ExtendedFastEvaluator& fast,
     const ExtendedAccurateEvaluator* accurate) {
+  options_.validate();
   ExtendedSearchResult result;
   ControllerOptions copt = options_.controller;
   copt.seed = options_.seed;

@@ -126,6 +126,7 @@ class ExtendedSearch {
   ExtendedSearch(const ExtendedDesignSpace& space, SearchOptions options)
       : space_(space), options_(std::move(options)) {}
 
+  /// Throws ContractViolation when options.validate() rejects the options.
   ExtendedSearchResult run(const ExtendedFastEvaluator& fast,
                            const ExtendedAccurateEvaluator* accurate);
 

@@ -4,6 +4,7 @@
 
 #include "accel/simulator.h"
 #include "arch/network.h"
+#include "base/contract.h"
 #include "core/alt_search.h"
 #include "core/design_space.h"
 #include "core/evaluator.h"
@@ -95,6 +96,30 @@ TEST_F(AltSearchTest, EvolutionImprovesOverWarmup) {
   ASSERT_GT(ne, 0u);
   ASSERT_GT(nl, 0u);
   EXPECT_GT(late / static_cast<double>(nl), early / static_cast<double>(ne));
+}
+
+// Each of these used to crash the search: a zero tournament left the
+// parent null (segfault), a zero refit cadence divided by zero (SIGFPE).
+TEST_F(AltSearchTest, EvolutionRejectsEmptyPopulationOrTournament) {
+  EvolutionOptions no_tournament;
+  no_tournament.tournament = 0;
+  EXPECT_THROW(EvolutionarySearch(*space_, options(80), no_tournament),
+               ContractViolation);
+  EvolutionOptions no_population;
+  no_population.population = 0;
+  EXPECT_THROW(EvolutionarySearch(*space_, options(80), no_population),
+               ContractViolation);
+}
+
+TEST_F(AltSearchTest, BayesOptRejectsZeroRefitOrPool) {
+  BayesOptOptions no_refit;
+  no_refit.refit_every = 0;
+  EXPECT_THROW(BayesOptSearch(*space_, options(80), no_refit),
+               ContractViolation);
+  BayesOptOptions no_pool;
+  no_pool.acquisition_pool = 0;
+  EXPECT_THROW(BayesOptSearch(*space_, options(80), no_pool),
+               ContractViolation);
 }
 
 TEST_F(AltSearchTest, BayesOptProducesValidResult) {

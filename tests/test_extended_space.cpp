@@ -4,6 +4,7 @@
 
 #include "accel/simulator.h"
 #include "arch/network.h"
+#include "base/contract.h"
 #include "core/extended_space.h"
 #include "core/reward.h"
 #include "core/search.h"
@@ -125,6 +126,16 @@ TEST_F(ExtendedSearchTest, SearchRunsAndReranks) {
   for (std::size_t i = 1; i < r.finalists.size(); ++i)
     EXPECT_GE(r.finalists[i - 1].accurate_reward,
               r.finalists[i].accurate_reward);
+}
+
+// run() validates its options like SearchDriver::run: top_n = 0 used to
+// read the back of an empty finalist pool (segfault).
+TEST_F(ExtendedSearchTest, RunRejectsInvalidOptions) {
+  SearchOptions opt;
+  opt.iterations = 10;
+  opt.top_n = 0;
+  ExtendedSearch search(*space_, opt);
+  EXPECT_THROW(search.run(*fast_, accurate_.get()), ContractViolation);
 }
 
 }  // namespace
