@@ -1,6 +1,5 @@
 #include "util/thread_pool.h"
 
-#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <limits>
@@ -26,6 +25,8 @@ struct BodyScope {
   }
   ~BodyScope() { tls_in_body = prev; }
 };
+
+constexpr int kSpinIters = 256;
 
 }  // namespace
 
@@ -53,7 +54,8 @@ struct ThreadPool::Job {
 };
 
 ThreadPool::ThreadPool(std::size_t workers)
-    : obs_jobs_(&obs::metrics_registry().counter("pool.jobs")),
+    : spin_(workers > 0 && std::thread::hardware_concurrency() > 1),
+      obs_jobs_(&obs::metrics_registry().counter("pool.jobs")),
       obs_busy_ns_(&obs::metrics_registry().counter("pool.worker_busy_ns")),
       obs_idle_ns_(&obs::metrics_registry().counter("pool.worker_idle_ns")),
       obs_depth_(&obs::metrics_registry().gauge("pool.inflight_indices")) {
@@ -107,11 +109,21 @@ void ThreadPool::run_job(Job& job) const {
 }
 
 void ThreadPool::worker_loop() {
+  std::uint64_t idle_gen = 0;
   for (;;) {
     std::shared_ptr<Job> job;
     // Sentinel 0 = "observability was off when the window opened"; a window
     // that straddles a toggle is simply not recorded.
     const std::uint64_t wait_begin = obs::enabled() ? obs::now_ns() : 0;
+    // Short spin before committing to a futex sleep: a batch's fork-joins
+    // follow each other within microseconds.  Pointless (and harmful) when
+    // there is only one core.
+    if (spin_) {
+      for (int s = 0; s < kSpinIters; ++s) {
+        if (generation_.load(std::memory_order_acquire) != idle_gen) break;
+        std::this_thread::yield();
+      }
+    }
     {
       MutexLock lock(mutex_);
       for (;;) {
@@ -121,6 +133,7 @@ void ThreadPool::worker_loop() {
           job = job_;
           break;
         }
+        idle_gen = generation_.load(std::memory_order_relaxed);
         mutex_.wait(wake_);
       }
     }
@@ -161,6 +174,7 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   {
     MutexLock lock(mutex_);
     job_ = job;
+    generation_.fetch_add(1, std::memory_order_release);
   }
   wake_.notify_all();
 

@@ -20,8 +20,10 @@
 // captured and the one with the lowest index is rethrown on the caller once
 // the job has drained.
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -65,6 +67,7 @@ class ThreadPool {
   void run_job(Job& job) const;
 
   std::vector<std::thread> workers_;
+  bool spin_;  // short pre-sleep spin, pointless on single-core hosts
   // Cached instrument handles (process-lifetime, see MetricsRegistry): the
   // worker loop must not pay a name lookup per job.  All updates are gated
   // on obs::enabled(), so an idle registry costs one relaxed load.
@@ -73,13 +76,15 @@ class ThreadPool {
   obs::Counter* obs_idle_ns_;
   obs::Gauge* obs_depth_;
   Mutex mutex_;
-  // Idle workers sleep here until a job is posted or the pool stops.
   std::condition_variable wake_;  // paired with mutex_
   // The job slot and the shutdown flag — the caller/worker handshake state.
   // A newer job replaces an older one in the slot; the older one's caller
   // still drains it, and clears the slot only if it still holds its job.
   std::shared_ptr<Job> job_ YOSO_GUARDED_BY(mutex_);
   bool stop_ YOSO_GUARDED_BY(mutex_) = false;
+  // Bumped on every post; lets workers spin-check for new work without the
+  // lock before committing to a condition-variable sleep.
+  std::atomic<std::uint64_t> generation_{0};
 };
 
 }  // namespace yoso
