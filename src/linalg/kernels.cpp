@@ -193,7 +193,10 @@ void exp_scale_generic(const double* in, double* out, std::size_t n,
 #define YOSO_UNROLL _Pragma("GCC unroll 8")
 #endif
 
-// The ymm operations a GEMM tile needs, overloaded on the element type.
+// Elements per ymm register, and the ymm operations a tile needs,
+// overloaded on the element type.
+template <typename T>
+constexpr std::size_t kLanes = 32 / sizeof(T);
 YOSO_AVX2_INLINE __m256d splat(double x) { return _mm256_set1_pd(x); }
 YOSO_AVX2_INLINE __m256 splat(float x) { return _mm256_set1_ps(x); }
 YOSO_AVX2_INLINE __m256d load(const double* p) { return _mm256_loadu_pd(p); }
@@ -241,7 +244,6 @@ __attribute__((target("avx2,fma"))) double dot_avx2(const double* a,
 template <typename T, typename Vec, std::size_t R, std::size_t V>
 YOSO_AVX2_INLINE void tile_fma(Vec (&s)[R][V], const T* a, const T* b,
                                std::size_t kk, std::size_t n) {
-  constexpr std::size_t w = sizeof(Vec) / sizeof(T);
   YOSO_UNROLL
   for (std::size_t r = 0; r < R; ++r) {
     YOSO_UNROLL
@@ -250,7 +252,7 @@ YOSO_AVX2_INLINE void tile_fma(Vec (&s)[R][V], const T* a, const T* b,
   for (std::size_t t = 0; t < kk; ++t) {
     Vec bv[V];
     YOSO_UNROLL
-    for (std::size_t v = 0; v < V; ++v) bv[v] = load(b + t * n + v * w);
+    for (std::size_t v = 0; v < V; ++v) bv[v] = load(b + t * n + v * kLanes<T>);
     YOSO_UNROLL
     for (std::size_t r = 0; r < R; ++r) {
       const Vec av = splat(a[r * kk + t]);
@@ -265,7 +267,7 @@ template <typename T, std::size_t R, std::size_t V>
 YOSO_AVX2_INLINE void gemm_tile(const T* a, const T* b, T* c, std::size_t kk,
                                 std::size_t n, std::size_t j) {
   decltype(splat(T{})) s[R][V];
-  constexpr std::size_t w = sizeof(s[0][0]) / sizeof(T);
+  constexpr std::size_t w = kLanes<T>;
   tile_fma(s, a, b + j, kk, n);
   YOSO_UNROLL
   for (std::size_t r = 0; r < R; ++r) {
@@ -279,7 +281,7 @@ YOSO_AVX2_INLINE void gemm_tile(const T* a, const T* b, T* c, std::size_t kk,
 template <typename T, std::size_t R>
 __attribute__((target("avx2,fma"))) void gemm_row_group(
     const T* a, const T* b, T* c, std::size_t kk, std::size_t n) {
-  constexpr std::size_t w = sizeof(splat(T{})) / sizeof(T);
+  constexpr std::size_t w = kLanes<T>;
   std::size_t j = 0;
   for (; j + 4 * w <= n; j += 4 * w) gemm_tile<T, R, 4>(a, b, c, kk, n, j);
   for (; j + w <= n; j += w) gemm_tile<T, R, 1>(a, b, c, kk, n, j);

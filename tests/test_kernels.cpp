@@ -256,7 +256,8 @@ TEST(KernelsTest, ExpScaleExtremeArgumentsStayFinite) {
   for (const double v : out) EXPECT_TRUE(std::isfinite(v));
 }
 
-/// Folds the raw bytes of every element of `v` into an FNV-1a-64 hash.
+/// Folds the raw bytes of every element of `v` into an FNV-1a-64 hash with
+/// the standard offset basis (core/artifact.h's fnv1a64 starts elsewhere).
 template <typename T>
 void fnv1a_fold(std::uint64_t& h, const std::vector<T>& v) {
   for (const T x : v) {
