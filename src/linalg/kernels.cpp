@@ -171,14 +171,15 @@ void exp_scale_generic(const double* in, double* out, std::size_t n,
 }
 
 // --- AVX2+FMA engine -------------------------------------------------------
-// One register-tile template per algorithm.  A tile holds R rows x V ymm
-// vectors of accumulators and issues one broadcast-FMA per (row, vector)
-// for each step of the shared index, in ascending order.  The 2- and 1-row
-// GEMM sweeps, the 4-, 2- and 1-row distance sweeps and their one-vector
-// column tails are instantiations of it; the scalar column tail replays the
-// same chain with std::fma.  So each output element owns one accumulator
-// lane updated in a fixed order, never a cross-lane reduction, and its bits
-// do not depend on how rows or columns were grouped.
+// One register-tile template, tile_fma, under the GEMMs and the distances.
+// A tile holds R rows x V ymm vectors of accumulators and issues one
+// broadcast-FMA per (row, vector) for each step of the shared index, in
+// ascending order.  The 2- and 1-row GEMM sweeps, the 4-, 2- and 1-row
+// distance sweeps and their one-vector column tails are instantiations of
+// it; the scalar column tail replays the same chain with std::fma.  So each
+// output element owns one accumulator lane updated in a fixed order, never
+// a cross-lane reduction, and its bits do not depend on how rows or columns
+// were grouped.
 
 #if YOSO_KERNELS_X86
 
@@ -238,9 +239,10 @@ __attribute__((target("avx2,fma"))) double dot_avx2(const double* a,
   return acc;
 }
 
-/// The register tile under every AVX2 GEMM and distance block: for t
-/// ascending in [0, kk), s[r][v] += a[r * kk + t] * b[t * n + v * width ...]
-/// for every row r < R and vector v < V, one broadcast-FMA each.
+/// The register tile under every AVX2 GEMM and distance block: zeroes s,
+/// then for t ascending in [0, kk) adds a[r * kk + t] times the vector at
+/// b + t * n + v * kLanes into s[r][v], one broadcast-FMA per row r < R and
+/// vector v < V.
 template <typename T, typename Vec, std::size_t R, std::size_t V>
 YOSO_AVX2_INLINE void tile_fma(Vec (&s)[R][V], const T* a, const T* b,
                                std::size_t kk, std::size_t n) {
