@@ -103,10 +103,14 @@ gate_end
 if [ "$FAST" -eq 1 ]; then
   printf '\n(sanitizer gates skipped: --fast)\n'
 else
+  LONG_PIN='GoldenTest\.DefaultCliRunFullLength'
   gate_begin "ASan+UBSan build and unit tests"
   cmake -B build-check-asan -S . -DYOSO_SANITIZE=address,undefined
   cmake --build build-check-asan -j "$JOBS"
-  ctest --test-dir build-check-asan -j "$JOBS" --output-on-failure
+  # The full-length default-run pin takes minutes under a sanitizer; the
+  # unit-test gate above runs it.
+  ctest --test-dir build-check-asan -j "$JOBS" --output-on-failure \
+    -E "$LONG_PIN"
   gate_end
 
   if [ "$TSAN" -eq 1 ]; then
@@ -116,7 +120,8 @@ else
     # The threaded surfaces: pool, batched evaluator, parallel drivers, the
     # serving daemon's threads, lock primitives, metrics, golden pins.
     ctest --test-dir build-check-tsan -j "$JOBS" --output-on-failure \
-      -R 'ThreadPool|Parallel|Evaluator|Batch|ServeIntegration|JobQueueTest|SynchronizedTest|MutexTest|ObsTest|GoldenTest|SearchRefineTest'
+      -R 'ThreadPool|Parallel|Evaluator|Batch|ServeIntegration|JobQueueTest|SynchronizedTest|MutexTest|ObsTest|GoldenTest|SearchRefineTest' \
+      -E "$LONG_PIN"
     gate_end
   else
     printf '\n(TSan gate skipped: pass --tsan to enable)\n'

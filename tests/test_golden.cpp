@@ -1,4 +1,4 @@
-// Golden pins: the winner and a reward checksum of three searches and of
+// Golden pins: the winner and a reward checksum of four searches and of
 // one yoso_serve job, plus a checksum of a bare controller's REINFORCE
 // trajectory, frozen as constants.  The determinism tests in
 // test_parallel_search.cpp only compare thread counts against each other,
@@ -223,13 +223,14 @@ TEST_F(GoldenTest, ServeJobAndMemoRepeat) {
   }
 }
 
-// yoso_cli's default run shortened to 150 samples and 400 iterations:
-// the cycle-level simulator, the exact GP, batch 8, top-10, seed 7, the
-// balanced reward at t_lat 1.2 / t_eer 9.0, one thread.  It pins the
-// controller on the default 44-step action space inside the real driver.
-TEST_F(GoldenTest, CycleLevelCliRun) {
+/// yoso_cli's default options at `samples` Step-1 samples and `iterations`
+/// search iterations: the cycle-level simulator, the exact GP, batch 8,
+/// top-10, seed 7, the balanced reward at t_lat 1.2 / t_eer 9.0, one thread.
+SearchResult cli_default_run(const DesignSpace& space,
+                             const NetworkSkeleton& skeleton,
+                             std::size_t samples, std::size_t iterations) {
   SearchOptions opt;
-  opt.iterations = 400;
+  opt.iterations = iterations;
   opt.top_n = 10;
   opt.reward = balanced_reward();
   opt.reward.t_lat_ms = 1.2;
@@ -237,15 +238,22 @@ TEST_F(GoldenTest, CycleLevelCliRun) {
   opt.seed = 7;
   opt.batch_size = 8;
   const ExecContextPtr exec = ExecContext::create(1);
-  FastEvaluator fast(*space_, *skeleton_,
+  FastEvaluator fast(space, skeleton,
                      SystolicSimulator({}, SimFidelity::kCycleLevel),
-                     {.predictor_samples = 150,
+                     {.predictor_samples = samples,
                       .seed = 7,
                       .predictor_backend = GpBackend::kExact,
                       .exec = exec});
   AccurateEvaluator accurate(
-      *skeleton_, SystolicSimulator({}, SimFidelity::kCycleLevel), exec);
-  const SearchResult r = YosoSearch(*space_, opt).run(fast, &accurate, exec);
+      skeleton, SystolicSimulator({}, SimFidelity::kCycleLevel), exec);
+  return YosoSearch(space, opt).run(fast, &accurate, exec);
+}
+
+// The default run shortened to 150 samples and 400 iterations.  It pins
+// the controller on the default 44-step action space inside the real
+// driver.
+TEST_F(GoldenTest, CycleLevelCliRun) {
+  const SearchResult r = cli_default_run(*space_, *skeleton_, 150, 400);
   ASSERT_TRUE(r.best.has_value());
   EXPECT_EQ(serialize_candidate(r.best->candidate),
             "normal=1,1,dwconv5x5,dwconv3x3;2,1,avgpool3x3,dwconv3x3;"
@@ -255,6 +263,22 @@ TEST_F(GoldenTest, CycleLevelCliRun) {
             "2,2,avgpool3x3,dwconv3x3;1,1,dwconv3x3,dwconv3x3"
             "@16*24/196KB/512B/OS");
   EXPECT_EQ(reward_checksum(r), 0x1c4559d6c3b895abull);
+}
+
+// The default run at full length: 500 samples and 2,000 iterations, as
+// `yoso_cli` with no flags.  It takes ~17 s in RelWithDebInfo, so
+// scripts/check.sh and CI keep it out of the sanitizer stages.
+TEST_F(GoldenTest, DefaultCliRunFullLength) {
+  const SearchResult r = cli_default_run(*space_, *skeleton_, 500, 2000);
+  ASSERT_TRUE(r.best.has_value());
+  EXPECT_EQ(serialize_candidate(r.best->candidate),
+            "normal=1,1,dwconv5x5,dwconv5x5;1,1,avgpool3x3,dwconv3x3;"
+            "3,0,dwconv3x3,dwconv5x5;2,4,avgpool3x3,dwconv3x3;"
+            "4,1,dwconv5x5,dwconv5x5|reduction=1,0,conv3x3,dwconv5x5;"
+            "1,1,dwconv3x3,conv3x3;0,0,dwconv3x3,conv3x3;"
+            "2,4,maxpool3x3,avgpool3x3;5,4,dwconv3x3,dwconv3x3"
+            "@16*32/256KB/128B/OS");
+  EXPECT_EQ(reward_checksum(r), 0xe43135660f72222eull);
 }
 
 // 150 REINFORCE episodes of a bare controller over the default action
