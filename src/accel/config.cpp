@@ -40,7 +40,7 @@ std::size_t ConfigSpace::size() const {
   return total;
 }
 
-AcceleratorConfig ConfigSpace::decode(const std::vector<int>& actions) const {
+AcceleratorConfig ConfigSpace::decode(std::span<const int> actions) const {
   if (actions.size() != static_cast<std::size_t>(kActionCount))
     throw std::invalid_argument("ConfigSpace::decode: expected 4 actions");
   for (int a = 0; a < kActionCount; ++a)
@@ -80,12 +80,11 @@ std::vector<int> ConfigSpace::encode(const AcceleratorConfig& config) const {
 std::vector<AcceleratorConfig> ConfigSpace::enumerate() const {
   std::vector<AcceleratorConfig> configs;
   configs.reserve(size());
-  for (std::size_t p = 0; p < pe_shapes.size(); ++p)
-    for (std::size_t g = 0; g < g_buf_kb_options.size(); ++g)
-      for (std::size_t r = 0; r < r_buf_byte_options.size(); ++r)
+  for (const auto& [rows, cols] : pe_shapes)
+    for (const int g : g_buf_kb_options)
+      for (const int r : r_buf_byte_options)
         for (int d = 0; d < kNumDataflows; ++d)
-          configs.push_back(decode({static_cast<int>(p), static_cast<int>(g),
-                                    static_cast<int>(r), d}));
+          configs.push_back({rows, cols, g, r, static_cast<Dataflow>(d)});
   return configs;
 }
 

@@ -11,6 +11,7 @@
 //   * dataflow            — WS, OS, RS, NLR
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,7 +64,7 @@ struct ConfigSpace {
   std::size_t size() const;
 
   /// Action indices -> config.  Throws on out-of-range actions.
-  AcceleratorConfig decode(const std::vector<int>& actions) const;
+  AcceleratorConfig decode(std::span<const int> actions) const;
 
   /// Config -> action indices.  Throws if the config is not in the space.
   std::vector<int> encode(const AcceleratorConfig& config) const;

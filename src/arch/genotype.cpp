@@ -12,9 +12,6 @@ bool validate_cell(const CellGenotype& cell, std::string* error) {
     if (error != nullptr) *error = msg;
     return false;
   };
-  if (static_cast<int>(cell.nodes.size()) != kInteriorNodes)
-    return fail("cell has " + std::to_string(cell.nodes.size()) +
-                " interior nodes, expected " + std::to_string(kInteriorNodes));
   for (int n = 0; n < kInteriorNodes; ++n) {
     const NodeSpec& spec = cell.nodes[static_cast<std::size_t>(n)];
     const int node_index = n + 2;
@@ -51,15 +48,13 @@ bool validate_genotype(const Genotype& g, std::string* error) {
 
 CellGenotype random_cell(Rng& rng) {
   CellGenotype cell;
-  cell.nodes.reserve(kInteriorNodes);
   for (int n = 0; n < kInteriorNodes; ++n) {
     const int node_index = n + 2;
-    NodeSpec spec;
+    NodeSpec& spec = cell.nodes[static_cast<std::size_t>(n)];
     spec.input_a = rng.uniform_int(0, node_index - 1);
     spec.input_b = rng.uniform_int(0, node_index - 1);
     spec.op_a = static_cast<Op>(rng.uniform_int(0, kNumOps - 1));
     spec.op_b = static_cast<Op>(rng.uniform_int(0, kNumOps - 1));
-    cell.nodes.push_back(spec);
   }
   return cell;
 }

@@ -11,6 +11,7 @@
 // A full architecture is two cell genotypes (normal + reduction); reduction
 // cells use stride 2 on edges reading the cell inputs.
 
+#include <array>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -37,7 +38,7 @@ struct NodeSpec {
 
 /// Genotype of one cell: specs for interior nodes 2..B-1 in order.
 struct CellGenotype {
-  std::vector<NodeSpec> nodes;  // size kInteriorNodes
+  std::array<NodeSpec, kInteriorNodes> nodes;
 
   bool operator==(const CellGenotype&) const = default;
 };
@@ -51,7 +52,8 @@ struct Genotype {
 };
 
 /// Returns true and clears `error` if the cell genotype is well-formed:
-/// right node count and every input index j satisfies j < i.
+/// every input index j of node i satisfies 0 <= j < i and every op is one
+/// of the kNumOps candidates.
 bool validate_cell(const CellGenotype& cell, std::string* error = nullptr);
 
 /// Validates both cells of a genotype.

@@ -1,5 +1,6 @@
 #include "arch/zoo.h"
 
+#include <array>
 #include <stdexcept>
 
 #include "arch/genotype.h"
@@ -17,9 +18,8 @@ constexpr Op kD5 = Op::kDwConv5x5;
 constexpr Op kMx = Op::kMaxPool3x3;
 constexpr Op kAv = Op::kAvgPool3x3;
 
-CellGenotype cell(std::vector<NodeSpec> nodes) {
-  CellGenotype c;
-  c.nodes = std::move(nodes);
+CellGenotype cell(const std::array<NodeSpec, kInteriorNodes>& nodes) {
+  const CellGenotype c{nodes};
   std::string error;
   if (!validate_cell(c, &error))
     throw std::logic_error("zoo: invalid hand-written cell: " + error);
@@ -41,20 +41,20 @@ std::vector<ReferenceModel> build_models() {
     m.name = "NasNet-A";
     m.paper_test_error = 3.41;
     m.paper_search_gpu_days = 1800;
-    m.genotype.normal = cell({
+    m.genotype.normal = cell({{
         {0, 1, kC5, kD3},
         {1, 0, kAv, kD5},
         {1, 0, kC5, kAv},
         {1, 1, kD5, kD3},
         {0, 2, kD5, kAv},
-    });
-    m.genotype.reduction = cell({
+    }});
+    m.genotype.reduction = cell({{
         {0, 1, kC5, kD5},
         {1, 0, kMx, kD5},
         {1, 0, kAv, kC5},
         {2, 1, kMx, kD3},
         {2, 3, kAv, kMx},
-    });
+    }});
     models.push_back(std::move(m));
   }
 
@@ -65,20 +65,20 @@ std::vector<ReferenceModel> build_models() {
     m.name = "Darts_v1";
     m.paper_test_error = 3.0;
     m.paper_search_gpu_days = 0.38;
-    m.genotype.normal = cell({
+    m.genotype.normal = cell({{
         {0, 1, kD3, kC3},
         {0, 1, kD3, kC3},
         {1, 2, kD3, kC3},
         {0, 3, kC3, kD3},
         {2, 4, kD3, kC3},
-    });
-    m.genotype.reduction = cell({
+    }});
+    m.genotype.reduction = cell({{
         {0, 1, kMx, kC3},
         {1, 2, kMx, kD3},
         {2, 1, kMx, kD3},
         {2, 3, kC3, kMx},
         {3, 4, kD3, kC3},
-    });
+    }});
     models.push_back(std::move(m));
   }
 
@@ -89,20 +89,20 @@ std::vector<ReferenceModel> build_models() {
     m.name = "Darts_v2";
     m.paper_test_error = 2.82;
     m.paper_search_gpu_days = 1;
-    m.genotype.normal = cell({
+    m.genotype.normal = cell({{
         {0, 1, kC3, kD3},
         {0, 1, kD3, kC3},
         {1, 2, kC3, kD3},
         {0, 2, kC3, kC3},
         {2, 4, kD3, kMx},
-    });
-    m.genotype.reduction = cell({
+    }});
+    m.genotype.reduction = cell({{
         {0, 1, kMx, kC3},
         {1, 2, kMx, kC3},
         {2, 1, kMx, kD3},
         {2, 3, kC3, kC3},
         {3, 4, kC3, kC3},
-    });
+    }});
     models.push_back(std::move(m));
   }
 
@@ -112,20 +112,20 @@ std::vector<ReferenceModel> build_models() {
     m.name = "AmoebaNet-A";
     m.paper_test_error = 3.12;
     m.paper_search_gpu_days = 3150;
-    m.genotype.normal = cell({
+    m.genotype.normal = cell({{
         {0, 1, kAv, kC5},
         {1, 2, kD3, kC3},
         {0, 2, kAv, kD5},
         {1, 3, kC5, kC3},
         {3, 4, kAv, kD5},
-    });
-    m.genotype.reduction = cell({
+    }});
+    m.genotype.reduction = cell({{
         {0, 1, kAv, kD5},
         {1, 0, kMx, kC5},
         {0, 2, kMx, kC5},
         {2, 3, kD3, kC3},
         {3, 4, kAv, kC5},
-    });
+    }});
     models.push_back(std::move(m));
   }
 
@@ -136,20 +136,20 @@ std::vector<ReferenceModel> build_models() {
     m.name = "EnasNet";
     m.paper_test_error = 2.89;
     m.paper_search_gpu_days = 1;
-    m.genotype.normal = cell({
+    m.genotype.normal = cell({{
         {0, 1, kC5, kC3},
         {1, 2, kC5, kC3},
         {1, 0, kAv, kD3},
         {2, 3, kC3, kD3},
         {0, 4, kD3, kAv},
-    });
-    m.genotype.reduction = cell({
+    }});
+    m.genotype.reduction = cell({{
         {0, 1, kMx, kC5},
         {1, 2, kAv, kC3},
         {1, 0, kMx, kC5},
         {3, 2, kC3, kD3},
         {3, 4, kD3, kC3},
-    });
+    }});
     models.push_back(std::move(m));
   }
 
@@ -160,20 +160,20 @@ std::vector<ReferenceModel> build_models() {
     m.name = "PnasNet";
     m.paper_test_error = 3.63;
     m.paper_search_gpu_days = 150;
-    m.genotype.normal = cell({
+    m.genotype.normal = cell({{
         {0, 1, kC5, kMx},
         {1, 1, kC5, kAv},
         {0, 2, kC5, kD5},
         {1, 3, kD5, kMx},
         {2, 4, kD5, kAv},
-    });
-    m.genotype.reduction = cell({
+    }});
+    m.genotype.reduction = cell({{
         {0, 1, kC5, kMx},
         {1, 0, kMx, kD5},
         {1, 2, kAv, kC5},
         {2, 3, kMx, kC5},
         {3, 4, kD5, kAv},
-    });
+    }});
     models.push_back(std::move(m));
   }
 

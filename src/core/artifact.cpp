@@ -12,6 +12,7 @@
 
 #include "arch/network.h"
 #include "base/contract.h"
+#include "base/fnv1a.h"
 #include "core/evaluator.h"
 #include "linalg/matrix.h"
 #include "predictor/gp.h"
@@ -74,15 +75,6 @@ const std::array<std::uint32_t, 256>& crc32_table() {
 }
 
 }  // namespace
-
-std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  for (std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 1099511628211ull;  // FNV prime
-  }
-  return h;
-}
 
 std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
   const auto& table = crc32_table();

@@ -63,8 +63,7 @@ enum class ArtifactSection : std::uint32_t {
   kJobState = 0x07,       ///< yoso_serve job-table snapshot
 };
 
-/// FNV-1a 64-bit over `bytes` (the per-section payload checksum).
-std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes);
+// The per-section payload checksum is fnv1a64 (base/fnv1a.h).
 
 /// CRC-32 (IEEE 802.3, reflected) over `bytes` (header + table checksums).
 std::uint32_t crc32(std::span<const std::uint8_t> bytes);

@@ -1,22 +1,24 @@
 #include "core/design_space.h"
 
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "accel/config.h"
 #include "arch/encoding.h"
 #include "arch/genotype.h"
+#include "base/contract.h"
 #include "util/rng.h"
 
 namespace yoso {
 
-std::string candidate_key(const CandidateDesign& candidate) {
-  std::string key;
-  key.reserve(4 * 2 * kInteriorNodes + 9);
-  const auto put8 = [&key](int v) { key.push_back(static_cast<char>(v)); };
-  const auto put16 = [&key](int v) {
-    key.push_back(static_cast<char>(v & 0xff));
-    key.push_back(static_cast<char>((v >> 8) & 0xff));
+CandidateKey candidate_key(const CandidateDesign& candidate) {
+  CandidateKey key{};
+  std::size_t at = 0;
+  const auto put8 = [&](int v) {
+    YOSO_REQUIRE(v >= 0 && v < 256, "candidate_key: node field ", v,
+                 " does not fit in one byte");
+    key[at++] = static_cast<std::uint8_t>(v);
   };
   for (const CellGenotype* cell :
        {&candidate.genotype.normal, &candidate.genotype.reduction}) {
@@ -27,11 +29,12 @@ std::string candidate_key(const CandidateDesign& candidate) {
       put8(static_cast<int>(n.op_b));
     }
   }
-  put8(candidate.config.pe_rows);
-  put8(candidate.config.pe_cols);
-  put16(candidate.config.g_buf_kb);
-  put16(candidate.config.r_buf_bytes);
-  put8(static_cast<int>(candidate.config.dataflow));
+  const AcceleratorConfig& c = candidate.config;
+  for (const int v : {c.pe_rows, c.pe_cols, c.g_buf_kb, c.r_buf_bytes,
+                      static_cast<int>(c.dataflow)}) {
+    std::memcpy(&key[at], &v, sizeof v);
+    at += sizeof v;
+  }
   return key;
 }
 
@@ -62,16 +65,12 @@ std::vector<std::string> DesignSpace::action_names() const {
   return names;
 }
 
-CandidateDesign DesignSpace::decode(const std::vector<int>& actions) const {
+CandidateDesign DesignSpace::decode(std::span<const int> actions) const {
   if (actions.size() != static_cast<std::size_t>(num_actions()))
     throw std::invalid_argument("DesignSpace::decode: expected " +
                                 std::to_string(num_actions()) + " actions");
-  CandidateDesign c;
-  c.genotype = decode_genotype(
-      std::span<const int>(actions).first(kDnnActionCount));
-  const std::vector<int> hw(actions.begin() + kDnnActionCount, actions.end());
-  c.config = config_space_.decode(hw);
-  return c;
+  return {decode_genotype(actions.first(kDnnActionCount)),
+          config_space_.decode(actions.subspan(kDnnActionCount))};
 }
 
 std::vector<int> DesignSpace::encode(const CandidateDesign& candidate) const {
@@ -83,7 +82,7 @@ std::vector<int> DesignSpace::encode(const CandidateDesign& candidate) const {
 CandidateDesign DesignSpace::random_candidate(Rng& rng) const {
   CandidateDesign c;
   c.genotype = random_genotype(rng);
-  std::vector<int> hw(ConfigSpace::kActionCount);
+  std::array<int, ConfigSpace::kActionCount> hw{};
   for (int a = 0; a < ConfigSpace::kActionCount; ++a)
     hw[static_cast<std::size_t>(a)] =
         rng.uniform_int(0, config_space_.cardinality(a) - 1);

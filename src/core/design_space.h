@@ -5,12 +5,16 @@
 // DNN action space (src/arch) and the hardware action space (src/accel)
 // into one sequence for the RL controller.
 
+#include <array>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "accel/config.h"
 #include "arch/encoding.h"
 #include "arch/genotype.h"
+#include "base/fnv1a.h"
 #include "util/rng.h"
 
 namespace yoso {
@@ -23,11 +27,22 @@ struct CandidateDesign {
   bool operator==(const CandidateDesign&) const = default;
 };
 
-/// Compact byte string that uniquely identifies a candidate (a fixed-width
-/// packing of its encoded actions).  Used as the hash key for evaluation
-/// memoization and finalist dedupe; two candidates compare equal iff their
-/// keys are equal.
-std::string candidate_key(const CandidateDesign& candidate);
+/// A candidate's identity as a fixed-size value: one byte per node field
+/// (every input and op of a valid genotype is below 8), then each
+/// AcceleratorConfig field at full int width.
+using CandidateKey = std::array<std::uint8_t, 2 * kInteriorNodes * 4 + 5 * 4>;
+
+/// The memo and finalist-dedupe key: candidate_key(a) == candidate_key(b)
+/// exactly when a == b.  Throws ContractViolation on a node field outside
+/// [0, 256).
+CandidateKey candidate_key(const CandidateDesign& candidate);
+
+/// The one hash every CandidateKey container uses.
+struct CandidateKeyHash {
+  std::size_t operator()(const CandidateKey& key) const noexcept {
+    return fnv1a64(key);
+  }
+};
 
 class DesignSpace {
  public:
@@ -45,7 +60,7 @@ class DesignSpace {
   std::vector<std::string> action_names() const;
 
   /// Actions -> candidate; throws on malformed input.
-  CandidateDesign decode(const std::vector<int>& actions) const;
+  CandidateDesign decode(std::span<const int> actions) const;
 
   /// Candidate -> actions.
   std::vector<int> encode(const CandidateDesign& candidate) const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <string_view>
 
 #include "accel/simulator.h"
 #include "arch/network.h"
@@ -125,7 +124,7 @@ std::vector<EvalResult> FastEvaluator::evaluate_batch(
   // race-free — while the coordinator-only *write* discipline stays
   // machine-checked (naming cache_ in a worker lambda still fails
   // -Wthread-safety; see the tsa.negative fixture).
-  std::vector<std::string> keys(n);
+  std::vector<CandidateKey> keys(n);
   std::vector<const EvalResult*> hit(n, nullptr);
   {
     YOSO_TRACE_SPAN("eval.probe");
@@ -141,7 +140,7 @@ std::vector<EvalResult> FastEvaluator::evaluate_batch(
   // order.  Only these are scored; duplicates are computed once.
   std::vector<std::size_t> miss;
   miss.reserve(n);
-  std::unordered_map<std::string_view, std::size_t> miss_slot;
+  std::unordered_map<CandidateKey, std::size_t, CandidateKeyHash> miss_slot;
   for (std::size_t i = 0; i < n; ++i) {
     if (hit[i] != nullptr) continue;
     if (miss_slot.emplace(keys[i], miss.size()).second) miss.push_back(i);

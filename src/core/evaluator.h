@@ -26,7 +26,8 @@
 // then scores the batch's distinct misses in one parallel_for over fixed
 // 8-row blocks — each block computes the accuracy proxy, the GP feature
 // rows and the fused latency/energy GP predict on one thread — and
-// memoizes results keyed by the encoded candidate, which pays off when the
+// memoizes results keyed by the lossless candidate_key() (two designs share
+// an entry exactly when they compare equal), which pays off when the
 // controller revisits designs.  Results are bit-identical to per-candidate
 // serial evaluation at any thread count: the blocking is fixed, every
 // per-row computation chain is self-contained, and all stateful
@@ -43,7 +44,6 @@
 
 #include <memory>
 #include <span>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -173,7 +173,7 @@ class FastEvaluator : public Evaluator {
   /// be written under a ThreadRoleGuard on it (never from pool workers —
   /// they see at most a const snapshot).
   mutable ThreadRole coordinator_;
-  std::unordered_map<std::string, EvalResult> cache_
+  std::unordered_map<CandidateKey, EvalResult, CandidateKeyHash> cache_
       YOSO_GUARDED_BY(coordinator_);
 };
 

@@ -62,18 +62,14 @@ NetworkSkeleton ExtendedDesignSpace::skeleton_for(int depth_index,
 }
 
 ExtendedCandidate ExtendedDesignSpace::decode(
-    const std::vector<int>& actions) const {
+    std::span<const int> actions) const {
   if (actions.size() != static_cast<std::size_t>(num_actions()))
     throw std::invalid_argument("ExtendedDesignSpace::decode: expected " +
                                 std::to_string(num_actions()) + " actions");
-  const std::vector<int> base_actions(actions.begin(), actions.end() - 2);
-  const CandidateDesign design = base_.decode(base_actions);
-  ExtendedCandidate c;
-  c.genotype = design.genotype;
-  c.config = design.config;
-  c.skeleton = skeleton_for(actions[actions.size() - 2],
-                            actions[actions.size() - 1]);
-  return c;
+  const CandidateDesign design =
+      base_.decode(actions.first(actions.size() - 2));
+  return {design.genotype, design.config,
+          skeleton_for(actions[actions.size() - 2], actions.back())};
 }
 
 std::vector<int> ExtendedDesignSpace::encode(

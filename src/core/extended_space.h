@@ -14,6 +14,7 @@
 
 #include <limits>
 #include <optional>
+#include <span>
 
 #include "accel/config.h"
 #include "accel/simulator.h"
@@ -54,7 +55,7 @@ class ExtendedDesignSpace {
   int num_actions() const;
   std::vector<int> cardinalities() const;
 
-  ExtendedCandidate decode(const std::vector<int>& actions) const;
+  ExtendedCandidate decode(std::span<const int> actions) const;
   std::vector<int> encode(const ExtendedCandidate& candidate) const;
   ExtendedCandidate random_candidate(Rng& rng) const;
 

@@ -40,14 +40,9 @@ std::vector<double> SearchLoop::submit(
   const std::vector<EvalResult> evals = fast_.evaluate_batch(batch);
   ThreadRoleGuard coordinator(role_);
   std::vector<double> rewards(batch.size());
-  if (options_.trace_every != 0 &&
-      result_.trace.size() + batch.size() > result_.trace.capacity()) {
-    // Geometric growth by hand: reserve() alone would force exact-fit
-    // reallocation on every batch.
-    result_.trace.reserve(
-        std::max(result_.trace.size() + batch.size(),
-                 2 * result_.trace.capacity()));
-  }
+  if (options_.trace_every != 0 && iteration_ == 0)
+    result_.trace.reserve((options_.iterations + options_.trace_every - 1) /
+                          options_.trace_every);
   for (std::size_t j = 0; j < batch.size(); ++j) {
     const double reward = options_.reward.compute(evals[j]);
     rewards[j] = reward;

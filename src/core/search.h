@@ -101,7 +101,7 @@ struct SearchResult {
 /// Keeps the best-`capacity` *distinct* candidates seen so far, ranked by
 /// fast reward.  Shared by all search drivers (RL, random, evolutionary,
 /// Bayesian) so their Step-3 inputs are comparable.  Dedupe is a hash-set
-/// lookup on the encoded candidate and the entry list stays sorted via
+/// lookup on candidate_key() and the entry list stays sorted via
 /// binary-search insertion, so offer() costs O(log capacity) amortised
 /// instead of the old O(n) scan + full sort.
 class FinalistPool {
@@ -125,8 +125,8 @@ class FinalistPool {
   mutable ThreadRole role_;
   std::vector<RankedCandidate> entries_    // sorted by fast_reward desc
       YOSO_GUARDED_BY(role_);
-  std::unordered_set<std::string> seen_    // keys of every offered design
-      YOSO_GUARDED_BY(role_);
+  std::unordered_set<CandidateKey, CandidateKeyHash>
+      seen_ YOSO_GUARDED_BY(role_);  // keys of every offered design
 };
 
 /// The per-iteration bookkeeping every driver shares: batch evaluation via

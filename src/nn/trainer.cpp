@@ -23,7 +23,7 @@ Genotype biased_path_sampler(Rng& rng) {
     CellGenotype cell;
     for (int n = 0; n < kInteriorNodes; ++n) {
       const int node_index = n + 2;
-      NodeSpec spec;
+      NodeSpec& spec = cell.nodes[static_cast<std::size_t>(n)];
       // Geometric-ish preference for index 0 inputs and the first ops.
       auto biased_pick = [&rng](int cardinality) {
         int v = 0;
@@ -34,7 +34,6 @@ Genotype biased_path_sampler(Rng& rng) {
       spec.input_b = biased_pick(node_index);
       spec.op_a = static_cast<Op>(biased_pick(kNumOps));
       spec.op_b = static_cast<Op>(biased_pick(kNumOps));
-      cell.nodes.push_back(spec);
     }
     return cell;
   };

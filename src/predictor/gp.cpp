@@ -5,6 +5,7 @@
 #include <numbers>
 
 #include "base/contract.h"
+#include "base/fnv1a.h"
 #include "linalg/matrix.h"
 #include "obs/trace.h"
 #include "predictor/regressor.h"
@@ -38,24 +39,15 @@ void GpRegressor::stamp_train_fingerprint() {
   // FNV-1a over (n, d, first standardized row, last standardized row).
   // Cheap (O(d)) yet strong enough to catch the realistic caller bug —
   // predict_means_pair fed two models fitted on different sample sets.
-  constexpr std::uint64_t kOffset = 1469598103934665603ULL;
-  constexpr std::uint64_t kPrime = 1099511628211ULL;
-  std::uint64_t h = kOffset;
-  const auto mix = [&h](const unsigned char* p, std::size_t len) {
-    for (std::size_t i = 0; i < len; ++i) {
-      h ^= static_cast<std::uint64_t>(p[i]);
-      h *= kPrime;
-    }
+  const auto bytes = [](auto values) {
+    return std::span(reinterpret_cast<const std::uint8_t*>(values.data()),
+                     values.size_bytes());
   };
   const std::uint64_t shape[2] = {train_x_.rows(), train_x_.cols()};
-  mix(reinterpret_cast<const unsigned char*>(shape), sizeof(shape));
+  std::uint64_t h = fnv1a64(bytes(std::span(shape)));
   if (train_x_.rows() > 0) {
-    const std::span<const double> first = train_x_.row(0);
-    const std::span<const double> last = train_x_.row(train_x_.rows() - 1);
-    mix(reinterpret_cast<const unsigned char*>(first.data()),
-        first.size_bytes());
-    mix(reinterpret_cast<const unsigned char*>(last.data()),
-        last.size_bytes());
+    h = fnv1a64(bytes(train_x_.row(0)), h);
+    h = fnv1a64(bytes(train_x_.row(train_x_.rows() - 1)), h);
   }
   train_fingerprint_ = h;
 }

@@ -66,9 +66,11 @@ TEST(ConfigSpace, EncodeDecodeRoundTrip) {
 
 TEST(ConfigSpace, DecodeRejectsBadActions) {
   const ConfigSpace space = default_config_space();
-  EXPECT_THROW(space.decode({0, 0, 0}), std::invalid_argument);
-  EXPECT_THROW(space.decode({-1, 0, 0, 0}), std::invalid_argument);
-  EXPECT_THROW(space.decode({0, 99, 0, 0}), std::invalid_argument);
+  EXPECT_THROW(space.decode(std::vector<int>{0, 0, 0}), std::invalid_argument);
+  EXPECT_THROW(space.decode(std::vector<int>{-1, 0, 0, 0}),
+               std::invalid_argument);
+  EXPECT_THROW(space.decode(std::vector<int>{0, 99, 0, 0}),
+               std::invalid_argument);
 }
 
 TEST(ConfigSpace, EncodeRejectsForeignConfig) {

@@ -19,7 +19,7 @@ Tensor random_tensor(std::vector<int> shape, Rng& rng) {
 CellGenotype chain_cell(Op op = Op::kConv3x3) {
   CellGenotype c;
   for (int n = 0; n < kInteriorNodes; ++n)
-    c.nodes.push_back({n, n + 1, op, op});
+    c.nodes[n] = {n, n + 1, op, op};
   return c;
 }
 
@@ -27,7 +27,7 @@ CellGenotype fanout_cell() {
   // All nodes read the two inputs -> 5 loose ends.
   CellGenotype c;
   for (int n = 0; n < kInteriorNodes; ++n)
-    c.nodes.push_back({0, 1, Op::kDwConv3x3, Op::kMaxPool3x3});
+    c.nodes[n] = {0, 1, Op::kDwConv3x3, Op::kMaxPool3x3};
   return c;
 }
 
@@ -124,11 +124,11 @@ TEST(CellModule, GradientCheckThroughCell) {
   Rng rng(6);
   CellModule cell(2, false, 11);
   CellGenotype path;
-  path.nodes.push_back({0, 1, Op::kConv3x3, Op::kAvgPool3x3});
-  path.nodes.push_back({2, 0, Op::kDwConv3x3, Op::kConv3x3});
-  path.nodes.push_back({1, 3, Op::kMaxPool3x3, Op::kConv3x3});
-  path.nodes.push_back({2, 4, Op::kConv3x3, Op::kDwConv3x3});
-  path.nodes.push_back({5, 0, Op::kAvgPool3x3, Op::kConv3x3});
+  path.nodes[0] = {0, 1, Op::kConv3x3, Op::kAvgPool3x3};
+  path.nodes[1] = {2, 0, Op::kDwConv3x3, Op::kConv3x3};
+  path.nodes[2] = {1, 3, Op::kMaxPool3x3, Op::kConv3x3};
+  path.nodes[3] = {2, 4, Op::kConv3x3, Op::kDwConv3x3};
+  path.nodes[4] = {5, 0, Op::kAvgPool3x3, Op::kConv3x3};
 
   Tensor s0 = random_tensor({1, 2, 3, 3}, rng);
   Tensor s1 = random_tensor({1, 2, 3, 3}, rng);
@@ -175,9 +175,9 @@ TEST(CellModule, DuplicateEdgeInOneNodeIsSafe) {
   Rng rng(7);
   CellModule cell(3, false, 13);
   CellGenotype path;
-  path.nodes.push_back({1, 1, Op::kConv3x3, Op::kConv3x3});  // duplicate edge
+  path.nodes[0] = {1, 1, Op::kConv3x3, Op::kConv3x3};  // duplicate edge
   for (int n = 1; n < kInteriorNodes; ++n)
-    path.nodes.push_back({n + 1, n + 1, Op::kAvgPool3x3, Op::kMaxPool3x3});
+    path.nodes[n] = {n + 1, n + 1, Op::kAvgPool3x3, Op::kMaxPool3x3};
   const Tensor s = random_tensor({1, 3, 4, 4}, rng);
   const Tensor out = cell.forward(path, s, s);
   EXPECT_NO_THROW(cell.backward(Tensor(out.shape(), 1.0f)));
@@ -208,7 +208,7 @@ TEST(CellModule, PoolOnlyPathHasOnlyPreprocessParams) {
   CellModule cell(2, false, 19);
   CellGenotype pools;
   for (int n = 0; n < kInteriorNodes; ++n)
-    pools.nodes.push_back({0, 1, Op::kMaxPool3x3, Op::kAvgPool3x3});
+    pools.nodes[n] = {0, 1, Op::kMaxPool3x3, Op::kAvgPool3x3};
   const Tensor s = random_tensor({1, 2, 4, 4}, rng);
   cell.forward(pools, s, s);
   cell.clear_cache();

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 #include <memory>
+#include <vector>
 
 #include "accel/config.h"
 #include "accel/simulator.h"
@@ -120,6 +121,36 @@ TEST_F(EvaluatorTest, EvaluationIsDeterministic) {
   EXPECT_DOUBLE_EQ(r1.accuracy, r2.accuracy);
   EXPECT_DOUBLE_EQ(r1.energy_mj, r2.energy_mj);
   EXPECT_DOUBLE_EQ(r1.latency_ms, r2.latency_ms);
+}
+
+// Accelerator variants of one network that agree in the low 8 bits of the
+// PE array size or the low 16 bits of the global buffer are still distinct
+// designs: each element of a memo-cold batch equals evaluate() bit for bit.
+TEST_F(EvaluatorTest, BatchKeepsWideConfigVariantsApart) {
+  Rng rng(8);
+  const CandidateDesign base = space_->random_candidate(rng);
+  const auto variant = [&base](int pe, int g_buf_kb) {
+    CandidateDesign c = base;
+    c.config.pe_rows = pe;
+    c.config.pe_cols = pe;
+    c.config.g_buf_kb = g_buf_kb;
+    return c;
+  };
+  for (const std::vector<CandidateDesign>& batch :
+       {std::vector{variant(256, 512), variant(512, 512)},
+        std::vector{variant(16, 108), variant(16, 65644)}}) {
+    fast_->clear_cache();
+    const std::vector<EvalResult> got = fast_->evaluate_batch(batch);
+    ASSERT_EQ(got.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const EvalResult want = fast_->evaluate(batch[i]);
+      EXPECT_EQ(got[i].accuracy, want.accuracy) << batch[i].config.to_string();
+      EXPECT_EQ(got[i].latency_ms, want.latency_ms)
+          << batch[i].config.to_string();
+      EXPECT_EQ(got[i].energy_mj, want.energy_mj)
+          << batch[i].config.to_string();
+    }
+  }
 }
 
 }  // namespace

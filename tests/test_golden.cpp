@@ -26,6 +26,7 @@
 
 #include "accel/simulator.h"
 #include "arch/network.h"
+#include "base/fnv1a.h"
 #include "core/artifact.h"
 #include "core/design_space.h"
 #include "core/evaluator.h"

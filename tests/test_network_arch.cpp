@@ -12,8 +12,8 @@ namespace {
 Genotype simple_genotype() {
   Genotype g;
   for (int n = 0; n < kInteriorNodes; ++n) {
-    g.normal.nodes.push_back({0, 1, Op::kConv3x3, Op::kMaxPool3x3});
-    g.reduction.nodes.push_back({0, 1, Op::kDwConv5x5, Op::kAvgPool3x3});
+    g.normal.nodes[n] = {0, 1, Op::kConv3x3, Op::kMaxPool3x3};
+    g.reduction.nodes[n] = {0, 1, Op::kDwConv5x5, Op::kAvgPool3x3};
   }
   return g;
 }
@@ -176,10 +176,10 @@ TEST(NetworkStats, AggregatesAreConsistent) {
 TEST(NetworkStats, ConvHeavyCostsMoreThanPoolHeavy) {
   Genotype convs, pools;
   for (int n = 0; n < kInteriorNodes; ++n) {
-    convs.normal.nodes.push_back({0, 1, Op::kConv5x5, Op::kConv3x3});
-    convs.reduction.nodes.push_back({0, 1, Op::kConv5x5, Op::kConv3x3});
-    pools.normal.nodes.push_back({0, 1, Op::kMaxPool3x3, Op::kAvgPool3x3});
-    pools.reduction.nodes.push_back({0, 1, Op::kMaxPool3x3, Op::kAvgPool3x3});
+    convs.normal.nodes[n] = {0, 1, Op::kConv5x5, Op::kConv3x3};
+    convs.reduction.nodes[n] = {0, 1, Op::kConv5x5, Op::kConv3x3};
+    pools.normal.nodes[n] = {0, 1, Op::kMaxPool3x3, Op::kAvgPool3x3};
+    pools.reduction.nodes[n] = {0, 1, Op::kMaxPool3x3, Op::kAvgPool3x3};
   }
   const auto skeleton = default_skeleton();
   const auto sc = network_stats(extract_layers(convs, skeleton));

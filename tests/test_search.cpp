@@ -8,6 +8,7 @@
 #include "core/evaluator.h"
 #include "core/reward.h"
 #include "core/search.h"
+#include "util/rng.h"
 
 namespace yoso {
 namespace {
@@ -144,6 +145,27 @@ TEST_F(SearchTest, RlBeatsRandomOnLateRewards) {
     return acc / static_cast<double>(n);
   };
   EXPECT_GT(tail_mean(rr), tail_mean(rd));
+}
+
+// A 256x256 and a 512x512 PE array under one network are two designs,
+// though the low bytes of their array sizes agree: a SearchLoop offered
+// both keeps both as finalists.
+TEST_F(SearchTest, LoopKeepsWideConfigVariantsApart) {
+  Rng rng(21);
+  CandidateDesign small = space_->random_candidate(rng);
+  small.config.pe_rows = 256;
+  small.config.pe_cols = 256;
+  CandidateDesign big = small;
+  big.config.pe_rows = 512;
+  big.config.pe_cols = 512;
+  const SearchOptions opt = small_options(2);
+  SearchResult result;
+  fast_->clear_cache();
+  SearchLoop loop(opt, *fast_, result);
+  loop.submit(std::vector<CandidateDesign>{small, big});
+  const std::vector<RankedCandidate> finalists = loop.take_finalists();
+  ASSERT_EQ(finalists.size(), 2u);
+  EXPECT_NE(finalists[0].candidate, finalists[1].candidate);
 }
 
 TEST(SearchOptionsValidate, AcceptsDefaults) {

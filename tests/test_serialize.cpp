@@ -46,8 +46,8 @@ TEST(Serialize, GenotypeRoundTrip) {
 TEST(Serialize, GenotypeFormatIsStable) {
   Genotype g;
   for (int n = 0; n < kInteriorNodes; ++n) {
-    g.normal.nodes.push_back({0, 1, Op::kConv3x3, Op::kMaxPool3x3});
-    g.reduction.nodes.push_back({n, n + 1, Op::kDwConv5x5, Op::kAvgPool3x3});
+    g.normal.nodes[n] = {0, 1, Op::kConv3x3, Op::kMaxPool3x3};
+    g.reduction.nodes[n] = {n, n + 1, Op::kDwConv5x5, Op::kAvgPool3x3};
   }
   const std::string s = serialize_genotype(g);
   EXPECT_EQ(s.rfind("normal=0,1,conv3x3,maxpool3x3;", 0), 0u);

@@ -13,8 +13,8 @@ namespace {
 Genotype all_op_genotype(Op op) {
   Genotype g;
   for (int n = 0; n < kInteriorNodes; ++n) {
-    g.normal.nodes.push_back({n, n + 1, op, op});
-    g.reduction.nodes.push_back({n, n + 1, op, op});
+    g.normal.nodes[n] = {n, n + 1, op, op};
+    g.reduction.nodes[n] = {n, n + 1, op, op};
   }
   return g;
 }
@@ -27,7 +27,7 @@ TEST(CellDepth, ChainIsMaxDepth) {
 TEST(CellDepth, FanoutIsDepthOne) {
   CellGenotype c;
   for (int n = 0; n < kInteriorNodes; ++n)
-    c.nodes.push_back({0, 1, Op::kConv3x3, Op::kConv3x3});
+    c.nodes[n] = {0, 1, Op::kConv3x3, Op::kConv3x3};
   EXPECT_EQ(cell_depth(c), 1);
 }
 
