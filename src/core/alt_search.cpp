@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numbers>
 #include <utility>
+#include <vector>
 
 #include "arch/network.h"
 #include "base/contract.h"
@@ -45,7 +46,8 @@ void EvolutionarySearch::search(SearchLoop& loop, Rng& rng) {
     std::vector<int> actions;
     double reward = 0.0;
   };
-  std::deque<Member> population;
+  std::vector<Member> population;  // the aging queue, oldest first
+  population.reserve(evolution_.population + 1);
 
   for (std::size_t it = 0; it < options_.iterations; ++it) {
     Member child;
@@ -83,7 +85,7 @@ void EvolutionarySearch::search(SearchLoop& loop, Rng& rng) {
     child.reward = loop.submit(space_.decode(child.actions));
     population.push_back(std::move(child));
     if (population.size() > evolution_.population)
-      population.pop_front();  // aging: the oldest dies
+      population.erase(population.begin());  // aging: the oldest dies
   }
 }
 
@@ -100,8 +102,9 @@ BayesOptSearch::BayesOptSearch(const DesignSpace& space,
 }
 
 void BayesOptSearch::search(SearchLoop& loop, Rng& rng) {
-  // Observations (features -> reward), windowed.
-  std::deque<std::pair<std::vector<double>, double>> observations;
+  // Observations (features -> reward), windowed, oldest first.
+  std::vector<std::pair<std::vector<double>, double>> observations;
+  observations.reserve(bayes_.train_window + 1);
   GpRegressor gp;
   bool gp_ready = false;
   double best_reward = -1e300;
@@ -147,7 +150,8 @@ void BayesOptSearch::search(SearchLoop& loop, Rng& rng) {
     best_reward = std::max(best_reward, reward);
 
     observations.emplace_back(features_of(chosen), reward);
-    if (observations.size() > bayes_.train_window) observations.pop_front();
+    if (observations.size() > bayes_.train_window)
+      observations.erase(observations.begin());
     if (observations.size() >= bayes_.initial_random &&
         (it % bayes_.refit_every == 0 || !gp_ready))
       refit();

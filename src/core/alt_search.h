@@ -19,8 +19,6 @@
 // ignored, while an ExecContext passed to run() still parallelizes Step-1
 // sampling and the Step-3 rerank.
 
-#include <deque>
-
 #include "core/design_space.h"
 #include "core/search.h"
 #include "util/rng.h"

@@ -161,18 +161,30 @@ void YosoSearch::search(SearchLoop& loop, Rng& rng) {
   ReinforceTrainer trainer(controller, options_.reinforce);
   const std::size_t round = std::max<std::size_t>(1, options_.batch_size);
 
+  // A round's episodes are sampled together from the same weights; their
+  // feedback follows the round's evaluation, in proposal order.
   std::vector<Episode> episodes;
   std::vector<CandidateDesign> batch;
+  batch.reserve(std::min(round, options_.iterations));
+  std::vector<double> rewards;
   std::size_t it = 0;
   while (it < options_.iterations) {
     const std::size_t k = std::min(round, options_.iterations - it);
-    episodes.clear();
-    batch.clear();
-    for (std::size_t j = 0; j < k; ++j) {
-      episodes.push_back(controller.sample(rng));
-      batch.push_back(space_.decode(episodes.back().actions));
+    {
+      YOSO_TRACE_SPAN("rl.sample");
+      episodes.clear();  // free the last round's caches first
+      episodes = controller.sample_round(rng, k);
     }
-    const std::vector<double> rewards = loop.submit(batch);
+    {
+      YOSO_TRACE_SPAN("core.decode");
+      batch.clear();
+      for (const Episode& ep : episodes)
+        batch.push_back(space_.decode(ep.actions));
+    }
+    {
+      YOSO_TRACE_SPAN("core.submit");
+      rewards = loop.submit(batch);
+    }
     for (std::size_t j = 0; j < k; ++j)
       trainer.feedback(episodes[j], rewards[j]);
     it += k;
@@ -184,6 +196,7 @@ void RandomSearchDriver::search(SearchLoop& loop, Rng& rng) {
   const std::size_t round = std::max<std::size_t>(1, options_.batch_size);
 
   std::vector<CandidateDesign> batch;
+  batch.reserve(std::min(round, options_.iterations));
   std::size_t it = 0;
   while (it < options_.iterations) {
     const std::size_t k = std::min(round, options_.iterations - it);

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "base/contract.h"
+#include "rl/lstm_kernels.h"
 #include "util/rng.h"
 
 namespace yoso {
@@ -14,51 +15,6 @@ namespace yoso {
 namespace {
 
 double sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
-
-// The two matvec helpers hold the controller's hot inner loops.  Their
-// speed depends on where those loops fall relative to 64-byte boundaries
-// (a ~25% swing in sampling and backward time on a 5th-gen Xeon), and any
-// edit elsewhere in this file can move them, so their start is pinned.
-
-/// y += M x  where M is (rows x cols) row-major.
-__attribute__((aligned(64))) void matvec_acc(std::span<const double> m,
-                                             std::span<const double> x,
-                                             std::span<double> y,
-                                             std::size_t rows,
-                                             std::size_t cols) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    double acc = 0.0;
-    const double* row = m.data() + r * cols;
-    for (std::size_t c = 0; c < cols; ++c) acc += row[c] * x[c];
-    y[r] += acc;
-  }
-}
-
-/// y += M^T x  where M is (rows x cols) row-major, x has `rows` entries.
-__attribute__((aligned(64))) void matvec_t_acc(std::span<const double> m,
-                                               std::span<const double> x,
-                                               std::span<double> y,
-                                               std::size_t rows,
-                                               std::size_t cols) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    const double xr = x[r];
-    if (xr == 0.0) continue;
-    const double* row = m.data() + r * cols;
-    for (std::size_t c = 0; c < cols; ++c) y[c] += row[c] * xr;
-  }
-}
-
-/// G += a b^T for G (rows x cols) row-major.
-void outer_acc(std::span<double> g, std::span<const double> a,
-               std::span<const double> b, std::size_t rows,
-               std::size_t cols) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    const double ar = a[r];
-    if (ar == 0.0) continue;
-    double* row = g.data() + r * cols;
-    for (std::size_t c = 0; c < cols; ++c) row[c] += ar * b[c];
-  }
-}
 
 }  // namespace
 
@@ -89,114 +45,173 @@ LstmController::LstmController(std::vector<int> cardinalities,
     head_b_[t] =
         store_.alloc(static_cast<std::size_t>(cardinalities_[t]), rng, 0.0);
   }
+
+  heads_ = static_cast<std::size_t>(
+      std::accumulate(cardinalities_.begin(), cardinalities_.end(), 0));
+  const auto max_card = static_cast<std::size_t>(
+      *std::max_element(cardinalities_.begin(), cardinalities_.end()));
+  lane_x_.resize(e * lstm::kLanes);
+  lane_h_.resize(h * lstm::kLanes);
+  lane_gates_.resize(4 * h * lstm::kLanes);
+  lane_head_.resize(max_card * lstm::kLanes);
+  dpre_.resize(cardinalities_.size() * 4 * h);
+  du_.resize(max_card);
+  dh_.resize(h);
+  dh_next_.resize(h);
+  dc_next_.resize(h);
+  dx_.resize(e);
 }
 
-// sample() and accumulate_gradient() run the rest of the per-step loops;
-// their start is pinned for the same reason as the matvec helpers above.
-__attribute__((aligned(64))) Episode LstmController::sample(Rng& rng) {
+// sample_round() and accumulate_gradient() run the per-step loops around
+// the kernels; their start is pinned for the same reason as the kernels'
+// (rl/lstm_kernels.cpp).
+__attribute__((aligned(64))) std::vector<Episode> LstmController::sample_round(
+    Rng& rng, std::size_t k) {
   const std::size_t t_max = cardinalities_.size();
   const auto h = static_cast<std::size_t>(options_.hidden_size);
   const auto e = static_cast<std::size_t>(options_.embed_size);
-  Episode ep;
-  ep.actions.resize(t_max);
-  ep.x.resize(t_max * e);
-  ep.gates.resize(t_max * 4 * h);
-  ep.c.resize(t_max * h);
-  ep.h.resize(t_max * h);
-  const auto heads = static_cast<std::size_t>(
-      std::accumulate(cardinalities_.begin(), cardinalities_.end(), 0));
-  ep.probs.resize(heads);
-  ep.head_tanh.resize(heads);
+  // A step picks its action with one uniform, as Rng::weighted_index would
+  // (softmax weights never sum to 0, so it never draws more).  So the
+  // round's draws are taken up front, in episode order.
+  uniforms_.resize(k * t_max);
+  for (double& u : uniforms_) u = rng.uniform();
+
+  std::vector<Episode> episodes(k);
+  for (Episode& ep : episodes) {
+    ep.actions.resize(t_max);
+    ep.x.resize(t_max * e);
+    ep.gates.resize(t_max * 4 * h);
+    ep.c.resize(t_max * h);
+    ep.h.resize(t_max * h);
+    ep.tanh_c.resize(t_max * h);
+    ep.probs.resize(heads_);
+    ep.head_tanh.resize(heads_);
+  }
+  std::size_t done = 0;
+  for (; done + lstm::kLanes <= k; done += lstm::kLanes)
+    forward(episodes.data() + done, uniforms_.data() + done * t_max,
+            lstm::kLanes);
+  for (; done < k; ++done)
+    forward(episodes.data() + done, uniforms_.data() + done * t_max, 1);
+  return episodes;
+}
+
+Episode LstmController::sample(Rng& rng) {
+  return std::move(sample_round(rng, 1).front());
+}
+
+void LstmController::forward(Episode* episodes, const double* u,
+                             std::size_t lanes) {
+  YOSO_DCHECK(episodes != nullptr && u != nullptr &&
+                  (lanes == 1 || lanes == lstm::kLanes),
+              "LstmController::forward: ", lanes, " lanes");
+  const lstm::Kernels& kern = lstm::kernels();
+  const auto matvec = lanes == 1 ? kern.matvec : kern.matvec_lanes;
+  const std::size_t t_max = cardinalities_.size();
+  const auto h = static_cast<std::size_t>(options_.hidden_size);
+  const auto e = static_cast<std::size_t>(options_.embed_size);
+  const auto bias = store_.value(b_);
 
   std::size_t head = 0;  // offset of step t's head entries
   for (std::size_t t = 0; t < t_max; ++t) {
     // Input: the start vector, then the previous action's embedding.
-    const std::span<double> x(ep.x.data() + t * e, e);
-    std::span<const double> in = store_.value(start_);
-    if (t > 0) {
-      const auto prev = static_cast<std::size_t>(ep.actions[t - 1]);
-      in = store_.value(embed_[t]);
-      YOSO_REQUIRE((prev + 1) * e <= in.size(),
-                   "LstmController::sample: previous action ", prev,
-                   " out of range");
-      in = in.subspan(prev * e, e);
+    for (std::size_t k = 0; k < lanes; ++k) {
+      Episode& ep = episodes[k];
+      std::span<const double> in = store_.value(start_);
+      if (t > 0) {
+        const auto prev = static_cast<std::size_t>(ep.actions[t - 1]);
+        in = store_.value(embed_[t]).subspan(prev * e, e);
+      }
+      std::copy(in.begin(), in.end(), ep.x.begin() + t * e);
+      for (std::size_t c = 0; c < e; ++c) lane_x_[c * lanes + k] = in[c];
     }
-    std::copy(in.begin(), in.end(), x.begin());
 
-    // Gate pre-activations, replaced in place by the activations.
-    const std::span<double> g(ep.gates.data() + t * 4 * h, 4 * h);
-    const auto bv = store_.value(b_);
-    std::copy(bv.begin(), bv.end(), g.begin());
-    matvec_acc(store_.value(w_x_), x, g, 4 * h, e);
+    // Gate pre-activations: the bias, plus W_x x, plus W_h h_{t-1}.
+    for (std::size_t r = 0; r < 4 * h; ++r)
+      std::fill_n(lane_gates_.begin() + r * lanes, lanes, bias[r]);
+    matvec(store_.value(w_x_).data(), lane_x_.data(), lane_gates_.data(),
+           4 * h, e);
     if (t > 0)
-      matvec_acc(store_.value(w_h_), {ep.h.data() + (t - 1) * h, h}, g,
-                 4 * h, h);
-    const std::span<double> hs(ep.h.data() + t * h, h);
-    for (std::size_t i = 0; i < h; ++i) {
-      g[i] = sigmoid(g[i]);
-      g[h + i] = sigmoid(g[h + i]);
-      g[2 * h + i] = std::tanh(g[2 * h + i]);
-      g[3 * h + i] = sigmoid(g[3 * h + i]);
-      const double c_prev = t > 0 ? ep.c[(t - 1) * h + i] : 0.0;
-      double& c = ep.c[t * h + i];
-      c = g[h + i] * c_prev + g[i] * g[2 * h + i];
-      hs[i] = g[3 * h + i] * std::tanh(c);
+      matvec(store_.value(w_h_).data(), lane_h_.data(), lane_gates_.data(),
+             4 * h, h);
+
+    // Activations and the cell update; h_t replaces h_{t-1} in lane_h_.
+    for (std::size_t k = 0; k < lanes; ++k) {
+      Episode& ep = episodes[k];
+      const double* pre = lane_gates_.data() + k;
+      double* g = ep.gates.data() + t * 4 * h;
+      for (std::size_t i = 0; i < h; ++i) {
+        g[i] = sigmoid(pre[i * lanes]);
+        g[h + i] = sigmoid(pre[(h + i) * lanes]);
+        g[2 * h + i] = std::tanh(pre[(2 * h + i) * lanes]);
+        g[3 * h + i] = sigmoid(pre[(3 * h + i) * lanes]);
+        const double c_prev = t > 0 ? ep.c[(t - 1) * h + i] : 0.0;
+        const double c = g[h + i] * c_prev + g[i] * g[2 * h + i];
+        const double tc = std::tanh(c);
+        ep.c[t * h + i] = c;
+        ep.tanh_c[t * h + i] = tc;
+        ep.h[t * h + i] = g[3 * h + i] * tc;
+        lane_h_[i * lanes + k] = ep.h[t * h + i];
+      }
     }
 
-    // Head logits u, squashed in place to tanh(u / T); the logits are
-    // z = tanh_constant * tanh(u / T), and probs their softmax.
+    // Head logits u; the logits are z = tanh_constant * tanh(u / T), and
+    // probs their softmax.
     const auto card = static_cast<std::size_t>(cardinalities_[t]);
-    const std::span<double> th(ep.head_tanh.data() + head, card);
-    const std::span<double> p(ep.probs.data() + head, card);
     const auto hb = store_.value(head_b_[t]);
-    std::copy(hb.begin(), hb.end(), th.begin());
-    matvec_acc(store_.value(head_w_[t]), hs, th, card, h);
-    for (std::size_t k = 0; k < card; ++k) {
-      th[k] = std::tanh(th[k] / options_.temperature);
-      p[k] = options_.tanh_constant * th[k];
+    for (std::size_t a = 0; a < card; ++a)
+      std::fill_n(lane_head_.begin() + a * lanes, lanes, hb[a]);
+    matvec(store_.value(head_w_[t]).data(), lane_h_.data(), lane_head_.data(),
+           card, h);
+    for (std::size_t k = 0; k < lanes; ++k) {
+      Episode& ep = episodes[k];
+      const std::span<double> th(ep.head_tanh.data() + head, card);
+      const std::span<double> p(ep.probs.data() + head, card);
+      for (std::size_t a = 0; a < card; ++a) {
+        th[a] = std::tanh(lane_head_[a * lanes + k] / options_.temperature);
+        p[a] = options_.tanh_constant * th[a];
+      }
+      double zmax = p[0];
+      for (double z : p) zmax = std::max(zmax, z);
+      double denom = 0.0;
+      for (double& z : p) {
+        z = std::exp(z - zmax);
+        denom += z;
+      }
+      double ent = 0.0;
+      for (double& pk : p) {
+        pk /= denom;
+        if (pk > 0.0) ent -= pk * std::log(pk);
+      }
+      const std::size_t a = weighted_pick(p, u[k * t_max + t]);
+      ep.actions[t] = static_cast<int>(a);
+      ep.log_prob += std::log(std::max(p[a], 1e-300));
+      ep.entropy += ent;
     }
-    double zmax = p[0];
-    for (double z : p) zmax = std::max(zmax, z);
-    double denom = 0.0;
-    for (double& z : p) {
-      z = std::exp(z - zmax);
-      denom += z;
-    }
-    double ent = 0.0;
-    for (double& pk : p) {
-      pk /= denom;
-      if (pk > 0.0) ent -= pk * std::log(pk);
-    }
-    const std::size_t a = rng.weighted_index(p);
-    ep.actions[t] = static_cast<int>(a);
-    ep.log_prob += std::log(std::max(p[a], 1e-300));
-    ep.entropy += ent;
     head += card;
   }
-  return ep;
 }
 
 __attribute__((aligned(64))) void LstmController::accumulate_gradient(
     const Episode& ep, double advantage, double entropy_weight) {
+  const lstm::Kernels& kern = lstm::kernels();
+  const std::size_t t_max = cardinalities_.size();
   const auto h = static_cast<std::size_t>(options_.hidden_size);
   const auto e = static_cast<std::size_t>(options_.embed_size);
+  std::fill(dh_next_.begin(), dh_next_.end(), 0.0);
+  std::fill(dc_next_.begin(), dc_next_.end(), 0.0);
 
-  std::vector<double> dh_next(h, 0.0);
-  std::vector<double> dc_next(h, 0.0);
-  std::vector<double> dx(e);
-  std::vector<double> du(static_cast<std::size_t>(
-      *std::max_element(cardinalities_.begin(), cardinalities_.end())));
-  std::vector<double> dh(h);
-  std::vector<double> dpre(4 * h);
-
+  // Back through time, only what the recurrence needs: the heads, the cell
+  // and dh_{t-1} = W_h^T dpre_t.  The weight-gradient sums over t wait for
+  // the stored dpre rows below.
   std::size_t head = ep.probs.size();  // end of step t's head entries
-  for (std::size_t t = cardinalities_.size(); t-- > 0;) {
+  for (std::size_t t = t_max; t-- > 0;) {
     const auto card = static_cast<std::size_t>(cardinalities_[t]);
     head -= card;
     const double* p = ep.probs.data() + head;
     const double* th = ep.head_tanh.data() + head;
     const auto a = static_cast<std::size_t>(ep.actions[t]);
-    const std::span<const double> hs(ep.h.data() + t * h, h);
+    const double* hs = ep.h.data() + t * h;
 
     // dL/dz with L = -advantage * log p(a) - entropy_weight * H, then
     // through z = C * tanh(u / T).
@@ -207,31 +222,33 @@ __attribute__((aligned(64))) void LstmController::accumulate_gradient(
       const double logp = p[k] > 0.0 ? std::log(p[k]) : -700.0;
       const double dz = advantage * (p[k] - (k == a ? 1.0 : 0.0)) +
                         entropy_weight * p[k] * (logp + step_entropy);
-      du[k] = dz * options_.tanh_constant * (1.0 - th[k] * th[k]) /
-              options_.temperature;
+      du_[k] = dz * options_.tanh_constant * (1.0 - th[k] * th[k]) /
+               options_.temperature;
     }
-    const std::span<const double> du_t(du.data(), card);
 
     // Head gradients and dh from the head.
-    outer_acc(store_.grad(head_w_[t]), du_t, hs, card, h);
+    kern.outer_sum(store_.grad(head_w_[t]).data(), du_.data(), card, hs, 1,
+                   card, h);
     {
       auto gb = store_.grad(head_b_[t]);
-      for (std::size_t k = 0; k < card; ++k) gb[k] += du[k];
+      for (std::size_t k = 0; k < card; ++k) gb[k] += du_[k];
     }
-    std::fill(dh.begin(), dh.end(), 0.0);
-    matvec_t_acc(store_.value(head_w_[t]), du_t, dh, card, h);
-    for (std::size_t i = 0; i < h; ++i) dh[i] += dh_next[i];
+    std::fill(dh_.begin(), dh_.end(), 0.0);
+    kern.matvec_t(store_.value(head_w_[t]).data(), du_.data(), dh_.data(),
+                  card, h);
+    for (std::size_t i = 0; i < h; ++i) dh_[i] += dh_next_[i];
 
     // LSTM cell backward.
     const double* g = ep.gates.data() + t * 4 * h;
+    double* dpre = dpre_.data() + t * 4 * h;
     for (std::size_t i = 0; i < h; ++i) {
       const double gi = g[i];
       const double gf = g[h + i];
       const double gg = g[2 * h + i];
       const double go = g[3 * h + i];
-      const double tc = std::tanh(ep.c[t * h + i]);
-      const double dc = dc_next[i] + dh[i] * go * (1.0 - tc * tc);
-      const double do_ = dh[i] * tc;
+      const double tc = ep.tanh_c[t * h + i];
+      const double dc = dc_next_[i] + dh_[i] * go * (1.0 - tc * tc);
+      const double do_ = dh_[i] * tc;
       const double c_prev = t > 0 ? ep.c[(t - 1) * h + i] : 0.0;
       const double di = dc * gg;
       const double dg = dc * gi;
@@ -240,31 +257,38 @@ __attribute__((aligned(64))) void LstmController::accumulate_gradient(
       dpre[h + i] = df * gf * (1.0 - gf);
       dpre[2 * h + i] = dg * (1.0 - gg * gg);
       dpre[3 * h + i] = do_ * go * (1.0 - go);
-      dc_next[i] = dc * gf;
+      dc_next_[i] = dc * gf;
     }
 
-    outer_acc(store_.grad(w_x_), dpre, {ep.x.data() + t * e, e}, 4 * h, e);
+    std::fill(dh_next_.begin(), dh_next_.end(), 0.0);
     if (t > 0)
-      outer_acc(store_.grad(w_h_), dpre, {ep.h.data() + (t - 1) * h, h},
-                4 * h, h);
-    {
-      auto gb = store_.grad(b_);
-      for (std::size_t i = 0; i < 4 * h; ++i) gb[i] += dpre[i];
-    }
+      kern.matvec_t(store_.value(w_h_).data(), dpre, dh_next_.data(), 4 * h,
+                    h);
+  }
 
-    std::fill(dx.begin(), dx.end(), 0.0);
-    matvec_t_acc(store_.value(w_x_), dpre, dx, 4 * h, e);
-    if (t == 0) {
-      auto gs = store_.grad(start_);
-      for (std::size_t i = 0; i < e; ++i) gs[i] += dx[i];
-    } else {
-      auto ge = store_.grad(embed_[t]);
-      const auto prev = static_cast<std::size_t>(ep.actions[t - 1]);
-      for (std::size_t i = 0; i < e; ++i) ge[prev * e + i] += dx[i];
-    }
-
-    std::fill(dh_next.begin(), dh_next.end(), 0.0);
-    if (t > 0) matvec_t_acc(store_.value(w_h_), dpre, dh_next, 4 * h, h);
+  // The sums over t, one pass over each gradient.  Every element takes its
+  // adds in descending t and skips zero dpre entries: the order the golden
+  // pins fix.
+  kern.outer_sum(store_.grad(w_x_).data(), dpre_.data(), 4 * h, ep.x.data(),
+                 t_max, 4 * h, e);
+  // W_h's term at step t pairs dpre_t with h_{t-1}, for t >= 1.
+  kern.outer_sum(store_.grad(w_h_).data(), dpre_.data() + 4 * h, 4 * h,
+                 ep.h.data(), t_max - 1, 4 * h, h);
+  {
+    auto gb = store_.grad(b_);
+    for (std::size_t t = t_max; t-- > 0;)
+      for (std::size_t i = 0; i < 4 * h; ++i) gb[i] += dpre_[t * 4 * h + i];
+  }
+  // Input gradients W_x^T dpre_t into the start vector and the embeddings.
+  for (std::size_t t = t_max; t-- > 0;) {
+    std::fill(dx_.begin(), dx_.end(), 0.0);
+    kern.matvec_t(store_.value(w_x_).data(), dpre_.data() + t * 4 * h,
+                  dx_.data(), 4 * h, e);
+    auto grad = t == 0 ? store_.grad(start_)
+                       : store_.grad(embed_[t]).subspan(
+                             static_cast<std::size_t>(ep.actions[t - 1]) * e,
+                             e);
+    for (std::size_t i = 0; i < e; ++i) grad[i] += dx_[i];
   }
 }
 

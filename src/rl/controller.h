@@ -40,6 +40,7 @@ struct Episode {
   std::vector<double> x;          ///< LSTM inputs (T x E)
   std::vector<double> gates;      ///< activations i, f, g, o (T x 4H)
   std::vector<double> c, h;       ///< cell and hidden states (T x H)
+  std::vector<double> tanh_c;     ///< tanh(c), for the backward pass (T x H)
   std::vector<double> probs;      ///< head softmax
   std::vector<double> head_tanh;  ///< tanh(u / temperature) of head logits u
 };
@@ -52,7 +53,12 @@ class LstmController {
 
   std::size_t param_count() const { return store_.size(); }
 
-  /// Samples one action sequence (with caches for a later gradient pass).
+  /// Samples `k` action sequences (with caches for a later gradient pass)
+  /// from the current weights, stepping them in lockstep.  The result is
+  /// bit for bit that of k sample() calls, and `rng` ends in the same state.
+  std::vector<Episode> sample_round(Rng& rng, std::size_t k);
+
+  /// Samples one action sequence: sample_round(rng, 1).
   Episode sample(Rng& rng);
 
   /// Accumulates the REINFORCE gradient of
@@ -80,6 +86,24 @@ class LstmController {
   // Per-step output heads (card_t x H) + bias (card_t).
   std::vector<ParamView> head_w_;
   std::vector<ParamView> head_b_;
+
+  /// The forward pass of `lanes` (1 or lstm::kLanes) episodes stepped
+  /// together; `u` holds their uniform draws, T per episode.
+  void forward(Episode* episodes, const double* u, std::size_t lanes);
+
+  // Work buffers reused across calls; all but uniforms_ are sized in the
+  // constructor.  The lane buffers interleave the episodes of a forward
+  // pass: entry i of lane k is at [i * lanes + k].
+  std::size_t heads_ = 0;           // sum of the cardinalities
+  std::vector<double> lane_x_;      // inputs (E x lanes)
+  std::vector<double> lane_h_;      // hidden state (H x lanes)
+  std::vector<double> lane_gates_;  // gate pre-activations (4H x lanes)
+  std::vector<double> lane_head_;   // head logits (max card x lanes)
+  std::vector<double> uniforms_;    // a round's draws, episode-major
+  std::vector<double> dpre_;        // gate pre-activation grads (T x 4H)
+  std::vector<double> du_;          // head logit grads (max card)
+  std::vector<double> dh_, dh_next_, dc_next_;  // (H)
+  std::vector<double> dx_;                      // input grads (E)
 };
 
 }  // namespace yoso

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <algorithm>
 
+#include "rl/lstm_kernels.h"
 #include "util/rng.h"
 
 namespace yoso {
@@ -10,7 +11,6 @@ namespace yoso {
 ParamView ParamStore::alloc(std::size_t n, Rng& rng, double scale) {
   ThreadRoleGuard coordinator(role_);
   ParamView v{value_.size(), n};
-  value_.reserve(value_.size() + n);
   for (std::size_t i = 0; i < n; ++i)
     value_.push_back(rng.uniform(-scale, scale));
   grad_.resize(value_.size(), 0.0);
@@ -27,15 +27,15 @@ void ParamStore::zero_grad() {
 void ParamStore::adam_step(double lr, double beta1, double beta2, double eps) {
   ThreadRoleGuard coordinator(role_);
   ++adam_t_;
-  const double bc1 = 1.0 - std::pow(beta1, static_cast<double>(adam_t_));
-  const double bc2 = 1.0 - std::pow(beta2, static_cast<double>(adam_t_));
-  for (std::size_t i = 0; i < value_.size(); ++i) {
-    adam_m_[i] = beta1 * adam_m_[i] + (1.0 - beta1) * grad_[i];
-    adam_v_[i] = beta2 * adam_v_[i] + (1.0 - beta2) * grad_[i] * grad_[i];
-    const double mhat = adam_m_[i] / bc1;
-    const double vhat = adam_v_[i] / bc2;
-    value_[i] -= lr * mhat / (std::sqrt(vhat) + eps);
-  }
+  const lstm::AdamStep step{
+      .lr = lr,
+      .beta1 = beta1,
+      .beta2 = beta2,
+      .eps = eps,
+      .bc1 = 1.0 - std::pow(beta1, static_cast<double>(adam_t_)),
+      .bc2 = 1.0 - std::pow(beta2, static_cast<double>(adam_t_))};
+  lstm::kernels().adam(value_.data(), grad_.data(), adam_m_.data(),
+                       adam_v_.data(), value_.size(), step);
 }
 
 double ParamStore::grad_norm() const {

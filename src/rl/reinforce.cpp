@@ -1,6 +1,7 @@
 #include "rl/reinforce.h"
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "rl/controller.h"
 #include "util/rng.h"
 
@@ -10,12 +11,16 @@ void ReinforceTrainer::feedback(const Episode& episode, double reward) {
   const double b =
       options_.use_baseline && !baseline_.empty() ? baseline_.value() : 0.0;
   const double advantage = reward - b;
-  controller_.accumulate_gradient(episode, advantage,
-                                  options_.entropy_weight);
+  {
+    YOSO_TRACE_SPAN("rl.backward");
+    controller_.accumulate_gradient(episode, advantage,
+                                    options_.entropy_weight);
+  }
   baseline_.add(reward);
   ++episodes_;
   obs::counter_add("rl.episodes");
   if (++pending_ >= options_.batch_size) {
+    YOSO_TRACE_SPAN("rl.adam");
     controller_.update(options_.lr, options_.max_grad_norm);
     pending_ = 0;
     obs::counter_add("rl.updates");

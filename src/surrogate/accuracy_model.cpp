@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "arch/encoding.h"
 #include "arch/genotype.h"
 #include "arch/network.h"
 #include "arch/ops.h"
@@ -26,6 +25,8 @@ int cell_depth(const CellGenotype& cell) {
 
 ArchFeatures ArchFeatures::compute(const Genotype& g,
                                    const NetworkSkeleton& skeleton) {
+  // extract_layers validates g first, before cell_depth indexes its inputs.
+  const auto stats = network_stats(extract_layers(g, skeleton));
   ArchFeatures f;
   int conv = 0, dw = 0, pool = 0, k5 = 0, total = 0;
   for (const CellGenotype* cell : {&g.normal, &g.reduction}) {
@@ -47,7 +48,6 @@ ArchFeatures ArchFeatures::compute(const Genotype& g,
   f.depth_reduction = cell_depth(g.reduction);
   f.loose_normal = static_cast<double>(loose_end_nodes(g.normal).size());
   f.loose_reduction = static_cast<double>(loose_end_nodes(g.reduction).size());
-  const auto stats = network_stats(extract_layers(g, skeleton));
   f.log10_macs = std::log10(static_cast<double>(std::max<std::int64_t>(
       stats.total_macs, 1)));
   f.log10_params = std::log10(static_cast<double>(std::max<std::int64_t>(
@@ -96,12 +96,17 @@ double AccuracyModel::clean_error_from(const ArchFeatures& f) const {
 
 double AccuracyModel::residual(const Genotype& g, std::uint64_t salt,
                                double sigma) const {
-  // Deterministic per-genotype residual: hash the action encoding.
+  // Deterministic per-genotype residual: hash the 40 node fields in action
+  // encoding order (arch/encoding.h).  No validation or allocation here:
+  // every caller has run ArchFeatures::compute, which rejects an invalid g.
   std::uint64_t h = seed_ ^ salt;
-  for (int a : encode_genotype(g)) {
-    h ^= static_cast<std::uint64_t>(a) + 0x9E3779B97F4A7C15ull + (h << 6) +
-         (h >> 2);
-  }
+  for (const CellGenotype* cell : {&g.normal, &g.reduction})
+    for (const NodeSpec& spec : cell->nodes)
+      for (const int a : {spec.input_a, spec.input_b,
+                          static_cast<int>(spec.op_a),
+                          static_cast<int>(spec.op_b)})
+        h ^= static_cast<std::uint64_t>(a) + 0x9E3779B97F4A7C15ull +
+             (h << 6) + (h >> 2);
   Rng rng(h);
   return rng.normal(0.0, sigma);
 }

@@ -4,6 +4,8 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "base/contract.h"
+
 namespace yoso {
 
 namespace {
@@ -85,19 +87,15 @@ double Rng::normal(double mean, double stddev) {
 std::size_t Rng::weighted_index(std::span<const double> weights) {
   if (weights.empty())
     throw std::invalid_argument("Rng::weighted_index: empty weights");
-  double total = 0.0;
+  // Non-negative weights sum to 0 exactly when all of them are 0.
+  bool all_zero = true;
   for (double w : weights) {
     if (w < 0.0)
       throw std::invalid_argument("Rng::weighted_index: negative weight");
-    total += w;
+    all_zero = all_zero && w == 0.0;
   }
-  if (total <= 0.0) return uniform_index(weights.size());
-  double x = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    x -= weights[i];
-    if (x < 0.0) return i;
-  }
-  return weights.size() - 1;
+  if (all_zero) return uniform_index(weights.size());
+  return weighted_pick(weights, uniform());
 }
 
 std::vector<std::size_t> Rng::permutation(std::size_t n) {
@@ -108,6 +106,18 @@ std::vector<std::size_t> Rng::permutation(std::size_t n) {
     std::swap(p[i - 1], p[j]);
   }
   return p;
+}
+
+std::size_t weighted_pick(std::span<const double> weights, double u) {
+  double total = 0.0;
+  for (double w : weights) total += w;
+  YOSO_DCHECK(total > 0.0, "weighted_pick: weights sum to ", total);
+  double x = u * total;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    x -= weights[i];
+    if (x < 0.0) return i;
+  }
+  return weights.size() - 1;
 }
 
 Rng Rng::fork() {

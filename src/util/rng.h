@@ -43,8 +43,9 @@ class Rng {
   /// Normal with given mean / stddev.
   double normal(double mean, double stddev);
 
-  /// Samples an index from an (unnormalised, non-negative) weight vector.
-  /// Falls back to uniform choice when all weights are zero.
+  /// Samples an index from an (unnormalised, non-negative) weight vector:
+  /// one uniform() draw, then weighted_pick().  Falls back to uniform
+  /// choice when all weights are zero.
   std::size_t weighted_index(std::span<const double> weights);
 
   /// Fisher-Yates shuffle of an index range [0, n); returns the permutation.
@@ -62,5 +63,10 @@ class Rng {
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;
 };
+
+/// The pick half of Rng::weighted_index(): the index that the draw `u` in
+/// [0, 1) selects from `weights`, which must sum to more than 0.  Callers
+/// that draw their uniforms ahead of time pick with this.
+std::size_t weighted_pick(std::span<const double> weights, double u);
 
 }  // namespace yoso

@@ -267,8 +267,9 @@ TEST_F(GoldenTest, CycleLevelCliRun) {
 }
 
 // The default run at full length: 500 samples and 2,000 iterations, as
-// `yoso_cli` with no flags.  It takes ~17 s in RelWithDebInfo, so
-// scripts/check.sh and CI keep it out of the sanitizer stages.
+// `yoso_cli` with no flags.  It takes 6-8 s in RelWithDebInfo on a 4-vCPU
+// Xeon VM (gcc 12.2), so scripts/check.sh and CI keep it out of the
+// sanitizer stages.
 TEST_F(GoldenTest, DefaultCliRunFullLength) {
   const SearchResult r = cli_default_run(*space_, *skeleton_, 500, 2000);
   ASSERT_TRUE(r.best.has_value());

@@ -1,6 +1,8 @@
 #include <cmath>
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -168,6 +170,60 @@ TEST(Controller, UpdateZeroesGradients) {
     return ctrl.sample(probe).probs;
   };
   EXPECT_EQ(probs_after_second_update(5.0), probs_after_second_update(1e-12));
+}
+
+/// Bit-level equality, so -0.0 differs from 0.0 and a NaN equals itself.
+void expect_same_bits(const std::vector<double>& a,
+                      const std::vector<double>& b, const char* field) {
+  ASSERT_EQ(a.size(), b.size()) << field;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a[i]),
+              std::bit_cast<std::uint64_t>(b[i]))
+        << field << "[" << i << "]";
+}
+
+void expect_same_episode(const Episode& a, const Episode& b) {
+  EXPECT_EQ(a.actions, b.actions);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.log_prob),
+            std::bit_cast<std::uint64_t>(b.log_prob));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.entropy),
+            std::bit_cast<std::uint64_t>(b.entropy));
+  expect_same_bits(a.x, b.x, "x");
+  expect_same_bits(a.gates, b.gates, "gates");
+  expect_same_bits(a.c, b.c, "c");
+  expect_same_bits(a.h, b.h, "h");
+  expect_same_bits(a.tanh_c, b.tanh_c, "tanh_c");
+  expect_same_bits(a.probs, b.probs, "probs");
+  expect_same_bits(a.head_tanh, b.head_tanh, "head_tanh");
+}
+
+// A lockstep round is k sample() calls on a twin controller, bit for bit,
+// and leaves the Rng where they do.  k reaches a lone episode, a short
+// round, one full block of lstm::kLanes lanes and a block plus a tail; the
+// 7-way head reaches a 4-row pass plus single rows.
+TEST(Controller, SampleRoundMatchesSampleCalls) {
+  const std::vector<int> cards = {2, 3, 4, 6, 7, 5, 1, 6, 3, 2};
+  for (const std::size_t k : {1u, 3u, 8u, 11u}) {
+    SCOPED_TRACE(k);
+    LstmController lockstep(cards, {});
+    LstmController single(cards, {});
+    // A few updates, so the weights are not the initial draw.
+    Rng train(k);
+    for (int i = 0; i < 3; ++i) {
+      for (LstmController* ctrl : {&lockstep, &single}) {
+        Rng rng = train;
+        ctrl->accumulate_gradient(ctrl->sample(rng), 0.7, 1e-4);
+        ctrl->update(0.05);
+      }
+      train.next_u64();
+    }
+    Rng round_rng(40 + k), single_rng(40 + k);
+    const std::vector<Episode> round = lockstep.sample_round(round_rng, k);
+    ASSERT_EQ(round.size(), k);
+    for (const Episode& ep : round)
+      expect_same_episode(ep, single.sample(single_rng));
+    EXPECT_EQ(round_rng.next_u64(), single_rng.next_u64());
+  }
 }
 
 TEST(Controller, ParamCountScalesWithSpace) {

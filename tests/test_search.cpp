@@ -8,6 +8,8 @@
 #include "core/evaluator.h"
 #include "core/reward.h"
 #include "core/search.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/rng.h"
 
 namespace yoso {
@@ -166,6 +168,39 @@ TEST_F(SearchTest, LoopKeepsWideConfigVariantsApart) {
   const std::vector<RankedCandidate> finalists = loop.take_finalists();
   ASSERT_EQ(finalists.size(), 2u);
   EXPECT_NE(finalists[0].candidate, finalists[1].candidate);
+}
+
+// The library's Step-2 spans (rl.sample, core.decode, core.submit,
+// rl.backward, rl.adam) account for search.step2_propose: at most 5% of it
+// is its own self time.
+TEST_F(SearchTest, Step2SpansCoverProposeTime) {
+  obs::set_enabled(false);
+  obs::reset_tracing();
+  obs::set_enabled(true);
+  SearchOptions opt = small_options(128);
+  opt.batch_size = 8;
+  YosoSearch(*space_, opt).run(*fast_, accurate_.get());
+  obs::set_enabled(false);
+  const std::vector<obs::SpanAggregate> spans = obs::summarize_spans();
+  obs::reset_tracing();
+
+  const auto find = [&](const char* name) -> const obs::SpanAggregate* {
+    for (const obs::SpanAggregate& a : spans)
+      if (a.name == name) return &a;
+    return nullptr;
+  };
+  for (const char* child :
+       {"rl.sample", "core.decode", "core.submit", "rl.backward", "rl.adam"}) {
+    const obs::SpanAggregate* a = find(child);
+    ASSERT_NE(a, nullptr) << child;
+    EXPECT_GT(a->count, 0u) << child;
+  }
+  EXPECT_EQ(find("rl.sample")->count, 16u);  // one per round
+  EXPECT_EQ(find("rl.backward")->count, 128u);
+  const obs::SpanAggregate* propose = find("search.step2_propose");
+  ASSERT_NE(propose, nullptr);
+  EXPECT_LE(static_cast<double>(propose->self_ns),
+            0.05 * static_cast<double>(propose->total_ns));
 }
 
 TEST(SearchOptionsValidate, AcceptsDefaults) {

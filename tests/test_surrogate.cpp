@@ -150,6 +150,24 @@ TEST(AccuracyModel, CustomParamsRespected) {
   }
 }
 
+// The residual hashes the node fields without validating them, so an
+// invalid genotype must still be rejected through ArchFeatures::compute,
+// before anything indexes the cell by its inputs.
+TEST(AccuracyModel, RejectsInvalidGenotype) {
+  const AccuracyModel m;
+  Genotype self_loop = all_op_genotype(Op::kConv3x3);
+  self_loop.normal.nodes[0].input_a = 2;  // node 2 reading itself
+  Genotype out_of_range = all_op_genotype(Op::kConv3x3);
+  out_of_range.reduction.nodes[4].input_b = 9;
+  Genotype bad_op = all_op_genotype(Op::kConv3x3);
+  bad_op.normal.nodes[1].op_b = static_cast<Op>(kNumOps);
+  for (const Genotype& g : {self_loop, out_of_range, bad_op}) {
+    EXPECT_THROW(m.test_error(g), std::invalid_argument);
+    EXPECT_THROW(m.hypernet_error(g), std::invalid_argument);
+    EXPECT_THROW(m.hypernet_accuracy(g), std::invalid_argument);
+  }
+}
+
 TEST(AccuracyModel, DifferentSeedsDifferentResiduals) {
   AccuracyModel a(default_skeleton(), {}, 1);
   AccuracyModel b(default_skeleton(), {}, 2);
