@@ -19,8 +19,8 @@
 namespace yoso {
 namespace {
 
-// Memoization stops growing past this many distinct designs (~126 MB at
-// the ~120 B per entry measured over 108k inserts); further misses are
+// Memoization stops growing past this many distinct designs (~129 MB at
+// the ~123 B per entry measured over 108k inserts); further misses are
 // still computed, just not retained.
 constexpr std::size_t kMaxCacheEntries = 1u << 20;
 
@@ -47,13 +47,30 @@ FastEvaluator::FastEvaluator(const DesignSpace& space,
     : accuracy_(skeleton),
       predictor_(skeleton, options.predictor_backend,
                  options.inducing_points),
+      skeletons_{{.skeleton = skeleton}},
       exec_(options.exec != nullptr ? std::move(options.exec)
                                     : ExecContext::serial()) {
+  YOSO_REQUIRE(options.predictor_samples > 0,
+               "FastEvaluator: predictor_samples must be positive");
+  CandidateDesign choice;
+  for (const int n : space.normal_cell_choices())
+    for (const int s : space.stem_channel_choices()) {
+      choice.normal_cells = static_cast<std::uint8_t>(n);
+      choice.stem_channels = static_cast<std::uint8_t>(s);
+      skeletons_.push_back({choice.normal_cells, choice.stem_channels,
+                            resolve_skeleton(skeleton, choice)});
+    }
+  // Draws match collect_samples' ConfigSpace form (genotype, then the
+  // config actions) and add the space's skeleton choices after them, so a
+  // fixed-skeleton space collects the same samples as it.
   Rng rng(options.seed);
-  const auto samples =
-      collect_samples(options.predictor_samples, simulator,
-                      space.config_space(), skeleton, rng, &pool());
-  predictor_.fit(samples);
+  predictor_.fit(collect_samples(
+      options.predictor_samples, simulator,
+      [&](Rng& r) {
+        const CandidateDesign c = space.random_candidate(r);
+        return SampleDraw{c.genotype, c.config, &skeleton_of(c)};
+      },
+      rng, &pool()));
 }
 
 FastEvaluator::FastEvaluator(const NetworkSkeleton& skeleton,
@@ -62,6 +79,7 @@ FastEvaluator::FastEvaluator(const NetworkSkeleton& skeleton,
                              std::size_t inducing_points)
     : accuracy_(skeleton),
       predictor_(skeleton, predictor_backend, inducing_points),
+      skeletons_{{.skeleton = skeleton}},
       exec_(ExecContext::serial()) {
   predictor_.fit(samples);
 }
@@ -71,14 +89,31 @@ FastEvaluator::FastEvaluator(AccuracyModel accuracy,
                              ExecContextPtr exec)
     : accuracy_(std::move(accuracy)),
       predictor_(std::move(predictor)),
+      skeletons_{{.skeleton = predictor_.skeleton()}},
       exec_(exec != nullptr ? std::move(exec) : ExecContext::serial()) {
   YOSO_REQUIRE(predictor_.fitted(),
                "FastEvaluator: restored predictor is not fitted");
 }
 
+const NetworkSkeleton& FastEvaluator::skeleton_of(
+    const CandidateDesign& candidate) const {
+  const auto it = std::find_if(
+      skeletons_.begin(), skeletons_.end(), [&](const SkeletonEntry& e) {
+        return e.normal_cells == candidate.normal_cells &&
+               e.stem_channels == candidate.stem_channels;
+      });
+  YOSO_REQUIRE(it != skeletons_.end(), "FastEvaluator: skeleton choice (",
+               int{candidate.normal_cells}, ", ",
+               int{candidate.stem_channels},
+               ") is not in the space this evaluator was built for");
+  return it->skeleton;
+}
+
 bool FastEvaluator::refine(const CandidateDesign& candidate,
                            const EvalResult& accurate) {
-  if (!predictor_.refine(candidate.genotype, candidate.config,
+  if (!predictor_.refine(codesign_features(candidate.genotype,
+                                           candidate.config,
+                                           skeleton_of(candidate)),
                          accurate.latency_ms, accurate.energy_mj))
     return false;
   // Every memoized latency/energy prediction predates the refinement; a
@@ -94,15 +129,34 @@ void FastEvaluator::set_exec_context(ExecContextPtr exec) {
   exec_ = exec != nullptr ? std::move(exec) : ExecContext::serial();
 }
 
+void FastEvaluator::score_rows(std::span<const CandidateDesign* const> rows,
+                               std::span<EvalResult> out) const {
+  constexpr std::size_t dim = kCodesignFeatureDim;
+  YOSO_CHECK(rows.size() <= kMissBlock && out.size() == rows.size(),
+             "FastEvaluator::score_rows: ", rows.size(), " rows into ",
+             out.size(), " results (one block holds ", kMissBlock, ")");
+  std::array<double, kMissBlock * dim> feats{};
+  std::array<double, kMissBlock> lat{};
+  std::array<double, kMissBlock> en{};
+  for (std::size_t j = 0; j < rows.size(); ++j) {
+    const CandidateDesign& cand = *rows[j];
+    const ArchFeatures af =
+        ArchFeatures::compute(cand.genotype, skeleton_of(cand));
+    out[j].accuracy = accuracy_.hypernet_accuracy(cand.genotype, af);
+    codesign_features_into(af, cand.config, feats.data() + j * dim);
+  }
+  predictor_.predict_latency_energy_batch(feats.data(), rows.size(),
+                                          lat.data(), en.data());
+  for (std::size_t j = 0; j < rows.size(); ++j) {
+    out[j].latency_ms = std::max(1e-3, lat[j]);
+    out[j].energy_mj = std::max(1e-3, en[j]);
+  }
+}
+
 EvalResult FastEvaluator::evaluate(const CandidateDesign& candidate) {
+  const CandidateDesign* row = &candidate;
   EvalResult r;
-  r.accuracy = accuracy_.hypernet_accuracy(candidate.genotype);
-  r.latency_ms = std::max(
-      1e-3, predictor_.predict_latency_ms(candidate.genotype,
-                                          candidate.config));
-  r.energy_mj = std::max(
-      1e-3,
-      predictor_.predict_energy_mj(candidate.genotype, candidate.config));
+  score_rows({&row, 1}, {&r, 1});
   return r;
 }
 
@@ -147,39 +201,20 @@ std::vector<EvalResult> FastEvaluator::evaluate_batch(
     if (miss_slot.emplace(keys[i], miss.size()).second) miss.push_back(i);
   }
 
-  // One fork-join over fixed blocks of misses.  Each block runs its whole
-  // chain on one thread: one ArchFeatures per candidate feeds both the
-  // HyperNet accuracy proxy and the GP feature row (both models are built
-  // on the same skeleton), then the fused latency/energy GP predict scores
-  // the block's rows on the same thread.  Per-element results are
-  // bit-identical to evaluate():
-  // each candidate's chain is self-contained and the blocking is fixed.
+  // One fork-join over fixed blocks of misses, each scored by score_rows
+  // on one thread.  Per-element results are identical to evaluate(): each
+  // candidate's chain is self-contained and the blocking is fixed.
   std::vector<EvalResult> computed(miss.size());
   if (!miss.empty()) {
     YOSO_TRACE_SPAN("eval.pipeline");
     const std::size_t m = miss.size();
     const std::size_t blocks = (m + kMissBlock - 1) / kMissBlock;
     pool().parallel_for(0, blocks, [&](std::size_t b) {
-      constexpr std::size_t dim = kCodesignFeatureDim;
       const std::size_t lo = b * kMissBlock;
       const std::size_t cnt = std::min(kMissBlock, m - lo);
-      std::array<double, kMissBlock * dim> feats{};
-      std::array<double, kMissBlock> lat{};
-      std::array<double, kMissBlock> en{};
-      for (std::size_t j = 0; j < cnt; ++j) {
-        const CandidateDesign& cand = batch[miss[lo + j]];
-        const ArchFeatures af =
-            ArchFeatures::compute(cand.genotype, predictor_.skeleton());
-        computed[lo + j].accuracy =
-            accuracy_.hypernet_accuracy(cand.genotype, af);
-        codesign_features_into(af, cand.config, feats.data() + j * dim);
-      }
-      predictor_.predict_latency_energy_batch(feats.data(), cnt, lat.data(),
-                                              en.data());
-      for (std::size_t j = 0; j < cnt; ++j) {
-        computed[lo + j].latency_ms = std::max(1e-3, lat[j]);
-        computed[lo + j].energy_mj = std::max(1e-3, en[j]);
-      }
+      std::array<const CandidateDesign*, kMissBlock> rows{};
+      for (std::size_t j = 0; j < cnt; ++j) rows[j] = &batch[miss[lo + j]];
+      score_rows({rows.data(), cnt}, {computed.data() + lo, cnt});
     });
   }
   obs::counter_add("eval.cache_misses", miss.size());
@@ -212,11 +247,12 @@ void AccurateEvaluator::set_exec_context(ExecContextPtr exec) {
 }
 
 EvalResult AccurateEvaluator::evaluate(const CandidateDesign& candidate) {
+  const NetworkSkeleton skeleton = resolve_skeleton(skeleton_, candidate);
+  const ArchFeatures af = ArchFeatures::compute(candidate.genotype, skeleton);
   EvalResult r;
-  r.accuracy = 1.0 - accuracy_.test_error(candidate.genotype) / 100.0;
-  const SimulationResult sim =
-      simulator_.simulate_network(candidate.genotype, skeleton_,
-                                  candidate.config);
+  r.accuracy = 1.0 - accuracy_.test_error(candidate.genotype, af) / 100.0;
+  const SimulationResult sim = simulator_.simulate_network(
+      candidate.genotype, skeleton, candidate.config);
   r.latency_ms = sim.latency_ms;
   r.energy_mj = sim.energy_mj;
   return r;

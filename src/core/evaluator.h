@@ -19,6 +19,11 @@
 // shares its workers instead of oversubscribing the machine.  A null /
 // omitted context means serial.
 //
+// Skeletons: each evaluator is built on a base skeleton, and a candidate
+// runs on resolve_skeleton(base, candidate) (core/design_space.h), so one
+// evaluator pair serves a space with skeleton choices as well as the
+// paper's fixed-skeleton space.
+//
 // Batched evaluation: evaluate_batch() scores a span of candidates at once.
 // Both bundled evaluators are pure functions of the candidate after
 // construction (the GPs, the accuracy surrogate and the simulator are all
@@ -28,10 +33,10 @@
 // rows and the fused latency/energy GP predict on one thread — and
 // memoizes results keyed by the lossless candidate_key() (two designs share
 // an entry exactly when they compare equal), which pays off when the
-// controller revisits designs.  Results are bit-identical to per-candidate
-// serial evaluation at any thread count: the blocking is fixed, every
-// per-row computation chain is self-contained, and all stateful
-// bookkeeping stays on the coordinator.
+// controller revisits designs.  evaluate() runs the same block chain on one
+// row, so results are identical to per-candidate evaluation at any thread
+// count: the blocking is fixed, every per-row computation chain is
+// self-contained, and all stateful bookkeeping stays on the coordinator.
 //
 // The memo cache is *coordinator-only writable* state: workers probe a
 // read-only snapshot of it (probes strictly precede this batch's inserts),
@@ -42,6 +47,7 @@
 // -Wthread-safety a worker lambda that touches it fails to compile (the
 // clang-gated ctest `tsa.negative` demonstrates the diagnostic).
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -103,14 +109,18 @@ struct FastEvaluatorOptions {
 class FastEvaluator : public Evaluator {
  public:
   /// Builds the evaluator: collects `predictor_samples` simulator samples
-  /// and fits the energy + latency GPs (paper Step 1).  Sample simulation
-  /// fans out across `options.exec`; the candidate draws stay on one RNG
-  /// stream so the collected set is thread-count independent.
+  /// of `space`'s random candidates, each on its resolved skeleton, and
+  /// fits the energy + latency GPs (paper Step 1).  Sample simulation fans
+  /// out across `options.exec`; the candidate draws stay on one RNG stream
+  /// so the collected set is thread-count independent.  ContractViolation
+  /// when predictor_samples is 0.
   FastEvaluator(const DesignSpace& space, const NetworkSkeleton& skeleton,
                 const SystolicSimulator& simulator,
                 FastEvaluatorOptions options = {});
 
   /// Construction from pre-collected samples (lets benches reuse them).
+  /// This and the restoring constructor below serve fixed-skeleton
+  /// candidates only.
   FastEvaluator(const NetworkSkeleton& skeleton,
                 const std::vector<PerfSample>& samples,
                 GpBackend predictor_backend = GpBackend::kExact,
@@ -124,7 +134,9 @@ class FastEvaluator : public Evaluator {
   FastEvaluator(AccuracyModel accuracy, PerformancePredictor predictor,
                 ExecContextPtr exec = nullptr);
 
-  /// Single-candidate evaluation: always recomputes (the serial baseline).
+  /// Single-candidate evaluation: always recomputes, through the batch
+  /// path's scoring chain.  ContractViolation on a skeleton choice outside
+  /// the space the evaluator was built for (as for evaluate_batch/refine).
   EvalResult evaluate(const CandidateDesign& candidate) override;
 
   /// Batched evaluation with memoization: distinct uncached candidates are
@@ -164,10 +176,33 @@ class FastEvaluator : public Evaluator {
 #endif
 
  private:
+  /// One entry of the resolved-skeleton table.
+  struct SkeletonEntry {
+    std::uint8_t normal_cells = 0;
+    std::uint8_t stem_channels = 0;
+    NetworkSkeleton skeleton;
+  };
+
   ThreadPool& pool() { return exec_->pool(); }
+
+  /// The table entry for `candidate`'s skeleton choices (ContractViolation
+  /// when there is none): a lookup, so the scoring chain never allocates.
+  const NetworkSkeleton& skeleton_of(const CandidateDesign& candidate) const;
+
+  /// The one scoring chain: rows.size() <= 8 candidates scored on the
+  /// calling thread into `out`, one result per row.  One ArchFeatures per
+  /// candidate, on its skeleton, feeds both the HyperNet accuracy proxy and
+  /// the GP feature row, then one fused latency/energy GP predict scores
+  /// every row.
+  void score_rows(std::span<const CandidateDesign* const> rows,
+                  std::span<EvalResult> out) const;
 
   AccuracyModel accuracy_;
   PerformancePredictor predictor_;
+  /// Every skeleton a candidate of the evaluator's space resolves to,
+  /// built once at construction: the base skeleton (both choices 0), then
+  /// one entry per (normal_cells, stem_channels) pair of the space.
+  std::vector<SkeletonEntry> skeletons_;
   ExecContextPtr exec_;
   /// Serial context of whichever thread drives the search; cache_ may only
   /// be written under a ThreadRoleGuard on it (never from pool workers —
@@ -184,6 +219,8 @@ class AccurateEvaluator : public Evaluator {
                         {}, SimFidelity::kCycleLevel),
                     ExecContextPtr exec = nullptr);
 
+  /// Full-training error and cycle-level simulation, both on the
+  /// candidate's resolved skeleton.
   EvalResult evaluate(const CandidateDesign& candidate) override;
 
   /// Parallel batch scoring (no memoization: Step-3 finalists are already

@@ -1,6 +1,8 @@
 #include "predictor/perf_predictor.h"
 
 #include <cmath>
+#include <functional>
+#include <span>
 #include <stdexcept>
 
 #include "accel/config.h"
@@ -54,24 +56,20 @@ std::vector<double> codesign_features(const Genotype& g,
   return f;
 }
 
-std::vector<PerfSample> collect_samples(std::size_t count,
-                                        const SystolicSimulator& simulator,
-                                        const ConfigSpace& space,
-                                        const NetworkSkeleton& skeleton,
-                                        Rng& rng, ThreadPool* pool) {
+std::vector<PerfSample> collect_samples(
+    std::size_t count, const SystolicSimulator& simulator,
+    const std::function<SampleDraw(Rng&)>& draw, Rng& rng,
+    ThreadPool* pool) {
   YOSO_TRACE_SPAN("step1.collect_samples");
   obs::counter_add("step1.samples", count);
-  // Serial phase: all RNG draws, in the same per-sample order as the old
-  // fully-serial loop (genotype first, then the config actions).
+  // Serial phase: all RNG draws, in sample order.
   std::vector<PerfSample> samples(count);
-  std::vector<int> actions(ConfigSpace::kActionCount);  // overwritten per sample
+  std::vector<const NetworkSkeleton*> skeletons(count);
   for (std::size_t i = 0; i < count; ++i) {
-    PerfSample& s = samples[i];
-    s.genotype = random_genotype(rng);
-    for (int a = 0; a < ConfigSpace::kActionCount; ++a)
-      actions[static_cast<std::size_t>(a)] =
-          rng.uniform_int(0, space.cardinality(a) - 1);
-    s.config = space.decode(actions);
+    const SampleDraw d = draw(rng);
+    samples[i].genotype = d.genotype;
+    samples[i].config = d.config;
+    skeletons[i] = d.skeleton;
   }
   // Parallel phase: simulation dominates collection cost and is read-only.
   // The injected pool is shared with the rest of the framework
@@ -81,12 +79,33 @@ std::vector<PerfSample> collect_samples(std::size_t count,
       .parallel_for(0, count, [&](std::size_t i) {
         PerfSample& s = samples[i];
         const SimulationResult r =
-            simulator.simulate_network(s.genotype, skeleton, s.config);
+            simulator.simulate_network(s.genotype, *skeletons[i], s.config);
         s.energy_mj = r.energy_mj;
         s.latency_ms = r.latency_ms;
-        s.features = codesign_features(s.genotype, s.config, skeleton);
+        s.features = codesign_features(s.genotype, s.config, *skeletons[i]);
       });
   return samples;
+}
+
+std::vector<PerfSample> collect_samples(std::size_t count,
+                                        const SystolicSimulator& simulator,
+                                        const ConfigSpace& space,
+                                        const NetworkSkeleton& skeleton,
+                                        Rng& rng, ThreadPool* pool) {
+  std::vector<int> actions(ConfigSpace::kActionCount);  // overwritten per draw
+  return collect_samples(
+      count, simulator,
+      [&](Rng& r) {
+        SampleDraw d;
+        d.genotype = random_genotype(r);
+        for (int a = 0; a < ConfigSpace::kActionCount; ++a)
+          actions[static_cast<std::size_t>(a)] =
+              r.uniform_int(0, space.cardinality(a) - 1);
+        d.config = space.decode(actions);
+        d.skeleton = &skeleton;
+        return d;
+      },
+      rng, pool);
 }
 
 SampleMatrix to_matrix(const std::vector<PerfSample>& samples) {
@@ -123,15 +142,13 @@ void PerformancePredictor::fit(const std::vector<PerfSample>& samples) {
   refinements_ = 0;
 }
 
-bool PerformancePredictor::refine(const Genotype& g,
-                                  const AcceleratorConfig& config,
+bool PerformancePredictor::refine(std::span<const double> features,
                                   double latency_ms, double energy_mj) {
   if (!supports_refinement()) return false;
-  const std::vector<double> f = codesign_features(g, config, skeleton_);
   // Same log transform as fit(); updating both models with the same input
   // row keeps their training fingerprints in lockstep.
-  latency_gp_.update(f, std::log(std::max(latency_ms, 1e-9)));
-  energy_gp_.update(f, std::log(std::max(energy_mj, 1e-9)));
+  latency_gp_.update(features, std::log(std::max(latency_ms, 1e-9)));
+  energy_gp_.update(features, std::log(std::max(energy_mj, 1e-9)));
   ++refinements_;
   return true;
 }

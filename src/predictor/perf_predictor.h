@@ -3,6 +3,8 @@
 // (DNN, accelerator-config) pairs, simulate them once, fit one GP for energy
 // and one for latency, then answer queries ~10^3x faster than simulation.
 
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "accel/config.h"
@@ -46,10 +48,25 @@ struct PerfSample {
   double latency_ms = 0.0;
 };
 
-/// Draws `count` uniform random (genotype, config) pairs and simulates them.
+/// One Step-1 draw: a design and the skeleton it runs on (caller-owned; it
+/// must outlive the collect_samples call).
+struct SampleDraw {
+  Genotype genotype;
+  AcceleratorConfig config;
+  const NetworkSkeleton* skeleton = nullptr;
+};
+
+/// Draws `count` designs with `draw` and simulates each on its skeleton.
 /// The draws always consume `rng` on the calling thread in sample order;
 /// only the (read-only) simulation fans out across `pool` (null = inline),
 /// so the returned set is identical at any thread count.
+std::vector<PerfSample> collect_samples(
+    std::size_t count, const SystolicSimulator& simulator,
+    const std::function<SampleDraw(Rng&)>& draw, Rng& rng,
+    ThreadPool* pool = nullptr);
+
+/// The uniform case on one skeleton: each draw takes the genotype, then the
+/// config actions.
 std::vector<PerfSample> collect_samples(std::size_t count,
                                         const SystolicSimulator& simulator,
                                         const ConfigSpace& space,
@@ -107,13 +124,14 @@ class PerformancePredictor {
                                     double* latency_ms,
                                     double* energy_mj) const;
 
-  /// Folds one accurate-simulator result into both fitted GPs in O(m^2)
+  /// Folds one accurate-simulator result, for the design whose
+  /// codesign_features row is `features`, into both fitted GPs in O(m^2)
   /// each (log-space targets, matching fit()).  Both models are updated in
   /// lockstep so the fused predict_latency_energy_batch contract — same
   /// training inputs — keeps holding.  Returns false (a no-op) when the
   /// backend has no incremental path (exact) or before fit().
-  bool refine(const Genotype& g, const AcceleratorConfig& config,
-              double latency_ms, double energy_mj);
+  bool refine(std::span<const double> features, double latency_ms,
+              double energy_mj);
 
   /// True when refine() would apply: a fitted sparse-backend pair.
   bool supports_refinement() const {

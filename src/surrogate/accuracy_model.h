@@ -92,11 +92,13 @@ class AccuracyModel {
   /// Correlated with test_error but noisier and offset, as in Fig 5(b).
   double hypernet_error(const Genotype& g) const;
 
-  /// Same score from pre-computed descriptors.  `f` must be
-  /// ArchFeatures::compute(g, skeleton()) — callers that already hold the
-  /// descriptors (the batched evaluator shares one ArchFeatures between the
-  /// accuracy proxy and the GP feature row) skip recomputing them here;
-  /// the returned value is bit-identical to hypernet_error(g).
+  /// The same two scores from pre-computed descriptors
+  /// f = ArchFeatures::compute(g, s).  With s = skeleton() they are
+  /// bit-identical to the one-argument forms; the evaluators pass the
+  /// skeleton a candidate runs on (core/design_space.h resolve_skeleton),
+  /// and the batched one shares one ArchFeatures between the accuracy proxy
+  /// and the GP feature row.
+  double test_error(const Genotype& g, const ArchFeatures& f) const;
   double hypernet_error(const Genotype& g, const ArchFeatures& f) const;
 
   /// Convenience: validation accuracy in [0,1] from hypernet_error.
@@ -104,7 +106,6 @@ class AccuracyModel {
   double hypernet_accuracy(const Genotype& g, const ArchFeatures& f) const;
 
  private:
-  double clean_error(const Genotype& g) const;
   double clean_error_from(const ArchFeatures& f) const;
   double residual(const Genotype& g, std::uint64_t salt, double sigma) const;
 

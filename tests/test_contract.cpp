@@ -11,7 +11,8 @@
 #include "arch/network.h"
 #include "arch/zoo.h"
 #include "base/contract.h"
-#include "core/extended_space.h"
+#include "core/design_space.h"
+#include "core/evaluator.h"
 #include "core/reward.h"
 #include "linalg/kernels.h"
 #include "linalg/matrix.h"
@@ -22,6 +23,7 @@
 #include "predictor/gp.h"
 #include "predictor/perf_predictor.h"
 #include "surrogate/accuracy_model.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace yoso {
@@ -224,16 +226,29 @@ TEST(ContractCoverage, PredictBatchRejectsNullOutputs) {
       ContractViolation);
 }
 
-TEST(ContractCoverage, SkeletonForRejectsOutOfRangeIndices) {
-  const ExtendedDesignSpace space;
-  EXPECT_THROW(space.skeleton_for(-1, 0), ContractViolation);
-  EXPECT_THROW(space.skeleton_for(0, 99), ContractViolation);
+TEST(ContractCoverage, SkeletonChoiceRejectsOutOfRangeIndices) {
+  const DesignSpace space(default_config_space(), {1, 2, 3}, {16, 24, 32});
+  Rng rng(1);
+  std::vector<int> actions = space.encode(space.random_candidate(rng));
+  actions[44] = -1;
+  EXPECT_THROW(space.decode(actions), ContractViolation);
+  actions[44] = 0;
+  actions[45] = 99;
+  EXPECT_THROW(space.decode(actions), ContractViolation);
+  // The resolver needs a reduction cell to put normal cells before.
+  NetworkSkeleton no_reduction = default_skeleton();
+  no_reduction.cells = {CellKind::kNormal};
+  CandidateDesign c;
+  c.normal_cells = 2;
+  EXPECT_THROW(resolve_skeleton(no_reduction, c), ContractViolation);
 }
 
-TEST(ContractCoverage, ExtendedFastEvaluatorRejectsZeroSamples) {
-  const ExtendedDesignSpace space;
+TEST(ContractCoverage, FastEvaluatorRejectsZeroSamples) {
+  const DesignSpace space;
   const SystolicSimulator sim({}, SimFidelity::kAnalytical);
-  EXPECT_THROW(ExtendedFastEvaluator(space, sim, 0, 7), ContractViolation);
+  EXPECT_THROW(FastEvaluator(space, default_skeleton(), sim,
+                             {.predictor_samples = 0, .seed = 7}),
+               ContractViolation);
 }
 
 #if !defined(NDEBUG) || defined(YOSO_ENABLE_DCHECKS)

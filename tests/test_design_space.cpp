@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
+#include <cstdint>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "accel/config.h"
 #include "arch/genotype.h"
+#include "arch/network.h"
 #include "arch/ops.h"
 #include "base/contract.h"
 #include "core/design_space.h"
@@ -11,6 +17,11 @@
 
 namespace yoso {
 namespace {
+
+/// The 46-action space: 1-3 normal cells per stage, stem 16/24/32.
+DesignSpace skeleton_choice_space() {
+  return DesignSpace(default_config_space(), {1, 2, 3}, {16, 24, 32});
+}
 
 TEST(DesignSpace, FortyFourActions) {
   DesignSpace space;
@@ -89,13 +100,105 @@ TEST(DesignSpace, CustomConfigSpaceRespected) {
   EXPECT_EQ(c.config.g_buf_kb, 256);
 }
 
+TEST(DesignSpace, SkeletonChoicesGiveFortySixActions) {
+  const DesignSpace space = skeleton_choice_space();
+  EXPECT_EQ(space.num_actions(), 46);
+  const auto cards = space.cardinalities();
+  ASSERT_EQ(cards.size(), 46u);
+  EXPECT_EQ(cards[44], 3);  // normal cells {1,2,3}
+  EXPECT_EQ(cards[45], 3);  // stem {16,24,32}
+  const auto names = space.action_names();
+  ASSERT_EQ(names.size(), 46u);
+  EXPECT_EQ(names[45], "skeleton.stem_channels");
+  EXPECT_NEAR(space.log10_size(), DesignSpace().log10_size() + std::log10(9.0),
+              1e-9);
+}
+
+TEST(DesignSpace, ResolveSkeletonBuildsPaperPattern) {
+  const NetworkSkeleton base = default_skeleton();
+  CandidateDesign c;
+  EXPECT_EQ(resolve_skeleton(base, c).cells, base.cells);  // 0 keeps base
+  EXPECT_EQ(resolve_skeleton(base, c).stem_channels, base.stem_channels);
+  c.normal_cells = 2;
+  c.stem_channels = 32;
+  const NetworkSkeleton s = resolve_skeleton(base, c);
+  // N N R N N R
+  ASSERT_EQ(s.cells.size(), 6u);
+  EXPECT_EQ(s.cells[0], CellKind::kNormal);
+  EXPECT_EQ(s.cells[2], CellKind::kReduction);
+  EXPECT_EQ(s.cells[5], CellKind::kReduction);
+  EXPECT_EQ(s.stem_channels, 32);
+  EXPECT_EQ(s.input_height, base.input_height);
+  EXPECT_EQ(s.num_classes, base.num_classes);
+  // 1 normal cell: N R N R.
+  c.normal_cells = 1;
+  EXPECT_EQ(resolve_skeleton(base, c).cells,
+            (std::vector<CellKind>{CellKind::kNormal, CellKind::kReduction,
+                                   CellKind::kNormal, CellKind::kReduction}));
+}
+
+TEST(DesignSpace, SkeletonChoiceEncodeDecodeRoundTrip) {
+  const DesignSpace space = skeleton_choice_space();
+  Rng rng(3);
+  for (int i = 0; i < 50; ++i) {
+    const CandidateDesign c = space.random_candidate(rng);
+    const auto actions = space.encode(c);
+    ASSERT_EQ(actions.size(), 46u);
+    EXPECT_EQ(space.decode(actions), c);
+  }
+}
+
+TEST(DesignSpace, SkeletonChoiceDecodeRejectsWrongLength) {
+  const DesignSpace space = skeleton_choice_space();
+  EXPECT_THROW(space.decode(std::vector<int>(44, 0)), std::invalid_argument);
+}
+
+TEST(DesignSpace, RandomCandidatesCoverSkeletons) {
+  const DesignSpace space = skeleton_choice_space();
+  Rng rng(5);
+  std::set<std::pair<int, int>> skeletons;
+  for (int i = 0; i < 100; ++i) {
+    const CandidateDesign c = space.random_candidate(rng);
+    skeletons.insert({c.normal_cells, c.stem_channels});
+  }
+  EXPECT_EQ(skeletons.size(), 9u);  // every (normal cells, stem) pair
+}
+
+TEST(DesignSpace, EncodeRejectsChoiceNotInSpace) {
+  const DesignSpace choices = skeleton_choice_space();
+  Rng rng(8);
+  CandidateDesign c = choices.random_candidate(rng);
+  c.stem_channels = 20;  // not one of {16, 24, 32}
+  EXPECT_THROW(choices.encode(c), ContractViolation);
+  c.stem_channels = 16;
+  c.normal_cells = 0;  // the fixed-skeleton value
+  EXPECT_THROW(choices.encode(c), ContractViolation);
+  // A fixed-skeleton space offers no choice at all.
+  const DesignSpace fixed;
+  CandidateDesign d = fixed.random_candidate(rng);
+  EXPECT_NO_THROW(fixed.encode(d));
+  d.normal_cells = 2;
+  EXPECT_THROW(fixed.encode(d), ContractViolation);
+}
+
+TEST(DesignSpace, RejectsMalformedSkeletonChoices) {
+  const ConfigSpace cs = default_config_space();
+  EXPECT_THROW(DesignSpace(cs, {1, 2}, {}), ContractViolation);   // half set
+  EXPECT_THROW(DesignSpace(cs, {}, {16}), ContractViolation);     // half set
+  EXPECT_THROW(DesignSpace(cs, {1, 1}, {16}), ContractViolation); // duplicate
+  EXPECT_THROW(DesignSpace(cs, {0, 1}, {16}), ContractViolation); // below 1
+  EXPECT_THROW(DesignSpace(cs, {1}, {256}), ContractViolation);   // above 255
+  EXPECT_NO_THROW(DesignSpace(cs, {255}, {1}));
+}
+
 /// `a` with one field changed: a node field moves to another value below 8,
-/// or a config field moves by 1, 2^8, 2^16 or 2^24 (the larger steps keep
-/// the low bytes, so a key that truncates a field would alias them).
+/// a config field moves by 1, 2^8, 2^16 or 2^24 (the larger steps keep the
+/// low bytes, so a key that truncates a field would alias them), or a
+/// skeleton choice moves to another byte value.
 CandidateDesign mutate_one_field(const CandidateDesign& a, Rng& rng) {
   CandidateDesign b = a;
   constexpr int kNodeFields = 2 * kInteriorNodes * 4;
-  const int field = rng.uniform_int(0, kNodeFields + 5 - 1);
+  const int field = rng.uniform_int(0, kNodeFields + 5 + 2 - 1);
   if (field < kNodeFields) {
     CellGenotype& cell =
         field < kNodeFields / 2 ? b.genotype.normal : b.genotype.reduction;
@@ -115,6 +218,12 @@ CandidateDesign mutate_one_field(const CandidateDesign& a, Rng& rng) {
     }
     return b;
   }
+  if (field >= kNodeFields + 5) {
+    std::uint8_t& choice =
+        field == kNodeFields + 5 ? b.normal_cells : b.stem_channels;
+    choice = static_cast<std::uint8_t>(choice + rng.uniform_int(1, 255));
+    return b;
+  }
   constexpr std::array<int, 4> kSteps = {1, 1 << 8, 1 << 16, 1 << 24};
   const int step = kSteps[static_cast<std::size_t>(rng.uniform_int(0, 3))];
   AcceleratorConfig& c = b.config;
@@ -130,18 +239,20 @@ CandidateDesign mutate_one_field(const CandidateDesign& a, Rng& rng) {
 }
 
 TEST(CandidateKey, EqualExactlyWhenCandidatesEqual) {
-  const DesignSpace space;
-  Rng rng(11);
-  CandidateDesign previous = space.random_candidate(rng);
-  for (int i = 0; i < 3000; ++i) {
-    const CandidateDesign a = space.random_candidate(rng);
-    const CandidateDesign b = mutate_one_field(a, rng);
-    ASSERT_NE(a, b);
-    EXPECT_NE(candidate_key(a), candidate_key(b)) << i;
-    const CandidateDesign copy = a;
-    EXPECT_EQ(candidate_key(a), candidate_key(copy)) << i;
-    EXPECT_EQ(candidate_key(a) == candidate_key(previous), a == previous) << i;
-    previous = a;
+  for (const DesignSpace& space : {DesignSpace(), skeleton_choice_space()}) {
+    Rng rng(11);
+    CandidateDesign previous = space.random_candidate(rng);
+    for (int i = 0; i < 3000; ++i) {
+      const CandidateDesign a = space.random_candidate(rng);
+      const CandidateDesign b = mutate_one_field(a, rng);
+      ASSERT_NE(a, b);
+      EXPECT_NE(candidate_key(a), candidate_key(b)) << i;
+      const CandidateDesign copy = a;
+      EXPECT_EQ(candidate_key(a), candidate_key(copy)) << i;
+      EXPECT_EQ(candidate_key(a) == candidate_key(previous), a == previous)
+          << i;
+      previous = a;
+    }
   }
 }
 

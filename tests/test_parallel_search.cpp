@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <gtest/gtest.h>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "accel/simulator.h"
@@ -33,8 +34,16 @@ class ParallelSearchTest : public ::testing::Test {
                               FastEvaluatorOptions{.predictor_samples = 150, .seed = 9});
     accurate_ = std::make_unique<AccurateEvaluator>(
         *skeleton_, SystolicSimulator({}, SimFidelity::kAnalytical));
+    choice_space_ = std::make_unique<DesignSpace>(
+        default_config_space(), std::vector<int>{1, 2, 3},
+        std::vector<int>{16, 24, 32});
+    choice_fast_ = std::make_unique<FastEvaluator>(
+        *choice_space_, *skeleton_, sim,
+        FastEvaluatorOptions{.predictor_samples = 150, .seed = 9});
   }
   static void TearDownTestSuite() {
+    choice_fast_.reset();
+    choice_space_.reset();
     accurate_.reset();
     fast_.reset();
     skeleton_.reset();
@@ -78,33 +87,42 @@ class ParallelSearchTest : public ::testing::Test {
   static std::unique_ptr<NetworkSkeleton> skeleton_;
   static std::unique_ptr<FastEvaluator> fast_;
   static std::unique_ptr<AccurateEvaluator> accurate_;
+  // The 46-action space with skeleton choices, and its fast evaluator.
+  static std::unique_ptr<DesignSpace> choice_space_;
+  static std::unique_ptr<FastEvaluator> choice_fast_;
 };
 
 std::unique_ptr<DesignSpace> ParallelSearchTest::space_;
 std::unique_ptr<NetworkSkeleton> ParallelSearchTest::skeleton_;
 std::unique_ptr<FastEvaluator> ParallelSearchTest::fast_;
 std::unique_ptr<AccurateEvaluator> ParallelSearchTest::accurate_;
+std::unique_ptr<DesignSpace> ParallelSearchTest::choice_space_;
+std::unique_ptr<FastEvaluator> ParallelSearchTest::choice_fast_;
 
 TEST_F(ParallelSearchTest, BatchMatchesSerialEvaluation) {
   // 90 misses span 12 fixed 8-row blocks with a ragged 2-row tail, so block
   // seams and a short block are both exercised; the appended repeats
   // exercise in-batch dedupe.
-  Rng rng(4);
-  std::vector<CandidateDesign> batch;
-  for (int i = 0; i < 90; ++i) batch.push_back(space_->random_candidate(rng));
-  batch.push_back(batch[2]);
-  batch.push_back(batch[7]);
-  batch.push_back(batch[40]);  // revisit from a later chunk
-  for (std::size_t threads : {1u, 3u, 8u}) {
-    fast_->set_exec_context(ExecContext::create(threads));
-    fast_->clear_cache();
-    const std::vector<EvalResult> results = fast_->evaluate_batch(batch);
-    ASSERT_EQ(results.size(), batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const EvalResult serial = fast_->evaluate(batch[i]);
-      EXPECT_DOUBLE_EQ(results[i].accuracy, serial.accuracy) << i;
-      EXPECT_DOUBLE_EQ(results[i].latency_ms, serial.latency_ms) << i;
-      EXPECT_DOUBLE_EQ(results[i].energy_mj, serial.energy_mj) << i;
+  for (const auto& [space, fast] :
+       {std::pair{space_.get(), fast_.get()},
+        std::pair{choice_space_.get(), choice_fast_.get()}}) {
+    Rng rng(4);
+    std::vector<CandidateDesign> batch;
+    for (int i = 0; i < 90; ++i) batch.push_back(space->random_candidate(rng));
+    batch.push_back(batch[2]);
+    batch.push_back(batch[7]);
+    batch.push_back(batch[40]);  // revisit from a later chunk
+    for (std::size_t threads : {1u, 3u, 8u}) {
+      fast->set_exec_context(ExecContext::create(threads));
+      fast->clear_cache();
+      const std::vector<EvalResult> results = fast->evaluate_batch(batch);
+      ASSERT_EQ(results.size(), batch.size());
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        const EvalResult serial = fast->evaluate(batch[i]);
+        EXPECT_DOUBLE_EQ(results[i].accuracy, serial.accuracy) << i;
+        EXPECT_DOUBLE_EQ(results[i].latency_ms, serial.latency_ms) << i;
+        EXPECT_DOUBLE_EQ(results[i].energy_mj, serial.energy_mj) << i;
+      }
     }
   }
 }
@@ -184,6 +202,16 @@ TEST_F(ParallelSearchTest, YosoSearchIdenticalAcrossThreadCounts) {
       *fast_, accurate_.get(), ExecContext::create(8));
   expect_identical(r1, r2);
   expect_identical(r1, r8);
+  // The 46-action space: same stack, skeleton choices in every candidate.
+  choice_fast_->clear_cache();
+  const SearchResult c1 = YosoSearch(*choice_space_, opt).run(
+      *choice_fast_, accurate_.get(), ExecContext::create(1));
+  choice_fast_->clear_cache();
+  const SearchResult c4 = YosoSearch(*choice_space_, opt).run(
+      *choice_fast_, accurate_.get(), ExecContext::create(4));
+  expect_identical(c1, c4);
+  ASSERT_TRUE(c1.best.has_value());
+  EXPECT_NE(c1.best->candidate.normal_cells, 0);
 }
 
 TEST_F(ParallelSearchTest, RandomSearchIdenticalAcrossThreadsAndBatches) {

@@ -1,5 +1,8 @@
+#include <cstdint>
 #include <gtest/gtest.h>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "accel/simulator.h"
 #include "arch/network.h"
@@ -201,6 +204,91 @@ TEST_F(SearchTest, Step2SpansCoverProposeTime) {
   ASSERT_NE(propose, nullptr);
   EXPECT_LE(static_cast<double>(propose->self_ns),
             0.05 * static_cast<double>(propose->total_ns));
+}
+
+// The 46-action space through the same stack: one DesignSpace with skeleton
+// choices, FastEvaluator, AccurateEvaluator and YosoSearch.
+class SkeletonChoiceTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    space_ = std::make_unique<DesignSpace>(default_config_space(),
+                                           std::vector<int>{1, 2, 3},
+                                           std::vector<int>{16, 24, 32});
+    SystolicSimulator sim({}, SimFidelity::kAnalytical);
+    fast_ = std::make_unique<FastEvaluator>(
+        *space_, default_skeleton(), sim,
+        FastEvaluatorOptions{.predictor_samples = 180, .seed = 7});
+    accurate_ = std::make_unique<AccurateEvaluator>(
+        default_skeleton(), SystolicSimulator({}, SimFidelity::kAnalytical));
+  }
+  static void TearDownTestSuite() {
+    accurate_.reset();
+    fast_.reset();
+    space_.reset();
+  }
+
+  /// A random candidate of the space on its smallest (1 normal cell per
+  /// stage, stem 16) and largest (3, stem 32) skeletons.
+  static std::pair<CandidateDesign, CandidateDesign> small_and_large(
+      std::uint64_t seed) {
+    Rng rng(seed);
+    CandidateDesign small = space_->random_candidate(rng);
+    small.normal_cells = 1;
+    small.stem_channels = 16;
+    CandidateDesign large = small;
+    large.normal_cells = 3;
+    large.stem_channels = 32;
+    return {small, large};
+  }
+
+  static std::unique_ptr<DesignSpace> space_;
+  static std::unique_ptr<FastEvaluator> fast_;
+  static std::unique_ptr<AccurateEvaluator> accurate_;
+};
+
+std::unique_ptr<DesignSpace> SkeletonChoiceTest::space_;
+std::unique_ptr<FastEvaluator> SkeletonChoiceTest::fast_;
+std::unique_ptr<AccurateEvaluator> SkeletonChoiceTest::accurate_;
+
+TEST_F(SkeletonChoiceTest, EvaluatorsRespondToSkeleton) {
+  const auto [small_c, large_c] = small_and_large(9);
+  const EvalResult small = accurate_->evaluate(small_c);
+  const EvalResult large = accurate_->evaluate(large_c);
+  EXPECT_GT(large.energy_mj, small.energy_mj);
+  EXPECT_GT(large.latency_ms, small.latency_ms);
+  // Bigger skeleton -> better (or equal) accuracy in the surrogate.
+  EXPECT_GE(large.accuracy, small.accuracy - 0.02);
+}
+
+TEST_F(SkeletonChoiceTest, FastPredictorTracksSkeletonScale) {
+  const auto [small_c, large_c] = small_and_large(11);
+  EXPECT_GT(fast_->evaluate(large_c).energy_mj,
+            fast_->evaluate(small_c).energy_mj);
+  // A choice outside the space the evaluator was built for has no skeleton.
+  CandidateDesign outside = small_c;
+  outside.stem_channels = 20;
+  EXPECT_THROW(fast_->evaluate(outside), ContractViolation);
+}
+
+TEST_F(SkeletonChoiceTest, SearchRunsAndReranks) {
+  SearchOptions opt;
+  opt.iterations = 150;
+  opt.top_n = 5;
+  opt.reward = energy_opt_reward();
+  opt.seed = 13;
+  const SearchResult r = YosoSearch(*space_, opt).run(*fast_, accurate_.get());
+  ASSERT_FALSE(r.finalists.empty());
+  ASSERT_TRUE(r.best.has_value());
+  EXPECT_GT(r.best_fast_reward, 0.0);
+  for (std::size_t i = 1; i < r.finalists.size(); ++i)
+    EXPECT_GE(r.finalists[i - 1].accurate_reward,
+              r.finalists[i].accurate_reward);
+  // The pool dedupes on the full candidate, skeleton choices included.
+  for (std::size_t i = 0; i < r.finalists.size(); ++i) {
+    EXPECT_NE(r.finalists[i].candidate.normal_cells, 0);
+    for (std::size_t j = i + 1; j < r.finalists.size(); ++j)
+      EXPECT_NE(r.finalists[i].candidate, r.finalists[j].candidate);
+  }
 }
 
 TEST(SearchOptionsValidate, AcceptsDefaults) {
