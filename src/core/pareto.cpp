@@ -1,64 +1,10 @@
 #include "core/pareto.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
-#include <stdexcept>
 
 #include "core/reward.h"
 
 namespace yoso {
-
-bool dominates(const ParetoPoint& a, const ParetoPoint& b) {
-  if (a.first > b.first || a.second > b.second) return false;
-  return a.first < b.first || a.second < b.second;
-}
-
-bool dominates(const EvalResult& a, const EvalResult& b) {
-  if (a.accuracy < b.accuracy || a.latency_ms > b.latency_ms ||
-      a.energy_mj > b.energy_mj)
-    return false;
-  return a.accuracy > b.accuracy || a.latency_ms < b.latency_ms ||
-         a.energy_mj < b.energy_mj;
-}
-
-namespace {
-
-template <typename T, typename Dom>
-std::vector<std::size_t> front_indices(std::span<const T> items, Dom dom) {
-  std::vector<std::size_t> front;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    bool dominated = false;
-    for (std::size_t j = 0; j < items.size() && !dominated; ++j) {
-      if (i == j) continue;
-      if (dom(items[j], items[i])) dominated = true;
-      // Exact duplicates: keep the first occurrence only.
-      if (j < i && !dom(items[j], items[i]) && !dom(items[i], items[j])) {
-        if constexpr (std::is_same_v<T, ParetoPoint>) {
-          if (items[j] == items[i]) dominated = true;
-        }
-      }
-    }
-    if (!dominated) front.push_back(i);
-  }
-  return front;
-}
-
-}  // namespace
-
-std::vector<std::size_t> pareto_front_indices(
-    std::span<const ParetoPoint> points) {
-  return front_indices(points, [](const ParetoPoint& a, const ParetoPoint& b) {
-    return dominates(a, b);
-  });
-}
-
-std::vector<std::size_t> pareto_front_indices(
-    std::span<const EvalResult> results) {
-  return front_indices(results, [](const EvalResult& a, const EvalResult& b) {
-    return dominates(a, b);
-  });
-}
 
 double hypervolume_2d(std::span<const ParetoPoint> points,
                       const ParetoPoint& reference) {
@@ -88,19 +34,6 @@ double hypervolume_2d(std::span<const ParetoPoint> points,
     volume += width * (reference.second - env[i].second);
   }
   return volume;
-}
-
-double distance_to_front(const ParetoPoint& p,
-                         std::span<const ParetoPoint> front) {
-  if (front.empty())
-    throw std::invalid_argument("distance_to_front: empty front");
-  double best = std::numeric_limits<double>::infinity();
-  for (const auto& f : front) {
-    const double dx = p.first - f.first;
-    const double dy = p.second - f.second;
-    best = std::min(best, std::sqrt(dx * dx + dy * dy));
-  }
-  return best;
 }
 
 std::vector<ParetoPoint> to_tradeoff_points(

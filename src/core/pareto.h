@@ -1,13 +1,8 @@
 #pragma once
-// Pareto-front utilities for multi-objective search analysis.
-//
-// Fig 6(b)/(c) argue that the RL search "gradually approaches the region
-// close to the Pareto front".  These helpers make that claim measurable:
-// extract the non-dominated set of evaluated candidates, compute the 2-D
-// hypervolume indicator of a population against a reference point, and
-// measure how far a point sits from a front.
+// The 2-D hypervolume indicator of a set of evaluations: project them onto
+// the (error %, metric) plane, then measure the area they dominate against a
+// reference point.  bench_ablation_searchers compares searchers with it.
 
-#include <cstddef>
 #include <span>
 #include <utility>
 #include <vector>
@@ -19,32 +14,11 @@ namespace yoso {
 /// A point in minimisation space: (f1, f2), both to be minimised.
 using ParetoPoint = std::pair<double, double>;
 
-/// True when a dominates b (<= on both axes, < on at least one).
-bool dominates(const ParetoPoint& a, const ParetoPoint& b);
-
-/// Full three-objective dominance over evaluations: higher accuracy,
-/// lower latency, lower energy.
-bool dominates(const EvalResult& a, const EvalResult& b);
-
-/// Indices of the non-dominated subset (order of first appearance; exact
-/// duplicates keep the first occurrence only).
-std::vector<std::size_t> pareto_front_indices(
-    std::span<const ParetoPoint> points);
-
-/// Three-objective front over evaluations.
-std::vector<std::size_t> pareto_front_indices(
-    std::span<const EvalResult> results);
-
 /// 2-D hypervolume (area dominated by the front, bounded by `reference`,
 /// which must be dominated by every front point considered; points beyond
 /// the reference are clipped out).  Larger is better.
 double hypervolume_2d(std::span<const ParetoPoint> points,
                       const ParetoPoint& reference);
-
-/// Euclidean distance from `p` to the closest point of `front`
-/// (0 when p is on the front).  Front must be non-empty.
-double distance_to_front(const ParetoPoint& p,
-                         std::span<const ParetoPoint> front);
 
 /// Projects evaluations onto the (error %, metric) minimisation plane.
 enum class TradeoffMetric { kEnergy, kLatency };

@@ -235,7 +235,7 @@ __attribute__((target("avx2,fma"))) double dot_avx2(const double* a,
   double tmp[4];
   _mm256_storeu_pd(tmp, s);
   double acc = (tmp[0] + tmp[1]) + (tmp[2] + tmp[3]);
-  for (; i < n; ++i) acc += a[i] * b[i];
+  for (; i < n; ++i) acc = std::fma(a[i], b[i], acc);
   return acc;
 }
 

@@ -38,6 +38,8 @@ class Matrix {
     return std::span<const double>(data_).subspan(r * cols_, cols_);
   }
 
+  bool operator==(const Matrix&) const = default;
+
   Matrix transpose() const;
   Matrix operator*(const Matrix& rhs) const;
   Matrix operator+(const Matrix& rhs) const;

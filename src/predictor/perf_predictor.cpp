@@ -196,17 +196,29 @@ PerfPredictorState PerformancePredictor::export_state() const {
 
 PerformancePredictor PerformancePredictor::from_state(
     const PerfPredictorState& state) {
-  YOSO_REQUIRE(state.latency.backend == state.energy.backend,
+  const GpRegressorState& lat = state.latency;
+  const GpRegressorState& en = state.energy;
+  YOSO_REQUIRE(lat.backend == en.backend,
                "PerformancePredictor::from_state: latency/energy models "
                "disagree on backend");
-  YOSO_REQUIRE(state.latency.train_x.cols() == state.energy.train_x.cols(),
+  // predict_latency_energy_batch reads only the latency model's scaler and
+  // panel, for both targets, while refine() updates each model against its
+  // own: the two must hold the same inputs, bit for bit.
+  YOSO_REQUIRE(lat.train_x == en.train_x,
                "PerformancePredictor::from_state: latency/energy models "
-               "disagree on feature width (", state.latency.train_x.cols(),
-               " vs ", state.energy.train_x.cols(), ")");
-  PerformancePredictor p(state.skeleton, state.latency.backend,
-                         state.latency.inducing_target);
-  p.latency_gp_ = GpRegressor::from_state(state.latency);
-  p.energy_gp_ = GpRegressor::from_state(state.energy);
+               "disagree on the training panel (", lat.train_x.rows(), "x",
+               lat.train_x.cols(), " vs ", en.train_x.rows(), "x",
+               en.train_x.cols(), ")");
+  YOSO_REQUIRE(lat.scaler_mean == en.scaler_mean &&
+                   lat.scaler_std == en.scaler_std,
+               "PerformancePredictor::from_state: latency/energy models "
+               "disagree on the input scaler");
+  YOSO_REQUIRE(lat.inducing_idx == en.inducing_idx,
+               "PerformancePredictor::from_state: latency/energy models "
+               "disagree on the inducing rows");
+  PerformancePredictor p(state.skeleton, lat.backend, lat.inducing_target);
+  p.latency_gp_ = GpRegressor::from_state(lat);
+  p.energy_gp_ = GpRegressor::from_state(en);
   p.fitted_ = true;
   p.refinements_ = state.refinements;
   return p;

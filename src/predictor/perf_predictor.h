@@ -154,7 +154,8 @@ class PerformancePredictor {
   /// Both GPs are restored through GpRegressor::from_state, so predictions
   /// — including the fused predict_latency_energy_batch and later refine()
   /// calls — are bit-identical to the original pair.  ContractViolation
-  /// when the two models disagree on backend or feature width.
+  /// when the two models disagree on backend, training (or inducing)
+  /// panel, input scaler or inducing indices.
   static PerformancePredictor from_state(const PerfPredictorState& state);
 
  private:

@@ -17,7 +17,6 @@
 #include "linalg/kernels.h"
 #include "linalg/matrix.h"
 #include "nn/im2col.h"
-#include "nn/metrics.h"
 #include "nn/tensor.h"
 #include "obs/metrics.h"
 #include "predictor/gp.h"
@@ -164,13 +163,6 @@ TEST(ContractCoverage, Col2imRejectsNonPositiveKernelOrStride) {
   const ColMatrix cols;
   EXPECT_THROW(col2im(cols, {1, 1, 4, 4}, 0, 1), ContractViolation);
   EXPECT_THROW(col2im(cols, {1, 1, 4, 4}, 3, 0), ContractViolation);
-}
-
-TEST(ContractCoverage, ConfusionMatrixAtIsBoundsChecked) {
-  ConfusionMatrix cm(3);
-  EXPECT_THROW(cm.at(3, 0), ContractViolation);
-  EXPECT_THROW(cm.at(0, -1), ContractViolation);
-  EXPECT_EQ(cm.at(2, 2), 0);
 }
 
 TEST(ContractCoverage, HistogramBucketIsBoundsChecked) {

@@ -6,55 +6,6 @@
 namespace yoso {
 namespace {
 
-TEST(ParetoDominance, TwoObjective) {
-  EXPECT_TRUE(dominates(ParetoPoint{1.0, 1.0}, ParetoPoint{2.0, 2.0}));
-  EXPECT_TRUE(dominates(ParetoPoint{1.0, 2.0}, ParetoPoint{2.0, 2.0}));
-  EXPECT_FALSE(dominates(ParetoPoint{1.0, 3.0}, ParetoPoint{2.0, 2.0}));
-  EXPECT_FALSE(dominates(ParetoPoint{2.0, 2.0}, ParetoPoint{2.0, 2.0}));
-  EXPECT_FALSE(dominates(ParetoPoint{2.0, 2.0}, ParetoPoint{1.0, 1.0}));
-}
-
-TEST(ParetoDominance, ThreeObjectiveEval) {
-  const EvalResult good{0.97, 0.5, 4.0};
-  const EvalResult bad{0.95, 1.0, 8.0};
-  const EvalResult mixed{0.99, 2.0, 3.0};
-  EXPECT_TRUE(dominates(good, bad));
-  EXPECT_FALSE(dominates(bad, good));
-  EXPECT_FALSE(dominates(good, mixed));
-  EXPECT_FALSE(dominates(mixed, good));
-  EXPECT_FALSE(dominates(good, good));
-}
-
-TEST(ParetoFront, ExtractsNonDominatedSet) {
-  const std::vector<ParetoPoint> points = {
-      {1.0, 5.0}, {2.0, 3.0}, {3.0, 4.0},  // (3,4) dominated by (2,3)
-      {4.0, 1.0}, {5.0, 5.0},              // (5,5) dominated by several
-  };
-  const auto front = pareto_front_indices(points);
-  EXPECT_EQ(front, (std::vector<std::size_t>{0, 1, 3}));
-}
-
-TEST(ParetoFront, DuplicatesKeepFirst) {
-  const std::vector<ParetoPoint> points = {{1.0, 1.0}, {1.0, 1.0}};
-  const auto front = pareto_front_indices(points);
-  EXPECT_EQ(front, (std::vector<std::size_t>{0}));
-}
-
-TEST(ParetoFront, SinglePoint) {
-  const std::vector<ParetoPoint> points = {{3.0, 3.0}};
-  EXPECT_EQ(pareto_front_indices(points).size(), 1u);
-}
-
-TEST(ParetoFront, EvalResults) {
-  const std::vector<EvalResult> results = {
-      {0.97, 0.5, 4.0},   // front
-      {0.95, 1.0, 8.0},   // dominated by the first
-      {0.99, 2.0, 3.0},   // front (best accuracy / energy trade)
-  };
-  const auto front = pareto_front_indices(std::span(results));
-  EXPECT_EQ(front, (std::vector<std::size_t>{0, 2}));
-}
-
 TEST(Hypervolume, RectangleForSinglePoint) {
   const std::vector<ParetoPoint> points = {{1.0, 1.0}};
   EXPECT_DOUBLE_EQ(hypervolume_2d(points, {3.0, 3.0}), 4.0);
@@ -84,14 +35,6 @@ TEST(Hypervolume, MoreDiversityMoreVolume) {
   const std::vector<ParetoPoint> wide = {{2.0, 2.0}, {1.0, 2.5}, {2.5, 1.0}};
   EXPECT_GT(hypervolume_2d(wide, {4.0, 4.0}),
             hypervolume_2d(narrow, {4.0, 4.0}));
-}
-
-TEST(DistanceToFront, ZeroOnFrontPositiveOff) {
-  const std::vector<ParetoPoint> front = {{1.0, 2.0}, {2.0, 1.0}};
-  EXPECT_DOUBLE_EQ(distance_to_front({1.0, 2.0}, front), 0.0);
-  EXPECT_NEAR(distance_to_front({2.0, 2.0}, front), 1.0, 1e-12);
-  const std::vector<ParetoPoint> empty;
-  EXPECT_THROW(distance_to_front({0.0, 0.0}, empty), std::invalid_argument);
 }
 
 TEST(TradeoffPoints, ProjectionAxes) {

@@ -1,12 +1,15 @@
 #include <cmath>
 #include <gtest/gtest.h>
 #include <memory>
+#include <utility>
 
 #include "accel/config.h"
 #include "accel/simulator.h"
 #include "accel/tech.h"
 #include "arch/genotype.h"
 #include "arch/network.h"
+#include "base/contract.h"
+#include "predictor/gp.h"
 #include "predictor/perf_predictor.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -143,6 +146,29 @@ TEST_F(PerfPredictorTest, PredictionRespondsToConfig) {
   // More PEs -> the GP must predict lower latency for the same network.
   EXPECT_LT(pred.predict_latency_ms(g, large),
             pred.predict_latency_ms(g, small));
+}
+
+// The fused pair predict reads only the latency model's scaler and panel,
+// so an energy section that differs there would load and predict like a
+// correct one until refine() updated it against its own copies.
+TEST_F(PerfPredictorTest, FromStateRejectsEnergyInputsThatDisagree) {
+  PerformancePredictor pred(*skeleton_, GpBackend::kSparse, 32);
+  pred.fit(*samples_);
+  const PerfPredictorState good = pred.export_state();
+  EXPECT_NO_THROW(PerformancePredictor::from_state(good));
+
+  PerfPredictorState bad = good;
+  bad.energy.scaler_mean[0] += 0.5;
+  EXPECT_THROW(PerformancePredictor::from_state(bad), ContractViolation);
+  bad = good;
+  bad.energy.scaler_std[1] *= 2.0;
+  EXPECT_THROW(PerformancePredictor::from_state(bad), ContractViolation);
+  bad = good;
+  bad.energy.train_x(3, 2) += 0.25;
+  EXPECT_THROW(PerformancePredictor::from_state(bad), ContractViolation);
+  bad = good;
+  std::swap(bad.energy.inducing_idx[0], bad.energy.inducing_idx[1]);
+  EXPECT_THROW(PerformancePredictor::from_state(bad), ContractViolation);
 }
 
 }  // namespace

@@ -48,7 +48,8 @@ TEST(TraceIo, RoundTrip) {
             "iteration,reward,accuracy,latency_ms,energy_mj,candidate");
   for (std::size_t i = 0; i < r.trace.size(); ++i) {
     const std::string& row = lines[i + 1];
-    const std::string tail = "," + serialize_candidate(r.trace[i].candidate);
+    const std::string tail =
+        std::string(",").append(serialize_candidate(r.trace[i].candidate));
     EXPECT_EQ(row.rfind(std::to_string(r.trace[i].iteration) + ",", 0), 0u)
         << row;
     ASSERT_GE(row.size(), tail.size());
