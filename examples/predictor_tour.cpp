@@ -69,10 +69,10 @@ int main() {
       codesign_features(train[0].genotype, train[0].config, skeleton);
   AcceleratorConfig rare{8, 8, 1024, 1024, Dataflow::kNoLocalReuse};
   const auto f_rare = codesign_features(g, rare, skeleton);
-  const auto [mu_seen, var_seen] =
-      predictor.energy_model().predict_with_variance(f_seen);
-  const auto [mu_rare, var_rare] =
-      predictor.energy_model().predict_with_variance(f_rare);
+  const auto [mu_seen, var_seen] = predictor.model().predict_with_variance(
+      f_seen, PerformancePredictor::kEnergy);
+  const auto [mu_rare, var_rare] = predictor.model().predict_with_variance(
+      f_rare, PerformancePredictor::kEnergy);
   std::cout << "\nGP predictive stddev (log-energy): at a training point "
             << TextTable::fmt(std::sqrt(var_seen), 3)
             << ", at an unusual corner " << TextTable::fmt(std::sqrt(var_rare), 3)

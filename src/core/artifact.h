@@ -7,7 +7,8 @@
 // (magic "YART", format version, section count, CRC-32s), a section table
 // (one 32-byte entry per section: id, offset, size, FNV-1a 64 payload
 // checksum), then the 8-byte-aligned payloads.  Sections carry the fitted
-// GP pair of the performance predictor (exact or sparse backend), the
+// two-target GP of the performance predictor (exact or sparse backend, one
+// section per target), the
 // accuracy-model parameters, the network skeleton and — for yoso_serve — a
 // snapshot of the job table.
 //
@@ -18,14 +19,14 @@
 //     checksum before handing out a single byte; corruption or a version
 //     mismatch throws ContractViolation, never a partially-decoded model.
 //   * Decoding validates every cross-field shape contract (via
-//     GpRegressor::from_state etc.), so a structurally valid file with an
-//     inconsistent payload is rejected too.
+//     GpRegressor::from_state etc., which also requires the two GP
+//     sections to agree on their shared input side), so a structurally
+//     valid file with an inconsistent payload is rejected too.
 //   * Round-trips are bit-exact: doubles are stored as raw IEEE-754
-//     little-endian bytes and derived structures (packed kernel panels,
-//     training fingerprints) are recomputed by the same deterministic code
-//     fit() runs, so a restored FastEvaluator evaluates bit-identically to
-//     the one that was saved — the property yoso_serve's byte-stable
-//     serving guarantee rests on.
+//     little-endian bytes and the packed kernel panel is recomputed by the
+//     same deterministic code fit() runs, so a restored FastEvaluator
+//     evaluates bit-identically to the one that was saved — the property
+//     yoso_serve's byte-stable serving guarantee rests on.
 
 #include <cstddef>
 #include <cstdint>

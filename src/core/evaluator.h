@@ -26,14 +26,14 @@
 //
 // Batched evaluation: evaluate_batch() scores a span of candidates at once.
 // Both bundled evaluators are pure functions of the candidate after
-// construction (the GPs, the accuracy surrogate and the simulator are all
+// construction (the GP, the accuracy surrogate and the simulator are all
 // read-only and deterministic).  FastEvaluator probes its memo in parallel,
 // then scores the batch's distinct misses in one parallel_for over fixed
 // 8-row blocks — each block computes the accuracy proxy, the GP feature
-// rows and the fused latency/energy GP predict on one thread — and
-// memoizes results keyed by the lossless candidate_key() (two designs share
-// an entry exactly when they compare equal), which pays off when the
-// controller revisits designs.  evaluate() runs the same block chain on one
+// rows and one predict of the GP's latency and energy targets on one
+// thread — and memoizes results keyed by the lossless candidate_key() (two
+// designs share an entry exactly when they compare equal), which pays off
+// when the controller revisits designs.  evaluate() runs the same block chain on one
 // row, so results are identical to per-candidate evaluation at any thread
 // count: the blocking is fixed, every per-row computation chain is
 // self-contained, and all stateful bookkeeping stays on the coordinator.
@@ -98,7 +98,7 @@ class Evaluator {
 struct FastEvaluatorOptions {
   std::size_t predictor_samples = 600;  ///< simulator samples for GP training
   std::uint64_t seed = 99;
-  /// GP factorisation for the performance predictor: kSparse caps each
+  /// GP factorisation for the performance predictor: kSparse caps the
   /// model at `inducing_points` inducing rows and unlocks refine().
   GpBackend predictor_backend = GpBackend::kExact;
   std::size_t inducing_points = 512;
@@ -110,7 +110,7 @@ class FastEvaluator : public Evaluator {
  public:
   /// Builds the evaluator: collects `predictor_samples` simulator samples
   /// of `space`'s random candidates, each on its resolved skeleton, and
-  /// fits the energy + latency GPs (paper Step 1).  Sample simulation fans
+  /// fits the two-target (energy, latency) GP (paper Step 1).  Sample simulation fans
   /// out across `options.exec`; the candidate draws stay on one RNG stream
   /// so the collected set is thread-count independent.  ContractViolation
   /// when predictor_samples is 0.
@@ -145,9 +145,9 @@ class FastEvaluator : public Evaluator {
   std::vector<EvalResult> evaluate_batch(
       std::span<const CandidateDesign> batch) override;
 
-  /// Folds one accurate-simulator result into the latency/energy GP pair
-  /// (O(m^2) per model; sparse predictor backend only — a no-op returning
-  /// false on the exact backend).  Memoized results predate the refinement,
+  /// Folds one accurate-simulator result into the predictor's latency and
+  /// energy targets (O(m^2) per target; sparse predictor backend only — a
+  /// no-op returning false on the exact backend).  Memoized results predate the refinement,
   /// so the cache is cleared on success: later batches re-predict through
   /// the refined models.  Coordinator-only, like evaluate_batch.
   bool refine(const CandidateDesign& candidate,

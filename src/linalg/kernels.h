@@ -16,7 +16,8 @@
 //     to the full-range call (the 4-, 2- and 1-row sweeps are
 //     instantiations of one register-tile template, so they issue the same
 //     per-element operation sequence), which is what makes
-//     GpRegressor::predict() == predict_batch() row-for-row.
+//     GpRegressor::predict() == predict_batch() == predict_means()
+//     row-for-row, for every target.
 
 #include <cstddef>
 #include <string>

@@ -23,7 +23,7 @@
 //     rule stays satisfied by construction).
 //
 // Name scheme ("subsystem.metric", see docs/OBSERVABILITY.md):
-//   search.iterations, eval.cache_hits, gp.predict_batch_rows,
+//   search.iterations, eval.cache_hits, gp.predict_rows,
 //   pool.worker_busy_ns, ...
 
 #include <atomic>

@@ -5,18 +5,22 @@
 #include <numbers>
 
 #include "base/contract.h"
-#include "base/fnv1a.h"
 #include "linalg/matrix.h"
 #include "obs/trace.h"
 #include "predictor/regressor.h"
 #include "util/stats.h"
 
 namespace yoso {
+namespace {
 
-double GpRegressor::fit_from_dists(const Matrix& d2,
-                                   std::span<const double> yc) {
+// One exact grid point: factors K + nv I and solves for the weights;
+// returns the log marginal likelihood.
+double fit_from_dists(const Matrix& d2, std::span<const double> yc,
+                      const GpHyperParams& hp,
+                      std::unique_ptr<Cholesky>* chol_out,
+                      std::vector<double>* alpha_out) {
   const std::size_t n = d2.rows();
-  const double l = hp_.lengthscale;
+  const double l = hp.lengthscale;
   Matrix k(n, n);
   const double* din = d2.data().data();
   double* kout = k.data().data();
@@ -25,286 +29,21 @@ double GpRegressor::fit_from_dists(const Matrix& d2,
   // rule the predict path follows.
   for (std::size_t i = 0; i < n; ++i)
     kernels::exp_scale(din + i * n, kout + i * n, n, -1.0 / (2.0 * l * l),
-                       hp_.signal_variance);
-  k.add_diagonal(hp_.noise_variance);
-  chol_ = std::make_unique<Cholesky>(k);
-  alpha_ = chol_->solve(yc);
+                       hp.signal_variance);
+  k.add_diagonal(hp.noise_variance);
+  auto chol = std::make_unique<Cholesky>(k);
+  std::vector<double> alpha = chol->solve(yc);
   // log p(y) = -0.5 y^T alpha - 0.5 log|K| - n/2 log(2 pi)
-  const double fit_term = kernels::dot(yc.data(), alpha_.data(), n);
-  return -0.5 * fit_term - 0.5 * chol_->log_determinant() -
-         0.5 * static_cast<double>(n) * std::log(2.0 * std::numbers::pi);
+  const double fit_term = kernels::dot(yc.data(), alpha.data(), n);
+  const double lml =
+      -0.5 * fit_term - 0.5 * chol->log_determinant() -
+      0.5 * static_cast<double>(n) * std::log(2.0 * std::numbers::pi);
+  *chol_out = std::move(chol);
+  *alpha_out = std::move(alpha);
+  return lml;
 }
 
-void GpRegressor::stamp_train_fingerprint() {
-  // FNV-1a over (n, d, first standardized row, last standardized row).
-  // Cheap (O(d)) yet strong enough to catch the realistic caller bug —
-  // predict_means_pair fed two models fitted on different sample sets.
-  const auto bytes = [](auto values) {
-    return std::span(reinterpret_cast<const std::uint8_t*>(values.data()),
-                     values.size_bytes());
-  };
-  const std::uint64_t shape[2] = {train_x_.rows(), train_x_.cols()};
-  std::uint64_t h = fnv1a64(bytes(std::span(shape)));
-  if (train_x_.rows() > 0) {
-    h = fnv1a64(bytes(train_x_.row(0)), h);
-    h = fnv1a64(bytes(train_x_.row(train_x_.rows() - 1)), h);
-  }
-  train_fingerprint_ = h;
-}
-
-void GpRegressor::fit(const Matrix& x, std::span<const double> y) {
-  YOSO_TRACE_SPAN("gp.fit");
-  YOSO_REQUIRE(x.rows() == y.size() && x.rows() > 0,
-               "GpRegressor::fit: design matrix is ", x.rows(), "x", x.cols(),
-               " but y has ", y.size(), " targets");
-  dist_builds_ = {};
-  updates_applied_ = 0;
-  chol_kmm_.reset();
-  b_.clear();
-  inducing_idx_.clear();
-  if (backend_ == GpBackend::kSparse) {
-    fit_sparse(x, y);
-    stamp_train_fingerprint();
-    return;
-  }
-  scaler_.fit(x);
-  train_x_ = scaler_.transform(x);
-
-  y_mean_ = mean(y);
-  std::vector<double> yc(y.size());
-  double y_var = 0.0;
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    yc[i] = y[i] - y_mean_;
-    y_var += yc[i] * yc[i];
-  }
-  y_var = std::max(y_var / static_cast<double>(y.size()), 1e-12);
-
-  // One distance-matrix build per fit: only the exponentiation depends on
-  // the hyper-parameters, so the tuning grid below re-reads this matrix
-  // instead of recomputing O(n^2 d) kernel dots per grid point.
-  const std::size_t n = train_x_.rows();
-  packed_train_ =
-      kernels::pack_rows(train_x_.data().data(), n, train_x_.cols());
-  Matrix d2(n, n);
-  kernels::pairwise_sq_dists(train_x_.data().data(), n, packed_train_,
-                             d2.data().data());
-  dist_builds_.full = 1;
-
-  if (!tune_) {
-    lml_ = fit_from_dists(d2, yc);
-    stamp_train_fingerprint();
-    return;
-  }
-
-  // Grid search: lengthscale scaled to feature dimension, noise relative to
-  // target variance.  Signal variance is tied to the target variance.
-  const double d = static_cast<double>(x.cols());
-  const double base_l = std::sqrt(d);
-  GpHyperParams best_hp;
-  double best_lml = -1e300;
-  std::vector<double> best_alpha;
-  std::unique_ptr<Cholesky> best_chol;
-  for (double lf : {0.25, 0.5, 1.0, 2.0, 4.0}) {
-    for (double nf : {1e-4, 1e-3, 1e-2}) {
-      hp_.lengthscale = base_l * lf;
-      hp_.signal_variance = y_var;
-      hp_.noise_variance = y_var * nf;
-      const double lml = fit_from_dists(d2, yc);
-      if (lml > best_lml) {
-        best_lml = lml;
-        best_hp = hp_;
-        best_alpha = std::move(alpha_);
-        best_chol = std::move(chol_);
-      }
-    }
-  }
-  // The winning grid point's factorisation is kept as the fitted state —
-  // no redundant refit of the best hyper-parameters.
-  hp_ = best_hp;
-  alpha_ = std::move(best_alpha);
-  chol_ = std::move(best_chol);
-  lml_ = best_lml;
-  stamp_train_fingerprint();
-}
-
-void GpRegressor::predict_rows(const double* x, std::size_t nq, double* mu,
-                               double* var) const {
-  YOSO_REQUIRE(nq == 0 || (x != nullptr && mu != nullptr),
-               "GpRegressor::predict_rows: null input/output");
-  const std::size_t n = train_x_.rows();
-  const std::size_t dim = train_x_.cols();
-  const double l = hp_.lengthscale;
-  const double scale = -1.0 / (2.0 * l * l);
-  // Queries go through in fixed-size chunks so the K* panel stays cache
-  // resident; the chunk size never affects results (each row's chain is
-  // self-contained).
-  constexpr std::size_t kChunk = 256;
-  const std::size_t buf_rows = std::min(kChunk, nq);
-  const bool sparse = backend_ == GpBackend::kSparse;
-  std::vector<double> xs(buf_rows * dim);
-  std::vector<double> kbuf(buf_rows * n);
-  // The sparse (DTC) variance needs two triangular solves against an
-  // intact kernel row, so it gets a separate solve row; the exact path
-  // keeps its in-place solve and allocates nothing extra.
-  std::vector<double> vrow((var != nullptr && sparse) ? n : 0);
-  for (std::size_t lo = 0; lo < nq; lo += kChunk) {
-    const std::size_t cnt = std::min(kChunk, nq - lo);
-    // Standardize with the exact per-row arithmetic single predict() uses.
-    for (std::size_t r = 0; r < cnt; ++r) {
-      scaler_.transform_row_into(
-          std::span<const double>(x + (lo + r) * dim, dim),
-          xs.data() + r * dim);
-    }
-    kernels::pairwise_sq_dists(xs.data(), cnt, packed_train_, kbuf.data());
-    for (std::size_t r = 0; r < cnt; ++r) {
-      double* krow = kbuf.data() + r * n;
-      // One fused pass: krow = s^2 exp(scale * d2), mean = krow . alpha.
-      mu[lo + r] = y_mean_ + kernels::exp_scale_dot(krow, krow, alpha_.data(),
-                                                    n, scale,
-                                                    hp_.signal_variance);
-      if (var != nullptr && !sparse) {
-        // var = k(x,x) - k*^T K^-1 k*; the solve overwrites krow in place
-        // (safe: forward substitution consumes krow[i] before writing it),
-        // which keeps the hot per-row loop allocation-free.
-        chol_->solve_lower_into(std::span<const double>(krow, n), krow);
-        const double reduce = kernels::dot(krow, krow, n);
-        var[lo + r] = std::max(
-            0.0, hp_.signal_variance + hp_.noise_variance - reduce);
-      } else if (var != nullptr) {
-        // DTC predictive variance:
-        //   k** + nv - k^T K_mm^-1 k + nv * k^T A^-1 k
-        // Both quadratic forms come from forward solves into the scratch
-        // row (krow itself must stay intact between them).
-        chol_kmm_->solve_lower_into(std::span<const double>(krow, n),
-                                    vrow.data());
-        const double prior_drop = kernels::dot(vrow.data(), vrow.data(), n);
-        chol_->solve_lower_into(std::span<const double>(krow, n), vrow.data());
-        const double info_gain = kernels::dot(vrow.data(), vrow.data(), n);
-        var[lo + r] = std::max(
-            0.0, hp_.signal_variance + hp_.noise_variance - prior_drop +
-                     hp_.noise_variance * info_gain);
-      }
-    }
-  }
-}
-
-double GpRegressor::predict(std::span<const double> x) const {
-  YOSO_REQUIRE(!alpha_.empty(), "GpRegressor::predict: not fitted");
-  YOSO_REQUIRE(x.size() == train_x_.cols(),
-               "GpRegressor::predict: feature dimension ", x.size(),
-               " != fitted dimension ", train_x_.cols());
-  double mu = 0.0;
-  predict_rows(x.data(), 1, &mu, nullptr);
-  return mu;
-}
-
-std::vector<double> GpRegressor::predict_batch(const Matrix& queries) const {
-  YOSO_TRACE_SPAN("gp.predict_batch");
-  obs::counter_add("gp.predict_rows", queries.rows());
-  YOSO_REQUIRE(!alpha_.empty(), "GpRegressor::predict_batch: not fitted");
-  YOSO_REQUIRE(queries.cols() == train_x_.cols(),
-               "GpRegressor::predict_batch: feature dimension ",
-               queries.cols(), " != fitted dimension ", train_x_.cols());
-  std::vector<double> mu(queries.rows());
-  if (!mu.empty())
-    predict_rows(queries.data().data(), queries.rows(), mu.data(), nullptr);
-  return mu;
-}
-
-void GpRegressor::predict_means_pair(const GpRegressor& a,
-                                     const GpRegressor& b, const double* x,
-                                     std::size_t nq, double* mu_a,
-                                     double* mu_b) {
-  YOSO_REQUIRE(!a.alpha_.empty() && !b.alpha_.empty(),
-               "GpRegressor::predict_means_pair: not fitted");
-  YOSO_REQUIRE(a.train_x_.rows() == b.train_x_.rows() &&
-                   a.train_x_.cols() == b.train_x_.cols(),
-               "GpRegressor::predict_means_pair: models were fitted on "
-               "different training sets (", a.train_x_.rows(), "x",
-               a.train_x_.cols(), " vs ", b.train_x_.rows(), "x",
-               b.train_x_.cols(), ")");
-  // The shared-panel trick is only sound when both models standardize to
-  // the *same* training rows; the fingerprint (n, d, first/last row bytes)
-  // catches same-shape-different-data callers that the REQUIRE above
-  // cannot.
-  YOSO_DCHECK(a.train_fingerprint_ == b.train_fingerprint_,
-              "GpRegressor::predict_means_pair: training-set fingerprint "
-              "mismatch — the models were fitted on different inputs");
-  if (nq == 0) return;
-  YOSO_REQUIRE(x != nullptr && mu_a != nullptr && mu_b != nullptr,
-               "GpRegressor::predict_means_pair: null input/output");
-  obs::counter_add("gp.predict_rows", 2 * nq);
-  const std::size_t n = a.train_x_.rows();
-  const std::size_t dim = a.train_x_.cols();
-  const double scale_a =
-      -1.0 / (2.0 * a.hp_.lengthscale * a.hp_.lengthscale);
-  const double scale_b =
-      -1.0 / (2.0 * b.hp_.lengthscale * b.hp_.lengthscale);
-  constexpr std::size_t kChunk = 256;
-  const std::size_t buf_rows = std::min(kChunk, nq);
-  std::vector<double> xs(buf_rows * dim);
-  std::vector<double> d2(buf_rows * n);  // shared K* distance panel
-  std::vector<double> erow(n);            // per-row exp scratch
-  for (std::size_t lo = 0; lo < nq; lo += kChunk) {
-    const std::size_t cnt = std::min(kChunk, nq - lo);
-    // Standardize once with model a's scaler; identical training inputs
-    // imply bitwise-identical scaler state, so this matches what model b's
-    // own predict path would compute.
-    for (std::size_t r = 0; r < cnt; ++r) {
-      a.scaler_.transform_row_into(
-          std::span<const double>(x + (lo + r) * dim, dim),
-          xs.data() + r * dim);
-    }
-    kernels::pairwise_sq_dists(xs.data(), cnt, a.packed_train_, d2.data());
-    for (std::size_t r = 0; r < cnt; ++r) {
-      const double* drow = d2.data() + r * n;
-      // The distance row is read-only here (exp output goes to the scratch
-      // row), so the second model reuses it untouched.
-      mu_a[lo + r] = a.y_mean_ + kernels::exp_scale_dot(
-                                     drow, erow.data(), a.alpha_.data(), n,
-                                     scale_a, a.hp_.signal_variance);
-      mu_b[lo + r] = b.y_mean_ + kernels::exp_scale_dot(
-                                     drow, erow.data(), b.alpha_.data(), n,
-                                     scale_b, b.hp_.signal_variance);
-    }
-  }
-}
-
-std::pair<double, double> GpRegressor::predict_with_variance(
-    std::span<const double> x) const {
-  YOSO_REQUIRE(!alpha_.empty(),
-               "GpRegressor::predict_with_variance: not fitted");
-  YOSO_REQUIRE(x.size() == train_x_.cols(),
-               "GpRegressor::predict_with_variance: feature dimension ",
-               x.size(), " != fitted dimension ", train_x_.cols());
-  double mu = 0.0;
-  double var = 0.0;
-  predict_rows(x.data(), 1, &mu, &var);
-  return {mu, var};
-}
-
-GpRegressorState GpRegressor::export_state() const {
-  YOSO_REQUIRE(!alpha_.empty(), "GpRegressor::export_state: not fitted");
-  GpRegressorState s;
-  s.backend = backend_;
-  s.tune = tune_;
-  s.inducing_target = inducing_target_;
-  s.hp = hp_;
-  s.scaler_mean.assign(scaler_.mean().begin(), scaler_.mean().end());
-  s.scaler_std.assign(scaler_.stddev().begin(), scaler_.stddev().end());
-  s.train_x = train_x_;
-  s.alpha = alpha_;
-  s.chol_lower = chol_->lower();
-  if (chol_kmm_ != nullptr) s.chol_kmm_lower = chol_kmm_->lower();
-  s.b = b_;
-  s.inducing_idx = inducing_idx_;
-  s.y_mean = y_mean_;
-  s.lml = lml_;
-  s.updates_applied = updates_applied_;
-  return s;
-}
-
-GpRegressor GpRegressor::from_state(const GpRegressorState& state) {
+void require_valid_state(const GpRegressorState& state) {
   const std::size_t n = state.train_x.rows();
   const std::size_t d = state.train_x.cols();
   YOSO_REQUIRE(state.backend == GpBackend::kExact ||
@@ -343,24 +82,270 @@ GpRegressor GpRegressor::from_state(const GpRegressorState& state) {
                  "GpRegressor::from_state: exact backend carries a sparse "
                  "tail");
   }
+}
 
-  GpRegressor gp(state.hp, state.tune, state.backend, state.inducing_target);
-  gp.scaler_ = Standardizer::from_moments(state.scaler_mean, state.scaler_std);
-  gp.train_x_ = state.train_x;
-  gp.packed_train_ =
-      kernels::pack_rows(gp.train_x_.data().data(), n, d);
-  gp.alpha_ = state.alpha;
-  gp.chol_ = std::make_unique<Cholesky>(Cholesky::from_lower(state.chol_lower));
-  if (state.backend == GpBackend::kSparse) {
-    gp.chol_kmm_ = std::make_unique<Cholesky>(
-        Cholesky::from_lower(state.chol_kmm_lower));
-    gp.b_ = state.b;
-    gp.inducing_idx_ = state.inducing_idx;
+}  // namespace
+
+const GpRegressor::Target& GpRegressor::fitted_target(std::size_t t) const {
+  YOSO_REQUIRE(t < targets_.size(), "GpRegressor: no target ", t,
+               " in a model with ", targets_.size(), " fitted targets");
+  return targets_[t];
+}
+
+void GpRegressor::fit(const Matrix& x,
+                      std::span<const std::span<const double>> ys) {
+  YOSO_TRACE_SPAN("gp.fit");
+  YOSO_REQUIRE(!ys.empty(), "GpRegressor::fit: no targets");
+  for (const std::span<const double> y : ys)
+    YOSO_REQUIRE(x.rows() == y.size() && x.rows() > 0,
+                 "GpRegressor::fit: design matrix is ", x.rows(), "x",
+                 x.cols(), " but y has ", y.size(), " targets");
+  targets_.clear();
+  dist_builds_ = {};
+  updates_applied_ = 0;
+  inducing_idx_.clear();
+  scaler_.fit(x);
+  targets_ = backend_ == GpBackend::kSparse ? fit_sparse(x, ys)
+                                            : fit_exact(x, ys);
+}
+
+std::vector<GpRegressor::Target> GpRegressor::fit_exact(
+    const Matrix& x, std::span<const std::span<const double>> ys) {
+  train_x_ = scaler_.transform(x);
+  // One distance-matrix build per fit: only the exponentiation depends on
+  // the hyper-parameters, so every target's tuning grid re-reads this
+  // matrix instead of recomputing O(n^2 d) kernel dots per grid point.
+  const std::size_t n = train_x_.rows();
+  packed_train_ =
+      kernels::pack_rows(train_x_.data().data(), n, train_x_.cols());
+  Matrix d2(n, n);
+  kernels::pairwise_sq_dists(train_x_.data().data(), n, packed_train_,
+                             d2.data().data());
+  dist_builds_.full = 1;
+
+  // Grid search: lengthscale scaled to feature dimension, noise relative to
+  // target variance.  Signal variance is tied to the target variance.
+  const double base_l = std::sqrt(static_cast<double>(x.cols()));
+  std::vector<double> yc(n);
+  std::vector<Target> fitted;
+  fitted.reserve(ys.size());
+  for (const std::span<const double> y : ys) {
+    Target& t = fitted.emplace_back();
+    t.y_mean = mean(y);
+    double y_var = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      yc[i] = y[i] - t.y_mean;
+      y_var += yc[i] * yc[i];
+    }
+    y_var = std::max(y_var / static_cast<double>(n), 1e-12);
+    if (!tune_) {
+      t.hp = hp_;
+      t.lml = fit_from_dists(d2, yc, t.hp, &t.chol, &t.alpha);
+      continue;
+    }
+    std::unique_ptr<Cholesky> chol;
+    std::vector<double> alpha;
+    t.lml = -1e300;
+    for (double lf : {0.25, 0.5, 1.0, 2.0, 4.0}) {
+      for (double nf : {1e-4, 1e-3, 1e-2}) {
+        const GpHyperParams hp{base_l * lf, y_var, y_var * nf};
+        const double lml = fit_from_dists(d2, yc, hp, &chol, &alpha);
+        // The winning grid point's factorisation is kept as the fitted
+        // state — no redundant refit of the best hyper-parameters.
+        if (lml > t.lml) {
+          t.lml = lml;
+          t.hp = hp;
+          t.alpha = std::move(alpha);
+          t.chol = std::move(chol);
+        }
+      }
+    }
+    YOSO_REQUIRE(t.chol != nullptr,
+                 "GpRegressor::fit: no grid point has a finite likelihood");
   }
-  gp.y_mean_ = state.y_mean;
-  gp.lml_ = state.lml;
-  gp.updates_applied_ = state.updates_applied;
-  gp.stamp_train_fingerprint();
+  return fitted;
+}
+
+void GpRegressor::predict_rows(const double* x, std::size_t nq,
+                               std::span<double* const> mu) const {
+  YOSO_REQUIRE(nq == 0 || x != nullptr,
+               "GpRegressor::predict_rows: null input");
+  const std::size_t n = train_x_.rows();
+  const std::size_t dim = train_x_.cols();
+  // Queries go through in fixed-size chunks so the K* panel stays cache
+  // resident; the chunk size never affects results (each row's chain is
+  // self-contained).
+  constexpr std::size_t kChunk = 256;
+  const std::size_t buf_rows = std::min(kChunk, nq);
+  std::vector<double> xs(buf_rows * dim);
+  std::vector<double> d2(buf_rows * n);  // K* distance panel, every target's
+  std::vector<double> erow(n);            // per-row exp scratch
+  for (std::size_t lo = 0; lo < nq; lo += kChunk) {
+    const std::size_t cnt = std::min(kChunk, nq - lo);
+    // Standardize with the exact per-row arithmetic single predict() uses.
+    for (std::size_t r = 0; r < cnt; ++r) {
+      scaler_.transform_row_into(
+          std::span<const double>(x + (lo + r) * dim, dim),
+          xs.data() + r * dim);
+    }
+    kernels::pairwise_sq_dists(xs.data(), cnt, packed_train_, d2.data());
+    for (std::size_t r = 0; r < cnt; ++r) {
+      const double* drow = d2.data() + r * n;
+      for (std::size_t t = 0; t < mu.size(); ++t) {
+        if (mu[t] == nullptr) continue;
+        const Target& tg = targets_[t];
+        const double l = tg.hp.lengthscale;
+        // One fused pass: erow = s^2 exp(scale * d2), mean = erow . alpha.
+        // The distance row stays intact for the next target.
+        mu[t][lo + r] =
+            tg.y_mean + kernels::exp_scale_dot(drow, erow.data(),
+                                               tg.alpha.data(), n,
+                                               -1.0 / (2.0 * l * l),
+                                               tg.hp.signal_variance);
+      }
+    }
+  }
+}
+
+double GpRegressor::predict(std::span<const double> x) const {
+  YOSO_REQUIRE(fitted(), "GpRegressor::predict: not fitted");
+  YOSO_REQUIRE(x.size() == train_x_.cols(),
+               "GpRegressor::predict: feature dimension ", x.size(),
+               " != fitted dimension ", train_x_.cols());
+  double mu = 0.0;
+  double* out = &mu;
+  predict_rows(x.data(), 1, {&out, 1});
+  return mu;
+}
+
+std::vector<double> GpRegressor::predict_batch(const Matrix& queries) const {
+  YOSO_TRACE_SPAN("gp.predict_batch");
+  obs::counter_add("gp.predict_rows", queries.rows());
+  YOSO_REQUIRE(fitted(), "GpRegressor::predict_batch: not fitted");
+  YOSO_REQUIRE(queries.cols() == train_x_.cols(),
+               "GpRegressor::predict_batch: feature dimension ",
+               queries.cols(), " != fitted dimension ", train_x_.cols());
+  std::vector<double> mu(queries.rows());
+  double* out = mu.data();
+  predict_rows(queries.data().data(), queries.rows(), {&out, 1});
+  return mu;
+}
+
+void GpRegressor::predict_means(const double* x, std::size_t nq,
+                                std::span<double* const> mu) const {
+  YOSO_REQUIRE(fitted(), "GpRegressor::predict_means: not fitted");
+  YOSO_REQUIRE(mu.size() == targets_.size(),
+               "GpRegressor::predict_means: ", mu.size(),
+               " outputs for a ", targets_.size(), "-target model");
+  const auto wanted = static_cast<std::size_t>(std::count_if(
+      mu.begin(), mu.end(), [](const double* p) { return p != nullptr; }));
+  obs::counter_add("gp.predict_rows", wanted * nq);
+  predict_rows(x, nq, mu);
+}
+
+std::pair<double, double> GpRegressor::predict_with_variance(
+    std::span<const double> x, std::size_t target) const {
+  const Target& t = fitted_target(target);
+  YOSO_REQUIRE(x.size() == train_x_.cols(),
+               "GpRegressor::predict_with_variance: feature dimension ",
+               x.size(), " != fitted dimension ", train_x_.cols());
+  const std::size_t n = train_x_.rows();
+  const GpHyperParams& hp = t.hp;
+  std::vector<double> xs(x.size());
+  std::vector<double> krow(n);
+  scaler_.transform_row_into(x, xs.data());
+  kernels::pairwise_sq_dists(xs.data(), 1, packed_train_, krow.data());
+  // krow = s^2 exp(scale * d2) in place, mean = krow . alpha.
+  const double mu =
+      t.y_mean + kernels::exp_scale_dot(
+                     krow.data(), krow.data(), t.alpha.data(), n,
+                     -1.0 / (2.0 * hp.lengthscale * hp.lengthscale),
+                     hp.signal_variance);
+  if (backend_ == GpBackend::kExact) {
+    // var = k(x,x) - k*^T K^-1 k*; the solve overwrites krow in place
+    // (safe: forward substitution consumes krow[i] before writing it).
+    t.chol->solve_lower_into(krow, krow.data());
+    const double reduce = kernels::dot(krow.data(), krow.data(), n);
+    return {mu, std::max(0.0, hp.signal_variance + hp.noise_variance -
+                                  reduce)};
+  }
+  // DTC predictive variance:
+  //   k** + nv - k^T K_mm^-1 k + nv * k^T A^-1 k
+  // Both quadratic forms come from forward solves into a scratch row
+  // (krow itself must stay intact between them).
+  std::vector<double> vrow(n);
+  t.chol_kmm->solve_lower_into(krow, vrow.data());
+  const double prior_drop = kernels::dot(vrow.data(), vrow.data(), n);
+  t.chol->solve_lower_into(krow, vrow.data());
+  const double info_gain = kernels::dot(vrow.data(), vrow.data(), n);
+  return {mu, std::max(0.0, hp.signal_variance + hp.noise_variance -
+                                prior_drop + hp.noise_variance * info_gain)};
+}
+
+GpRegressorState GpRegressor::export_state(std::size_t target) const {
+  const Target& t = fitted_target(target);
+  GpRegressorState s;
+  s.backend = backend_;
+  s.tune = tune_;
+  s.inducing_target = inducing_target_;
+  s.hp = t.hp;
+  s.scaler_mean.assign(scaler_.mean().begin(), scaler_.mean().end());
+  s.scaler_std.assign(scaler_.stddev().begin(), scaler_.stddev().end());
+  s.train_x = train_x_;
+  s.alpha = t.alpha;
+  s.chol_lower = t.chol->lower();
+  if (t.chol_kmm != nullptr) s.chol_kmm_lower = t.chol_kmm->lower();
+  s.b = t.b;
+  s.inducing_idx = inducing_idx_;
+  s.y_mean = t.y_mean;
+  s.lml = t.lml;
+  s.updates_applied = updates_applied_;
+  return s;
+}
+
+GpRegressor GpRegressor::from_state(
+    std::span<const GpRegressorState* const> states) {
+  YOSO_REQUIRE(!states.empty(), "GpRegressor::from_state: no target states");
+  for (const GpRegressorState* s : states) {
+    YOSO_REQUIRE(s != nullptr, "GpRegressor::from_state: null target state");
+    require_valid_state(*s);
+  }
+  // One model has one input side and one set of settings; every target's
+  // state carries a copy, and the copies must agree bit for bit.
+  const GpRegressorState& first = *states.front();
+  for (const GpRegressorState* s : states.subspan(1))
+    YOSO_REQUIRE(s->backend == first.backend && s->tune == first.tune &&
+                     s->inducing_target == first.inducing_target &&
+                     s->updates_applied == first.updates_applied &&
+                     s->scaler_mean == first.scaler_mean &&
+                     s->scaler_std == first.scaler_std &&
+                     s->train_x == first.train_x &&
+                     s->inducing_idx == first.inducing_idx,
+                 "GpRegressor::from_state: target states disagree on the "
+                 "shared backend, settings, update count, scaler, panel or "
+                 "inducing rows");
+
+  GpRegressor gp(first.hp, first.tune, first.backend, first.inducing_target);
+  gp.scaler_ = Standardizer::from_moments(first.scaler_mean, first.scaler_std);
+  gp.train_x_ = first.train_x;
+  gp.packed_train_ = kernels::pack_rows(
+      gp.train_x_.data().data(), gp.train_x_.rows(), gp.train_x_.cols());
+  gp.inducing_idx_ = first.inducing_idx;
+  gp.updates_applied_ = first.updates_applied;
+  gp.targets_.reserve(states.size());
+  for (const GpRegressorState* s : states) {
+    Target& t = gp.targets_.emplace_back();
+    t.hp = s->hp;
+    t.alpha = s->alpha;
+    t.chol = std::make_unique<Cholesky>(Cholesky::from_lower(s->chol_lower));
+    if (s->backend == GpBackend::kSparse) {
+      t.chol_kmm =
+          std::make_unique<Cholesky>(Cholesky::from_lower(s->chol_kmm_lower));
+      t.b = s->b;
+    }
+    t.y_mean = s->y_mean;
+    t.lml = s->lml;
+  }
   return gp;
 }
 

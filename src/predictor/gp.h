@@ -5,6 +5,10 @@
 // signal variance s^2 and noise variance are either fixed or selected from
 // a small grid by maximizing the log marginal likelihood.
 //
+// One model carries one or more targets on one input side: the scaler and
+// (inducing) panel are built once, and each target's hyper-parameters,
+// weights, factors and mean come out bit-identical to a one-target fit.
+//
 // Two backends share the public API:
 //
 //  * kExact — the paper's O(n^3) GP.  fit computes the pairwise
@@ -21,12 +25,13 @@
 // Both backends run their hot paths on the shared kernel layer
 // (linalg/kernels.h), and prediction stores the (training | inducing) panel
 // in the same packed layout, so predict() / predict_batch() /
-// predict_means_pair() share one per-row operation chain: batched means are
+// predict_means() share one per-row operation chain: batched means are
 // bit-identical to per-row calls for either backend.
 
-#include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "linalg/kernels.h"
 #include "linalg/matrix.h"
@@ -55,12 +60,12 @@ struct GpDistanceBuilds {
   std::size_t inducing = 0;  ///< m x m inducing-vs-inducing panels (sparse)
 };
 
-/// The complete fitted state of a GpRegressor, as plain matrices/vectors —
-/// everything the predict/update paths read, nothing derived.  This is the
-/// persistence boundary the binary artifact format (core/artifact.h)
-/// serializes: export_state() -> save, load -> GpRegressor::from_state().
-/// Derived structures (the packed kernel panel, the training fingerprint)
-/// are deliberately absent — from_state() recomputes them with the same
+/// The complete fitted state of one target of a GpRegressor, as plain
+/// matrices/vectors — everything the predict/update paths read, nothing
+/// derived.  This is the persistence boundary the binary artifact format
+/// (core/artifact.h) serializes: export_state(t) -> save, load ->
+/// GpRegressor::from_state(), which requires the input side every state
+/// repeats to agree and recomputes the packed kernel panel with the same
 /// deterministic code fit() runs, so a round-tripped model predicts
 /// bit-identically to the original.
 struct GpRegressorState {
@@ -84,75 +89,76 @@ struct GpRegressorState {
 class GpRegressor : public Regressor {
  public:
   /// With `tune` true, a small grid search over lengthscale / noise maximises
-  /// the marginal likelihood during fit().  `inducing_points` caps the
-  /// sparse backend's inducing-set size m (clamped to n at fit time) and is
-  /// ignored by the exact backend.
+  /// each target's marginal likelihood during fit().  `inducing_points` caps
+  /// the sparse backend's inducing-set size m (clamped to n at fit time) and
+  /// is ignored by the exact backend.
   explicit GpRegressor(GpHyperParams hp = {}, bool tune = true,
                        GpBackend backend = GpBackend::kExact,
                        std::size_t inducing_points = 512)
       : hp_(hp), tune_(tune), backend_(backend),
         inducing_target_(inducing_points) {}
 
-  void fit(const Matrix& x, std::span<const double> y) override;
+  void fit(const Matrix& x, std::span<const double> y) override {
+    fit(x, {&y, 1});
+  }
+  /// Fits one target per entry of `ys` (each x.rows() long) on the shared
+  /// inputs `x`.  A fit that throws leaves the model unfitted.
+  void fit(const Matrix& x, std::span<const std::span<const double>> ys);
+
+  /// Target 0's mean for one input.
   double predict(std::span<const double> x) const override;
   std::string name() const override {
     return backend_ == GpBackend::kSparse ? "sparse_gaussian_process"
                                           : "gaussian_process";
   }
 
-  /// Predictive means for every row of `queries` (raw feature space).
+  /// Target 0's means for every row of `queries` (raw feature space).
   /// Bit-identical to calling predict() per row.
   std::vector<double> predict_batch(const Matrix& queries) const;
 
-  /// Fused means for two models fitted on the *same* training inputs (the
-  /// performance predictor's energy/latency pair): the query rows are
-  /// standardized once and one K* squared-distance panel feeds both models'
-  /// kernel chains, so the shared O(n·d) work is paid once instead of
-  /// twice.  Each output is bit-identical to the corresponding
-  /// predict_batch() call.  The shape check is always
-  /// on; debug builds additionally YOSO_DCHECK a training-set fingerprint
-  /// (n, d, first/last standardized-row hash) so fitting the models on
-  /// different inputs trips a ContractViolation instead of silently
-  /// reusing the wrong distance panel.
-  static void predict_means_pair(const GpRegressor& a, const GpRegressor& b,
-                                 const double* x, std::size_t nq,
-                                 double* mu_a, double* mu_b);
+  /// Means of every target over `nq` contiguous raw query rows: one K*
+  /// distance panel feeds every target.  mu.size() must equal targets();
+  /// mu[t] receives nq means, or is null to skip target t.  Bit-identical
+  /// to predict() per row and target.
+  void predict_means(const double* x, std::size_t nq,
+                     std::span<double* const> mu) const;
 
-  /// Predictive mean and variance for one input.
+  /// Predictive mean and variance of one target for one input.
   std::pair<double, double> predict_with_variance(
-      std::span<const double> x) const;
+      std::span<const double> x, std::size_t target = 0) const;
 
-  /// Folds one new observation (raw feature space, raw target) into a
-  /// fitted sparse model in O(m^2): a rank-1 Cholesky update of the
-  /// information matrix plus one back-substitution.  The inducing set,
-  /// input scaler and target mean stay frozen from fit(), so the training
-  /// fingerprint — and predict_means_pair validity for a model pair updated
-  /// in lockstep — is preserved.  ContractViolation on the exact backend
-  /// (which has no incremental path) or before fit().
-  void update(std::span<const double> x, double y);
+  /// Folds one new observation (raw feature space, one raw value per
+  /// target) into a fitted sparse model in O(m^2) per target: a rank-1
+  /// Cholesky update of the information matrix plus one back-substitution.
+  /// The inducing set, input scaler and target means stay frozen from
+  /// fit().  ContractViolation on the exact backend or before fit().
+  void update(std::span<const double> x, std::span<const double> ys);
+  void update(std::span<const double> x, double y) { update(x, {&y, 1}); }
+
+  bool fitted() const { return !targets_.empty(); }
+  std::size_t targets() const { return targets_.size(); }  ///< 0 unfitted
 
   /// True when update() is available: a fitted sparse-backend model.
   bool supports_update() const {
-    return backend_ == GpBackend::kSparse && !alpha_.empty();
+    return backend_ == GpBackend::kSparse && fitted();
   }
 
-  /// Copies the fitted state out for persistence (ContractViolation before
-  /// fit()).  The copy is deep; later update() calls on this model leave
-  /// the exported state untouched.
-  GpRegressorState export_state() const;
+  /// Deep copy of one target's fitted state, for persistence
+  /// (ContractViolation before fit() or for a target out of range).
+  GpRegressorState export_state(std::size_t target = 0) const;
 
-  /// Rebuilds a fitted model from exported (or artifact-loaded) state.
-  /// Validates every cross-field shape contract (scaler width vs panel
-  /// width, alpha length, factor squareness, the sparse-only tail) with
-  /// ContractViolation on mismatch, then recomputes the packed kernel panel
-  /// and training fingerprint exactly as fit() would — predict(),
-  /// predict_batch(), predict_means_pair() and update() on the restored
-  /// model are bit-identical to the original.
-  static GpRegressor from_state(const GpRegressorState& state);
+  /// Rebuilds a fitted model with one target per state, in order.
+  /// Validates every state's cross-field shapes and requires all states to
+  /// share backend, settings, update count, scaler, panel and inducing rows
+  /// (ContractViolation otherwise), then recomputes the packed panel as
+  /// fit() would, so the restored model predicts and updates bit-identically
+  /// to the original.
+  static GpRegressor from_state(
+      std::span<const GpRegressorState* const> states);
 
   GpBackend backend() const { return backend_; }
 
-  /// Rank-1 updates applied since the last fit().
+  /// update() calls applied since the last fit().
   std::size_t updates_applied() const { return updates_applied_; }
 
   /// Inducing rows actually selected by the last sparse fit (m <= n); the
@@ -165,11 +171,14 @@ class GpRegressor : public Regressor {
     return inducing_idx_;
   }
 
-  /// Log marginal likelihood of the fitted model on its training data (the
-  /// sparse backend reports the DTC approximation's likelihood).
-  double log_marginal_likelihood() const { return lml_; }
-
-  const GpHyperParams& hyper_params() const { return hp_; }
+  /// Log marginal likelihood of one fitted target on its training data
+  /// (the sparse backend reports the DTC approximation's likelihood).
+  double log_marginal_likelihood(std::size_t t = 0) const {
+    return fitted_target(t).lml;
+  }
+  const GpHyperParams& hyper_params(std::size_t t = 0) const {
+    return fitted_target(t).hp;
+  }
 
   /// Total distance-panel constructions during the last fit(), any shape.
   /// The exact path builds exactly one full n x n matrix (the tuning grid
@@ -185,52 +194,61 @@ class GpRegressor : public Regressor {
   /// Per-shape breakdown of the count above.
   const GpDistanceBuilds& distance_builds() const { return dist_builds_; }
 
-  /// Fingerprint of the fitted training panel (n, d, first/last
-  /// standardized-row bytes) backing predict_means_pair's caller contract.
-  std::uint64_t training_fingerprint() const { return train_fingerprint_; }
-
   /// Fitted-state access so benches/tests can replicate the scalar
   /// per-candidate baseline against the same fitted model.  For the sparse
   /// backend train_inputs() is the standardized m-row inducing panel.
   const Matrix& train_inputs() const { return train_x_; }
-  std::span<const double> alpha() const { return alpha_; }
   const Standardizer& input_scaler() const { return scaler_; }
-  double target_mean() const { return y_mean_; }
+  std::span<const double> alpha(std::size_t t = 0) const {
+    return fitted_target(t).alpha;
+  }
+  double target_mean(std::size_t t = 0) const {
+    return fitted_target(t).y_mean;
+  }
 
  private:
-  double fit_from_dists(const Matrix& d2, std::span<const double> yc);
+  /// What one target owns on top of the shared input side.
+  struct Target {
+    GpHyperParams hp;
+    std::vector<double> alpha;       // exact: K^-1 (y - mean); sparse: A^-1 b
+    std::unique_ptr<Cholesky> chol;  // exact: K + nv I; sparse: A
+    std::unique_ptr<Cholesky> chol_kmm;  // sparse only: K_mm (DTC variance)
+    std::vector<double> b;               // sparse only: K_mn (y - mean)
+    double y_mean = 0.0;
+    double lml = 0.0;
+  };
+
+  /// ContractViolation before fit() or for a target out of range.
+  const Target& fitted_target(std::size_t t) const;
+  /// Exact-backend fit body: one distance matrix, then each target's grid.
+  std::vector<Target> fit_exact(const Matrix& x,
+                                std::span<const std::span<const double>> ys);
   /// Sparse-backend fit body (gp_sparse.cpp).
-  void fit_sparse(const Matrix& x, std::span<const double> y);
+  std::vector<Target> fit_sparse(const Matrix& x,
+                                 std::span<const std::span<const double>> ys);
   /// Deterministic farthest-point selection over standardized rows; fills
   /// inducing_idx_ and the train_x_ / packed_train_ inducing panel.
   void select_inducing_rows(const Matrix& xs, std::size_t m);
-  /// Recomputes train_fingerprint_ from the fitted panel.
-  void stamp_train_fingerprint();
-  /// Shared mean(/variance) path over `nq` contiguous raw query rows;
-  /// `var` may be null for mean-only prediction.
-  void predict_rows(const double* x, std::size_t nq, double* mu,
-                    double* var) const;
+  /// Means of the first mu.size() targets over `nq` contiguous raw rows;
+  /// a null mu[t] skips target t.
+  void predict_rows(const double* x, std::size_t nq,
+                    std::span<double* const> mu) const;
 
-  GpHyperParams hp_;
+  GpHyperParams hp_;  // every target's hyper-parameters when !tune_
   bool tune_;
   GpBackend backend_ = GpBackend::kExact;
   std::size_t inducing_target_ = 512;
   Standardizer scaler_;
   Matrix train_x_;                    // standardized (inducing rows if sparse)
   kernels::PackedRows packed_train_;  // transposed train panel + row norms
-  std::vector<double> alpha_;         // exact: K^-1 (y - mean); sparse: A^-1 b
-  std::unique_ptr<Cholesky> chol_;    // exact: K + nv I; sparse: A
-  std::unique_ptr<Cholesky> chol_kmm_;  // sparse only: K_mm (DTC variance)
-  std::vector<double> b_;             // sparse only: K_mn (y - mean)
   std::vector<std::size_t> inducing_idx_;
-  double y_mean_ = 0.0;
-  double lml_ = 0.0;
+  std::vector<Target> targets_;
   GpDistanceBuilds dist_builds_;
   std::size_t updates_applied_ = 0;
-  std::uint64_t train_fingerprint_ = 0;
-  // update() scratch (standardized query + kernel row), sized on first use
-  // so repeated online refinements allocate nothing.
+  // update() scratch (standardized query, distance row, kernel row), sized
+  // on first use so repeated online refinements allocate nothing.
   std::vector<double> upd_xs_;
+  std::vector<double> upd_d2_;
   std::vector<double> upd_k_;
 };
 

@@ -6,12 +6,12 @@
 // Model: with m inducing rows Z (a subset of the standardized training
 // rows), information matrix A = nv * K_mm + K_mn K_nm and b = K_mn (y -
 // mean), the predictive mean is k_m(x)^T A^-1 b — so the fitted state
-// stores Z as the training panel and w = A^-1 b as alpha, and every
-// predict path (predict, predict_batch, predict_means_pair) runs the
-// exact backend's per-row chain unchanged.  update(x, y) folds one new
-// observation in by A += k k^T (rank-1 Cholesky update), b += k (y -
-// mean), and one O(m^2) re-solve; the inducing set, input scaler and
-// target mean stay frozen from fit().
+// stores Z as the training panel and each target's w = A^-1 b as its
+// alpha, and every predict path (predict, predict_batch, predict_means)
+// runs the exact backend's per-row chain unchanged.  update(x, ys) folds
+// one new observation into each target by A += k k^T (rank-1 Cholesky
+// update), b += k (y - mean), and one O(m^2) re-solve; the inducing set,
+// input scaler and target means stay frozen from fit().
 
 #include <algorithm>
 #include <cmath>
@@ -106,10 +106,9 @@ void GpRegressor::select_inducing_rows(const Matrix& xs, std::size_t m) {
     // seed is the row with the largest squared norm (ties -> lowest
     // index) and every step adds the row farthest from the chosen set.
     // The sweep is serial and depends only on the input rows — never on
-    // targets, hyper-parameters or thread count — so two models fitted on
-    // the same X select identical inducing sets, the property
-    // predict_means_pair's shared-panel contract rests on.  Each step
-    // costs one SIMD 1 x n distance row plus an O(n) min/argmax scan.
+    // targets, hyper-parameters or thread count — so it runs once per fit
+    // whatever the number of targets.  Each step costs one SIMD 1 x n
+    // distance row plus an O(n) min/argmax scan.
     const kernels::PackedRows packed_all =
         kernels::pack_rows(xs.data().data(), n, d);
     std::size_t pick = 0;
@@ -144,29 +143,19 @@ void GpRegressor::select_inducing_rows(const Matrix& xs, std::size_t m) {
   packed_train_ = kernels::pack_rows(dst, mm, d);
 }
 
-void GpRegressor::fit_sparse(const Matrix& x, std::span<const double> y) {
+std::vector<GpRegressor::Target> GpRegressor::fit_sparse(
+    const Matrix& x, std::span<const std::span<const double>> ys) {
   YOSO_TRACE_SPAN("gp.sparse_fit");
-  scaler_.fit(x);
   const Matrix xs = scaler_.transform(x);
   const std::size_t n = xs.rows();
-
-  y_mean_ = mean(y);
-  std::vector<double> yc(y.size());
-  double y_sq = 0.0;
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    yc[i] = y[i] - y_mean_;
-    y_sq += yc[i] * yc[i];
-  }
-  const double y_var = std::max(y_sq / static_cast<double>(n), 1e-12);
-
   const std::size_t m =
       std::min(std::max<std::size_t>(inducing_target_, 1), n);
   select_inducing_rows(xs, m);
   const std::size_t mm = train_x_.rows();
 
   // Two distance panels per fit (vs the exact path's one full n x n
-  // matrix); the tuning grid below re-exponentiates them per grid point,
-  // mirroring the exact flow's build-once discipline.
+  // matrix); every target's tuning grid re-exponentiates them per grid
+  // point, mirroring the exact flow's build-once discipline.
   Matrix d_nm(n, mm);
   kernels::pairwise_sq_dists(xs.data().data(), n, packed_train_,
                              d_nm.data().data());
@@ -176,86 +165,99 @@ void GpRegressor::fit_sparse(const Matrix& x, std::span<const double> y) {
                              d_mm.data().data());
   dist_builds_.inducing = 1;
 
-  SparsePanels panels;
-  if (!tune_) {
-    build_panels(hp_, d_mm, d_nm, yc, &panels);
-    lml_ = eval_noise_point(panels, hp_.noise_variance, y_sq, n, &chol_,
-                            &alpha_);
-    chol_kmm_ = std::move(panels.chol_kmm);
-    b_ = std::move(panels.b);
-    return;
-  }
-
   // Same 15-point grid as the exact backend, with the gram/b panels hoisted
   // per lengthscale (the noise term only shifts A's diagonal load).
   const double base_l = std::sqrt(static_cast<double>(x.cols()));
-  GpHyperParams best_hp;
-  double best_lml = -1e300;
-  std::vector<double> best_alpha;
-  std::vector<double> best_b;
-  std::unique_ptr<Cholesky> best_chol;
-  std::unique_ptr<Cholesky> best_kmm;
-  std::unique_ptr<Cholesky> trial_chol;
-  std::vector<double> trial_alpha;
-  for (double lf : {0.25, 0.5, 1.0, 2.0, 4.0}) {
-    hp_.lengthscale = base_l * lf;
-    hp_.signal_variance = y_var;
-    build_panels(hp_, d_mm, d_nm, yc, &panels);
-    bool lf_won = false;
-    for (double nf : {1e-4, 1e-3, 1e-2}) {
-      hp_.noise_variance = y_var * nf;
-      const double lml = eval_noise_point(panels, hp_.noise_variance, y_sq, n,
-                                          &trial_chol, &trial_alpha);
-      if (lml > best_lml) {
-        best_lml = lml;
-        best_hp = hp_;
-        best_alpha = std::move(trial_alpha);
-        best_chol = std::move(trial_chol);
-        lf_won = true;
+  std::vector<double> yc(n);
+  std::vector<Target> fitted;
+  fitted.reserve(ys.size());
+  for (const std::span<const double> y : ys) {
+    Target& t = fitted.emplace_back();
+    // Per-target scratch, freed before the next target's grid allocates
+    // its own, so the peak is one target's working set.
+    SparsePanels panels;
+    std::unique_ptr<Cholesky> trial_chol;
+    std::vector<double> trial_alpha;
+    t.y_mean = mean(y);
+    double y_sq = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      yc[i] = y[i] - t.y_mean;
+      y_sq += yc[i] * yc[i];
+    }
+    const double y_var = std::max(y_sq / static_cast<double>(n), 1e-12);
+    if (!tune_) {
+      t.hp = hp_;
+      build_panels(t.hp, d_mm, d_nm, yc, &panels);
+      t.lml = eval_noise_point(panels, t.hp.noise_variance, y_sq, n, &t.chol,
+                               &t.alpha);
+      t.chol_kmm = std::move(panels.chol_kmm);
+      t.b = std::move(panels.b);
+      continue;
+    }
+    t.lml = -1e300;
+    for (double lf : {0.25, 0.5, 1.0, 2.0, 4.0}) {
+      GpHyperParams hp{base_l * lf, y_var, 0.0};
+      build_panels(hp, d_mm, d_nm, yc, &panels);
+      bool lf_won = false;
+      for (double nf : {1e-4, 1e-3, 1e-2}) {
+        hp.noise_variance = y_var * nf;
+        const double lml = eval_noise_point(panels, hp.noise_variance, y_sq,
+                                            n, &trial_chol, &trial_alpha);
+        // As in the exact flow, the winning grid point's factorisation IS
+        // the fitted state — no redundant refit.
+        if (lml > t.lml) {
+          t.lml = lml;
+          t.hp = hp;
+          t.alpha = std::move(trial_alpha);
+          t.chol = std::move(trial_chol);
+          lf_won = true;
+        }
+      }
+      if (lf_won) {
+        t.chol_kmm = std::move(panels.chol_kmm);
+        t.b = std::move(panels.b);
       }
     }
-    if (lf_won) {
-      best_kmm = std::move(panels.chol_kmm);
-      best_b = std::move(panels.b);
-    }
+    YOSO_REQUIRE(t.chol != nullptr,
+                 "GpRegressor::fit: no grid point has a finite likelihood");
   }
-  // As in the exact flow, the winning grid point's factorisation IS the
-  // fitted state — no redundant refit.
-  hp_ = best_hp;
-  alpha_ = std::move(best_alpha);
-  chol_ = std::move(best_chol);
-  chol_kmm_ = std::move(best_kmm);
-  b_ = std::move(best_b);
-  lml_ = best_lml;
+  return fitted;
 }
 
-void GpRegressor::update(std::span<const double> x, double y) {
+void GpRegressor::update(std::span<const double> x,
+                         std::span<const double> ys) {
   YOSO_TRACE_SPAN("gp.sparse_update");
   YOSO_REQUIRE(backend_ == GpBackend::kSparse,
                "GpRegressor::update: the exact backend has no incremental "
                "path — construct with GpBackend::kSparse");
-  YOSO_REQUIRE(!alpha_.empty(), "GpRegressor::update: not fitted");
+  YOSO_REQUIRE(fitted(), "GpRegressor::update: not fitted");
+  YOSO_REQUIRE(ys.size() == targets_.size(), "GpRegressor::update: ",
+               ys.size(), " values for a ", targets_.size(), "-target model");
   YOSO_REQUIRE(x.size() == train_x_.cols(),
                "GpRegressor::update: feature dimension ", x.size(),
                " != fitted dimension ", train_x_.cols());
   const std::size_t m = train_x_.rows();
-  const double l = hp_.lengthscale;
-  const double scale = -1.0 / (2.0 * l * l);
   // Scratch is member-owned and sized once, so a refinement stream of
-  // updates allocates only inside the O(m^2) solve.
+  // updates allocates only inside the O(m^2) solves.
   upd_xs_.resize(train_x_.cols());
+  upd_d2_.resize(m);
   upd_k_.resize(m);
   scaler_.transform_row_into(x, upd_xs_.data());
-  kernels::pairwise_sq_dists(upd_xs_.data(), 1, packed_train_, upd_k_.data());
-  kernels::exp_scale(upd_k_.data(), upd_k_.data(), m, scale,
-                     hp_.signal_variance);
-  // A += k k^T (rank-1, O(m^2)), b += k (y - mean), one re-solve.  No
-  // distance panel is rebuilt — distance_builds() stays flat, which is the
-  // counter-based no-refit proof the tests assert.
-  chol_->rank1_update(upd_k_);
-  const double r = y - y_mean_;
-  for (std::size_t i = 0; i < m; ++i) b_[i] += upd_k_[i] * r;
-  alpha_ = chol_->solve(b_);
+  kernels::pairwise_sq_dists(upd_xs_.data(), 1, packed_train_,
+                             upd_d2_.data());
+  // Per target: A += k k^T (rank-1, O(m^2)), b += k (y - mean), one
+  // re-solve.  No distance panel is rebuilt — distance_builds() stays
+  // flat, which is the counter-based no-refit proof the tests assert.
+  for (std::size_t i = 0; i < targets_.size(); ++i) {
+    Target& t = targets_[i];
+    const double l = t.hp.lengthscale;
+    kernels::exp_scale(upd_d2_.data(), upd_k_.data(), m, -1.0 / (2.0 * l * l),
+                       t.hp.signal_variance);
+    t.chol->rank1_update(upd_k_);
+    const double r = ys[i] - t.y_mean;
+    for (std::size_t j = 0; j < m; ++j) t.b[j] += upd_k_[j] * r;
+    t.alpha = t.chol->solve(t.b);
+  }
   ++updates_applied_;
   obs::counter_add("gp.sparse_updates", 1);
 }

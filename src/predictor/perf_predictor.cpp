@@ -128,42 +128,51 @@ SampleMatrix to_matrix(const std::vector<PerfSample>& samples) {
 void PerformancePredictor::fit(const std::vector<PerfSample>& samples) {
   YOSO_TRACE_SPAN("step1.fit_gp");
   const SampleMatrix m = to_matrix(samples);
+  YOSO_REQUIRE(m.x.cols() == kCodesignFeatureDim, "PerformancePredictor: ",
+               m.x.cols(), "-wide feature rows, not ", kCodesignFeatureDim);
   // Both targets are positive with heavy upper tails (NLR configs are many
-  // times slower than OS); the GPs regress log(y) and predictions
+  // times slower than OS); the GP regresses log(y) and predictions
   // exponentiate back.
   std::vector<double> log_e(m.energy.size()), log_l(m.latency.size());
   for (std::size_t i = 0; i < m.energy.size(); ++i) {
     log_e[i] = std::log(std::max(m.energy[i], 1e-9));
     log_l[i] = std::log(std::max(m.latency[i], 1e-9));
   }
-  energy_gp_.fit(m.x, log_e);
-  latency_gp_.fit(m.x, log_l);
-  fitted_ = true;
+  const std::span<const double> ys[] = {log_e, log_l};  // kEnergy, kLatency
+  gp_.fit(m.x, ys);
   refinements_ = 0;
 }
 
 bool PerformancePredictor::refine(std::span<const double> features,
                                   double latency_ms, double energy_mj) {
   if (!supports_refinement()) return false;
-  // Same log transform as fit(); updating both models with the same input
-  // row keeps their training fingerprints in lockstep.
-  latency_gp_.update(features, std::log(std::max(latency_ms, 1e-9)));
-  energy_gp_.update(features, std::log(std::max(energy_mj, 1e-9)));
+  // Same log transform and target order as fit().
+  const double ys[] = {std::log(std::max(energy_mj, 1e-9)),
+                       std::log(std::max(latency_ms, 1e-9))};
+  gp_.update(features, ys);
   ++refinements_;
   return true;
 }
 
+double PerformancePredictor::predict_one(
+    std::size_t target, const Genotype& g,
+    const AcceleratorConfig& config) const {
+  const std::vector<double> f = codesign_features(g, config, skeleton_);
+  double mu = 0.0;
+  double* const out[] = {target == kEnergy ? &mu : nullptr,
+                         target == kLatency ? &mu : nullptr};
+  gp_.predict_means(f.data(), 1, out);
+  return std::exp(mu);
+}
+
 double PerformancePredictor::predict_energy_mj(
     const Genotype& g, const AcceleratorConfig& config) const {
-  if (!fitted_) throw std::logic_error("PerformancePredictor: not fitted");
-  return std::exp(energy_gp_.predict(codesign_features(g, config, skeleton_)));
+  return predict_one(kEnergy, g, config);
 }
 
 double PerformancePredictor::predict_latency_ms(
     const Genotype& g, const AcceleratorConfig& config) const {
-  if (!fitted_) throw std::logic_error("PerformancePredictor: not fitted");
-  return std::exp(
-      latency_gp_.predict(codesign_features(g, config, skeleton_)));
+  return predict_one(kLatency, g, config);
 }
 
 void PerformancePredictor::predict_latency_energy_batch(
@@ -172,12 +181,8 @@ void PerformancePredictor::predict_latency_energy_batch(
   YOSO_REQUIRE(rows == 0 || (features != nullptr && latency_ms != nullptr &&
                              energy_mj != nullptr),
                "predict_latency_energy_batch: null input/output");
-  if (!fitted_) throw std::logic_error("PerformancePredictor: not fitted");
-  // Both GPs were fitted on the same feature matrix (fit() above), which is
-  // the precondition letting the pair call share one standardization and
-  // one K* distance panel.
-  GpRegressor::predict_means_pair(latency_gp_, energy_gp_, features, rows,
-                                  latency_ms, energy_mj);
+  double* const mu[] = {energy_mj, latency_ms};  // kEnergy, kLatency
+  gp_.predict_means(features, rows, mu);
   for (std::size_t r = 0; r < rows; ++r) {
     latency_ms[r] = std::exp(latency_ms[r]);
     energy_mj[r] = std::exp(energy_mj[r]);
@@ -185,41 +190,24 @@ void PerformancePredictor::predict_latency_energy_batch(
 }
 
 PerfPredictorState PerformancePredictor::export_state() const {
-  YOSO_REQUIRE(fitted_, "PerformancePredictor::export_state: not fitted");
+  YOSO_REQUIRE(fitted(), "PerformancePredictor::export_state: not fitted");
   PerfPredictorState s;
   s.skeleton = skeleton_;
-  s.latency = latency_gp_.export_state();
-  s.energy = energy_gp_.export_state();
+  s.latency = gp_.export_state(kLatency);
+  s.energy = gp_.export_state(kEnergy);
   s.refinements = refinements_;
   return s;
 }
 
 PerformancePredictor PerformancePredictor::from_state(
     const PerfPredictorState& state) {
-  const GpRegressorState& lat = state.latency;
-  const GpRegressorState& en = state.energy;
-  YOSO_REQUIRE(lat.backend == en.backend,
-               "PerformancePredictor::from_state: latency/energy models "
-               "disagree on backend");
-  // predict_latency_energy_batch reads only the latency model's scaler and
-  // panel, for both targets, while refine() updates each model against its
-  // own: the two must hold the same inputs, bit for bit.
-  YOSO_REQUIRE(lat.train_x == en.train_x,
-               "PerformancePredictor::from_state: latency/energy models "
-               "disagree on the training panel (", lat.train_x.rows(), "x",
-               lat.train_x.cols(), " vs ", en.train_x.rows(), "x",
-               en.train_x.cols(), ")");
-  YOSO_REQUIRE(lat.scaler_mean == en.scaler_mean &&
-                   lat.scaler_std == en.scaler_std,
-               "PerformancePredictor::from_state: latency/energy models "
-               "disagree on the input scaler");
-  YOSO_REQUIRE(lat.inducing_idx == en.inducing_idx,
-               "PerformancePredictor::from_state: latency/energy models "
-               "disagree on the inducing rows");
-  PerformancePredictor p(state.skeleton, lat.backend, lat.inducing_target);
-  p.latency_gp_ = GpRegressor::from_state(lat);
-  p.energy_gp_ = GpRegressor::from_state(en);
-  p.fitted_ = true;
+  const GpRegressorState* const targets[] = {&state.energy, &state.latency};
+  PerformancePredictor p(state.skeleton);
+  p.gp_ = GpRegressor::from_state(targets);
+  YOSO_REQUIRE(p.gp_.train_inputs().cols() == kCodesignFeatureDim,
+               "PerformancePredictor::from_state: the model takes ",
+               p.gp_.train_inputs().cols(), "-wide rows, not ",
+               kCodesignFeatureDim);
   p.refinements_ = state.refinements;
   return p;
 }

@@ -81,8 +81,8 @@ struct SampleMatrix {
 };
 SampleMatrix to_matrix(const std::vector<PerfSample>& samples);
 
-/// The fitted state of a PerformancePredictor: the lockstep latency/energy
-/// GP pair plus the skeleton they were fitted for.  This is what the binary
+/// The fitted state of a PerformancePredictor: one state per GP target
+/// plus the skeleton they were fitted for.  This is what the binary
 /// artifact format (core/artifact.h) persists so Step-1 products become
 /// load-once files shared across search runs.
 struct PerfPredictorState {
@@ -92,21 +92,26 @@ struct PerfPredictorState {
   std::size_t refinements = 0;
 };
 
-/// The GP pair used inside the search loop.  `backend` selects the GP
-/// factorisation: kExact is the paper's O(n^3) fit; kSparse caps both
-/// models at `inducing_points` inducing rows (O(n m^2) fit) and unlocks
-/// refine() — O(m^2) online folding of accurate-simulator results into the
-/// fitted pair during the search.
+/// The Step-1 predictor used inside the search loop: one GpRegressor whose
+/// two targets are log energy (kEnergy) and log latency (kLatency), fitted
+/// on the same simulated samples.  `backend` selects the GP
+/// factorisation: kExact is the paper's O(n^3) fit; kSparse caps the model
+/// at `inducing_points` inducing rows (O(n m^2) fit) and unlocks refine() —
+/// O(m^2) online folding of accurate-simulator results into the fitted
+/// model during the search.
 class PerformancePredictor {
  public:
+  /// Target indices of model(); fit() passes the targets in this order.
+  static constexpr std::size_t kEnergy = 0;
+  static constexpr std::size_t kLatency = 1;
+
   explicit PerformancePredictor(NetworkSkeleton skeleton,
                                 GpBackend backend = GpBackend::kExact,
                                 std::size_t inducing_points = 512)
       : skeleton_(std::move(skeleton)),
-        energy_gp_({}, true, backend, inducing_points),
-        latency_gp_({}, true, backend, inducing_points) {}
+        gp_({}, true, backend, inducing_points) {}
 
-  /// Fits both GPs on simulated samples.
+  /// Fits both targets on simulated samples.
   void fit(const std::vector<PerfSample>& samples);
 
   double predict_energy_mj(const Genotype& g,
@@ -114,55 +119,51 @@ class PerformancePredictor {
   double predict_latency_ms(const Genotype& g,
                             const AcceleratorConfig& config) const;
 
-  /// Fused batch prediction of both targets over `rows` contiguous raw
-  /// feature rows (row-major, kCodesignFeatureDim wide, one row per
-  /// candidate from codesign_features): because both GPs are fitted on the
-  /// same inputs, standardization and the K* squared-distance panel are
-  /// computed once and shared.  Outputs are bit-identical to the
-  /// per-candidate predict_latency_ms / predict_energy_mj calls.
+  /// Batch prediction of both targets over `rows` contiguous raw feature
+  /// rows (row-major, kCodesignFeatureDim wide, one row per candidate from
+  /// codesign_features): standardization and the K* squared-distance panel
+  /// are computed once and feed both targets.  Outputs are bit-identical
+  /// to the per-candidate predict_latency_ms / predict_energy_mj calls.
   void predict_latency_energy_batch(const double* features, std::size_t rows,
                                     double* latency_ms,
                                     double* energy_mj) const;
 
   /// Folds one accurate-simulator result, for the design whose
-  /// codesign_features row is `features`, into both fitted GPs in O(m^2)
-  /// each (log-space targets, matching fit()).  Both models are updated in
-  /// lockstep so the fused predict_latency_energy_batch contract — same
-  /// training inputs — keeps holding.  Returns false (a no-op) when the
-  /// backend has no incremental path (exact) or before fit().
+  /// codesign_features row is `features`, into both targets in O(m^2)
+  /// each (log-space targets, matching fit()).  Returns false (a no-op)
+  /// when the backend has no incremental path (exact) or before fit().
   bool refine(std::span<const double> features, double latency_ms,
               double energy_mj);
 
-  /// True when refine() would apply: a fitted sparse-backend pair.
-  bool supports_refinement() const {
-    return latency_gp_.supports_update() && energy_gp_.supports_update();
-  }
+  /// True when refine() would apply: a fitted sparse-backend model.
+  bool supports_refinement() const { return gp_.supports_update(); }
 
   /// Accurate results folded in since the last fit().
   std::size_t refinements() const { return refinements_; }
 
-  bool fitted() const { return fitted_; }
+  bool fitted() const { return gp_.fitted(); }
   const NetworkSkeleton& skeleton() const { return skeleton_; }
-  const GpRegressor& energy_model() const { return energy_gp_; }
-  const GpRegressor& latency_model() const { return latency_gp_; }
+  /// The two-target GP; index its targets with kEnergy and kLatency.
+  const GpRegressor& model() const { return gp_; }
 
-  /// Deep-copies the fitted pair out for persistence (ContractViolation
+  /// Deep-copies the fitted targets out for persistence (ContractViolation
   /// before fit()).
   PerfPredictorState export_state() const;
 
-  /// Rebuilds a fitted predictor from exported (or artifact-loaded) state.
-  /// Both GPs are restored through GpRegressor::from_state, so predictions
-  /// — including the fused predict_latency_energy_batch and later refine()
-  /// calls — are bit-identical to the original pair.  ContractViolation
-  /// when the two models disagree on backend, training (or inducing)
-  /// panel, input scaler or inducing indices.
+  /// Rebuilds a fitted predictor from exported (or artifact-loaded) state
+  /// through GpRegressor::from_state, so predictions and later refine()
+  /// calls are bit-identical to the original.  ContractViolation when the
+  /// two targets' states disagree on backend, settings, training (or
+  /// inducing) panel, input scaler or inducing indices.
   static PerformancePredictor from_state(const PerfPredictorState& state);
 
  private:
+  /// One target's prediction for one design, exponentiated back.
+  double predict_one(std::size_t target, const Genotype& g,
+                     const AcceleratorConfig& config) const;
+
   NetworkSkeleton skeleton_;
-  GpRegressor energy_gp_;
-  GpRegressor latency_gp_;
-  bool fitted_ = false;
+  GpRegressor gp_;
   std::size_t refinements_ = 0;
 };
 

@@ -192,15 +192,18 @@ TEST(ContractCoverage, PackRowsRejectsOverflowingPanel) {
   EXPECT_THROW(kernels::pack_rows(src, huge, 3), ContractViolation);
 }
 
-TEST(ContractCoverage, GpPredictMeansPairRejectsNullOutput) {
+TEST(ContractCoverage, GpPredictMeansRejectsWrongOutputCount) {
   GpRegressor gp;
   const Matrix x = Matrix::from_rows({{0.0}, {1.0}, {2.0}});
   const std::vector<double> y = {0.0, 1.0, 2.0};
   gp.fit(x, y);
   const double xq[1] = {0.5};
-  EXPECT_THROW(GpRegressor::predict_means_pair(gp, gp, xq, 1, nullptr,
-                                               nullptr),
-               ContractViolation);
+  double mu[2] = {0.0, 0.0};
+  double* const two[2] = {&mu[0], &mu[1]};
+  EXPECT_THROW(gp.predict_means(xq, 1, two), ContractViolation);
+  EXPECT_THROW(gp.predict_means(xq, 1, {}), ContractViolation);
+  gp.predict_means(xq, 1, std::span<double* const>(two, 1));
+  EXPECT_EQ(mu[0], gp.predict(std::vector<double>{0.5}));
 }
 
 TEST(ContractCoverage, CodesignFeaturesIntoRejectsNullOutput) {

@@ -1,11 +1,13 @@
 // Sparse GP backend: deterministic inducing selection, batched prediction
 // parity with per-row calls (chunk seams, after updates), rank-1 update
 // parity against a naive from-scratch rebuild of the information matrix,
-// distance-build accounting, the predict_means_pair fingerprint contract,
-// and an exact-vs-sparse accuracy bound on seeded simulator samples.
+// distance-build accounting, multi-target parity with one-target fits and
+// all-or-nothing multi-target fits (both backends), and an exact-vs-sparse
+// accuracy bound on seeded simulator samples.
 
 #include <cmath>
 #include <gtest/gtest.h>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -87,8 +89,8 @@ TEST(GpSparseTest, InducingSelectionIsDeterministicAndTargetFree) {
   GpRegressor a = sparse_gp(24);
   a.fit(d.x, d.y);
   // Same inputs with a different target must select the same inducing set
-  // (selection depends on X only) — the property predict_means_pair's
-  // shared panel rests on.
+  // (selection depends on X only) — the property that lets a multi-target
+  // model select once for all its targets.
   std::vector<double> y2(d.y);
   for (double& v : y2) v = 2.5 * v - 1.0;
   GpRegressor b = sparse_gp(24);
@@ -231,47 +233,91 @@ TEST(GpSparseTest, SmallTrainingSetUsesEveryRow) {
     EXPECT_TRUE(std::isfinite(mu));
 }
 
-TEST(GpSparseTest, PairedMeansMatchIndividualBatches) {
-  const GpData d = make_data(240, 6, 120, 43);
+// Target t of a multi-target fit must be bit-identical to a one-target fit
+// on ys[t]: means (past the 256-row chunk seam, with and without the other
+// target requested), mean and variance, tuned hyper-parameters and the log
+// marginal likelihood — and, on the sparse backend, again after updates.
+TEST(GpSparseTest, TwoTargetsMatchOneTargetFitsBitForBit) {
+  const GpData d = make_data(240, 6, 300, 43);
   std::vector<double> y2(d.y);
   for (double& v : y2) v = -3.0 * v + 0.5;
-  GpRegressor a = sparse_gp(28);
-  GpRegressor b = sparse_gp(28);
-  a.fit(d.x, d.y);
-  b.fit(d.x, y2);
-  EXPECT_EQ(a.training_fingerprint(), b.training_fingerprint());
-  const std::vector<double> ref_a = a.predict_batch(d.queries);
-  const std::vector<double> ref_b = b.predict_batch(d.queries);
-  std::vector<double> mu_a(d.queries.rows());
-  std::vector<double> mu_b(d.queries.rows());
-  GpRegressor::predict_means_pair(a, b, d.queries.data().data(),
-                                  d.queries.rows(), mu_a.data(), mu_b.data());
-  for (std::size_t r = 0; r < mu_a.size(); ++r) {
-    ASSERT_EQ(mu_a[r], ref_a[r]) << r;
-    ASSERT_EQ(mu_b[r], ref_b[r]) << r;
+  const std::span<const double> ys[2] = {d.y, y2};
+  for (const GpBackend backend : {GpBackend::kExact, GpBackend::kSparse}) {
+    SCOPED_TRACE(backend == GpBackend::kSparse ? "sparse" : "exact");
+    GpRegressor two({}, true, backend, 28);
+    two.fit(d.x, ys);
+    ASSERT_EQ(two.targets(), 2u);
+    std::vector<GpRegressor> one;
+    for (const std::span<const double> y : ys) {
+      one.emplace_back(GpHyperParams{}, true, backend, 28);
+      one.back().fit(d.x, y);
+    }
+    EXPECT_EQ(two.distance_builds().full, one[0].distance_builds().full);
+    EXPECT_EQ(two.distance_builds().cross, one[0].distance_builds().cross);
+
+    const auto expect_same = [&](const char* when) {
+      SCOPED_TRACE(when);
+      const std::size_t nq = d.queries.rows();
+      std::vector<double> mu0(nq), mu1(nq), alone(nq);
+      double* const outs[2] = {mu0.data(), mu1.data()};
+      two.predict_means(d.queries.data().data(), nq, outs);
+      double* const only1[2] = {nullptr, alone.data()};
+      two.predict_means(d.queries.data().data(), nq, only1);
+      const std::vector<double> ref0 = one[0].predict_batch(d.queries);
+      const std::vector<double> ref1 = one[1].predict_batch(d.queries);
+      for (std::size_t r = 0; r < nq; ++r) {
+        ASSERT_EQ(mu0[r], ref0[r]) << r;
+        ASSERT_EQ(mu1[r], ref1[r]) << r;
+        ASSERT_EQ(alone[r], ref1[r]) << r;
+      }
+      for (std::size_t t = 0; t < 2; ++t) {
+        EXPECT_EQ(two.hyper_params(t).lengthscale,
+                  one[t].hyper_params().lengthscale);
+        EXPECT_EQ(two.hyper_params(t).signal_variance,
+                  one[t].hyper_params().signal_variance);
+        EXPECT_EQ(two.hyper_params(t).noise_variance,
+                  one[t].hyper_params().noise_variance);
+        EXPECT_EQ(two.log_marginal_likelihood(t),
+                  one[t].log_marginal_likelihood());
+        for (const std::size_t r : {0u, 131u, 299u}) {
+          const std::vector<double> q = query_row(d.queries, r);
+          EXPECT_EQ(two.predict_with_variance(q, t),
+                    one[t].predict_with_variance(q))
+              << "target " << t << " row " << r;
+        }
+      }
+    };
+    expect_same("after fit");
+    if (backend == GpBackend::kExact) continue;
+    for (std::size_t r = 0; r < 5; ++r) {
+      const std::vector<double> q = query_row(d.queries, r);
+      const double vals[2] = {0.1 * static_cast<double>(r), -0.3};
+      two.update(q, vals);
+      one[0].update(q, vals[0]);
+      one[1].update(q, vals[1]);
+    }
+    EXPECT_EQ(two.updates_applied(), 5u);
+    expect_same("after 5 updates");
   }
 }
 
-#if !defined(NDEBUG) || defined(YOSO_ENABLE_DCHECKS)
-// Same shape, different training inputs: the shape REQUIRE passes but the
-// fingerprint DCHECK must trip.
-TEST(GpSparseTest, PairFingerprintMismatchTripsContract) {
-  const GpData d1 = make_data(80, 4, 5, 47);
-  const GpData d2 = make_data(80, 4, 5, 53);
-  GpRegressor a;
-  GpRegressor b;
-  a.fit(d1.x, d1.y);
-  b.fit(d2.x, d2.y);
-  EXPECT_NE(a.training_fingerprint(), b.training_fingerprint());
-  std::vector<double> mu_a(d1.queries.rows());
-  std::vector<double> mu_b(d1.queries.rows());
-  EXPECT_THROW(
-      GpRegressor::predict_means_pair(a, b, d1.queries.data().data(),
-                                      d1.queries.rows(), mu_a.data(),
-                                      mu_b.data()),
-      ContractViolation);
+// fit() builds every target before it installs any: a target that cannot
+// be fitted (a NaN makes every grid point's likelihood NaN) leaves the
+// model unfitted, not half refitted on the new inputs.
+TEST(GpSparseTest, FailedTargetLeavesModelUnfitted) {
+  const GpData d = make_data(60, 4, 1, 47);
+  std::vector<double> bad(d.y);
+  bad[7] = std::nan("");
+  const std::span<const double> ys[2] = {d.y, bad};
+  for (const GpBackend backend : {GpBackend::kExact, GpBackend::kSparse}) {
+    GpRegressor gp({}, true, backend, 16);
+    gp.fit(d.x, d.y);
+    ASSERT_TRUE(gp.fitted());
+    EXPECT_THROW(gp.fit(d.x, ys), ContractViolation);
+    EXPECT_FALSE(gp.fitted());
+    EXPECT_THROW(gp.predict(query_row(d.queries, 0)), ContractViolation);
+  }
 }
-#endif
 
 // Exact-vs-sparse accuracy on a seeded simulator sample set: the sparse
 // model predicts log-latency on held-out draws within a modest factor of

@@ -148,9 +148,10 @@ TEST_F(PerfPredictorTest, PredictionRespondsToConfig) {
             pred.predict_latency_ms(g, small));
 }
 
-// The fused pair predict reads only the latency model's scaler and panel,
-// so an energy section that differs there would load and predict like a
-// correct one until refine() updated it against its own copies.
+// The predictor is one two-target GP with one input side and one set of
+// settings, while the artifact stores a copy of them in each target's
+// section.  An energy section whose copy differs must be rejected, not
+// silently replaced by the latency section's.
 TEST_F(PerfPredictorTest, FromStateRejectsEnergyInputsThatDisagree) {
   PerformancePredictor pred(*skeleton_, GpBackend::kSparse, 32);
   pred.fit(*samples_);
@@ -168,6 +169,15 @@ TEST_F(PerfPredictorTest, FromStateRejectsEnergyInputsThatDisagree) {
   EXPECT_THROW(PerformancePredictor::from_state(bad), ContractViolation);
   bad = good;
   std::swap(bad.energy.inducing_idx[0], bad.energy.inducing_idx[1]);
+  EXPECT_THROW(PerformancePredictor::from_state(bad), ContractViolation);
+  bad = good;
+  bad.energy.inducing_target += 1;
+  EXPECT_THROW(PerformancePredictor::from_state(bad), ContractViolation);
+  bad = good;
+  bad.energy.updates_applied += 1;
+  EXPECT_THROW(PerformancePredictor::from_state(bad), ContractViolation);
+  bad = good;
+  bad.energy.tune = !bad.energy.tune;
   EXPECT_THROW(PerformancePredictor::from_state(bad), ContractViolation);
 }
 
