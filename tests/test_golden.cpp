@@ -1,4 +1,4 @@
-// Golden pins: the winner and a reward checksum of four searches and of
+// Golden pins: the winner and a reward checksum of five searches and of
 // one yoso_serve job, plus a checksum of a bare controller's REINFORCE
 // trajectory, frozen as constants.  The determinism tests in
 // test_parallel_search.cpp only compare thread counts against each other,
@@ -281,6 +281,42 @@ TEST_F(GoldenTest, DefaultCliRunFullLength) {
             "2,4,maxpool3x3,avgpool3x3;5,4,dwconv3x3,dwconv3x3"
             "@16*32/256KB/128B/OS");
   EXPECT_EQ(reward_checksum(r), 0xe43135660f72222eull);
+}
+
+// The sparse path end to end: a cycle-level Step 1 on the sparse GP with
+// 37 inducing points (one full 32-row gram block and a partial one), then
+// an rl search that folds an accurate result into the GP every 20
+// iterations.  Step 1 and the search both run at 1 and at 4 threads.
+TEST_F(GoldenTest, SparseRefineRun) {
+  SearchOptions opt = options(8);
+  opt.iterations = 200;
+  opt.predictor = GpBackend::kSparse;
+  opt.inducing_points = 37;
+  opt.refine_every = 20;
+  for (std::size_t threads : {1u, 4u}) {
+    const ExecContextPtr exec = ExecContext::create(threads);
+    const SystolicSimulator sim({}, SimFidelity::kCycleLevel);
+    FastEvaluator fast(*space_, *skeleton_, sim,
+                       {.predictor_samples = 150,
+                        .seed = 9,
+                        .predictor_backend = opt.predictor,
+                        .inducing_points = opt.inducing_points,
+                        .exec = exec});
+    AccurateEvaluator accurate(*skeleton_, sim, exec);
+    const SearchResult r = YosoSearch(*space_, opt).run(fast, &accurate, exec);
+    ASSERT_TRUE(r.best.has_value()) << threads;
+    EXPECT_EQ(r.refinements, 10u) << "threads " << threads;
+    EXPECT_EQ(serialize_candidate(r.best->candidate),
+              "normal=1,1,avgpool3x3,dwconv5x5;2,2,dwconv5x5,maxpool3x3;"
+              "0,3,dwconv5x5,dwconv3x3;4,0,avgpool3x3,avgpool3x3;"
+              "5,0,maxpool3x3,dwconv3x3|reduction=1,1,maxpool3x3,dwconv5x5;"
+              "2,2,maxpool3x3,conv3x3;0,1,conv3x3,dwconv5x5;"
+              "0,1,dwconv5x5,maxpool3x3;5,0,dwconv5x5,dwconv5x5"
+              "@16*24/108KB/512B/WS")
+        << "threads " << threads;
+    EXPECT_EQ(reward_checksum(r), 0xce2bd99c0517f0b8ull)
+        << "threads " << threads;
+  }
 }
 
 // 150 REINFORCE episodes of a bare controller over the default action
