@@ -24,6 +24,11 @@ double step_jitter(std::uint64_t layer_index, std::uint64_t step) {
   return static_cast<double>(x >> 11) * 0x1.0p-53;
 }
 
+/// Per-image DRAM bytes: the weight share is paid once per batch of `b`.
+double dram_per_image(const LayerMapping& m, double b) {
+  return (m.dram_bytes - m.dram_weight_bytes) + m.dram_weight_bytes / b;
+}
+
 }  // namespace
 
 double SystolicSimulator::cycle_level_cycles(const Layer& layer,
@@ -81,6 +86,47 @@ double SystolicSimulator::cycle_level_cycles(const Layer& layer,
   return total;
 }
 
+LayerSimResult SystolicSimulator::simulate_layer(
+    const Layer& layer, const AcceleratorConfig& config, int batch) const {
+  LayerSimResult lr;
+  lr.mapping = map_layer(layer, config, tech_);
+  // Mapping bounds: a tile that escapes the layer extents or collapses to
+  // zero would make the traffic model read garbage reuse factors.
+  const TileChoice& t = lr.mapping.tile;
+  YOSO_CHECK(t.t_co >= 1 && t.t_ci >= 1 && t.t_h >= 1 &&
+                 t.t_co <= std::max(layer.out_c, 1) &&
+                 t.t_ci <= std::max(layer.in_c, 1) &&
+                 t.t_h <= std::max(layer.out_h(), 1),
+             "SystolicSimulator::simulate: tile (", t.t_co, ",", t.t_ci, ",",
+             t.t_h, ") out of bounds for layer out_c=", layer.out_c,
+             " in_c=", layer.in_c, " out_h=", layer.out_h());
+  const double image_cycles =
+      fidelity_ == SimFidelity::kCycleLevel
+          ? cycle_level_cycles(layer, lr.mapping, config)
+          : lr.mapping.total_cycles;
+  // Per-image quantities: the weight share of DRAM traffic is paid once per
+  // batch; activations and compute scale per image.  Weight refills overlap
+  // compute for the later images, so per-image cycles shrink by the stall
+  // share attributable to weights (approximated via the weight fraction of
+  // traffic).
+  const double b = static_cast<double>(batch);
+  lr.cycles = image_cycles;
+  if (batch > 1) {
+    const double weight_cycles =
+        lr.mapping.dram_weight_bytes / tech_.dram_bytes_per_cycle;
+    // Remove the amortised part of weight-fetch time when the layer was
+    // memory-bound on weights.
+    const double saved = weight_cycles * (1.0 - 1.0 / b);
+    lr.cycles = std::max(lr.mapping.compute_cycles, image_cycles - saved);
+  }
+  lr.energy_pj = dram_per_image(lr.mapping, b) * tech_.e_dram_pj_per_byte +
+                 lr.mapping.gbuf_bytes *
+                     tech_.gbuf_energy_per_byte(config.g_buf_kb) +
+                 lr.mapping.rbuf_bytes * tech_.e_rbuf_pj_per_byte +
+                 lr.mapping.macs * tech_.e_mac_pj;
+  return lr;
+}
+
 SimulationResult SystolicSimulator::simulate(
     const std::vector<Layer>& layers, const AcceleratorConfig& config,
     int batch) const {
@@ -96,57 +142,31 @@ SimulationResult SystolicSimulator::simulate(
 
   double weighted_util = 0.0;
   double total_macs = 0.0;
+  std::uint64_t reuses = 0;
 
-  for (const Layer& layer : layers) {
-    LayerSimResult lr;
-    lr.mapping = map_layer(layer, config, tech_);
-    // Mapping bounds: a tile that escapes the layer extents or collapses to
-    // zero would make the traffic model read garbage reuse factors.
-    const TileChoice& t = lr.mapping.tile;
-    YOSO_CHECK(t.t_co >= 1 && t.t_ci >= 1 && t.t_h >= 1 &&
-                   t.t_co <= std::max(layer.out_c, 1) &&
-                   t.t_ci <= std::max(layer.in_c, 1) &&
-                   t.t_h <= std::max(layer.out_h(), 1),
-               "SystolicSimulator::simulate: tile (", t.t_co, ",", t.t_ci,
-               ",", t.t_h, ") out of bounds for layer out_c=", layer.out_c,
-               " in_c=", layer.in_c, " out_h=", layer.out_h());
-    const double image_cycles =
-        fidelity_ == SimFidelity::kCycleLevel
-            ? cycle_level_cycles(layer, lr.mapping, config)
-            : lr.mapping.total_cycles;
-    // Per-image quantities: the weight share of DRAM traffic is paid once
-    // per batch; activations and compute scale per image.  Weight refills
-    // overlap compute for the later images, so per-image cycles shrink by
-    // the stall share attributable to weights (approximated via the weight
-    // fraction of traffic).
-    const double act_dram =
-        lr.mapping.dram_bytes - lr.mapping.dram_weight_bytes;
-    const double dram_per_image =
-        act_dram + lr.mapping.dram_weight_bytes / b;
-    lr.cycles = image_cycles;
-    if (batch > 1) {
-      const double weight_cycles =
-          lr.mapping.dram_weight_bytes / tech_.dram_bytes_per_cycle;
-      // Remove the amortised part of weight-fetch time when the layer was
-      // memory-bound on weights.
-      const double saved = weight_cycles * (1.0 - 1.0 / b);
-      lr.cycles = std::max(lr.mapping.compute_cycles,
-                           image_cycles - saved);
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    // A layer equal to an earlier one in every field but its name takes a
+    // copy of that layer's result (see simulator.h for why that is exact).
+    std::size_t j = 0;
+    while (j < i && !same_shape(layers[j], layers[i])) ++j;
+    if (j < i) {
+      result.layers.push_back(result.layers[j]);
+      ++reuses;
+    } else {
+      result.layers.push_back(simulate_layer(layers[i], config, batch));
     }
-    lr.energy_pj = dram_per_image * tech_.e_dram_pj_per_byte +
-                   lr.mapping.gbuf_bytes * e_gbuf +
-                   lr.mapping.rbuf_bytes * tech_.e_rbuf_pj_per_byte +
-                   lr.mapping.macs * tech_.e_mac_pj;
-
+    // Totals are summed in layer order, reused or not.
+    const LayerSimResult& lr = result.layers.back();
     result.total_cycles += lr.cycles;
-    result.dram_mj += dram_per_image * tech_.e_dram_pj_per_byte * 1e-9;
+    result.dram_mj +=
+        dram_per_image(lr.mapping, b) * tech_.e_dram_pj_per_byte * 1e-9;
     result.gbuf_mj += lr.mapping.gbuf_bytes * e_gbuf * 1e-9;
     result.rbuf_mj += lr.mapping.rbuf_bytes * tech_.e_rbuf_pj_per_byte * 1e-9;
     result.mac_mj += lr.mapping.macs * tech_.e_mac_pj * 1e-9;
     weighted_util += lr.mapping.utilization * lr.mapping.macs;
     total_macs += lr.mapping.macs;
-    result.layers.push_back(std::move(lr));
   }
+  obs::counter_add("sim.layer_reuses", reuses);
 
   result.latency_ms = result.total_cycles / (tech_.clock_ghz * 1e6);
   const double static_mw = tech_.p_static_per_pe_mw * config.num_pes() +

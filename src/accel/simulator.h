@@ -60,6 +60,17 @@ class SystolicSimulator {
   /// Simulates a concrete layer list on a configuration.  `batch` > 1
   /// models throughput-mode inference: weight DRAM traffic is paid once per
   /// batch while activations scale per image; results are per-image.
+  ///
+  /// Repeated layers are simulated once per call: a layer that equals an
+  /// earlier layer of `layers` in every field but `name` (same_shape())
+  /// takes a copy of that layer's LayerSimResult instead of re-running the
+  /// mapping search and the cycle walk.  This is exact: a layer's result
+  /// depends only on those fields, the config, the batch, the technology
+  /// and the fidelity.  The cycle walk's jitter is keyed by (in_c, out_c,
+  /// kernel) and the step index, never by the layer's position.
+  /// result.layers still holds one entry per layer, the totals are still
+  /// summed in layer order, and the lookup allocates nothing.  The
+  /// `sim.layer_reuses` counter counts the layers answered this way.
   SimulationResult simulate(const std::vector<Layer>& layers,
                             const AcceleratorConfig& config,
                             int batch = 1) const;
@@ -71,6 +82,10 @@ class SystolicSimulator {
                                     int batch = 1) const;
 
  private:
+  /// One layer's mapping, cycles and dynamic energy at `batch`.
+  LayerSimResult simulate_layer(const Layer& layer,
+                                const AcceleratorConfig& config,
+                                int batch) const;
   /// Tile-by-tile pipeline walk used by kCycleLevel.
   double cycle_level_cycles(const Layer& layer, const LayerMapping& mapping,
                             const AcceleratorConfig& config) const;

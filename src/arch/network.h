@@ -66,6 +66,15 @@ struct Layer {
   std::int64_t output_elements() const;
 };
 
+/// True when `a` and `b` agree in every field but `name`: the simulator
+/// reuses one result for such layers (accel/simulator.h), so a new shape
+/// field must join this comparison.
+inline bool same_shape(const Layer& a, const Layer& b) {
+  return a.kind == b.kind && a.in_h == b.in_h && a.in_w == b.in_w &&
+         a.in_c == b.in_c && a.out_c == b.out_c && a.kernel == b.kernel &&
+         a.stride == b.stride && a.is_max_pool == b.is_max_pool;
+}
+
 /// Aggregate statistics of an extracted network.
 struct NetworkStats {
   std::int64_t total_macs = 0;

@@ -64,13 +64,14 @@ FastEvaluator::FastEvaluator(const DesignSpace& space,
   // config actions) and add the space's skeleton choices after them, so a
   // fixed-skeleton space collects the same samples as it.
   Rng rng(options.seed);
-  predictor_.fit(collect_samples(
+  const std::vector<PerfSample> samples = collect_samples(
       options.predictor_samples, simulator,
       [&](Rng& r) {
         const CandidateDesign c = space.random_candidate(r);
         return SampleDraw{c.genotype, c.config, &skeleton_of(c)};
       },
-      rng, &pool()));
+      rng, &pool());
+  predictor_.fit(samples, &pool());
 }
 
 FastEvaluator::FastEvaluator(const NetworkSkeleton& skeleton,

@@ -110,10 +110,11 @@ class FastEvaluator : public Evaluator {
  public:
   /// Builds the evaluator: collects `predictor_samples` simulator samples
   /// of `space`'s random candidates, each on its resolved skeleton, and
-  /// fits the two-target (energy, latency) GP (paper Step 1).  Sample simulation fans
-  /// out across `options.exec`; the candidate draws stay on one RNG stream
-  /// so the collected set is thread-count independent.  ContractViolation
-  /// when predictor_samples is 0.
+  /// fits the two-target (energy, latency) GP (paper Step 1).  Sample
+  /// simulation and the sparse GP's gram blocks fan out across
+  /// `options.exec`; the candidate draws stay on one RNG stream and the
+  /// gram blocking is fixed, so the evaluator is thread-count independent.
+  /// ContractViolation when predictor_samples is 0.
   FastEvaluator(const DesignSpace& space, const NetworkSkeleton& skeleton,
                 const SystolicSimulator& simulator,
                 FastEvaluatorOptions options = {});

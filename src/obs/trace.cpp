@@ -1,6 +1,7 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -248,6 +249,14 @@ std::vector<SpanAggregate> summarize_spans() {
   return out;
 }
 
+void write_trace_us(std::ostream& os, std::uint64_t ns) {
+  // Integer digits, so no value rounds and the stream's flags stay unused.
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%" PRIu64 ".%03" PRIu64, ns / 1000,
+                ns % 1000);
+  os << buf;
+}
+
 void write_chrome_trace(std::ostream& os) {
   TraceCollector& collector = TraceCollector::instance();
   const std::uint64_t epoch = collector.epoch_ns();
@@ -258,8 +267,11 @@ void write_chrome_trace(std::ostream& os) {
       os << (first ? "\n" : ",\n") << "  {\"name\": " << json_quote(e.name)
          << ", \"cat\": \"yoso\", \"ph\": \"X\", \"pid\": 1, \"tid\": "
          << b.tid()
-         << ", \"ts\": " << static_cast<double>(e.begin_ns - epoch) / 1e3
-         << ", \"dur\": " << static_cast<double>(e.dur_ns) / 1e3 << "}";
+         << ", \"ts\": ";
+      write_trace_us(os, e.begin_ns - epoch);
+      os << ", \"dur\": ";
+      write_trace_us(os, e.dur_ns);
+      os << "}";
       first = false;
     }
   });

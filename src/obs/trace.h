@@ -72,8 +72,13 @@ std::vector<SpanAggregate> summarize_spans();
 
 /// Writes every buffered event as Chrome trace_event-format JSON.  Events
 /// are ordered by (tid, begin time); timestamps are microseconds relative
-/// to the collector epoch.
+/// to the collector epoch, written by write_trace_us().
 void write_chrome_trace(std::ostream& os);
+
+/// Writes `ns` nanoseconds as microseconds in fixed notation to the
+/// nanosecond ("12345678.901" for 12.345678901 s), whatever the stream's
+/// format flags, and leaves those flags as they were.
+void write_trace_us(std::ostream& os, std::uint64_t ns);
 
 /// Renders the per-phase cost table from "phase."-prefixed spans: one row
 /// per phase with total ms and share of `wall_seconds`, plus the summed

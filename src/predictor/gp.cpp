@@ -93,7 +93,8 @@ const GpRegressor::Target& GpRegressor::fitted_target(std::size_t t) const {
 }
 
 void GpRegressor::fit(const Matrix& x,
-                      std::span<const std::span<const double>> ys) {
+                      std::span<const std::span<const double>> ys,
+                      ThreadPool* pool) {
   YOSO_TRACE_SPAN("gp.fit");
   YOSO_REQUIRE(!ys.empty(), "GpRegressor::fit: no targets");
   for (const std::span<const double> y : ys)
@@ -105,7 +106,7 @@ void GpRegressor::fit(const Matrix& x,
   updates_applied_ = 0;
   inducing_idx_.clear();
   scaler_.fit(x);
-  targets_ = backend_ == GpBackend::kSparse ? fit_sparse(x, ys)
+  targets_ = backend_ == GpBackend::kSparse ? fit_sparse(x, ys, pool)
                                             : fit_exact(x, ys);
 }
 

@@ -39,6 +39,8 @@
 
 namespace yoso {
 
+class ThreadPool;  // util/thread_pool.h
+
 struct GpHyperParams {
   double lengthscale = 4.0;
   double signal_variance = 1.0;
@@ -102,8 +104,12 @@ class GpRegressor : public Regressor {
     fit(x, {&y, 1});
   }
   /// Fits one target per entry of `ys` (each x.rows() long) on the shared
-  /// inputs `x`.  A fit that throws leaves the model unfitted.
-  void fit(const Matrix& x, std::span<const std::span<const double>> ys);
+  /// inputs `x`.  A fit that throws leaves the model unfitted.  The sparse
+  /// backend forms each K_mn K_nm gram in fixed row blocks across `pool`
+  /// (null runs them inline); the result is bit-identical at any pool size.
+  /// The exact backend runs on the caller.
+  void fit(const Matrix& x, std::span<const std::span<const double>> ys,
+           ThreadPool* pool = nullptr);
 
   /// Target 0's mean for one input.
   double predict(std::span<const double> x) const override;
@@ -225,7 +231,8 @@ class GpRegressor : public Regressor {
                                 std::span<const std::span<const double>> ys);
   /// Sparse-backend fit body (gp_sparse.cpp).
   std::vector<Target> fit_sparse(const Matrix& x,
-                                 std::span<const std::span<const double>> ys);
+                                 std::span<const std::span<const double>> ys,
+                                 ThreadPool* pool);
   /// Deterministic farthest-point selection over standardized rows; fills
   /// inducing_idx_ and the train_x_ / packed_train_ inducing panel.
   void select_inducing_rows(const Matrix& xs, std::size_t m);

@@ -25,6 +25,7 @@
 #include "obs/trace.h"
 #include "predictor/gp.h"
 #include "util/stats.h"
+#include "util/thread_pool.h"
 
 namespace yoso {
 namespace {
@@ -40,9 +41,14 @@ struct SparsePanels {
   double kmm_logdet = 0.0;
 };
 
+// Rows of K_mn K_nm per parallel_for index.  Fixed, so the blocking never
+// depends on the pool; a row block of kernels::gemm is bit-identical to the
+// same rows of one full call (linalg/kernels.h), so neither does the gram.
+constexpr std::size_t kGramBlock = 32;
+
 void build_panels(const GpHyperParams& hp, const Matrix& d_mm,
                   const Matrix& d_nm, std::span<const double> yc,
-                  SparsePanels* p) {
+                  ThreadPool& pool, SparsePanels* p) {
   const std::size_t n = d_nm.rows();
   const std::size_t m = d_mm.rows();
   const double scale = -1.0 / (2.0 * hp.lengthscale * hp.lengthscale);
@@ -57,8 +63,12 @@ void build_panels(const GpHyperParams& hp, const Matrix& d_mm,
                        m, scale, hp.signal_variance);
   const Matrix kmn = knm.transpose();
   p->gram = Matrix(m, m);
-  kernels::gemm(kmn.data().data(), knm.data().data(), p->gram.data().data(),
-                m, n, m);
+  pool.parallel_for(0, (m + kGramBlock - 1) / kGramBlock, [&](std::size_t i) {
+    const std::size_t lo = i * kGramBlock;
+    kernels::gemm(kmn.data().data() + lo * n, knm.data().data(),
+                  p->gram.data().data() + lo * m,
+                  std::min(kGramBlock, m - lo), n, m);
+  });
   p->b = knm.matvec_transposed(yc);
   p->chol_kmm = std::make_unique<Cholesky>(p->kmm);
   p->kmm_logdet = p->chol_kmm->log_determinant();
@@ -144,8 +154,11 @@ void GpRegressor::select_inducing_rows(const Matrix& xs, std::size_t m) {
 }
 
 std::vector<GpRegressor::Target> GpRegressor::fit_sparse(
-    const Matrix& x, std::span<const std::span<const double>> ys) {
+    const Matrix& x, std::span<const std::span<const double>> ys,
+    ThreadPool* pool) {
   YOSO_TRACE_SPAN("gp.sparse_fit");
+  ThreadPool inline_pool(0);
+  ThreadPool& gram_pool = pool != nullptr ? *pool : inline_pool;
   const Matrix xs = scaler_.transform(x);
   const std::size_t n = xs.rows();
   const std::size_t m =
@@ -187,7 +200,7 @@ std::vector<GpRegressor::Target> GpRegressor::fit_sparse(
     const double y_var = std::max(y_sq / static_cast<double>(n), 1e-12);
     if (!tune_) {
       t.hp = hp_;
-      build_panels(t.hp, d_mm, d_nm, yc, &panels);
+      build_panels(t.hp, d_mm, d_nm, yc, gram_pool, &panels);
       t.lml = eval_noise_point(panels, t.hp.noise_variance, y_sq, n, &t.chol,
                                &t.alpha);
       t.chol_kmm = std::move(panels.chol_kmm);
@@ -197,7 +210,7 @@ std::vector<GpRegressor::Target> GpRegressor::fit_sparse(
     t.lml = -1e300;
     for (double lf : {0.25, 0.5, 1.0, 2.0, 4.0}) {
       GpHyperParams hp{base_l * lf, y_var, 0.0};
-      build_panels(hp, d_mm, d_nm, yc, &panels);
+      build_panels(hp, d_mm, d_nm, yc, gram_pool, &panels);
       bool lf_won = false;
       for (double nf : {1e-4, 1e-3, 1e-2}) {
         hp.noise_variance = y_var * nf;

@@ -125,7 +125,8 @@ SampleMatrix to_matrix(const std::vector<PerfSample>& samples) {
   return m;
 }
 
-void PerformancePredictor::fit(const std::vector<PerfSample>& samples) {
+void PerformancePredictor::fit(const std::vector<PerfSample>& samples,
+                               ThreadPool* pool) {
   YOSO_TRACE_SPAN("step1.fit_gp");
   const SampleMatrix m = to_matrix(samples);
   YOSO_REQUIRE(m.x.cols() == kCodesignFeatureDim, "PerformancePredictor: ",
@@ -139,7 +140,7 @@ void PerformancePredictor::fit(const std::vector<PerfSample>& samples) {
     log_l[i] = std::log(std::max(m.latency[i], 1e-9));
   }
   const std::span<const double> ys[] = {log_e, log_l};  // kEnergy, kLatency
-  gp_.fit(m.x, ys);
+  gp_.fit(m.x, ys, pool);
   refinements_ = 0;
 }
 

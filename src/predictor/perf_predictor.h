@@ -111,8 +111,10 @@ class PerformancePredictor {
       : skeleton_(std::move(skeleton)),
         gp_({}, true, backend, inducing_points) {}
 
-  /// Fits both targets on simulated samples.
-  void fit(const std::vector<PerfSample>& samples);
+  /// Fits both targets on simulated samples.  The sparse backend builds
+  /// its gram blocks across `pool` (null runs inline); the fit is
+  /// bit-identical at any pool size.
+  void fit(const std::vector<PerfSample>& samples, ThreadPool* pool = nullptr);
 
   double predict_energy_mj(const Genotype& g,
                            const AcceleratorConfig& config) const;

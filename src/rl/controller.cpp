@@ -29,6 +29,15 @@ LstmController::LstmController(std::vector<int> cardinalities,
   Rng rng(options_.seed);
   const auto h = static_cast<std::size_t>(options_.hidden_size);
   const auto e = static_cast<std::size_t>(options_.embed_size);
+  // The store is sized once for every tensor allocated below.
+  std::size_t params = 4 * h * e + 4 * h * h + 4 * h + e;
+  for (std::size_t t = 0; t < cardinalities_.size(); ++t) {
+    const auto card = static_cast<std::size_t>(cardinalities_[t]);
+    params += card * h + card;
+    if (t >= 1)
+      params += static_cast<std::size_t>(cardinalities_[t - 1]) * e;
+  }
+  store_.reserve(params);
   w_x_ = store_.alloc(4 * h * e, rng);
   w_h_ = store_.alloc(4 * h * h, rng, 0.08);
   b_ = store_.alloc(4 * h, rng, 0.0);
@@ -45,6 +54,8 @@ LstmController::LstmController(std::vector<int> cardinalities,
     head_b_[t] =
         store_.alloc(static_cast<std::size_t>(cardinalities_[t]), rng, 0.0);
   }
+  YOSO_CHECK(store_.size() == params, "LstmController: allocated ",
+             store_.size(), " parameters, reserved ", params);
 
   heads_ = static_cast<std::size_t>(
       std::accumulate(cardinalities_.begin(), cardinalities_.end(), 0));

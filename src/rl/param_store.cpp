@@ -3,10 +3,21 @@
 #include <cmath>
 #include <algorithm>
 
+#include "base/contract.h"
 #include "rl/lstm_kernels.h"
 #include "util/rng.h"
 
 namespace yoso {
+
+void ParamStore::reserve(std::size_t total) {
+  ThreadRoleGuard coordinator(role_);
+  YOSO_REQUIRE(total >= value_.size(), "ParamStore::reserve: ", total,
+               " doubles for a store that already holds ", value_.size());
+  value_.reserve(total);
+  grad_.reserve(total);
+  adam_m_.reserve(total);
+  adam_v_.reserve(total);
+}
 
 ParamView ParamStore::alloc(std::size_t n, Rng& rng, double scale) {
   ThreadRoleGuard coordinator(role_);

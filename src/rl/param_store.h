@@ -27,6 +27,11 @@ struct ParamView {
 
 class ParamStore {
  public:
+  /// Sizes every array for `total` doubles, so the alloc() calls that add
+  /// up to it never regrow one (ContractViolation when the store already
+  /// holds more).
+  void reserve(std::size_t total);
+
   /// Reserves `n` doubles initialised uniformly in [-scale, scale].
   ParamView alloc(std::size_t n, Rng& rng, double scale = 0.1);
 

@@ -2,12 +2,14 @@
 // parity with per-row calls (chunk seams, after updates), rank-1 update
 // parity against a naive from-scratch rebuild of the information matrix,
 // distance-build accounting, multi-target parity with one-target fits and
-// all-or-nothing multi-target fits (both backends), and an exact-vs-sparse
-// accuracy bound on seeded simulator samples.
+// all-or-nothing multi-target fits (both backends), pooled fits equal to
+// inline ones, and an exact-vs-sparse accuracy bound on seeded simulator
+// samples.
 
 #include <cmath>
 #include <gtest/gtest.h>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "predictor/gp.h"
 #include "predictor/perf_predictor.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace yoso {
 namespace {
@@ -298,6 +301,51 @@ TEST(GpSparseTest, TwoTargetsMatchOneTargetFitsBitForBit) {
     }
     EXPECT_EQ(two.updates_applied(), 5u);
     expect_same("after 5 updates");
+  }
+}
+
+void expect_same_state(const GpRegressorState& a, const GpRegressorState& b) {
+  EXPECT_EQ(a.backend, b.backend);
+  EXPECT_EQ(a.tune, b.tune);
+  EXPECT_EQ(a.inducing_target, b.inducing_target);
+  EXPECT_EQ(a.hp.lengthscale, b.hp.lengthscale);
+  EXPECT_EQ(a.hp.signal_variance, b.hp.signal_variance);
+  EXPECT_EQ(a.hp.noise_variance, b.hp.noise_variance);
+  EXPECT_EQ(a.scaler_mean, b.scaler_mean);
+  EXPECT_EQ(a.scaler_std, b.scaler_std);
+  EXPECT_TRUE(a.train_x == b.train_x);
+  EXPECT_EQ(a.alpha, b.alpha);
+  EXPECT_TRUE(a.chol_lower == b.chol_lower);
+  EXPECT_TRUE(a.chol_kmm_lower == b.chol_kmm_lower);
+  EXPECT_EQ(a.b, b.b);
+  EXPECT_EQ(a.inducing_idx, b.inducing_idx);
+  EXPECT_EQ(a.y_mean, b.y_mean);
+  EXPECT_EQ(a.lml, b.lml);
+  EXPECT_EQ(a.updates_applied, b.updates_applied);
+}
+
+// The sparse fit forms each K_mn K_nm gram in fixed 32-row blocks across
+// the pool it is given.  Pools of 1 and 3 workers must fit the same state
+// as no pool, bit for bit and for both targets, with m past one block (37)
+// and a whole number of blocks (64).
+TEST(GpSparseTest, ParallelFitMatchesSerialBitForBit) {
+  const GpData d = make_data(300, 6, 1, 53);
+  std::vector<double> y2(d.y);
+  for (double& v : y2) v = 2.0 * v * v - 1.0;
+  const std::span<const double> ys[2] = {d.y, y2};
+  for (const std::size_t m : {37u, 64u}) {
+    GpRegressor serial = sparse_gp(m);
+    serial.fit(d.x, ys);
+    ASSERT_EQ(serial.inducing_count(), m);
+    for (const std::size_t workers : {1u, 3u}) {
+      SCOPED_TRACE("m " + std::to_string(m) + ", " + std::to_string(workers) +
+                   " workers");
+      ThreadPool pool(workers);
+      GpRegressor pooled = sparse_gp(m);
+      pooled.fit(d.x, ys, &pool);
+      for (std::size_t t = 0; t < 2; ++t)
+        expect_same_state(serial.export_state(t), pooled.export_state(t));
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iomanip>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -256,6 +257,26 @@ TEST_F(ObsTest, ChromeTraceRoundTripsThroughTheParserCheck) {
   EXPECT_NE(doc.find("\"t.export_outer\""), std::string::npos);
   EXPECT_NE(doc.find("\"t.export_inner\""), std::string::npos);
   EXPECT_NE(doc.find("\"ph\": \"X\""), std::string::npos);
+}
+
+// Trace timestamps keep nanosecond resolution past 10 s, in fixed
+// notation whatever the stream's flags, and leave those flags alone.
+TEST_F(ObsTest, TraceMicrosecondsKeepNanosecondsPastTenSeconds) {
+  std::ostringstream os;
+  os << std::scientific << std::setprecision(2);
+  obs::write_trace_us(os, 12'345'678'901ull);
+  os << ' ';
+  obs::write_trace_us(os, 7);
+  os << ' ' << 1.5;
+  EXPECT_EQ(os.str(), "12345678.901 0.007 1.50e+00");
+
+  obs::set_enabled(true);
+  { YOSO_TRACE_SPAN("t.fixed"); }
+  std::ostringstream doc;
+  doc << std::scientific;
+  obs::write_chrome_trace(doc);
+  EXPECT_EQ(doc.str().find("e+"), std::string::npos) << doc.str();
+  EXPECT_NE(doc.str().find("\"t.fixed\""), std::string::npos);
 }
 
 TEST_F(ObsTest, RingDropsOldestEventsButAggregatesStayExact) {

@@ -1,9 +1,16 @@
 #include <cmath>
+#include <cstdint>
 #include <gtest/gtest.h>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "accel/config.h"
 #include "accel/simulator.h"
+#include "arch/genotype.h"
+#include "arch/network.h"
 #include "arch/zoo.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace yoso {
@@ -139,6 +146,97 @@ TEST(Simulator, BatchOfRandomCandidatesIsFinite) {
     EXPECT_GT(r.energy_mj, 0.0);
     EXPECT_GT(r.latency_ms, 0.0);
   }
+}
+
+void expect_same_layer(const LayerSimResult& a, const LayerSimResult& b) {
+  EXPECT_EQ(a.mapping.tile.t_co, b.mapping.tile.t_co);
+  EXPECT_EQ(a.mapping.tile.t_ci, b.mapping.tile.t_ci);
+  EXPECT_EQ(a.mapping.tile.t_h, b.mapping.tile.t_h);
+  EXPECT_EQ(a.mapping.utilization, b.mapping.utilization);
+  EXPECT_EQ(a.mapping.macs, b.mapping.macs);
+  EXPECT_EQ(a.mapping.compute_cycles, b.mapping.compute_cycles);
+  EXPECT_EQ(a.mapping.stall_cycles, b.mapping.stall_cycles);
+  EXPECT_EQ(a.mapping.total_cycles, b.mapping.total_cycles);
+  EXPECT_EQ(a.mapping.dram_bytes, b.mapping.dram_bytes);
+  EXPECT_EQ(a.mapping.dram_weight_bytes, b.mapping.dram_weight_bytes);
+  EXPECT_EQ(a.mapping.gbuf_bytes, b.mapping.gbuf_bytes);
+  EXPECT_EQ(a.mapping.rbuf_bytes, b.mapping.rbuf_bytes);
+  EXPECT_EQ(a.mapping.buffer_overflow, b.mapping.buffer_overflow);
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.energy_pj, b.energy_pj);
+}
+
+std::uint64_t counter_value(std::string_view name) {
+  for (const auto& c : obs::metrics_registry().snapshot().counters)
+    if (c.name == name) return c.value;
+  return 0;
+}
+
+// simulate() answers a layer equal to an earlier one in every field but
+// the name with a copy of that layer's result.  Each layer's result must
+// equal the layer simulated on its own, at both fidelities and batch 1 and
+// 4, and sim.layer_reuses must count exactly the repeated layers.
+TEST(Simulator, RepeatedShapesReuseExactly) {
+  obs::set_enabled(true);
+  obs::metrics_registry().reset();
+  const ConfigSpace space = default_config_space();
+  const NetworkSkeleton skeleton = default_skeleton();
+  Rng rng(2024);
+  for (const SimFidelity fidelity :
+       {SimFidelity::kAnalytical, SimFidelity::kCycleLevel}) {
+    const SystolicSimulator sim({}, fidelity);
+    for (int pair = 0; pair < 4; ++pair) {
+      const Genotype g = random_genotype(rng);
+      std::vector<int> actions(ConfigSpace::kActionCount);
+      for (int a = 0; a < ConfigSpace::kActionCount; ++a)
+        actions[static_cast<std::size_t>(a)] =
+            rng.uniform_int(0, space.cardinality(a) - 1);
+      const AcceleratorConfig config = space.decode(actions);
+      const std::vector<Layer> layers = extract_layers(g, skeleton);
+      std::uint64_t repeated = 0;
+      for (std::size_t i = 0; i < layers.size(); ++i)
+        for (std::size_t j = 0; j < i; ++j)
+          if (same_shape(layers[j], layers[i])) {
+            ++repeated;
+            break;
+          }
+      EXPECT_GT(repeated, 0u);
+      for (const int batch : {1, 4}) {
+        SCOPED_TRACE(config.to_string() + " batch " + std::to_string(batch));
+        const std::uint64_t before = counter_value("sim.layer_reuses");
+        const SimulationResult r = sim.simulate(layers, config, batch);
+        EXPECT_EQ(counter_value("sim.layer_reuses") - before, repeated);
+        ASSERT_EQ(r.layers.size(), layers.size());
+        for (std::size_t i = 0; i < layers.size(); ++i) {
+          SCOPED_TRACE(layers[i].name);
+          expect_same_layer(r.layers[i],
+                            sim.simulate({layers[i]}, config, batch).layers[0]);
+        }
+      }
+    }
+  }
+
+  // Two layers that differ only in their name: one reuse.  Any other field
+  // tells them apart.
+  const SystolicSimulator sim({}, SimFidelity::kCycleLevel);
+  Layer a;
+  a.in_h = a.in_w = 16;
+  a.in_c = 24;
+  a.out_c = 48;
+  a.kernel = 3;
+  a.name = "a";
+  Layer b = a;
+  b.name = "b";
+  std::uint64_t before = counter_value("sim.layer_reuses");
+  const SimulationResult r = sim.simulate({a, b}, base_config());
+  EXPECT_EQ(counter_value("sim.layer_reuses") - before, 1u);
+  expect_same_layer(r.layers[0], r.layers[1]);
+  b.stride = 2;
+  before = counter_value("sim.layer_reuses");
+  sim.simulate({a, b}, base_config());
+  EXPECT_EQ(counter_value("sim.layer_reuses") - before, 0u);
+  obs::set_enabled(false);
+  obs::metrics_registry().reset();
 }
 
 class GbufSweep : public ::testing::TestWithParam<int> {};
