@@ -189,8 +189,8 @@ int main(int argc, char** argv) {
     } catch (const std::exception& e) {
       usage_error("--load-artifact " + cli.load_artifact + ": " + e.what());
     }
-    options.predictor = bundle->predictor.latency.backend;
-    options.inducing_points = bundle->predictor.latency.inducing_target;
+    options.predictor = bundle->gp.backend;
+    options.inducing_points = bundle->gp.inducing_target;
   }
   // Reject unusable option combinations before paying for Step 1: the
   // contracts live in SearchOptions::validate(), shared with every driver.

@@ -28,6 +28,20 @@ constexpr std::size_t kHeaderSize = 32;
 constexpr std::size_t kTableEntrySize = 32;
 constexpr std::size_t kPayloadAlign = 8;
 
+// Skeleton bounds: within them every layer shape extract_layers builds fits
+// an int and network_stats' MAC sum fits an int64 (arch/network.cpp), with
+// room to spare: up to 12,291 layers of at most 2^47 MACs each.  Every
+// skeleton the program builds is far inside (the default has 6 cells, a
+// 32x32x3 input and 96 filters in its widest cell).
+constexpr std::uint32_t kMaxSkeletonCells = 1024;
+constexpr std::int64_t kMaxSkeletonExtent = 512;  // input h, w and channels
+constexpr std::int64_t kMaxSkeletonFilters = 4096;  // in the widest cell
+constexpr std::int64_t kMaxSkeletonClasses = 65536;
+
+// A kGp target holds at least its three hyper-parameters, alpha's count,
+// two matrix headers (rows, cols, count), b's count, mean and likelihood.
+constexpr std::size_t kGpTargetMinBytes = 3 * 8 + 8 + 2 * 24 + 8 + 2 * 8;
+
 void put_u16(std::uint8_t* p, std::uint16_t v) {
   p[0] = static_cast<std::uint8_t>(v);
   p[1] = static_cast<std::uint8_t>(v >> 8);
@@ -416,6 +430,8 @@ void encode_skeleton(ByteWriter& w, const NetworkSkeleton& skeleton) {
 NetworkSkeleton decode_skeleton(ByteReader& r) {
   NetworkSkeleton s;
   const std::uint32_t cells = r.u32();
+  YOSO_REQUIRE(cells > 0 && cells <= kMaxSkeletonCells, "artifact: ", cells,
+               " skeleton cells, not 1..", kMaxSkeletonCells);
   r.need_items(cells, 1);
   s.cells.reserve(cells);
   for (std::uint32_t i = 0; i < cells; ++i) {
@@ -429,10 +445,25 @@ NetworkSkeleton decode_skeleton(ByteReader& r) {
   s.input_width = r.i32();
   s.input_channels = r.i32();
   s.num_classes = r.i32();
-  YOSO_REQUIRE(!s.cells.empty() && s.stem_channels > 0 &&
-                   s.input_height > 0 && s.input_width > 0 &&
-                   s.input_channels > 0 && s.num_classes > 0,
-               "artifact: skeleton fields out of range");
+  // The widest cell has stem_channels doubled once per reduction cell;
+  // doubling stops past the bound, so the product cannot overflow.
+  std::int64_t filters = s.stem_channels;
+  for (const CellKind k : s.cells)
+    if (k == CellKind::kReduction && filters <= kMaxSkeletonFilters)
+      filters *= 2;
+  const auto within = [](std::int64_t v, std::int64_t hi) {
+    return v > 0 && v <= hi;
+  };
+  YOSO_REQUIRE(within(s.stem_channels, kMaxSkeletonFilters) &&
+                   within(filters, kMaxSkeletonFilters) &&
+                   within(s.input_height, kMaxSkeletonExtent) &&
+                   within(s.input_width, kMaxSkeletonExtent) &&
+                   within(s.input_channels, kMaxSkeletonExtent) &&
+                   within(s.num_classes, kMaxSkeletonClasses),
+               "artifact: skeleton fields out of range (stem ",
+               s.stem_channels, ", widest cell ", filters, " filters, input ",
+               s.input_height, "x", s.input_width, "x", s.input_channels,
+               ", ", s.num_classes, " classes)");
   return s;
 }
 
@@ -464,20 +495,23 @@ void encode_gp_state(ByteWriter& w, const GpRegressorState& state) {
   w.u32(static_cast<std::uint32_t>(state.backend));
   w.u8(state.tune ? 1 : 0);
   w.u64(state.inducing_target);
-  w.f64(state.hp.lengthscale);
-  w.f64(state.hp.signal_variance);
-  w.f64(state.hp.noise_variance);
+  w.u64(state.updates_applied);
   w.f64_vec(state.scaler_mean);
   w.f64_vec(state.scaler_std);
   encode_matrix(w, state.train_x);
-  w.f64_vec(state.alpha);
-  encode_matrix(w, state.chol_lower);
-  encode_matrix(w, state.chol_kmm_lower);
-  w.f64_vec(state.b);
   w.u64_vec(state.inducing_idx);
-  w.f64(state.y_mean);
-  w.f64(state.lml);
-  w.u64(state.updates_applied);
+  w.u32(static_cast<std::uint32_t>(state.targets.size()));
+  for (const GpRegressorState::Target& t : state.targets) {
+    w.f64(t.hp.lengthscale);
+    w.f64(t.hp.signal_variance);
+    w.f64(t.hp.noise_variance);
+    w.f64_vec(t.alpha);
+    encode_matrix(w, t.chol_lower);
+    encode_matrix(w, t.chol_kmm_lower);
+    w.f64_vec(t.b);
+    w.f64(t.y_mean);
+    w.f64(t.lml);
+  }
 }
 
 GpRegressorState decode_gp_state(ByteReader& r) {
@@ -489,20 +523,25 @@ GpRegressorState decode_gp_state(ByteReader& r) {
   s.backend = static_cast<GpBackend>(backend);
   s.tune = r.u8() != 0;
   s.inducing_target = r.u64();
-  s.hp.lengthscale = r.f64();
-  s.hp.signal_variance = r.f64();
-  s.hp.noise_variance = r.f64();
+  s.updates_applied = r.u64();
   s.scaler_mean = r.f64_vec();
   s.scaler_std = r.f64_vec();
   s.train_x = decode_matrix(r);
-  s.alpha = r.f64_vec();
-  s.chol_lower = decode_matrix(r);
-  s.chol_kmm_lower = decode_matrix(r);
-  s.b = r.f64_vec();
   s.inducing_idx = r.u64_vec();
-  s.y_mean = r.f64();
-  s.lml = r.f64();
-  s.updates_applied = r.u64();
+  const std::uint32_t targets = r.u32();
+  r.need_items(targets, kGpTargetMinBytes);
+  s.targets.resize(targets);
+  for (GpRegressorState::Target& t : s.targets) {
+    t.hp.lengthscale = r.f64();
+    t.hp.signal_variance = r.f64();
+    t.hp.noise_variance = r.f64();
+    t.alpha = r.f64_vec();
+    t.chol_lower = decode_matrix(r);
+    t.chol_kmm_lower = decode_matrix(r);
+    t.b = r.f64_vec();
+    t.y_mean = r.f64();
+    t.lml = r.f64();
+  }
   return s;
 }
 
@@ -559,8 +598,7 @@ AccuracyModel decode_accuracy_model(ByteReader& r,
 void save_fast_evaluator(const std::string& path, const FastEvaluator& fast,
                          const std::string& producer,
                          const std::string& note) {
-  const PerfPredictorState predictor = fast.predictor().export_state();
-
+  const PerformancePredictor& predictor = fast.predictor();
   ArtifactWriter writer;
   {
     ByteWriter w;
@@ -570,7 +608,7 @@ void save_fast_evaluator(const std::string& path, const FastEvaluator& fast,
   }
   {
     ByteWriter w;
-    encode_skeleton(w, predictor.skeleton);
+    encode_skeleton(w, predictor.skeleton());
     writer.add_section(ArtifactSection::kSkeleton, w.take());
   }
   {
@@ -580,13 +618,8 @@ void save_fast_evaluator(const std::string& path, const FastEvaluator& fast,
   }
   {
     ByteWriter w;
-    encode_gp_state(w, predictor.latency);
-    writer.add_section(ArtifactSection::kGpLatency, w.take());
-  }
-  {
-    ByteWriter w;
-    encode_gp_state(w, predictor.energy);
-    writer.add_section(ArtifactSection::kGpEnergy, w.take());
+    encode_gp_state(w, predictor.model().export_state());
+    writer.add_section(ArtifactSection::kGp, w.take());
   }
   writer.write_file(path);
 }
@@ -601,6 +634,7 @@ FastEvaluatorArtifact decode_fast_evaluator(const ArtifactReader& reader) {
     ByteReader r(reader.section(ArtifactSection::kMeta));
     bundle.producer = r.str();
     bundle.note = r.str();
+    YOSO_REQUIRE(r.done(), "artifact: trailing bytes in meta section");
   }
   {
     ByteReader r(reader.section(ArtifactSection::kSkeleton));
@@ -615,16 +649,10 @@ FastEvaluatorArtifact decode_fast_evaluator(const ArtifactReader& reader) {
     YOSO_REQUIRE(r.done(),
                  "artifact: trailing bytes in accuracy-model section");
   }
-  bundle.predictor.skeleton = bundle.skeleton;
   {
-    ByteReader r(reader.section(ArtifactSection::kGpLatency));
-    bundle.predictor.latency = decode_gp_state(r);
-    YOSO_REQUIRE(r.done(), "artifact: trailing bytes in latency-GP section");
-  }
-  {
-    ByteReader r(reader.section(ArtifactSection::kGpEnergy));
-    bundle.predictor.energy = decode_gp_state(r);
-    YOSO_REQUIRE(r.done(), "artifact: trailing bytes in energy-GP section");
+    ByteReader r(reader.section(ArtifactSection::kGp));
+    bundle.gp = decode_gp_state(r);
+    YOSO_REQUIRE(r.done(), "artifact: trailing bytes in GP section");
   }
   return bundle;
 }
@@ -636,7 +664,8 @@ FastEvaluator make_fast_evaluator(const FastEvaluatorArtifact& bundle,
   return FastEvaluator(
       AccuracyModel(bundle.skeleton, bundle.accuracy_params,
                     bundle.accuracy_seed),
-      PerformancePredictor::from_state(bundle.predictor), std::move(exec));
+      PerformancePredictor::from_state(bundle.skeleton, bundle.gp),
+      std::move(exec));
 }
 
 }  // namespace yoso

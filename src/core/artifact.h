@@ -7,10 +7,10 @@
 // (magic "YART", format version, section count, CRC-32s), a section table
 // (one 32-byte entry per section: id, offset, size, FNV-1a 64 payload
 // checksum), then the 8-byte-aligned payloads.  Sections carry the fitted
-// two-target GP of the performance predictor (exact or sparse backend, one
-// section per target), the
-// accuracy-model parameters, the network skeleton and — for yoso_serve — a
-// snapshot of the job table.
+// two-target GP of the performance predictor (exact or sparse backend, in
+// one section that stores the shared input side once), the accuracy-model
+// parameters, the network skeleton and — for yoso_serve — a snapshot of the
+// job table.
 //
 // The contract is load-once / verify-by-checksum / fail-loud:
 //
@@ -19,9 +19,9 @@
 //     checksum before handing out a single byte; corruption or a version
 //     mismatch throws ContractViolation, never a partially-decoded model.
 //   * Decoding validates every cross-field shape contract (via
-//     GpRegressor::from_state etc., which also requires the two GP
-//     sections to agree on their shared input side), so a structurally
-//     valid file with an inconsistent payload is rejected too.
+//     GpRegressor::from_state etc.) and bounds the skeleton to what the
+//     network arithmetic holds, so a structurally valid file with an
+//     inconsistent payload is rejected too.
 //   * Round-trips are bit-exact: doubles are stored as raw IEEE-754
 //     little-endian bytes and the packed kernel panel is recomputed by the
 //     same deterministic code fit() runs, so a restored FastEvaluator
@@ -38,7 +38,6 @@
 #include "arch/network.h"
 #include "core/evaluator.h"
 #include "predictor/gp.h"
-#include "predictor/perf_predictor.h"
 #include "surrogate/accuracy_model.h"
 #include "util/exec_context.h"
 
@@ -47,8 +46,9 @@ namespace yoso {
 /// File magic: the bytes 'Y' 'A' 'R' 'T' (read as a little-endian u32).
 inline constexpr std::uint32_t kArtifactMagic = 0x54524159u;
 /// Format version.  A major bump breaks compatibility (readers reject);
-/// minor bumps are additive (readers accept any minor <= theirs).
-inline constexpr std::uint16_t kArtifactVersionMajor = 1;
+/// minor bumps are additive (readers accept any minor).  Format 2 stores
+/// the GP once (kGp); format 1 stored one GP section per target.
+inline constexpr std::uint16_t kArtifactVersionMajor = 2;
 inline constexpr std::uint16_t kArtifactVersionMinor = 0;
 
 /// Section identifiers.  Values are part of the on-disk format and never
@@ -58,10 +58,10 @@ enum class ArtifactSection : std::uint32_t {
   kMeta = 0x01,           ///< producer string + free-form note
   kSkeleton = 0x02,       ///< NetworkSkeleton the models were fitted for
   kAccuracyModel = 0x03,  ///< AccuracyModelParams + residual seed
-  kGpLatency = 0x04,      ///< fitted latency GpRegressorState
-  kGpEnergy = 0x05,       ///< fitted energy GpRegressorState
-  // 0x06 is retired (formerly kHyperNet) and reserved: never reuse it.
+  // 0x04 and 0x05 are retired (format 1's per-target kGpLatency and
+  // kGpEnergy), as is 0x06 (formerly kHyperNet): never reuse them.
   kJobState = 0x07,       ///< yoso_serve job-table snapshot
+  kGp = 0x08,             ///< the fitted two-target GpRegressorState
 };
 
 // The per-section payload checksum is fnv1a64 (base/fnv1a.h).
@@ -209,11 +209,11 @@ struct FastEvaluatorArtifact {
   NetworkSkeleton skeleton;
   AccuracyModelParams accuracy_params;
   std::uint64_t accuracy_seed = 0;
-  PerfPredictorState predictor;
+  GpRegressorState gp;  ///< kGp: the predictor's energy and latency targets
 };
 
 /// Serializes a fitted fast evaluator (kMeta + kSkeleton + kAccuracyModel +
-/// kGpLatency + kGpEnergy) to `path`.
+/// kGp) to `path`.
 void save_fast_evaluator(const std::string& path, const FastEvaluator& fast,
                          const std::string& producer,
                          const std::string& note = "");

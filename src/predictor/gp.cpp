@@ -46,8 +46,8 @@ double fit_from_dists(const Matrix& d2, std::span<const double> yc,
 void require_valid_state(const GpRegressorState& state) {
   const std::size_t n = state.train_x.rows();
   const std::size_t d = state.train_x.cols();
-  YOSO_REQUIRE(state.backend == GpBackend::kExact ||
-                   state.backend == GpBackend::kSparse,
+  const bool sparse = state.backend == GpBackend::kSparse;
+  YOSO_REQUIRE(sparse || state.backend == GpBackend::kExact,
                "GpRegressor::from_state: unknown backend tag");
   YOSO_REQUIRE(n > 0 && d > 0,
                "GpRegressor::from_state: empty training panel (", n, "x", d,
@@ -56,31 +56,33 @@ void require_valid_state(const GpRegressorState& state) {
                "GpRegressor::from_state: scaler width ",
                state.scaler_mean.size(), "/", state.scaler_std.size(),
                " != panel width ", d);
-  YOSO_REQUIRE(state.alpha.size() == n, "GpRegressor::from_state: alpha has ",
-               state.alpha.size(), " entries for an ", n, "-row panel");
-  YOSO_REQUIRE(state.chol_lower.rows() == n && state.chol_lower.cols() == n,
-               "GpRegressor::from_state: Cholesky factor is ",
-               state.chol_lower.rows(), "x", state.chol_lower.cols(),
-               " for an ", n, "-row panel");
-  YOSO_REQUIRE(state.hp.lengthscale > 0.0 && state.hp.signal_variance > 0.0,
-               "GpRegressor::from_state: non-positive hyper-parameters");
-  if (state.backend == GpBackend::kSparse) {
-    YOSO_REQUIRE(state.chol_kmm_lower.rows() == n &&
-                     state.chol_kmm_lower.cols() == n,
-                 "GpRegressor::from_state: sparse K_mm factor is ",
-                 state.chol_kmm_lower.rows(), "x",
-                 state.chol_kmm_lower.cols(), " for m = ", n);
-    YOSO_REQUIRE(state.b.size() == n,
-                 "GpRegressor::from_state: sparse b has ", state.b.size(),
-                 " entries for m = ", n);
-    YOSO_REQUIRE(state.inducing_idx.size() == n,
-                 "GpRegressor::from_state: ", state.inducing_idx.size(),
-                 " inducing indices for m = ", n);
-  } else {
-    YOSO_REQUIRE(state.chol_kmm_lower.empty() && state.b.empty() &&
-                     state.inducing_idx.empty(),
-                 "GpRegressor::from_state: exact backend carries a sparse "
-                 "tail");
+  YOSO_REQUIRE(state.inducing_idx.size() == (sparse ? n : 0),
+               "GpRegressor::from_state: ", state.inducing_idx.size(),
+               " inducing indices for an ", n, "-row ",
+               sparse ? "sparse" : "exact", " panel");
+  YOSO_REQUIRE(!state.targets.empty(), "GpRegressor::from_state: no targets");
+  for (const GpRegressorState::Target& t : state.targets) {
+    YOSO_REQUIRE(t.alpha.size() == n, "GpRegressor::from_state: alpha has ",
+                 t.alpha.size(), " entries for an ", n, "-row panel");
+    YOSO_REQUIRE(t.chol_lower.rows() == n && t.chol_lower.cols() == n,
+                 "GpRegressor::from_state: Cholesky factor is ",
+                 t.chol_lower.rows(), "x", t.chol_lower.cols(), " for an ", n,
+                 "-row panel");
+    YOSO_REQUIRE(t.hp.lengthscale > 0.0 && t.hp.signal_variance > 0.0,
+                 "GpRegressor::from_state: non-positive hyper-parameters");
+    if (sparse) {
+      YOSO_REQUIRE(
+          t.chol_kmm_lower.rows() == n && t.chol_kmm_lower.cols() == n,
+          "GpRegressor::from_state: sparse K_mm factor is ",
+          t.chol_kmm_lower.rows(), "x", t.chol_kmm_lower.cols(), " for m = ",
+          n);
+      YOSO_REQUIRE(t.b.size() == n, "GpRegressor::from_state: sparse b has ",
+                   t.b.size(), " entries for m = ", n);
+    } else {
+      YOSO_REQUIRE(t.chol_kmm_lower.empty() && t.b.empty(),
+                   "GpRegressor::from_state: exact backend carries a sparse "
+                   "tail");
+    }
   }
 }
 
@@ -283,69 +285,54 @@ std::pair<double, double> GpRegressor::predict_with_variance(
                                 prior_drop + hp.noise_variance * info_gain)};
 }
 
-GpRegressorState GpRegressor::export_state(std::size_t target) const {
-  const Target& t = fitted_target(target);
+GpRegressorState GpRegressor::export_state() const {
+  YOSO_REQUIRE(fitted(), "GpRegressor::export_state: not fitted");
   GpRegressorState s;
   s.backend = backend_;
   s.tune = tune_;
   s.inducing_target = inducing_target_;
-  s.hp = t.hp;
+  s.updates_applied = updates_applied_;
   s.scaler_mean.assign(scaler_.mean().begin(), scaler_.mean().end());
   s.scaler_std.assign(scaler_.stddev().begin(), scaler_.stddev().end());
   s.train_x = train_x_;
-  s.alpha = t.alpha;
-  s.chol_lower = t.chol->lower();
-  if (t.chol_kmm != nullptr) s.chol_kmm_lower = t.chol_kmm->lower();
-  s.b = t.b;
   s.inducing_idx = inducing_idx_;
-  s.y_mean = t.y_mean;
-  s.lml = t.lml;
-  s.updates_applied = updates_applied_;
+  s.targets.reserve(targets_.size());
+  for (const Target& t : targets_) {
+    GpRegressorState::Target& st = s.targets.emplace_back();
+    st.hp = t.hp;
+    st.alpha = t.alpha;
+    st.chol_lower = t.chol->lower();
+    if (t.chol_kmm != nullptr) st.chol_kmm_lower = t.chol_kmm->lower();
+    st.b = t.b;
+    st.y_mean = t.y_mean;
+    st.lml = t.lml;
+  }
   return s;
 }
 
-GpRegressor GpRegressor::from_state(
-    std::span<const GpRegressorState* const> states) {
-  YOSO_REQUIRE(!states.empty(), "GpRegressor::from_state: no target states");
-  for (const GpRegressorState* s : states) {
-    YOSO_REQUIRE(s != nullptr, "GpRegressor::from_state: null target state");
-    require_valid_state(*s);
-  }
-  // One model has one input side and one set of settings; every target's
-  // state carries a copy, and the copies must agree bit for bit.
-  const GpRegressorState& first = *states.front();
-  for (const GpRegressorState* s : states.subspan(1))
-    YOSO_REQUIRE(s->backend == first.backend && s->tune == first.tune &&
-                     s->inducing_target == first.inducing_target &&
-                     s->updates_applied == first.updates_applied &&
-                     s->scaler_mean == first.scaler_mean &&
-                     s->scaler_std == first.scaler_std &&
-                     s->train_x == first.train_x &&
-                     s->inducing_idx == first.inducing_idx,
-                 "GpRegressor::from_state: target states disagree on the "
-                 "shared backend, settings, update count, scaler, panel or "
-                 "inducing rows");
-
-  GpRegressor gp(first.hp, first.tune, first.backend, first.inducing_target);
-  gp.scaler_ = Standardizer::from_moments(first.scaler_mean, first.scaler_std);
-  gp.train_x_ = first.train_x;
+GpRegressor GpRegressor::from_state(const GpRegressorState& state) {
+  require_valid_state(state);
+  GpRegressor gp(state.targets.front().hp, state.tune, state.backend,
+                 state.inducing_target);
+  gp.scaler_ = Standardizer::from_moments(state.scaler_mean, state.scaler_std);
+  gp.train_x_ = state.train_x;
   gp.packed_train_ = kernels::pack_rows(
       gp.train_x_.data().data(), gp.train_x_.rows(), gp.train_x_.cols());
-  gp.inducing_idx_ = first.inducing_idx;
-  gp.updates_applied_ = first.updates_applied;
-  gp.targets_.reserve(states.size());
-  for (const GpRegressorState* s : states) {
+  gp.inducing_idx_ = state.inducing_idx;
+  gp.updates_applied_ = state.updates_applied;
+  gp.targets_.reserve(state.targets.size());
+  for (const GpRegressorState::Target& s : state.targets) {
     Target& t = gp.targets_.emplace_back();
-    t.hp = s->hp;
-    t.alpha = s->alpha;
-    t.chol = std::make_unique<Cholesky>(Cholesky::from_lower(s->chol_lower));
-    if (s->backend == GpBackend::kSparse) {
+    t.hp = s.hp;
+    t.alpha = s.alpha;
+    t.chol = std::make_unique<Cholesky>(Cholesky::from_lower(s.chol_lower));
+    if (state.backend == GpBackend::kSparse) {
       t.chol_kmm =
-          std::make_unique<Cholesky>(Cholesky::from_lower(s->chol_kmm_lower));
-      t.b = s->b;
+          std::make_unique<Cholesky>(Cholesky::from_lower(s.chol_kmm_lower));
+      t.b = s.b;
     }
-    t.y_mean = s->y_mean;
-    t.lml = s->lml;
+    t.y_mean = s.y_mean;
+    t.lml = s.lml;
   }
   return gp;
 }

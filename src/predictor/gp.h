@@ -62,30 +62,35 @@ struct GpDistanceBuilds {
   std::size_t inducing = 0;  ///< m x m inducing-vs-inducing panels (sparse)
 };
 
-/// The complete fitted state of one target of a GpRegressor, as plain
-/// matrices/vectors — everything the predict/update paths read, nothing
-/// derived.  This is the persistence boundary the binary artifact format
-/// (core/artifact.h) serializes: export_state(t) -> save, load ->
-/// GpRegressor::from_state(), which requires the input side every state
-/// repeats to agree and recomputes the packed kernel panel with the same
-/// deterministic code fit() runs, so a round-tripped model predicts
-/// bit-identically to the original.
+/// The complete fitted state of a GpRegressor, as plain matrices/vectors —
+/// everything the predict/update paths read, nothing derived: the settings
+/// and the input side once, then one entry per target.  This is the
+/// persistence boundary the binary artifact format (core/artifact.h)
+/// serializes: export_state() -> save, load -> GpRegressor::from_state(),
+/// which recomputes the packed kernel panel with the same deterministic
+/// code fit() runs, so a round-tripped model predicts bit-identically to
+/// the original.
 struct GpRegressorState {
+  /// What one target owns on top of the shared input side.
+  struct Target {
+    GpHyperParams hp;  ///< tuned values, not the constructor's
+    std::vector<double> alpha;
+    Matrix chol_lower;      ///< exact: chol(K + nv I); sparse: chol(A)
+    Matrix chol_kmm_lower;  ///< sparse only: chol(K_mm); empty for exact
+    std::vector<double> b;  ///< sparse only: K_mn (y - mean) + updates
+    double y_mean = 0.0;
+    double lml = 0.0;
+  };
+
   GpBackend backend = GpBackend::kExact;
   bool tune = true;
   std::size_t inducing_target = 512;
-  GpHyperParams hp;                 ///< tuned values, not the constructor's
+  std::size_t updates_applied = 0;
   std::vector<double> scaler_mean;  ///< input scaler moments, d each
   std::vector<double> scaler_std;
-  Matrix train_x;     ///< standardized training (exact) / inducing (sparse)
-  std::vector<double> alpha;
-  Matrix chol_lower;      ///< exact: chol(K + nv I); sparse: chol(A)
-  Matrix chol_kmm_lower;  ///< sparse only: chol(K_mm); empty for exact
-  std::vector<double> b;  ///< sparse only: K_mn (y - mean) + updates
+  Matrix train_x;  ///< standardized training (exact) / inducing (sparse)
   std::vector<std::size_t> inducing_idx;  ///< sparse only, selection order
-  double y_mean = 0.0;
-  double lml = 0.0;
-  std::size_t updates_applied = 0;
+  std::vector<Target> targets;            ///< in fit()'s target order
 };
 
 class GpRegressor : public Regressor {
@@ -149,18 +154,15 @@ class GpRegressor : public Regressor {
     return backend_ == GpBackend::kSparse && fitted();
   }
 
-  /// Deep copy of one target's fitted state, for persistence
-  /// (ContractViolation before fit() or for a target out of range).
-  GpRegressorState export_state(std::size_t target = 0) const;
+  /// Deep copy of the fitted state, every target included, for
+  /// persistence (ContractViolation before fit()).
+  GpRegressorState export_state() const;
 
-  /// Rebuilds a fitted model with one target per state, in order.
-  /// Validates every state's cross-field shapes and requires all states to
-  /// share backend, settings, update count, scaler, panel and inducing rows
-  /// (ContractViolation otherwise), then recomputes the packed panel as
-  /// fit() would, so the restored model predicts and updates bit-identically
-  /// to the original.
-  static GpRegressor from_state(
-      std::span<const GpRegressorState* const> states);
+  /// Rebuilds a fitted model from `state`.  Validates every cross-field
+  /// shape (ContractViolation otherwise), then recomputes the packed panel
+  /// as fit() would, so the restored model predicts and updates
+  /// bit-identically to the original.
+  static GpRegressor from_state(const GpRegressorState& state);
 
   GpBackend backend() const { return backend_; }
 

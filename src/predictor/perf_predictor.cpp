@@ -4,6 +4,7 @@
 #include <functional>
 #include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "accel/config.h"
 #include "accel/simulator.h"
@@ -141,7 +142,6 @@ void PerformancePredictor::fit(const std::vector<PerfSample>& samples,
   }
   const std::span<const double> ys[] = {log_e, log_l};  // kEnergy, kLatency
   gp_.fit(m.x, ys, pool);
-  refinements_ = 0;
 }
 
 bool PerformancePredictor::refine(std::span<const double> features,
@@ -151,7 +151,6 @@ bool PerformancePredictor::refine(std::span<const double> features,
   const double ys[] = {std::log(std::max(energy_mj, 1e-9)),
                        std::log(std::max(latency_ms, 1e-9))};
   gp_.update(features, ys);
-  ++refinements_;
   return true;
 }
 
@@ -190,26 +189,16 @@ void PerformancePredictor::predict_latency_energy_batch(
   }
 }
 
-PerfPredictorState PerformancePredictor::export_state() const {
-  YOSO_REQUIRE(fitted(), "PerformancePredictor::export_state: not fitted");
-  PerfPredictorState s;
-  s.skeleton = skeleton_;
-  s.latency = gp_.export_state(kLatency);
-  s.energy = gp_.export_state(kEnergy);
-  s.refinements = refinements_;
-  return s;
-}
-
 PerformancePredictor PerformancePredictor::from_state(
-    const PerfPredictorState& state) {
-  const GpRegressorState* const targets[] = {&state.energy, &state.latency};
-  PerformancePredictor p(state.skeleton);
-  p.gp_ = GpRegressor::from_state(targets);
+    NetworkSkeleton skeleton, const GpRegressorState& state) {
+  YOSO_REQUIRE(state.targets.size() == 2, "PerformancePredictor::from_state: ",
+               state.targets.size(), " GP targets, not energy and latency");
+  PerformancePredictor p(std::move(skeleton));
+  p.gp_ = GpRegressor::from_state(state);
   YOSO_REQUIRE(p.gp_.train_inputs().cols() == kCodesignFeatureDim,
                "PerformancePredictor::from_state: the model takes ",
                p.gp_.train_inputs().cols(), "-wide rows, not ",
                kCodesignFeatureDim);
-  p.refinements_ = state.refinements;
   return p;
 }
 

@@ -1,7 +1,8 @@
 #pragma once
 // Search-time hardware performance prediction (paper §III.E): sample
-// (DNN, accelerator-config) pairs, simulate them once, fit one GP for energy
-// and one for latency, then answer queries ~10^3x faster than simulation.
+// (DNN, accelerator-config) pairs, simulate them once, fit one GP with an
+// energy and a latency target, then answer queries ~10^3x faster than
+// simulation.
 
 #include <functional>
 #include <span>
@@ -81,17 +82,6 @@ struct SampleMatrix {
 };
 SampleMatrix to_matrix(const std::vector<PerfSample>& samples);
 
-/// The fitted state of a PerformancePredictor: one state per GP target
-/// plus the skeleton they were fitted for.  This is what the binary
-/// artifact format (core/artifact.h) persists so Step-1 products become
-/// load-once files shared across search runs.
-struct PerfPredictorState {
-  NetworkSkeleton skeleton;
-  GpRegressorState latency;
-  GpRegressorState energy;
-  std::size_t refinements = 0;
-};
-
 /// The Step-1 predictor used inside the search loop: one GpRegressor whose
 /// two targets are log energy (kEnergy) and log latency (kLatency), fitted
 /// on the same simulated samples.  `backend` selects the GP
@@ -140,24 +130,19 @@ class PerformancePredictor {
   /// True when refine() would apply: a fitted sparse-backend model.
   bool supports_refinement() const { return gp_.supports_update(); }
 
-  /// Accurate results folded in since the last fit().
-  std::size_t refinements() const { return refinements_; }
-
   bool fitted() const { return gp_.fitted(); }
   const NetworkSkeleton& skeleton() const { return skeleton_; }
-  /// The two-target GP; index its targets with kEnergy and kLatency.
+  /// The two-target GP; index its targets with kEnergy and kLatency.  Its
+  /// updates_applied() counts the refine() calls since the last fit().
   const GpRegressor& model() const { return gp_; }
 
-  /// Deep-copies the fitted targets out for persistence (ContractViolation
-  /// before fit()).
-  PerfPredictorState export_state() const;
-
-  /// Rebuilds a fitted predictor from exported (or artifact-loaded) state
-  /// through GpRegressor::from_state, so predictions and later refine()
-  /// calls are bit-identical to the original.  ContractViolation when the
-  /// two targets' states disagree on backend, settings, training (or
-  /// inducing) panel, input scaler or inducing indices.
-  static PerformancePredictor from_state(const PerfPredictorState& state);
+  /// Rebuilds a fitted predictor for `skeleton` from an exported (or
+  /// artifact-loaded) model().export_state() through
+  /// GpRegressor::from_state, so predictions and later refine() calls are
+  /// bit-identical to the original.  ContractViolation unless the state
+  /// holds the two targets over kCodesignFeatureDim-wide rows.
+  static PerformancePredictor from_state(NetworkSkeleton skeleton,
+                                         const GpRegressorState& state);
 
  private:
   /// One target's prediction for one design, exponentiated back.
@@ -166,7 +151,6 @@ class PerformancePredictor {
 
   NetworkSkeleton skeleton_;
   GpRegressor gp_;
-  std::size_t refinements_ = 0;
 };
 
 }  // namespace yoso

@@ -64,10 +64,9 @@ SearchService::SearchService(const std::string& artifact_path,
                              ServiceOptions options)
     : artifact_path_(artifact_path),
       reader_(ArtifactReader::from_file(artifact_path)),
-      bundle_(decode_fast_evaluator(reader_)),
       space_(),
       exec_(ExecContext::create(options.threads)),
-      evaluator_(make_fast_evaluator(bundle_, exec_)) {
+      evaluator_(make_fast_evaluator(decode_fast_evaluator(reader_), exec_)) {
   // The serving metrics (and per-job spans) are the daemon's telemetry
   // surface; a service with observability off would scrape empty.
   obs::set_enabled(true);

@@ -2,9 +2,9 @@
 // SearchService: the long-running co-search engine behind yoso_serve.
 //
 // One service loads ONE artifact set (core/artifact.h) at startup and holds
-// it immutable for its whole life: the decoded FastEvaluator bundle, the
-// design space, and the original mapped artifact (kept so snapshots can
-// copy every source section forward verbatim).  Jobs arrive through the
+// it immutable for its whole life: the restored FastEvaluator, the design
+// space, and the original mapped artifact (kept so snapshots can copy every
+// source section forward verbatim).  Jobs arrive through the
 // JobQueue from any thread; a single worker thread drains them in priority
 // order and runs each as a Step-2/Step-3 search.
 //
@@ -80,7 +80,6 @@ class SearchService {
   /// the serve.* names).
   std::string metrics_text() const;
 
-  const FastEvaluatorArtifact& bundle() const { return bundle_; }
   const std::string& artifact_path() const { return artifact_path_; }
 
  private:
@@ -89,7 +88,6 @@ class SearchService {
 
   std::string artifact_path_;
   ArtifactReader reader_;  ///< kept mapped for verbatim snapshot copies
-  FastEvaluatorArtifact bundle_;
   DesignSpace space_;
   ExecContextPtr exec_;
   FastEvaluator evaluator_;  ///< shared across jobs (worker-only access)

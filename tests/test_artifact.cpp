@@ -41,9 +41,11 @@ void write_file_raw(const std::string& path,
   ASSERT_TRUE(f.good()) << path;
 }
 
-// Saves a trained evaluator, loads it back, and pins bit-identical
+// Saves a trained evaluator, refined `refinements` times first (sparse
+// only), loads it back, and pins its update count and bit-identical
 // evaluations over a pile of random candidates.
-void expect_round_trip_bit_identical(GpBackend backend) {
+void expect_round_trip_bit_identical(GpBackend backend,
+                                     std::size_t refinements = 0) {
   DesignSpace space;
   const NetworkSkeleton skeleton = default_skeleton();
   SystolicSimulator simulator({}, SimFidelity::kAnalytical);
@@ -52,19 +54,26 @@ void expect_round_trip_bit_identical(GpBackend backend) {
                          .seed = 21,
                          .predictor_backend = backend,
                          .inducing_points = 64});
+  AccurateEvaluator accurate(skeleton, simulator);
+  Rng rng(77);
+  for (std::size_t i = 0; i < refinements; ++i) {
+    const CandidateDesign c = space.random_candidate(rng);
+    ASSERT_TRUE(trained.refine(c, accurate.evaluate(c)));
+  }
 
-  const std::string path = temp_path(backend == GpBackend::kExact
-                                         ? "artifact_exact.bin"
-                                         : "artifact_sparse.bin");
+  const std::string path =
+      temp_path(std::string(backend == GpBackend::kExact ? "artifact_exact"
+                                                         : "artifact_sparse") +
+                "_refined" + std::to_string(refinements) + ".bin");
   save_fast_evaluator(path, trained, "test_artifact", "round-trip");
 
   const FastEvaluatorArtifact bundle = load_fast_evaluator_artifact(path);
   EXPECT_EQ(bundle.producer, "test_artifact");
   EXPECT_EQ(bundle.note, "round-trip");
-  EXPECT_EQ(bundle.predictor.latency.backend, backend);
+  EXPECT_EQ(bundle.gp.backend, backend);
   FastEvaluator restored = make_fast_evaluator(bundle);
+  EXPECT_EQ(restored.predictor().model().updates_applied(), refinements);
 
-  Rng rng(77);
   for (int i = 0; i < 25; ++i) {
     const CandidateDesign c = space.random_candidate(rng);
     const EvalResult a = trained.evaluate(c);
@@ -84,12 +93,17 @@ TEST(ArtifactRoundTrip, SparseBackendBitIdentical) {
   expect_round_trip_bit_identical(GpBackend::kSparse);
 }
 
+// The refinement count is the GP's update count, which the file stores.
+TEST(ArtifactRoundTrip, RefinedSparseKeepsItsUpdateCount) {
+  expect_round_trip_bit_identical(GpBackend::kSparse, 3);
+}
+
 TEST(ArtifactFormat, WriterProducesVerifiableContainer) {
   ArtifactWriter writer;
   writer.add_section(ArtifactSection::kMeta, {1, 2, 3});
   writer.add_section(ArtifactSection::kSkeleton, {4, 5});
   EXPECT_TRUE(writer.has_section(ArtifactSection::kMeta));
-  EXPECT_FALSE(writer.has_section(ArtifactSection::kGpLatency));
+  EXPECT_FALSE(writer.has_section(ArtifactSection::kGp));
   EXPECT_THROW(writer.add_section(ArtifactSection::kMeta, {9}),
                ContractViolation);
 
@@ -101,7 +115,7 @@ TEST(ArtifactFormat, WriterProducesVerifiableContainer) {
   ASSERT_EQ(meta.size(), 3u);
   EXPECT_EQ(meta[0], 1u);
   EXPECT_EQ(meta[2], 3u);
-  EXPECT_THROW(reader.section(ArtifactSection::kGpEnergy), ContractViolation);
+  EXPECT_THROW(reader.section(ArtifactSection::kGp), ContractViolation);
   // File-order ids, the snapshot writer's copy-forward contract.
   const std::vector<std::uint32_t> ids = reader.section_ids();
   ASSERT_EQ(ids.size(), 2u);
@@ -140,28 +154,39 @@ TEST(ArtifactFormat, ChecksumCorruptionRejected) {
   std::remove(path.c_str());
 }
 
+// Format 1 (one GP section per target) and a future major are both
+// rejected by the major-version rule alone.
 TEST(ArtifactFormat, VersionMajorMismatchRejected) {
   ArtifactWriter writer;
   writer.add_section(ArtifactSection::kMeta, {7});
-  std::vector<std::uint8_t> bytes = writer.to_bytes();
+  const std::vector<std::uint8_t> good = writer.to_bytes();
 
-  // Bump the major version (u16 LE at offset 4) and re-seal the header CRC
-  // (u32 LE at offset 28, covering bytes [0, 28)) so ONLY the version check
-  // can reject the file.
-  const std::uint16_t next_major = kArtifactVersionMajor + 1;
-  bytes[4] = static_cast<std::uint8_t>(next_major & 0xFF);
-  bytes[5] = static_cast<std::uint8_t>(next_major >> 8);
-  const std::uint32_t fixed_crc =
-      crc32(std::span<const std::uint8_t>(bytes.data(), 28));
-  for (int i = 0; i < 4; ++i)
-    bytes[28 + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(fixed_crc >> (8 * i));
+  for (const std::uint16_t major :
+       {std::uint16_t{1},
+        static_cast<std::uint16_t>(kArtifactVersionMajor + 1)}) {
+    // Set the major version (u16 LE at offset 4) and re-seal the header CRC
+    // (u32 LE at offset 28, covering bytes [0, 28)) so ONLY the version
+    // check can reject the file.
+    std::vector<std::uint8_t> bytes = good;
+    bytes[4] = static_cast<std::uint8_t>(major & 0xFF);
+    bytes[5] = static_cast<std::uint8_t>(major >> 8);
+    const std::uint32_t fixed_crc =
+        crc32(std::span<const std::uint8_t>(bytes.data(), 28));
+    for (int i = 0; i < 4; ++i)
+      bytes[28 + static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(fixed_crc >> (8 * i));
 
-  try {
-    ArtifactReader::from_bytes(std::move(bytes));
-    FAIL() << "major version mismatch was accepted";
-  } catch (const ContractViolation& e) {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
+    try {
+      ArtifactReader::from_bytes(std::move(bytes));
+      ADD_FAILURE() << "major version " << major << " was accepted";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "incompatible format version " + std::to_string(major) +
+                    ".0 (this build reads " +
+                    std::to_string(kArtifactVersionMajor) + ".x)"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -198,42 +223,42 @@ TEST(ArtifactFormat, ByteReaderRejectsTruncatedPayload) {
   gp.u32(static_cast<std::uint32_t>(GpBackend::kExact));
   gp.u8(1);                                  // tune
   gp.u64(512);                               // inducing target
-  for (int i = 0; i < 3; ++i) gp.f64(1.0);   // hyper-parameters
+  gp.u64(0);                                 // updates applied
   gp.f64_vec({});                            // scaler mean
   gp.f64_vec({});                            // scaler std
   gp.u64(std::uint64_t{1} << 32);            // train_x rows
   gp.u64(std::uint64_t{1} << 32);            // train_x cols
   gp.f64_vec({});                            // train_x data
-  gp.f64_vec({});                            // alpha
-  for (int i = 0; i < 2; ++i) {              // empty Cholesky factors
-    gp.u64(0);
-    gp.u64(0);
-    gp.f64_vec({});
-  }
-  gp.f64_vec({});                            // b
   gp.u64_vec({});                            // inducing indices
-  gp.f64(0.0);                               // y_mean
-  gp.f64(0.0);                               // lml
-  gp.u64(0);                                 // updates applied
+  gp.u32(0);                                 // targets
   ByteReader rg(gp.bytes());
   EXPECT_THROW(decode_gp_state(rg), ContractViolation);
 }
 
+// Every skeleton the program builds passes the decoder's bounds, up to the
+// widest a DesignSpace choice list admits (255 normal cells per stage and
+// 255 stem filters on the default skeleton).
 TEST(ArtifactCodec, SkeletonRoundTrip) {
-  const NetworkSkeleton original = tiny_skeleton(12, 6);
-  ByteWriter w;
-  encode_skeleton(w, original);
-  ByteReader r(w.bytes());
-  const NetworkSkeleton restored = decode_skeleton(r);
-  EXPECT_TRUE(r.done());
-  EXPECT_EQ(restored.input_height, original.input_height);
-  EXPECT_EQ(restored.input_width, original.input_width);
-  EXPECT_EQ(restored.input_channels, original.input_channels);
-  EXPECT_EQ(restored.num_classes, original.num_classes);
-  EXPECT_EQ(restored.stem_channels, original.stem_channels);
-  ASSERT_EQ(restored.cells.size(), original.cells.size());
-  for (std::size_t i = 0; i < original.cells.size(); ++i)
-    EXPECT_EQ(restored.cells[i], original.cells[i]);
+  CandidateDesign widest;
+  widest.normal_cells = 255;
+  widest.stem_channels = 255;
+  for (const NetworkSkeleton& original :
+       {tiny_skeleton(12, 6), tiny_skeleton(8, 4), default_skeleton(),
+        resolve_skeleton(default_skeleton(), widest)}) {
+    ByteWriter w;
+    encode_skeleton(w, original);
+    ByteReader r(w.bytes());
+    const NetworkSkeleton restored = decode_skeleton(r);
+    EXPECT_TRUE(r.done());
+    EXPECT_EQ(restored.input_height, original.input_height);
+    EXPECT_EQ(restored.input_width, original.input_width);
+    EXPECT_EQ(restored.input_channels, original.input_channels);
+    EXPECT_EQ(restored.num_classes, original.num_classes);
+    EXPECT_EQ(restored.stem_channels, original.stem_channels);
+    ASSERT_EQ(restored.cells.size(), original.cells.size());
+    for (std::size_t i = 0; i < original.cells.size(); ++i)
+      EXPECT_EQ(restored.cells[i], original.cells[i]);
+  }
 
   // A cell count far beyond the bytes present is rejected before anything
   // is reserved for it.
@@ -244,9 +269,9 @@ TEST(ArtifactCodec, SkeletonRoundTrip) {
 }
 
 // Readers skip section ids they do not know (docs/ARTIFACTS.md): a file that
-// also carries the retired id 0x06 and an id no build has named still loads
-// into a bit-identical evaluator, and a yoso_serve snapshot of it copies
-// every source section forward byte for byte.
+// also carries the retired ids 0x04-0x06 and an id no build has named still
+// loads into a bit-identical evaluator, and a yoso_serve snapshot of it
+// copies every source section forward byte for byte.
 TEST(ArtifactCompat, UnknownSectionsLoadAndCopyForward) {
   std::string dir = ::testing::TempDir() + "yoso_artifact_XXXXXX";
   ASSERT_NE(::mkdtemp(dir.data()), nullptr) << "mkdtemp " << dir;
@@ -269,8 +294,9 @@ TEST(ArtifactCompat, UnknownSectionsLoadAndCopyForward) {
                          {payload.begin(), payload.end()});
     }
   }
-  writer.add_section(static_cast<ArtifactSection>(0x06),
-                     {0x06, 0xA5, 0x00, 0xFF, 0x13});
+  for (const std::uint32_t retired : {0x04u, 0x05u, 0x06u})
+    writer.add_section(static_cast<ArtifactSection>(retired),
+                       {0x06, 0xA5, 0x00, 0xFF, 0x13});
   writer.add_section(static_cast<ArtifactSection>(0x40),
                      std::vector<std::uint8_t>(37, 0x40));
   writer.write_file(extended);

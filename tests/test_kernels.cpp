@@ -5,11 +5,12 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "base/fnv1a.h"
 #include "linalg/kernels.h"
 #include "util/rng.h"
 
@@ -256,18 +257,11 @@ TEST(KernelsTest, ExpScaleExtremeArgumentsStayFinite) {
   for (const double v : out) EXPECT_TRUE(std::isfinite(v));
 }
 
-/// Folds the raw bytes of every element of `v` into an FNV-1a-64 hash with
-/// the standard offset basis (core/artifact.h's fnv1a64 starts elsewhere).
+/// The raw bytes of every element of `v`, in order.
 template <typename T>
-void fnv1a_fold(std::uint64_t& h, const std::vector<T>& v) {
-  for (const T x : v) {
-    unsigned char raw[sizeof x];
-    std::memcpy(raw, &x, sizeof x);
-    for (const unsigned char byte : raw) {
-      h ^= byte;
-      h *= 0x100000001b3ull;
-    }
-  }
+std::span<const std::uint8_t> bytes_of(const std::vector<T>& v) {
+  return {reinterpret_cast<const std::uint8_t*>(v.data()),
+          v.size() * sizeof(T)};
 }
 
 // Golden pin of the register tiles: an FNV-1a-64 over the output bits of
@@ -283,7 +277,9 @@ TEST(KernelsTest, GoldenTileChecksum) {
                     "runs "
                  << kernels::active_isa();
   Rng rng(61);
-  std::uint64_t h = 0xcbf29ce484222325ull;
+  // Starts from fnv1a64's own offset basis: the constant was computed with
+  // FNV's published 0xcbf29ce484222325, so it also pins that basis.
+  std::uint64_t h = fnv1a64({});
   // 7 query rows = one 4-row, one 2-row and one 1-row group; n = 31 and 45
   // leave a full tile, one-vector tails and a scalar tail in every group.
   for (const std::size_t d : {1u, 5u, 22u})
@@ -295,7 +291,7 @@ TEST(KernelsTest, GoldenTileChecksum) {
           kernels::pack_rows(train.data(), n, d);
       std::vector<double> out(q * n);
       kernels::pairwise_sq_dists(queries.data(), q, packed, out.data());
-      fnv1a_fold(h, out);
+      h = fnv1a64(bytes_of(out), h);
     }
   // 3 rows = one 2-row and one 1-row group.  Doubles tile 16 columns with
   // a 4-wide tail, floats 32 with an 8-wide tail.
@@ -306,14 +302,14 @@ TEST(KernelsTest, GoldenTileChecksum) {
       const auto b = random_vec(rng, k * n);
       std::vector<double> c(m * n);
       kernels::gemm(a.data(), b.data(), c.data(), m, k, n);
-      fnv1a_fold(h, c);
+      h = fnv1a64(bytes_of(c), h);
       const auto af = random_vecf(rng, m * k);
       const auto bf = random_vecf(rng, k * n);
       std::vector<float> cf(m * n);
       kernels::sgemm_ab(af.data(), bf.data(), cf.data(), m, k, n);
-      fnv1a_fold(h, cf);
+      h = fnv1a64(bytes_of(cf), h);
       kernels::sgemm_abt(af.data(), bf.data(), cf.data(), m, n, k);
-      fnv1a_fold(h, cf);
+      h = fnv1a64(bytes_of(cf), h);
     }
   EXPECT_EQ(h, 0x9663d622ff5f9dc1ull);
 }

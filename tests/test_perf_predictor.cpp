@@ -1,7 +1,6 @@
 #include <cmath>
 #include <gtest/gtest.h>
 #include <memory>
-#include <utility>
 
 #include "accel/config.h"
 #include "accel/simulator.h"
@@ -148,37 +147,29 @@ TEST_F(PerfPredictorTest, PredictionRespondsToConfig) {
             pred.predict_latency_ms(g, small));
 }
 
-// The predictor is one two-target GP with one input side and one set of
-// settings, while the artifact stores a copy of them in each target's
-// section.  An energy section whose copy differs must be rejected, not
-// silently replaced by the latency section's.
-TEST_F(PerfPredictorTest, FromStateRejectsEnergyInputsThatDisagree) {
+// A restored predictor is the exported two-target GP on its skeleton: it
+// predicts like the original, and a state without both targets is
+// rejected on restore instead of failing at the first prediction.
+TEST_F(PerfPredictorTest, FromStateNeedsEnergyAndLatencyTargets) {
   PerformancePredictor pred(*skeleton_, GpBackend::kSparse, 32);
   pred.fit(*samples_);
-  const PerfPredictorState good = pred.export_state();
-  EXPECT_NO_THROW(PerformancePredictor::from_state(good));
+  const GpRegressorState good = pred.model().export_state();
+  const PerformancePredictor restored =
+      PerformancePredictor::from_state(*skeleton_, good);
+  Rng rng(5);
+  const Genotype g = random_genotype(rng);
+  const AcceleratorConfig c{16, 16, 512, 256, Dataflow::kWeightStationary};
+  EXPECT_EQ(restored.predict_energy_mj(g, c), pred.predict_energy_mj(g, c));
+  EXPECT_EQ(restored.predict_latency_ms(g, c), pred.predict_latency_ms(g, c));
 
-  PerfPredictorState bad = good;
-  bad.energy.scaler_mean[0] += 0.5;
-  EXPECT_THROW(PerformancePredictor::from_state(bad), ContractViolation);
+  GpRegressorState bad = good;
+  bad.targets.pop_back();
+  EXPECT_THROW(PerformancePredictor::from_state(*skeleton_, bad),
+               ContractViolation);
   bad = good;
-  bad.energy.scaler_std[1] *= 2.0;
-  EXPECT_THROW(PerformancePredictor::from_state(bad), ContractViolation);
-  bad = good;
-  bad.energy.train_x(3, 2) += 0.25;
-  EXPECT_THROW(PerformancePredictor::from_state(bad), ContractViolation);
-  bad = good;
-  std::swap(bad.energy.inducing_idx[0], bad.energy.inducing_idx[1]);
-  EXPECT_THROW(PerformancePredictor::from_state(bad), ContractViolation);
-  bad = good;
-  bad.energy.inducing_target += 1;
-  EXPECT_THROW(PerformancePredictor::from_state(bad), ContractViolation);
-  bad = good;
-  bad.energy.updates_applied += 1;
-  EXPECT_THROW(PerformancePredictor::from_state(bad), ContractViolation);
-  bad = good;
-  bad.energy.tune = !bad.energy.tune;
-  EXPECT_THROW(PerformancePredictor::from_state(bad), ContractViolation);
+  bad.targets.push_back(good.targets.front());
+  EXPECT_THROW(PerformancePredictor::from_state(*skeleton_, bad),
+               ContractViolation);
 }
 
 }  // namespace

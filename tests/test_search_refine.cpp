@@ -97,7 +97,7 @@ TEST_F(SearchRefineTest, RefineUpdatesPredictorAndFlushesCache) {
 
   const EvalResult truth = accurate_->evaluate(batch[0]);
   EXPECT_TRUE(fast.refine(batch[0], truth));
-  EXPECT_EQ(fast.predictor().refinements(), 1u);
+  EXPECT_EQ(fast.predictor().model().updates_applied(), 1u);
   EXPECT_EQ(fast.cache_size(), 0u) << "stale memo entries must be flushed";
 
   // The refined GP pair answers differently — and evaluate_batch agrees
@@ -118,7 +118,7 @@ TEST_F(SearchRefineTest, ExactBackendRefineIsANoOp) {
   fast.evaluate_batch(std::span<const CandidateDesign>(&c, 1));
   const std::size_t cached = fast.cache_size();
   EXPECT_FALSE(fast.refine(c, accurate_->evaluate(c)));
-  EXPECT_EQ(fast.predictor().refinements(), 0u);
+  EXPECT_EQ(fast.predictor().model().updates_applied(), 0u);
   EXPECT_EQ(fast.cache_size(), cached) << "no-op refine must keep the cache";
   const EvalResult after = fast.evaluate(c);
   EXPECT_DOUBLE_EQ(after.latency_ms, before.latency_ms);
@@ -130,7 +130,7 @@ TEST_F(SearchRefineTest, DriverRefinesOnCadenceEndToEnd) {
   const SearchResult r = search.run(fast, accurate_.get());
   // 60 iterations at refine_every = 20 crosses three boundaries.
   EXPECT_EQ(r.refinements, 3u);
-  EXPECT_EQ(fast.predictor().refinements(), 3u);
+  EXPECT_EQ(fast.predictor().model().updates_applied(), 3u);
   EXPECT_EQ(r.iterations_run, 60u);
   EXPECT_FALSE(r.finalists.empty());
   ASSERT_TRUE(r.best.has_value());
@@ -164,7 +164,7 @@ TEST_F(SearchRefineTest, RefinementOffLeavesResultUntouched) {
   FastEvaluator fast = sparse_fast();
   const SearchResult r = YosoSearch(*space_, opt).run(fast, accurate_.get());
   EXPECT_EQ(r.refinements, 0u);
-  EXPECT_EQ(fast.predictor().refinements(), 0u);
+  EXPECT_EQ(fast.predictor().model().updates_applied(), 0u);
 }
 
 }  // namespace
