@@ -30,12 +30,15 @@
 // amortising weight traffic; this sweeps the batch size for the Table-2
 // networks and shows how per-image energy falls and saturates at the
 // activation-bound floor — and how the best accelerator configuration can
-// shift once weights stop dominating.
+// shift once weights stop dominating.  The full run exits 1, naming the
+// row, when a batch step of Darts_v1 or EnasNet fails to lower E/img or
+// lowers it by no less than the step before it did.
 
 #include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -302,16 +305,37 @@ int main(int argc, char** argv) {
   const AcceleratorConfig cfg{16, 32, 512, 512,
                               Dataflow::kOutputStationary};
 
+  // The shape check reads the rows below: every batch step must lower
+  // E/img (by more than 0) and by less than the step before it did.
   TextTable table({"model", "batch", "E/img (mJ)", "L/img (ms)",
                    "throughput (fps)"});
+  std::vector<std::string> shape_failures;
   for (const char* name : {"Darts_v1", "EnasNet"}) {
     const auto& g = reference_model(name).genotype;
+    double prev_e = 0.0;
+    double prev_drop = 0.0;
+    int prev_batch = 0;
     for (int batch : {1, 2, 4, 8, 16}) {
       const auto r = sim.simulate_network(g, skeleton, cfg, batch);
       table.add_row({name, TextTable::fmt_int(batch),
                      TextTable::fmt(r.energy_mj, 2),
                      TextTable::fmt(r.latency_ms, 2),
                      TextTable::fmt(r.throughput_fps, 0)});
+      if (prev_batch != 0) {
+        const double drop = prev_e - r.energy_mj;
+        const bool saturating = prev_batch == 1 || drop < prev_drop;
+        if (!(drop > 0.0) || !saturating) {
+          std::ostringstream why;
+          why << name << " batch " << batch << ": E/img " << prev_e
+              << " -> " << r.energy_mj << " mJ (drop " << drop;
+          if (prev_batch != 1) why << ", previous drop " << prev_drop;
+          why << ")";
+          shape_failures.push_back(why.str());
+        }
+        prev_drop = drop;
+      }
+      prev_e = r.energy_mj;
+      prev_batch = batch;
     }
   }
   table.print(std::cout);
@@ -337,7 +361,10 @@ int main(int argc, char** argv) {
   std::cout << "\nenergy-optimal configuration vs batch (Darts_v2):\n";
   best.print(std::cout);
   std::cout << "\nshape check: per-image energy decreases monotonically with "
-               "batch and saturates at the activation-traffic floor.\n";
+               "batch and saturates at the activation-traffic floor: "
+            << (shape_failures.empty() ? "OK" : "MISMATCH") << "\n";
+  for (const std::string& f : shape_failures)
+    std::cout << "  MISMATCH " << f << "\n";
   bench_footer(sw);
-  return 0;
+  return shape_failures.empty() ? 0 : 1;
 }

@@ -5,7 +5,10 @@ Runs yoso_cli twice with --trace-out, once with the default exact
 predictor and once with the sparse predictor and online refinement, and
 requires phase.build_evaluator and phase.search each to be at least 95%
 covered by the spans nested in them on the same thread.  phase.outputs is
-left out: it takes about 0.1 ms and opens no child spans.
+left out: it takes about 0.1 ms and opens no child spans.  The sparse run's
+one tuned two-target fit must also open ten gp.sparse_panels and ten
+gp.sparse_factor spans, one per lengthscale and target, nested in its
+gp.sparse_fit span on the same thread.
 
 Usage: cli_phase_coverage.py YOSO_CLI WORK_DIR
 """
@@ -24,6 +27,8 @@ RUNS = {
 }
 PHASES = ("phase.build_evaluator", "phase.search")
 MIN_COVERED = 0.95
+# Spans that must nest in the sparse run's gp.sparse_fit, and how many.
+SPARSE_FIT_CHILDREN = {"gp.sparse_panels": 10, "gp.sparse_factor": 10}
 
 
 def coverage(events, phase):
@@ -46,6 +51,31 @@ def coverage(events, phase):
             covered += stop - max(start, end)
             end = stop
     return covered / phase["dur"] if phase["dur"] > 0 else 1.0
+
+
+def sparse_fit_failures(events):
+    """Messages for each SPARSE_FIT_CHILDREN count not met inside the one
+    gp.sparse_fit span.  Like coverage(), allow a child to start or end a
+    printed-timestamp hair outside its parent."""
+    fits = [e for e in events if e["name"] == "gp.sparse_fit"]
+    if len(fits) != 1:
+        return [f"{len(fits)} gp.sparse_fit spans"]
+    fit = fits[0]
+    slack = 1e-3 * fit["dur"] + 1.0
+    failures = []
+    for name, want in SPARSE_FIT_CHILDREN.items():
+        spans = [e for e in events if e["name"] == name]
+        nested = [e for e in spans
+                  if e["tid"] == fit["tid"]
+                  and e["ts"] >= fit["ts"] - slack
+                  and e["ts"] + e["dur"] <= fit["ts"] + fit["dur"] + slack]
+        print(f"sparse-refine: {len(nested)} of {len(spans)} {name} spans "
+              f"nested in gp.sparse_fit")
+        if len(spans) != want or len(nested) != want:
+            failures.append(f"sparse-refine: {len(nested)} of {len(spans)} "
+                            f"{name} spans nested in gp.sparse_fit, "
+                            f"want {want}")
+    return failures
 
 
 def main(argv):
@@ -72,6 +102,8 @@ def main(argv):
                 if share < MIN_COVERED:
                     failures.append(f"{run}: {name} is only "
                                     f"{100.0 * share:.2f}% covered")
+            if run == "sparse-refine":
+                failures.extend(sparse_fit_failures(events))
     for failure in failures:
         print("FAIL: " + failure, file=sys.stderr)
     return 1 if failures else 0

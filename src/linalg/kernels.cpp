@@ -25,6 +25,9 @@ namespace yoso::kernels {
 namespace {
 
 constexpr std::size_t kAccIBlock = 128; // i-blocking for A^T B accumulation
+// Rows of the two panels per gram_panels pass: 64 rows of two 32-wide
+// double panels are 32 KB, inside a 48 KB L1.
+constexpr std::size_t kGramSteps = 64;
 
 bool use_avx2() {
 #if YOSO_KERNELS_X86
@@ -90,30 +93,35 @@ double dot_generic(const double* a, const double* b, std::size_t n) {
   return acc;
 }
 
-void gemm_rows_generic(const double* a, const double* b, double* c,
-                       std::size_t rows, std::size_t kk, std::size_t n) {
-  for (std::size_t i = 0; i < rows; ++i) {
-    const double* ai = a + i * kk;
-    double* ci = c + i * n;
-    std::fill(ci, ci + n, 0.0);
-    for (std::size_t t = 0; t < kk; ++t) {
-      const double av = ai[t];
-      const double* bt = b + t * n;
-      for (std::size_t j = 0; j < n; ++j) ci[j] += av * bt[j];
-    }
-  }
-}
+/// Operand layout of one GEMM, C (rows x n) = A (rows x kk) B (kk x n) on
+/// either engine: A's element (i, t) sits at a[i * ars + t * ats], B and C
+/// are row-major with row strides ldb and ldc.  A plain row-major A has
+/// ars = kk, ats = 1; a column panel read as its own transpose has ars = 1
+/// and ats = the panel's width.  With `accumulate`, each element's chain
+/// continues from the partial sum C holds instead of starting from +0.0,
+/// so a product split into passes over t ranges keeps its bits.
+template <typename T>
+struct GemmOperands {
+  const T* a;
+  std::size_t ars, ats;
+  const T* b;
+  std::size_t ldb;
+  T* c;
+  std::size_t ldc;
+  bool accumulate;
+};
 
-void sgemm_ab_rows_generic(const float* a, const float* b, float* c,
-                           std::size_t rows, std::size_t kk,
-                           std::size_t n) {
+/// Each element of C starts from +0.0 (or, accumulating, from its value in
+/// C) and adds a * b for t ascending.
+template <typename T>
+void gemm_rows_generic(const GemmOperands<T>& op, std::size_t rows,
+                       std::size_t kk, std::size_t n) {
   for (std::size_t i = 0; i < rows; ++i) {
-    const float* ai = a + i * kk;
-    float* ci = c + i * n;
-    std::fill(ci, ci + n, 0.0f);
+    T* ci = op.c + i * op.ldc;
+    if (!op.accumulate) std::fill(ci, ci + n, T{0});
     for (std::size_t t = 0; t < kk; ++t) {
-      const float av = ai[t];
-      const float* bt = b + t * n;
+      const T av = op.a[i * op.ars + t * op.ats];
+      const T* bt = op.b + t * op.ldb;
       for (std::size_t j = 0; j < n; ++j) ci[j] += av * bt[j];
     }
   }
@@ -171,7 +179,8 @@ void exp_scale_generic(const double* in, double* out, std::size_t n,
 }
 
 // --- AVX2+FMA engine -------------------------------------------------------
-// One register-tile template, tile_fma, under the GEMMs and the distances.
+// One register-tile template, tile_fma, under the GEMMs (the sparse GP's
+// gram blocks included) and the distances.
 // A tile holds R rows x V ymm vectors of accumulators and issues one
 // broadcast-FMA per (row, vector) for each step of the shared index, in
 // ascending order.  The 2- and 1-row GEMM sweeps, the 4-, 2- and 1-row
@@ -239,25 +248,35 @@ __attribute__((target("avx2,fma"))) double dot_avx2(const double* a,
   return acc;
 }
 
-/// The register tile under every AVX2 GEMM and distance block: zeroes s,
-/// then for t ascending in [0, kk) adds a[r * kk + t] times the vector at
-/// b + t * n + v * kLanes into s[r][v], one broadcast-FMA per row r < R and
-/// vector v < V.
+/// Seeds a tile's accumulators: +0.0, or (accumulate) the partial chains
+/// an earlier pass stored at c, row stride ldc.
 template <typename T, typename Vec, std::size_t R, std::size_t V>
-YOSO_AVX2_INLINE void tile_fma(Vec (&s)[R][V], const T* a, const T* b,
-                               std::size_t kk, std::size_t n) {
+YOSO_AVX2_INLINE void tile_seed(Vec (&s)[R][V], const T* c, std::size_t ldc,
+                                bool accumulate) {
   YOSO_UNROLL
   for (std::size_t r = 0; r < R; ++r) {
     YOSO_UNROLL
-    for (std::size_t v = 0; v < V; ++v) s[r][v] = splat(T{0});
+    for (std::size_t v = 0; v < V; ++v)
+      s[r][v] = accumulate ? load(c + r * ldc + v * kLanes<T>) : splat(T{0});
   }
+}
+
+/// The register tile under every AVX2 GEMM, gram and distance block: for
+/// t ascending in [0, kk) adds a[r * ars + t * ats] times the vector at
+/// b + t * ldb + v * kLanes into s[r][v], one broadcast-FMA per row r < R
+/// and vector v < V.  The caller seeds s (tile_seed).
+template <typename T, typename Vec, std::size_t R, std::size_t V>
+YOSO_AVX2_INLINE void tile_fma(Vec (&s)[R][V], const T* a, std::size_t ars,
+                               std::size_t ats, const T* b, std::size_t ldb,
+                               std::size_t kk) {
   for (std::size_t t = 0; t < kk; ++t) {
     Vec bv[V];
     YOSO_UNROLL
-    for (std::size_t v = 0; v < V; ++v) bv[v] = load(b + t * n + v * kLanes<T>);
+    for (std::size_t v = 0; v < V; ++v)
+      bv[v] = load(b + t * ldb + v * kLanes<T>);
     YOSO_UNROLL
     for (std::size_t r = 0; r < R; ++r) {
-      const Vec av = splat(a[r * kk + t]);
+      const Vec av = splat(a[r * ars + t * ats]);
       YOSO_UNROLL
       for (std::size_t v = 0; v < V; ++v) s[r][v] = fmadd(av, bv[v], s[r][v]);
     }
@@ -266,15 +285,17 @@ YOSO_AVX2_INLINE void tile_fma(Vec (&s)[R][V], const T* a, const T* b,
 
 /// C[r][j, j + V vectors) = (A B)[r][...] for r < R.
 template <typename T, std::size_t R, std::size_t V>
-YOSO_AVX2_INLINE void gemm_tile(const T* a, const T* b, T* c, std::size_t kk,
-                                std::size_t n, std::size_t j) {
+YOSO_AVX2_INLINE void gemm_tile(const GemmOperands<T>& op, std::size_t kk,
+                                std::size_t j) {
   decltype(splat(T{})) s[R][V];
   constexpr std::size_t w = kLanes<T>;
-  tile_fma(s, a, b + j, kk, n);
+  tile_seed(s, op.c + j, op.ldc, op.accumulate);
+  tile_fma(s, op.a, op.ars, op.ats, op.b + j, op.ldb, kk);
   YOSO_UNROLL
   for (std::size_t r = 0; r < R; ++r) {
     YOSO_UNROLL
-    for (std::size_t v = 0; v < V; ++v) store(c + r * n + j + v * w, s[r][v]);
+    for (std::size_t v = 0; v < V; ++v)
+      store(op.c + r * op.ldc + j + v * w, s[r][v]);
   }
 }
 
@@ -282,31 +303,38 @@ YOSO_AVX2_INLINE void gemm_tile(const T* a, const T* b, T* c, std::size_t kk,
 /// then a scalar std::fma tail.
 template <typename T, std::size_t R>
 __attribute__((target("avx2,fma"))) void gemm_row_group(
-    const T* a, const T* b, T* c, std::size_t kk, std::size_t n) {
+    const GemmOperands<T>& op, std::size_t kk, std::size_t n) {
   constexpr std::size_t w = kLanes<T>;
   std::size_t j = 0;
-  for (; j + 4 * w <= n; j += 4 * w) gemm_tile<T, R, 4>(a, b, c, kk, n, j);
-  for (; j + w <= n; j += w) gemm_tile<T, R, 1>(a, b, c, kk, n, j);
+  for (; j + 4 * w <= n; j += 4 * w) gemm_tile<T, R, 4>(op, kk, j);
+  for (; j + w <= n; j += w) gemm_tile<T, R, 1>(op, kk, j);
   for (; j < n; ++j) {
-    T s[R] = {};
+    T s[R];
+    for (std::size_t r = 0; r < R; ++r)
+      s[r] = op.accumulate ? op.c[r * op.ldc + j] : T{0};
     for (std::size_t t = 0; t < kk; ++t) {
       YOSO_UNROLL
       for (std::size_t r = 0; r < R; ++r)
-        s[r] = std::fma(a[r * kk + t], b[t * n + j], s[r]);
+        s[r] = std::fma(op.a[r * op.ars + t * op.ats], op.b[t * op.ldb + j],
+                        s[r]);
     }
-    for (std::size_t r = 0; r < R; ++r) c[r * n + j] = s[r];
+    for (std::size_t r = 0; r < R; ++r) op.c[r * op.ldc + j] = s[r];
   }
 }
 
 /// C (rows x n) = A (rows x kk) * B (kk x n) in row pairs, then one row.
 template <typename T>
-__attribute__((target("avx2,fma"))) void gemm_avx2(
-    const T* a, const T* b, T* c, std::size_t rows, std::size_t kk,
-    std::size_t n) {
+__attribute__((target("avx2,fma"))) void gemm_avx2(GemmOperands<T> op,
+                                                   std::size_t rows,
+                                                   std::size_t kk,
+                                                   std::size_t n) {
   std::size_t i = 0;
-  for (; i + 2 <= rows; i += 2)
-    gemm_row_group<T, 2>(a + i * kk, b, c + i * n, kk, n);
-  if (i < rows) gemm_row_group<T, 1>(a + i * kk, b, c + i * n, kk, n);
+  for (; i + 2 <= rows; i += 2) {
+    gemm_row_group<T, 2>(op, kk, n);
+    op.a += 2 * op.ars;
+    op.c += 2 * op.ldc;
+  }
+  if (i < rows) gemm_row_group<T, 1>(op, kk, n);
 }
 
 __attribute__((target("avx2,fma"))) void satb_rows_avx2(
@@ -362,7 +390,8 @@ YOSO_AVX2_INLINE void pairwise_tile(const double* q, std::size_t d,
                                     std::size_t n, const double* qn,
                                     double* out, std::size_t t) {
   __m256d s[R][V];
-  tile_fma(s, q, trn + t, d, n);
+  tile_seed(s, out, n, /*accumulate=*/false);
+  tile_fma(s, q, d, 1, trn + t, n, d);
   const __m256d zero = _mm256_setzero_pd();
   const __m256d two = _mm256_set1_pd(2.0);
   YOSO_UNROLL
@@ -500,6 +529,18 @@ __attribute__((target("avx2,fma"))) double exp_scale_dot_avx2(
 
 #endif  // YOSO_KERNELS_X86
 
+template <typename T>
+void gemm_any(const GemmOperands<T>& op, std::size_t rows, std::size_t kk,
+              std::size_t n) {
+#if YOSO_KERNELS_X86
+  if (use_avx2()) {
+    gemm_avx2(op, rows, kk, n);
+    return;
+  }
+#endif
+  gemm_rows_generic(op, rows, kk, n);
+}
+
 }  // namespace
 
 // --- public drivers --------------------------------------------------------
@@ -522,13 +563,29 @@ void gemm(const double* a, const double* b, double* c, std::size_t m,
     return;
   }
   YOSO_REQUIRE(a != nullptr && b != nullptr, "kernels::gemm: null input");
-#if YOSO_KERNELS_X86
-  if (use_avx2()) {
-    gemm_avx2(a, b, c, m, k, n);
+  gemm_any(GemmOperands<double>{a, k, 1, b, n, c, n, false}, m, k, n);
+}
+
+void gram_panels(const double* pa, std::size_t wa, const double* pb,
+                 std::size_t wb, std::size_t n, double* c, std::size_t ldc) {
+  if (wa == 0 || wb == 0) return;
+  YOSO_REQUIRE(c != nullptr && ldc >= wb,
+               "kernels::gram_panels: null output or row stride ", ldc,
+               " < block width ", wb);
+  if (n == 0) {
+    for (std::size_t i = 0; i < wa; ++i)
+      std::fill(c + i * ldc, c + i * ldc + wb, 0.0);
     return;
   }
-#endif
-  gemm_rows_generic(a, b, c, m, k, n);
+  YOSO_REQUIRE(pa != nullptr && pb != nullptr,
+               "kernels::gram_panels: null panel");
+  // Passes of kGramSteps rows keep both panels' slices in L1 across the
+  // block's tiles; each pass continues every element's chain from the
+  // partial sum the previous one stored, which is exact.
+  for (std::size_t t0 = 0; t0 < n; t0 += kGramSteps)
+    gemm_any(GemmOperands<double>{pa + t0 * wa, 1, wa, pb + t0 * wb, wb, c,
+                                  ldc, t0 > 0},
+             wa, std::min(kGramSteps, n - t0), wb);
 }
 
 void gemv(const double* a, const double* x, double* y, std::size_t m,
@@ -548,13 +605,7 @@ void sgemm_ab(const float* a, const float* b, float* c, std::size_t m,
     return;
   }
   YOSO_REQUIRE(a != nullptr && b != nullptr, "kernels::sgemm_ab: null input");
-#if YOSO_KERNELS_X86
-  if (use_avx2()) {
-    gemm_avx2(a, b, c, m, k, n);
-    return;
-  }
-#endif
-  sgemm_ab_rows_generic(a, b, c, m, k, n);
+  gemm_any(GemmOperands<float>{a, k, 1, b, n, c, n, false}, m, k, n);
 }
 
 void sgemm_abt(const float* a, const float* b, float* c, std::size_t m,
@@ -575,13 +626,8 @@ void sgemm_abt(const float* a, const float* b, float* c, std::size_t m,
     const float* bj = b + j * k;
     for (std::size_t t = 0; t < k; ++t) bt[t * n + j] = bj[t];
   }
-#if YOSO_KERNELS_X86
-  if (use_avx2()) {
-    gemm_avx2(a, bt.data(), c, m, k, n);
-    return;
-  }
-#endif
-  sgemm_ab_rows_generic(a, bt.data(), c, m, k, n);
+  gemm_any(GemmOperands<float>{a, k, 1, bt.data(), n, c, n, false}, m, k,
+           n);
 }
 
 void sgemm_atb_acc(const float* a, const float* b, float* c, std::size_t m,

@@ -1,7 +1,7 @@
 #pragma once
 // Shared high-performance math kernels: the single substrate under
-// Matrix::operator*, Cholesky, the im2col conv matmuls and the GP predict
-// path (DESIGN.md §12).
+// Matrix::operator*, Cholesky, the im2col conv matmuls, the sparse GP's
+// gram and the GP predict path (DESIGN.md §12).
 //
 // Every kernel is cache-blocked and FMA-friendly (restrict pointers,
 // register-tiled multi-accumulator inner loops) with two engine variants
@@ -31,6 +31,17 @@ std::string active_isa();
 /// C (m x n) = A (m x k) * B (k x n); all row-major, C overwritten.
 void gemm(const double* a, const double* b, double* c, std::size_t m,
           std::size_t k, std::size_t n);
+
+/// C (wa x wb, row stride ldc) = Pa^T Pb: one block of the gram A^T A of
+/// an n-row matrix A stored as column panels, where Pa (n x wa) and Pb
+/// (n x wb) are row-major panels of A.  Element (i, j) runs gemm's chain
+/// for (A^T A)(i, j): t ascending from +0.0, one fma per step on avx2+fma
+/// and s += a * b on the generic engine.  So the block equals the same
+/// block of gemm(transpose(A), A) bit for bit, and since the two
+/// multiplicands commute, block (I, J) equals the transpose of block
+/// (J, I): the lower blocks and their mirrors give the whole gram.
+void gram_panels(const double* pa, std::size_t wa, const double* pb,
+                 std::size_t wb, std::size_t n, double* c, std::size_t ldc);
 
 /// y (m) = A (m x n) * x; one fixed-order dot per output row.
 void gemv(const double* a, const double* x, double* y, std::size_t m,

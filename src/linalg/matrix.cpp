@@ -1,7 +1,9 @@
 #include "linalg/matrix.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "linalg/kernels.h"
 #include "base/contract.h"
@@ -100,32 +102,59 @@ void Matrix::add_diagonal(double v) {
   for (std::size_t i = 0; i < n; ++i) (*this)(i, i) += v;
 }
 
-Cholesky::Cholesky(const Matrix& a, double jitter) {
+Cholesky::Cholesky(const Matrix& a, double jitter)
+    : l_(a.rows(), a.rows()) {
   YOSO_REQUIRE(a.rows() == a.cols(), "Cholesky: matrix not square (",
                a.rows(), "x", a.cols(), ")");
-  const std::size_t n = a.rows();
+  factor(a.data().data(), a.rows(), 1, jitter);
+}
+
+Cholesky Cholesky::in_place(Matrix a, double jitter) {
+  YOSO_REQUIRE(a.rows() == a.cols(), "Cholesky::in_place: matrix not "
+               "square (", a.rows(), "x", a.cols(), ")");
+  Cholesky c;
+  c.l_ = std::move(a);
+  c.factor(c.l_.data().data(), 1, c.l_.rows(), jitter);
+  return c;
+}
+
+void Cholesky::factor(const double* a, std::size_t rs, std::size_t cs,
+                      double jitter) {
+  const std::size_t n = l_.rows();
+  YOSO_DCHECK((n == 0 || a != nullptr) &&
+                  ((rs == n && cs == 1) || (rs == 1 && cs == n)),
+              "Cholesky::factor: input strides (", rs, ", ", cs,
+              ") for an ", n, "x", n, " factor");
+  double* ld = l_.data().data();
+  // The loop reads the input's diagonal from this copy: in place, it
+  // overwrites the diagonal, and a jittered retry starts from the input.
+  std::vector<double> diag(n);
+  for (std::size_t i = 0; i < n; ++i) diag[i] = a[i * rs + i * cs];
   // Progressive jitter: retry with 10x larger diagonal boost on failure.
   double eps = 0.0;
   for (int attempt = 0; attempt < 8; ++attempt) {
-    l_ = Matrix(n, n);
-    const double* ld = l_.data().data();
     bool ok = true;
     for (std::size_t i = 0; i < n && ok; ++i) {
       for (std::size_t j = 0; j <= i; ++j) {
-        double sum = a(i, j) + (i == j ? eps : 0.0);
+        double sum =
+            (i == j ? diag[i] : a[i * rs + j * cs]) + (i == j ? eps : 0.0);
         sum -= kernels::dot(ld + i * n, ld + j * n, j);
         if (i == j) {
           if (sum <= 0.0) {
             ok = false;
             break;
           }
-          l_(i, i) = std::sqrt(sum);
+          ld[i * n + i] = std::sqrt(sum);
         } else {
-          l_(i, j) = sum / l_(j, j);
+          ld[i * n + j] = sum / ld[j * n + j];
         }
       }
     }
-    if (ok) return;
+    if (ok) {
+      for (std::size_t i = 0; i < n; ++i)
+        std::fill(ld + i * n + i + 1, ld + (i + 1) * n, 0.0);
+      return;
+    }
     eps = (eps == 0.0) ? jitter : eps * 10.0;
   }
   throw std::runtime_error("Cholesky: matrix not positive definite");

@@ -5,6 +5,7 @@
 
 #include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace yoso {
@@ -66,7 +67,14 @@ class Matrix {
 /// a small progressive jitter).
 class Cholesky {
  public:
+  /// Reads only the lower triangle of `a`.
   explicit Cholesky(const Matrix& a, double jitter = 1e-10);
+
+  /// Factors `a` in its own storage, which becomes the factor, so a caller
+  /// can allocate the storage on one thread and factor on another.  Reads
+  /// the upper triangle and the diagonal: bit-identical to
+  /// Cholesky(a, jitter) when `a` is exactly symmetric.
+  static Cholesky in_place(Matrix a, double jitter = 1e-10);
 
   /// Rebuilds a factorisation object from a previously computed lower
   /// factor (e.g. one round-tripped through the binary artifact format,
@@ -77,6 +85,10 @@ class Cholesky {
   static Cholesky from_lower(Matrix lower);
 
   const Matrix& lower() const { return l_; }
+
+  /// Gives up the factor's storage, e.g. to factor the next matrix in
+  /// place; the object is left empty.
+  Matrix release() && { return std::move(l_); }
 
   /// Solves A x = b via the factorisation.
   std::vector<double> solve(std::span<const double> b) const;
@@ -102,7 +114,15 @@ class Cholesky {
   void rank1_update(std::span<const double> v);
 
  private:
-  Cholesky() = default;  // from_lower() adopts the factor directly
+  Cholesky() = default;  // from_lower() and in_place() fill l_ directly
+
+  /// The one factor loop: writes the lower factor of the input into l_
+  /// (n x n), zero above the diagonal.  The input's element (i, j), j <= i,
+  /// sits at a[i * rs + j * cs]: (n, 1) reads a row-major lower triangle,
+  /// and (1, n) reads l_'s own upper triangle, which the loop never
+  /// writes.
+  void factor(const double* a, std::size_t rs, std::size_t cs,
+              double jitter);
 
   Matrix l_;
 };

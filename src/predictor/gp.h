@@ -110,9 +110,10 @@ class GpRegressor : public Regressor {
   }
   /// Fits one target per entry of `ys` (each x.rows() long) on the shared
   /// inputs `x`.  A fit that throws leaves the model unfitted.  The sparse
-  /// backend forms each K_mn K_nm gram in fixed row blocks across `pool`
-  /// (null runs them inline); the result is bit-identical at any pool size.
-  /// The exact backend runs on the caller.
+  /// backend exponentiates K_nm's panels, forms each K_mn K_nm gram's
+  /// blocks and factors each lengthscale's grid points across `pool` (null
+  /// runs them inline); the result is bit-identical at any pool size.  The
+  /// exact backend runs on the caller.
   void fit(const Matrix& x, std::span<const std::span<const double>> ys,
            ThreadPool* pool = nullptr);
 

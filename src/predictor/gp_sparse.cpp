@@ -17,6 +17,9 @@
 #include <cmath>
 #include <limits>
 #include <numbers>
+#include <optional>
+#include <span>
+#include <vector>
 
 #include "base/contract.h"
 #include "linalg/kernels.h"
@@ -30,64 +33,155 @@
 namespace yoso {
 namespace {
 
-// Per-lengthscale panels shared by the noise-grid points: the kernel
-// matrices depend only on the lengthscale, so the dominant O(n m^2) gram
-// product is paid once per lengthscale instead of once per grid point.
+// Per-lengthscale panels shared by the noise-grid points, and their
+// factors: the kernel matrices depend only on the lengthscale, so the
+// dominant O(n m^2) gram product is paid once per lengthscale instead of
+// once per grid point.
 struct SparsePanels {
-  Matrix kmm;                          // m x m inducing kernel
-  Matrix gram;                         // K_mn K_nm
-  std::vector<double> b;               // K_mn (y - mean)
+  Matrix kmm;              // m x m inducing kernel
+  std::vector<double> knm; // K_nm in kGramBlock-wide column panels
+  Matrix gram;             // K_mn K_nm
+  std::vector<double> b;   // K_mn (y - mean)
+  std::vector<Matrix> spare;  // storage of factors no grid point kept
+  // factors[0] factors K_mm and moves to chol_kmm; factors[k + 1] factors
+  // A = nv * K_mm + gram for the k-th noise value.
+  std::vector<std::optional<Cholesky>> factors;
   std::unique_ptr<Cholesky> chol_kmm;  // factor of kmm (DTC variance, lml)
   double kmm_logdet = 0.0;
 };
 
-// Rows of K_mn K_nm per parallel_for index.  Fixed, so the blocking never
-// depends on the pool; a row block of kernels::gemm is bit-identical to the
-// same rows of one full call (linalg/kernels.h), so neither does the gram.
+// Width of K_nm's column panels and edge of the gram's blocks.  Fixed, so
+// the blocking never depends on the pool, and each gram element runs
+// kernels::gemm's chain whatever its block (linalg/kernels.h).
 constexpr std::size_t kGramBlock = 32;
 
+// K_mm; K_nm written once, panel-major (panel q holds columns [q P,
+// q P + w) as an n x w row-major block at offset q P n, P = kGramBlock);
+// b from the panels; and the gram's lower blocks, one parallel_for index
+// per block pair, each mirrored into the upper triangle by its own task.
+// Every parallel_for index writes its own panel or block pair, so the
+// bits do not depend on the pool.
 void build_panels(const GpHyperParams& hp, const Matrix& d_mm,
                   const Matrix& d_nm, std::span<const double> yc,
                   ThreadPool& pool, SparsePanels* p) {
+  YOSO_TRACE_SPAN("gp.sparse_panels");
   const std::size_t n = d_nm.rows();
   const std::size_t m = d_mm.rows();
+  const std::size_t panels = (m + kGramBlock - 1) / kGramBlock;
+  const auto width = [&](std::size_t q) {
+    return std::min(kGramBlock, m - q * kGramBlock);
+  };
   const double scale = -1.0 / (2.0 * hp.lengthscale * hp.lengthscale);
-  p->kmm = Matrix(m, m);
+  // Every element of kmm, knm, b and gram is rewritten below, so the
+  // buffers carry over from the previous lengthscale and target.
+  if (p->kmm.rows() != m) p->kmm = Matrix(m, m);
   for (std::size_t i = 0; i < m; ++i)
     kernels::exp_scale(d_mm.data().data() + i * m,
                        p->kmm.data().data() + i * m, m, scale,
                        hp.signal_variance);
-  Matrix knm(n, m);
-  for (std::size_t i = 0; i < n; ++i)
-    kernels::exp_scale(d_nm.data().data() + i * m, knm.data().data() + i * m,
-                       m, scale, hp.signal_variance);
-  const Matrix kmn = knm.transpose();
-  p->gram = Matrix(m, m);
-  pool.parallel_for(0, (m + kGramBlock - 1) / kGramBlock, [&](std::size_t i) {
-    const std::size_t lo = i * kGramBlock;
-    kernels::gemm(kmn.data().data() + lo * n, knm.data().data(),
-                  p->gram.data().data() + lo * m,
-                  std::min(kGramBlock, m - lo), n, m);
+  // One panel per parallel_for index.  exp_scale's vector body and scalar
+  // remainder run one operation sequence, so a row exponentiated in panel
+  // slices keeps its bits.
+  p->knm.resize(n * m);
+  double* knm = p->knm.data();
+  pool.parallel_for(0, panels, [&](std::size_t q) {
+    const std::size_t lo = q * kGramBlock;
+    const std::size_t w = width(q);
+    for (std::size_t t = 0; t < n; ++t)
+      kernels::exp_scale(d_nm.data().data() + t * m + lo,
+                         knm + lo * n + t * w, w, scale, hp.signal_variance);
   });
-  p->b = knm.matvec_transposed(yc);
-  p->chol_kmm = std::make_unique<Cholesky>(p->kmm);
+  // b = K_mn (y - mean) in Matrix::matvec_transposed's order: each element
+  // sums rows ascending and skips a zero weight.
+  p->b.assign(m, 0.0);
+  for (std::size_t t = 0; t < n; ++t) {
+    const double yt = yc[t];
+    if (yt == 0.0) continue;
+    for (std::size_t q = 0; q < panels; ++q) {
+      const std::size_t lo = q * kGramBlock;
+      const std::size_t w = width(q);
+      const double* row = knm + lo * n + t * w;
+      for (std::size_t c = 0; c < w; ++c) p->b[lo + c] += row[c] * yt;
+    }
+  }
+  if (p->gram.rows() != m) p->gram = Matrix(m, m);
+  double* g = p->gram.data().data();
+  pool.parallel_for(0, panels * (panels + 1) / 2, [&](std::size_t pair) {
+    // Block pairs in row-major lower-triangle order: (0,0), (1,0), (1,1),
+    // (2,0), ...
+    std::size_t bi = 0;
+    while (pair > bi) pair -= ++bi;
+    const std::size_t bj = pair;
+    const std::size_t ilo = bi * kGramBlock;
+    const std::size_t jlo = bj * kGramBlock;
+    const std::size_t wi = width(bi);
+    const std::size_t wj = width(bj);
+    kernels::gram_panels(knm + ilo * n, wi, knm + jlo * n, wj, n,
+                         g + ilo * m + jlo, m);
+    if (bi == bj) return;
+    for (std::size_t r = 0; r < wi; ++r)
+      for (std::size_t c = 0; c < wj; ++c)
+        g[(jlo + c) * m + ilo + r] = g[(ilo + r) * m + jlo + c];
+  });
+}
+
+// Hands a factor's storage to the next lengthscale's factorizations, so a
+// fit allocates factor storage only as its live set grows.
+void recycle(std::unique_ptr<Cholesky>* chol, SparsePanels* p) {
+  if (*chol == nullptr) return;
+  p->spare.push_back(std::move(**chol).release());
+  chol->reset();
+}
+
+// One lengthscale's factorizations as one parallel_for: K_mm at index 0,
+// so the pool rethrows the exception the serial order would have thrown
+// first, then A = nv * K_mm + gram for each noise value nvs[k] at k + 1.
+// Each task writes its matrix into its storage and factors it in place;
+// K_mm, the gram and A are exactly symmetric, so in_place() keeps
+// Cholesky(a)'s bits.  The coordinator hands out every buffer a worker
+// writes: buffers a worker allocates itself stay cached in glibc's
+// per-thread arenas after free.
+void factor_lengthscale(std::span<const double> nvs, ThreadPool& pool,
+                        SparsePanels* p) {
+  const std::size_t m = p->kmm.rows();
+  recycle(&p->chol_kmm, p);  // a losing lengthscale's
+  std::vector<Matrix> storage(nvs.size() + 1);
+  for (Matrix& f : storage) {
+    if (p->spare.empty()) {
+      f = Matrix(m, m);
+      continue;
+    }
+    f = std::move(p->spare.back());
+    p->spare.pop_back();
+  }
+  p->factors.assign(nvs.size() + 1, std::nullopt);
+  pool.parallel_for(0, p->factors.size(), [&](std::size_t k) {
+    const double* kd = p->kmm.data().data();
+    double* ad = storage[k].data().data();
+    if (k == 0) {
+      std::copy(kd, kd + m * m, ad);
+    } else {
+      const double nv = nvs[k - 1];
+      const double* gd = p->gram.data().data();
+      for (std::size_t i = 0; i < m * m; ++i) ad[i] = gd[i] + nv * kd[i];
+    }
+    p->factors[k].emplace(Cholesky::in_place(std::move(storage[k])));
+  });
+  p->chol_kmm = std::make_unique<Cholesky>(std::move(*p->factors[0]));
   p->kmm_logdet = p->chol_kmm->log_determinant();
 }
 
-// One noise-grid point: factor A = nv * K_mm + gram, solve for the
-// weights, and return the DTC log marginal likelihood via the matrix
+// One noise-grid point from its factor of A = nv * K_mm + gram: solve for
+// the weights, and return the DTC log marginal likelihood via the matrix
 // determinant lemma:
 //   log|Q + nv I| = (n - m) log nv + log|A| - log|K_mm|
 //   y^T (Q + nv I)^-1 y = (y^T y - b^T A^-1 b) / nv
-double eval_noise_point(const SparsePanels& p, double nv, double y_sq,
-                        std::size_t n, std::unique_ptr<Cholesky>* chol_out,
+double eval_noise_point(const SparsePanels& p, Cholesky&& factor, double nv,
+                        double y_sq, std::size_t n,
+                        std::unique_ptr<Cholesky>* chol_out,
                         std::vector<double>* alpha_out) {
   const std::size_t m = p.kmm.rows();
-  Matrix a = p.gram;
-  const double* kd = p.kmm.data().data();
-  double* ad = a.data().data();
-  for (std::size_t i = 0; i < m * m; ++i) ad[i] += nv * kd[i];
-  auto chol = std::make_unique<Cholesky>(a);
+  auto chol = std::make_unique<Cholesky>(std::move(factor));
   std::vector<double> alpha = chol->solve(p.b);
   const double quad = (y_sq - kernels::dot(p.b.data(), alpha.data(), m)) / nv;
   const double logdet_cov = static_cast<double>(n - m) * std::log(nv) +
@@ -158,7 +252,7 @@ std::vector<GpRegressor::Target> GpRegressor::fit_sparse(
     ThreadPool* pool) {
   YOSO_TRACE_SPAN("gp.sparse_fit");
   ThreadPool inline_pool(0);
-  ThreadPool& gram_pool = pool != nullptr ? *pool : inline_pool;
+  ThreadPool& fit_pool = pool != nullptr ? *pool : inline_pool;
   const Matrix xs = scaler_.transform(x);
   const std::size_t n = xs.rows();
   const std::size_t m =
@@ -179,18 +273,19 @@ std::vector<GpRegressor::Target> GpRegressor::fit_sparse(
   dist_builds_.inducing = 1;
 
   // Same 15-point grid as the exact backend, with the gram/b panels hoisted
-  // per lengthscale (the noise term only shifts A's diagonal load).
+  // per lengthscale (the noise term only shifts A's diagonal load).  An
+  // untuned model is the one grid point hp_.
   const double base_l = std::sqrt(static_cast<double>(x.cols()));
   std::vector<double> yc(n);
   std::vector<Target> fitted;
   fitted.reserve(ys.size());
+  // Scratch reused across lengthscales and targets, so the peak is one
+  // lengthscale's working set.
+  SparsePanels panels;
+  std::unique_ptr<Cholesky> trial_chol;
+  std::vector<double> trial_alpha;
   for (const std::span<const double> y : ys) {
     Target& t = fitted.emplace_back();
-    // Per-target scratch, freed before the next target's grid allocates
-    // its own, so the peak is one target's working set.
-    SparsePanels panels;
-    std::unique_ptr<Cholesky> trial_chol;
-    std::vector<double> trial_alpha;
     t.y_mean = mean(y);
     double y_sq = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -198,35 +293,41 @@ std::vector<GpRegressor::Target> GpRegressor::fit_sparse(
       y_sq += yc[i] * yc[i];
     }
     const double y_var = std::max(y_sq / static_cast<double>(n), 1e-12);
-    if (!tune_) {
-      t.hp = hp_;
-      build_panels(t.hp, d_mm, d_nm, yc, gram_pool, &panels);
-      t.lml = eval_noise_point(panels, t.hp.noise_variance, y_sq, n, &t.chol,
-                               &t.alpha);
-      t.chol_kmm = std::move(panels.chol_kmm);
-      t.b = std::move(panels.b);
-      continue;
-    }
+    const double sv = tune_ ? y_var : hp_.signal_variance;
+    const double grid_l[] = {base_l * 0.25, base_l * 0.5, base_l * 1.0,
+                             base_l * 2.0, base_l * 4.0};
+    const double grid_nv[] = {y_var * 1e-4, y_var * 1e-3, y_var * 1e-2};
+    const std::span<const double> lengthscales =
+        tune_ ? std::span<const double>(grid_l)
+              : std::span<const double>(&hp_.lengthscale, 1);
+    const std::span<const double> nvs =
+        tune_ ? std::span<const double>(grid_nv)
+              : std::span<const double>(&hp_.noise_variance, 1);
     t.lml = -1e300;
-    for (double lf : {0.25, 0.5, 1.0, 2.0, 4.0}) {
-      GpHyperParams hp{base_l * lf, y_var, 0.0};
-      build_panels(hp, d_mm, d_nm, yc, gram_pool, &panels);
-      bool lf_won = false;
-      for (double nf : {1e-4, 1e-3, 1e-2}) {
-        hp.noise_variance = y_var * nf;
-        const double lml = eval_noise_point(panels, hp.noise_variance, y_sq,
-                                            n, &trial_chol, &trial_alpha);
-        // As in the exact flow, the winning grid point's factorisation IS
-        // the fitted state — no redundant refit.
-        if (lml > t.lml) {
+    for (const double l : lengthscales) {
+      build_panels({l, sv, 0.0}, d_mm, d_nm, yc, fit_pool, &panels);
+      YOSO_TRACE_SPAN("gp.sparse_factor");
+      factor_lengthscale(nvs, fit_pool, &panels);
+      bool l_won = false;
+      for (std::size_t k = 0; k < nvs.size(); ++k) {
+        const double lml =
+            eval_noise_point(panels, std::move(*panels.factors[k + 1]),
+                             nvs[k], y_sq, n, &trial_chol, &trial_alpha);
+        // Serially, in grid order: as in the exact flow, the winning grid
+        // point's factorisation IS the fitted state — no redundant refit.
+        // An untuned model keeps its one point whatever its likelihood.
+        if (!tune_ || lml > t.lml) {
           t.lml = lml;
-          t.hp = hp;
+          t.hp = {l, sv, nvs[k]};
           t.alpha = std::move(trial_alpha);
+          recycle(&t.chol, &panels);
           t.chol = std::move(trial_chol);
-          lf_won = true;
+          l_won = true;
         }
+        recycle(&trial_chol, &panels);
       }
-      if (lf_won) {
+      if (l_won) {
+        recycle(&t.chol_kmm, &panels);
         t.chol_kmm = std::move(panels.chol_kmm);
         t.b = std::move(panels.b);
       }

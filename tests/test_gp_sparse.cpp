@@ -330,28 +330,32 @@ void expect_same_state(const GpRegressorState& a, const GpRegressorState& b) {
   }
 }
 
-// The sparse fit forms each K_mn K_nm gram in fixed 32-row blocks across
-// the pool it is given.  Pools of 1 and 3 workers must fit the same state
-// as no pool, bit for bit and for both targets, with m past one block (37)
-// and a whole number of blocks (64).
+// The sparse fit exponentiates K_nm's 32-wide panels, forms the gram's
+// lower blocks and factors each lengthscale's K_mm and noise points across
+// the pool it is given.  Pools of 1, 2 and 3 workers must fit the same
+// state as no pool, bit for bit and for both targets.
 TEST(GpSparseTest, ParallelFitMatchesSerialBitForBit) {
   const GpData d = make_data(300, 6, 1, 53);
   std::vector<double> y2(d.y);
   for (double& v : y2) v = 2.0 * v * v - 1.0;
   const std::span<const double> ys[2] = {d.y, y2};
-  for (const std::size_t m : {37u, 64u}) {
-    GpRegressor serial = sparse_gp(m);
-    serial.fit(d.x, ys);
-    ASSERT_EQ(serial.inducing_count(), m);
-    for (const std::size_t workers : {1u, 3u}) {
-      SCOPED_TRACE("m " + std::to_string(m) + ", " + std::to_string(workers) +
-                   " workers");
-      ThreadPool pool(workers);
-      GpRegressor pooled = sparse_gp(m);
-      pooled.fit(d.x, ys, &pool);
-      expect_same_state(serial.export_state(), pooled.export_state());
+  // m = 1 and 5 are one partial panel, 37 a full and a partial one, 64
+  // two full ones; the untuned model factors one noise point.
+  for (const bool tune : {true, false})
+    for (const std::size_t m : {1u, 5u, 37u, 64u}) {
+      GpRegressor serial = sparse_gp(m, tune);
+      serial.fit(d.x, ys);
+      ASSERT_EQ(serial.inducing_count(), m);
+      for (const std::size_t workers : {1u, 2u, 3u}) {
+        SCOPED_TRACE("m " + std::to_string(m) + ", tune " +
+                     std::to_string(tune) + ", " + std::to_string(workers) +
+                     " workers");
+        ThreadPool pool(workers);
+        GpRegressor pooled = sparse_gp(m, tune);
+        pooled.fit(d.x, ys, &pool);
+        expect_same_state(serial.export_state(), pooled.export_state());
+      }
     }
-  }
 }
 
 // fit() builds every target before it installs any: a target that cannot

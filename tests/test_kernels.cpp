@@ -3,9 +3,12 @@
 // not multiples of any register-tile width — plus the determinism contract
 // (sub-range calls identical to full-range calls).
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -312,6 +315,77 @@ TEST(KernelsTest, GoldenTileChecksum) {
       h = fnv1a64(bytes_of(cf), h);
     }
   EXPECT_EQ(h, 0x9663d622ff5f9dc1ull);
+}
+
+// The sparse GP's gram (predictor/gp_sparse.cpp): A (n x m) stored as
+// 32-wide column panels, its lower blocks from gram_panels, each mirrored.
+// Every element must equal gemm(transpose(A), A) bit for bit, so the
+// assembled gram is that product exactly and exactly symmetric.  m covers
+// one partial panel, a full one, a full and a partial, one-vector and
+// scalar column tails; n = 300 spans several L1 passes, the last partial.
+TEST(KernelsTest, GramPanelsMatchGemmOfTransposeBitForBit) {
+  constexpr std::size_t kPanel = 32;
+  Rng rng(83);
+  for (const std::size_t m : {1u, 3u, 5u, 17u, 37u, 64u})
+    for (const std::size_t n : {1u, 7u, 300u}) {
+      SCOPED_TRACE("m " + std::to_string(m) + ", n " + std::to_string(n));
+      const auto a = random_vec(rng, n * m);
+      std::vector<double> at(m * n);
+      for (std::size_t t = 0; t < n; ++t)
+        for (std::size_t c = 0; c < m; ++c) at[c * n + t] = a[t * m + c];
+      std::vector<double> ref(m * m);
+      kernels::gemm(at.data(), a.data(), ref.data(), m, n, m);
+      const std::size_t panels = (m + kPanel - 1) / kPanel;
+      const auto width = [&](std::size_t q) {
+        return std::min(kPanel, m - q * kPanel);
+      };
+      std::vector<double> packed(n * m);
+      for (std::size_t q = 0; q < panels; ++q)
+        for (std::size_t t = 0; t < n; ++t)
+          for (std::size_t c = 0; c < width(q); ++c)
+            packed[q * kPanel * n + t * width(q) + c] =
+                a[t * m + q * kPanel + c];
+      std::vector<double> gram(m * m, -1.0);
+      for (std::size_t bi = 0; bi < panels; ++bi)
+        for (std::size_t bj = 0; bj <= bi; ++bj) {
+          const std::size_t ilo = bi * kPanel, jlo = bj * kPanel;
+          kernels::gram_panels(packed.data() + ilo * n, width(bi),
+                               packed.data() + jlo * n, width(bj), n,
+                               gram.data() + ilo * m + jlo, m);
+          for (std::size_t r = 0; bi != bj && r < width(bi); ++r)
+            for (std::size_t c = 0; c < width(bj); ++c)
+              gram[(jlo + c) * m + ilo + r] = gram[(ilo + r) * m + jlo + c];
+        }
+      for (std::size_t i = 0; i < m; ++i)
+        for (std::size_t j = 0; j < m; ++j) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(gram[i * m + j]),
+                    std::bit_cast<std::uint64_t>(ref[i * m + j]))
+              << "(" << i << ", " << j << ")";
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(gram[i * m + j]),
+                    std::bit_cast<std::uint64_t>(gram[j * m + i]))
+              << "(" << i << ", " << j << ")";
+        }
+    }
+}
+
+// gp_sparse.cpp exponentiates each K_nm row in 32-wide panel slices: the
+// slices must equal one exp_scale over the whole row, element for element.
+TEST(KernelsTest, ExpScaleInPanelSlicesMatchesWholeRow) {
+  constexpr std::size_t kPanel = 32;
+  Rng rng(89);
+  for (const std::size_t m : {1u, 5u, 37u, 64u, 70u}) {
+    std::vector<double> row(m);
+    for (double& v : row) v = rng.uniform(0.0, 30.0);
+    std::vector<double> whole(m), sliced(m);
+    kernels::exp_scale(row.data(), whole.data(), m, -0.29, 1.3);
+    for (std::size_t lo = 0; lo < m; lo += kPanel)
+      kernels::exp_scale(row.data() + lo, sliced.data() + lo,
+                         std::min(kPanel, m - lo), -0.29, 1.3);
+    for (std::size_t i = 0; i < m; ++i)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(sliced[i]),
+                std::bit_cast<std::uint64_t>(whole[i]))
+          << "m " << m << " @" << i;
+  }
 }
 
 // A row computed as part of a larger batch must be bit-identical to the

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "util/rng.h"
 
@@ -116,6 +118,39 @@ TEST(Cholesky, NonSquareThrows) {
 TEST(Cholesky, IndefiniteMatrixThrows) {
   const Matrix a = Matrix::from_rows({{1, 0}, {0, -5}});
   EXPECT_THROW(Cholesky c(a), std::runtime_error);
+}
+
+// Both forms run one factor loop.  The in-place form equals the copying
+// one bit for bit on an exactly symmetric matrix, also through the jitter
+// retry, and the copying form reads only the lower triangle.
+TEST(Cholesky, InPlaceMatchesCopyingFormBitForBit) {
+  Rng rng(29);
+  const std::size_t n = 9;
+  Matrix b(n, n);
+  for (auto& v : b.data()) v = rng.normal();
+  Matrix spd = b * b.transpose();
+  spd.add_diagonal(0.5);
+  // All ones: the first attempt meets a zero pivot in row 1, so only the
+  // jittered retry succeeds.
+  const Matrix ones(5, 5, 1.0);
+  const auto expect_same = [](const Matrix& x, const Matrix& y) {
+    ASSERT_EQ(x.rows(), y.rows());
+    for (std::size_t i = 0; i < x.data().size(); ++i)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(x.data()[i]),
+                std::bit_cast<std::uint64_t>(y.data()[i]))
+          << i;
+  };
+  const Matrix* const cases[] = {&spd, &ones};
+  for (const Matrix* a : cases) {
+    ASSERT_TRUE(*a == a->transpose());
+    expect_same(Cholesky::in_place(*a).lower(), Cholesky(*a).lower());
+  }
+  EXPECT_GT(Cholesky(ones).lower()(0, 0), 1.0);  // the jitter was applied
+  Matrix upper_noise = spd;
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j) upper_noise(i, j) = 99.0;
+  expect_same(Cholesky(upper_noise).lower(), Cholesky(spd).lower());
+  EXPECT_THROW(Cholesky::in_place(Matrix(n, n + 1)), std::invalid_argument);
 }
 
 TEST(Cholesky, NearSingularRecoversWithJitter) {

@@ -541,7 +541,7 @@ class ProjectContext:
         self.worker_fns = transitive_callees(worker_seed, calls)
         for clean, fspans in per_file:
             for fn, s, e in fspans:
-                if fn not in self.hot_cost:
+                if hot_lookup(self.hot_cost, fn) is None:
                     continue
                 body = clean[s:e]
                 for t in throwing:
@@ -1154,10 +1154,27 @@ class HotProfile:
         return prof
 
 
+def bare_name(fn):
+    """`Class::method` -> `method`; a bare name is returned as is."""
+    return fn.rsplit("::", 1)[-1]
+
+
+def hot_lookup(table, fn, default=None):
+    """A function's entry in a propagate_hot_costs map: under its own
+    qualified key when it opens spans, else under the bare name its
+    callers reach it by."""
+    if fn in table:
+        return table[fn]
+    return table.get(bare_name(fn), default)
+
+
 def propagate_hot_costs(spans_of, calls, profile):
-    """(cost, span) maps over function names.  Spanned functions seed the
-    hot set with the best observed self-time of their own spans; costs > 0
-    propagate to transitive callees, where a callee's OWN span always wins
+    """(cost, span) maps; read them with hot_lookup().  A function that
+    opens spans seeds the hot set under its qualified definition name
+    (`Class::method`) with the best observed self-time of its own spans,
+    so a same-named method of another class is not hot by its name alone.
+    Costs > 0 propagate to transitive callees along name-based edges,
+    keyed by the callee's bare name, where a callee's OWN span always wins
     (the innermost enclosing span is the one the profiler charged)."""
     cost, span = {}, {}
     for fn, names in spans_of.items():
@@ -1167,7 +1184,7 @@ def propagate_hot_costs(spans_of, calls, profile):
     for _ in range(len(calls) + 1):
         grew = False
         for fn, callees in calls.items():
-            inherited = cost.get(fn, 0)
+            inherited = hot_lookup(cost, fn, 0)
             if inherited <= 0:
                 continue
             for c in callees:
@@ -1175,7 +1192,7 @@ def propagate_hot_costs(spans_of, calls, profile):
                     continue  # its own span wins
                 if cost.get(c, -1) < inherited:
                     cost[c] = inherited
-                    span[c] = span[fn]
+                    span[c] = hot_lookup(span, fn)
                     grew = True
         if not grew:
             break
@@ -1183,11 +1200,16 @@ def propagate_hot_costs(spans_of, calls, profile):
 
 
 def transitive_callees(seed, calls):
+    """Bare names reachable from the bare names in `seed`: a call edge
+    reaches every function of that name, whatever its class."""
+    by_name = {}
+    for fn, cs in calls.items():
+        by_name.setdefault(bare_name(fn), set()).update(cs)
     out = set(seed)
     stack = list(seed)
     while stack:
         fn = stack.pop()
-        for c in calls.get(fn, ()):
+        for c in by_name.get(fn, ()):
             if c not in out:
                 out.add(c)
                 stack.append(c)
@@ -1354,13 +1376,13 @@ def scan_perf(rel, text, clean, ctx):
     violations = []
 
     def emit(off, rule, message):
-        fn = _enclosing_fn(info.function_spans, off)
+        fn = _enclosing_fn(info.function_spans, off) or ""
         violations.append(Violation(
             rel, line_of(clean, off), rule, message,
-            rank=cost.get(fn, 0), span=span.get(fn)))
+            rank=hot_lookup(cost, fn, 0), span=hot_lookup(span, fn)))
 
     hot_fn_spans = [(fn, s, e) for fn, s, e in info.function_spans
-                    if fn in cost]
+                    if hot_lookup(cost, fn) is not None]
 
     # Regions where per-iteration allocation is banned: loop bodies of hot
     # functions plus worker lambda bodies.
@@ -1474,7 +1496,7 @@ def scan_perf(rel, text, clean, ctx):
     if not norm.startswith(MUTEX_EXEMPT_PREFIXES):
         mutex_regions = list(info.worker_regions)
         mutex_regions += [(s, e) for fn, s, e in info.function_spans
-                          if fn in worker]
+                          if bare_name(fn) in worker]
         seen_lock = set()
         for a, b in mutex_regions:
             for m in LOCK_RE.finditer(clean, a, b):
@@ -1568,8 +1590,9 @@ def collect_aliases(clean):
 def classify_braces(clean):
     """Returns (scopes_at, function_spans): for every opening-brace
     offset its scope kind, and [(name, start, end)] for function-like
-    bodies.  Classification looks at the preamble between the previous
-    ';' / '{' / '}' and the brace."""
+    bodies, named as defined: `Class::method` for a qualified definition
+    or one inside a class body, else the bare name.  Classification looks
+    at the preamble between the previous ';' / '{' / '}' and the brace."""
     stack = []
     scopes_at = {}
     function_spans = []
@@ -1582,6 +1605,9 @@ def classify_braces(clean):
         elif c == "{":
             preamble = clean[boundary:i]
             kind, name = classify_preamble(preamble)
+            if kind == "function" and "::" not in name and stack and \
+                    stack[-1].kind == "class" and stack[-1].name:
+                name = f"{stack[-1].name}::{name}"
             # A brace directly inside a class with no '(' is usually a
             # member initializer — treat as block; close enough.
             scopes_at[i] = kind
@@ -1606,19 +1632,22 @@ def classify_preamble(preamble):
     m_class = re.match(r"^(?:template\s*<[^{]*>\s*)?"
                        r"(?:class|struct|union|enum)\b", p)
     if m_class:
-        return "class", None
+        m_name = re.search(r"\b(?:class|struct|union)\s+"
+                           r"(?:alignas\s*\([^)]*\)\s*)?(\w+(?:::\w+)*)", p)
+        return "class", m_name.group(1) if m_name else None
     if "=" in p.split("(")[0] and "(" not in p:
         return "block", None  # brace initializer
-    # Function-ish: has a parameter list; name is the identifier before
-    # the last top-level '('.
+    # Function-ish: has a parameter list; name is the (possibly qualified)
+    # identifier before the last top-level '('.
     if "(" in p:
         flat = re.sub(r"<[^<>]*>", "", p)
         m = None
-        for m in re.finditer(r"(~?\w+)\s*\(", flat):
+        for m in re.finditer(r"((?:\w+\s*::\s*)*~?\w+)\s*\(", flat):
             pass
-        if m and m.group(1) not in ("if", "for", "while", "switch",
-                                    "catch"):
-            name = m.group(1).lstrip("~")
+        if m and bare_name(m.group(1)) not in ("if", "for", "while",
+                                               "switch", "catch"):
+            name = "::".join(part.strip().lstrip("~")
+                             for part in m.group(1).split("::"))
             return "function", name
         return "block", None
     return "block", None
@@ -1724,7 +1753,7 @@ def parallel_purity_violations(rel, clean):
     # Direct writers, then transitive closure over the call graph.
     body_of = {}
     for fn_name, start, end in function_spans:
-        body_of.setdefault(fn_name, []).append(clean[start:end])
+        body_of.setdefault(bare_name(fn_name), []).append(clean[start:end])
     impure = {fn for fn, bodies in body_of.items()
               if any(writes_in(b) for b in bodies)}
     for _ in range(len(body_of)):
