@@ -10,6 +10,5 @@ int main() {
   spec.metric_name = "energy (mJ)";
   spec.reward = yoso::energy_opt_reward();
   spec.metric = [](const yoso::EvalResult& r) { return r.energy_mj; };
-  yoso::run_tradeoff_bench(spec);
-  return 0;
+  return yoso::run_tradeoff_bench(spec) ? 0 : 1;
 }

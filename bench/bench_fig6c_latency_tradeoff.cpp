@@ -10,6 +10,5 @@ int main() {
   spec.metric_name = "latency (ms)";
   spec.reward = yoso::latency_opt_reward();
   spec.metric = [](const yoso::EvalResult& r) { return r.latency_ms; };
-  yoso::run_tradeoff_bench(spec);
-  return 0;
+  return yoso::run_tradeoff_bench(spec) ? 0 : 1;
 }

@@ -9,7 +9,9 @@
 //
 // Fig 7 normalises every row's energy/latency to the best; the paper's
 // headline is 1.42x-2.29x energy or 1.79x-3.07x latency reduction at the
-// same level of precision.
+// same level of precision.  Exits 1 when the shape check fails: some
+// two-stage row beats YOSO on its optimised metric.  The headline bands
+// are a report.
 
 #include <iostream>
 #include <map>
@@ -141,6 +143,7 @@ int main() {
   }
   std::cout << "\nFig 7 — normalised energy/latency vs the YOSO solutions:\n";
   fig7.print(std::cout);
+  const bool holds = e_min > 1.0 && l_min > 1.0;
   std::cout << "\nheadline bands (two-stage / YOSO over the six references):\n"
             << "  energy reduction:  measured " << TextTable::fmt(e_min, 2)
             << "x .. " << TextTable::fmt(e_max, 2)
@@ -149,11 +152,10 @@ int main() {
             << "x .. " << TextTable::fmt(l_max, 2)
             << "x   (paper: 1.79x .. 3.07x)\n"
             << "shape check: "
-            << (e_min > 1.0 && l_min > 1.0
-                    ? "YOSO dominates every two-stage row on its optimised "
-                      "metric, as in the paper"
-                    : "MISMATCH: some two-stage row beats YOSO")
+            << (holds ? "YOSO dominates every two-stage row on its optimised "
+                        "metric, as in the paper"
+                      : "MISMATCH: some two-stage row beats YOSO")
             << "\n";
   bench_footer(sw);
-  return 0;
+  return holds ? 0 : 1;
 }

@@ -3,6 +3,7 @@
 // latency/energy-weighted reward, print the (accuracy, perf) trajectory
 // every k-th iteration, and check that the population drifts toward the
 // Pareto region.  The paper uses 12000 iterations and plots every 20th.
+// Both benches exit 1 when the drift check fails.
 
 #include <functional>
 #include <iostream>
@@ -26,7 +27,9 @@ struct TradeoffSpec {
   std::function<double(const EvalResult&)> metric;
 };
 
-inline void run_tradeoff_bench(const TradeoffSpec& spec) {
+/// Returns the shape check's verdict: the late-phase mean reward is above
+/// the early-phase one.
+inline bool run_tradeoff_bench(const TradeoffSpec& spec) {
   Stopwatch sw;
   bench_banner(spec.figure,
                "search trajectory toward the accuracy-" + spec.metric_name +
@@ -87,13 +90,14 @@ inline void run_tradeoff_bench(const TradeoffSpec& spec) {
               << b.candidate.config.to_string()
               << (b.feasible ? " (feasible)" : " (INFEASIBLE)") << "\n";
   }
+  const bool drifts = mean(late_r) > mean(early_r);
   std::cout << "shape check: "
-            << (mean(late_r) > mean(early_r)
-                    ? "search drifts toward the higher combined-score region, "
-                      "as in the paper"
-                    : "MISMATCH: no drift toward the Pareto region")
+            << (drifts ? "search drifts toward the higher combined-score "
+                         "region, as in the paper"
+                       : "MISMATCH: no drift toward the Pareto region")
             << "\n";
   bench_footer(sw);
+  return drifts;
 }
 
 }  // namespace yoso

@@ -13,12 +13,6 @@ namespace yoso {
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
 Matrix Matrix::from_rows(const std::vector<std::vector<double>>& rows) {
   if (rows.empty()) return Matrix{};
   const std::size_t cols = rows.front().size();
@@ -44,35 +38,6 @@ Matrix Matrix::operator*(const Matrix& rhs) const {
   Matrix out(rows_, rhs.cols_);
   kernels::gemm(data_.data(), rhs.data_.data(), out.data_.data(), rows_,
                 cols_, rhs.cols_);
-  return out;
-}
-
-Matrix Matrix::operator+(const Matrix& rhs) const {
-  Matrix out = *this;
-  out += rhs;
-  return out;
-}
-
-Matrix Matrix::operator-(const Matrix& rhs) const {
-  YOSO_REQUIRE(rows_ == rhs.rows_ && cols_ == rhs.cols_,
-               "Matrix::operator-: ", rows_, "x", cols_, " - ", rhs.rows_,
-               "x", rhs.cols_);
-  Matrix out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] -= rhs.data_[i];
-  return out;
-}
-
-Matrix& Matrix::operator+=(const Matrix& rhs) {
-  YOSO_REQUIRE(rows_ == rhs.rows_ && cols_ == rhs.cols_,
-               "Matrix::operator+=: ", rows_, "x", cols_, " += ", rhs.rows_,
-               "x", rhs.cols_);
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += rhs.data_[i];
-  return *this;
-}
-
-Matrix Matrix::scaled(double s) const {
-  Matrix out = *this;
-  for (double& v : out.data_) v *= s;
   return out;
 }
 
@@ -102,42 +67,24 @@ void Matrix::add_diagonal(double v) {
   for (std::size_t i = 0; i < n; ++i) (*this)(i, i) += v;
 }
 
-Cholesky::Cholesky(const Matrix& a, double jitter)
-    : l_(a.rows(), a.rows()) {
-  YOSO_REQUIRE(a.rows() == a.cols(), "Cholesky: matrix not square (",
-               a.rows(), "x", a.cols(), ")");
-  factor(a.data().data(), a.rows(), 1, jitter);
-}
-
-Cholesky Cholesky::in_place(Matrix a, double jitter) {
-  YOSO_REQUIRE(a.rows() == a.cols(), "Cholesky::in_place: matrix not "
-               "square (", a.rows(), "x", a.cols(), ")");
-  Cholesky c;
-  c.l_ = std::move(a);
-  c.factor(c.l_.data().data(), 1, c.l_.rows(), jitter);
-  return c;
-}
-
-void Cholesky::factor(const double* a, std::size_t rs, std::size_t cs,
-                      double jitter) {
+Cholesky::Cholesky(Matrix a, double jitter) : l_(std::move(a)) {
+  YOSO_REQUIRE(l_.rows() == l_.cols(), "Cholesky: matrix not square (",
+               l_.rows(), "x", l_.cols(), ")");
   const std::size_t n = l_.rows();
-  YOSO_DCHECK((n == 0 || a != nullptr) &&
-                  ((rs == n && cs == 1) || (rs == 1 && cs == n)),
-              "Cholesky::factor: input strides (", rs, ", ", cs,
-              ") for an ", n, "x", n, " factor");
   double* ld = l_.data().data();
-  // The loop reads the input's diagonal from this copy: in place, it
-  // overwrites the diagonal, and a jittered retry starts from the input.
+  // The factor overwrites the input's lower triangle, so the loop reads
+  // element (i, j), j < i, from the upper triangle, which it never writes,
+  // and the diagonal from this copy, so a jittered retry starts from the
+  // input again.
   std::vector<double> diag(n);
-  for (std::size_t i = 0; i < n; ++i) diag[i] = a[i * rs + i * cs];
+  for (std::size_t i = 0; i < n; ++i) diag[i] = ld[i * n + i];
   // Progressive jitter: retry with 10x larger diagonal boost on failure.
   double eps = 0.0;
   for (int attempt = 0; attempt < 8; ++attempt) {
     bool ok = true;
     for (std::size_t i = 0; i < n && ok; ++i) {
       for (std::size_t j = 0; j <= i; ++j) {
-        double sum =
-            (i == j ? diag[i] : a[i * rs + j * cs]) + (i == j ? eps : 0.0);
+        double sum = (i == j ? diag[i] : ld[j * n + i]) + (i == j ? eps : 0.0);
         sum -= kernels::dot(ld + i * n, ld + j * n, j);
         if (i == j) {
           if (sum <= 0.0) {
@@ -245,17 +192,10 @@ std::vector<double> ridge_solve(const Matrix& x, std::span<const double> y,
   xtx.add_diagonal(lambda);
   const std::vector<double> xty = x.matvec_transposed(y);
   // lambda == 0 may be singular; Cholesky's progressive jitter handles
-  // near-singular gram matrices gracefully.
-  Cholesky chol(xtx);
-  return chol.solve(xty);
-}
-
-double dot(std::span<const double> a, std::span<const double> b) {
-  YOSO_REQUIRE(a.size() == b.size(), "dot: sizes ", a.size(), " vs ",
-               b.size());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
-  return acc;
+  // near-singular gram matrices gracefully.  X^T X is exactly symmetric
+  // (each element's products commute), so the factor reads its upper
+  // triangle in place.
+  return Cholesky(std::move(xtx)).solve(xty);
 }
 
 double squared_distance(std::span<const double> a, std::span<const double> b) {

@@ -16,7 +16,6 @@ class Matrix {
   Matrix() = default;
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
 
-  static Matrix identity(std::size_t n);
   /// Builds a matrix from nested initialiser data; all rows must match.
   static Matrix from_rows(const std::vector<std::vector<double>>& rows);
 
@@ -43,10 +42,6 @@ class Matrix {
 
   Matrix transpose() const;
   Matrix operator*(const Matrix& rhs) const;
-  Matrix operator+(const Matrix& rhs) const;
-  Matrix operator-(const Matrix& rhs) const;
-  Matrix& operator+=(const Matrix& rhs);
-  Matrix scaled(double s) const;
 
   /// Matrix-vector product.
   std::vector<double> matvec(std::span<const double> x) const;
@@ -64,17 +59,17 @@ class Matrix {
 
 /// Cholesky factorisation A = L L^T of a symmetric positive-definite matrix.
 /// Throws std::runtime_error if A is not positive definite (after exhausting
-/// a small progressive jitter).
+/// a small progressive jitter).  A default-constructed object is the empty
+/// factor, which is also what release() leaves behind.
 class Cholesky {
  public:
-  /// Reads only the lower triangle of `a`.
-  explicit Cholesky(const Matrix& a, double jitter = 1e-10);
+  Cholesky() = default;
 
   /// Factors `a` in its own storage, which becomes the factor, so a caller
-  /// can allocate the storage on one thread and factor on another.  Reads
-  /// the upper triangle and the diagonal: bit-identical to
-  /// Cholesky(a, jitter) when `a` is exactly symmetric.
-  static Cholesky in_place(Matrix a, double jitter = 1e-10);
+  /// can allocate the storage on one thread and factor on another, or
+  /// recycle a released factor's.  Reads only the diagonal and the upper
+  /// triangle of `a`.
+  explicit Cholesky(Matrix a, double jitter = 1e-10);
 
   /// Rebuilds a factorisation object from a previously computed lower
   /// factor (e.g. one round-tripped through the binary artifact format,
@@ -88,21 +83,15 @@ class Cholesky {
 
   /// Gives up the factor's storage, e.g. to factor the next matrix in
   /// place; the object is left empty.
-  Matrix release() && { return std::move(l_); }
+  Matrix release() && { return std::exchange(l_, Matrix{}); }
 
   /// Solves A x = b via the factorisation.
   std::vector<double> solve(std::span<const double> b) const;
 
-  /// Solves L y = b (forward substitution).
-  std::vector<double> solve_lower(std::span<const double> b) const;
-
-  /// Allocation-free forward substitution: writes n values to `out`.
-  /// In-place safe (`out` may alias `b.data()`): b[i] is consumed before
-  /// y[i] is written and the dot product only reads y[0..i).
+  /// Allocation-free forward substitution L y = b: writes n values to
+  /// `out`.  In-place safe (`out` may alias `b.data()`): b[i] is consumed
+  /// before y[i] is written and the dot product only reads y[0..i).
   void solve_lower_into(std::span<const double> b, double* out) const;
-
-  /// Solves L^T x = y (backward substitution).
-  std::vector<double> solve_lower_transposed(std::span<const double> y) const;
 
   /// log |A| = 2 * sum_i log L_ii, used for GP marginal likelihood.
   double log_determinant() const;
@@ -114,15 +103,10 @@ class Cholesky {
   void rank1_update(std::span<const double> v);
 
  private:
-  Cholesky() = default;  // from_lower() and in_place() fill l_ directly
-
-  /// The one factor loop: writes the lower factor of the input into l_
-  /// (n x n), zero above the diagonal.  The input's element (i, j), j <= i,
-  /// sits at a[i * rs + j * cs]: (n, 1) reads a row-major lower triangle,
-  /// and (1, n) reads l_'s own upper triangle, which the loop never
-  /// writes.
-  void factor(const double* a, std::size_t rs, std::size_t cs,
-              double jitter);
+  /// Solves L y = b (forward substitution).
+  std::vector<double> solve_lower(std::span<const double> b) const;
+  /// Solves L^T x = y (backward substitution).
+  std::vector<double> solve_lower_transposed(std::span<const double> y) const;
 
   Matrix l_;
 };
@@ -132,7 +116,6 @@ class Cholesky {
 std::vector<double> ridge_solve(const Matrix& x, std::span<const double> y,
                                 double lambda);
 
-double dot(std::span<const double> a, std::span<const double> b);
 double squared_distance(std::span<const double> a, std::span<const double> b);
 
 }  // namespace yoso

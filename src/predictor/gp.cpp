@@ -13,15 +13,17 @@
 namespace yoso {
 namespace {
 
-// One exact grid point: factors K + nv I and solves for the weights;
-// returns the log marginal likelihood.
+// One exact grid point: writes K + nv I into `k` (n x n storage, recycled
+// from a factor no grid point kept), factors it in place and solves for
+// the weights; returns the log marginal likelihood.  d2 is exactly
+// symmetric and exp_scale's result does not depend on an element's
+// position in its row, so K is too, and the factor may read its upper
+// triangle.
 double fit_from_dists(const Matrix& d2, std::span<const double> yc,
-                      const GpHyperParams& hp,
-                      std::unique_ptr<Cholesky>* chol_out,
+                      const GpHyperParams& hp, Matrix k, Cholesky* chol_out,
                       std::vector<double>* alpha_out) {
   const std::size_t n = d2.rows();
   const double l = hp.lengthscale;
-  Matrix k(n, n);
   const double* din = d2.data().data();
   double* kout = k.data().data();
   // K = s^2 exp(-D / (2 l^2)), exponentiated row by row so an element's
@@ -31,16 +33,12 @@ double fit_from_dists(const Matrix& d2, std::span<const double> yc,
     kernels::exp_scale(din + i * n, kout + i * n, n, -1.0 / (2.0 * l * l),
                        hp.signal_variance);
   k.add_diagonal(hp.noise_variance);
-  auto chol = std::make_unique<Cholesky>(k);
-  std::vector<double> alpha = chol->solve(yc);
+  *chol_out = Cholesky(std::move(k));
+  *alpha_out = chol_out->solve(yc);
   // log p(y) = -0.5 y^T alpha - 0.5 log|K| - n/2 log(2 pi)
-  const double fit_term = kernels::dot(yc.data(), alpha.data(), n);
-  const double lml =
-      -0.5 * fit_term - 0.5 * chol->log_determinant() -
-      0.5 * static_cast<double>(n) * std::log(2.0 * std::numbers::pi);
-  *chol_out = std::move(chol);
-  *alpha_out = std::move(alpha);
-  return lml;
+  const double fit_term = kernels::dot(yc.data(), alpha_out->data(), n);
+  return -0.5 * fit_term - 0.5 * chol_out->log_determinant() -
+         0.5 * static_cast<double>(n) * std::log(2.0 * std::numbers::pi);
 }
 
 void require_valid_state(const GpRegressorState& state) {
@@ -127,11 +125,18 @@ std::vector<GpRegressor::Target> GpRegressor::fit_exact(
   dist_builds_.full = 1;
 
   // Grid search: lengthscale scaled to feature dimension, noise relative to
-  // target variance.  Signal variance is tied to the target variance.
+  // target variance.  Signal variance is tied to the target variance.  An
+  // untuned model is the one grid point hp_.
   const double base_l = std::sqrt(static_cast<double>(x.cols()));
   std::vector<double> yc(n);
   std::vector<Target> fitted;
   fitted.reserve(ys.size());
+  // Each grid point factors its kernel matrix in the storage of the last
+  // factor that lost, so the live set is d2, this spare (or the trial
+  // factor), the best factor so far and the previous targets' winners.
+  Matrix spare;
+  Cholesky trial;
+  std::vector<double> trial_alpha;
   for (const std::span<const double> y : ys) {
     Target& t = fitted.emplace_back();
     t.y_mean = mean(y);
@@ -141,29 +146,36 @@ std::vector<GpRegressor::Target> GpRegressor::fit_exact(
       y_var += yc[i] * yc[i];
     }
     y_var = std::max(y_var / static_cast<double>(n), 1e-12);
-    if (!tune_) {
-      t.hp = hp_;
-      t.lml = fit_from_dists(d2, yc, t.hp, &t.chol, &t.alpha);
-      continue;
-    }
-    std::unique_ptr<Cholesky> chol;
-    std::vector<double> alpha;
+    const double sv = tune_ ? y_var : hp_.signal_variance;
+    const double grid_l[] = {base_l * 0.25, base_l * 0.5, base_l * 1.0,
+                             base_l * 2.0, base_l * 4.0};
+    const double grid_nv[] = {y_var * 1e-4, y_var * 1e-3, y_var * 1e-2};
+    const std::span<const double> lengthscales =
+        tune_ ? std::span<const double>(grid_l)
+              : std::span<const double>(&hp_.lengthscale, 1);
+    const std::span<const double> nvs =
+        tune_ ? std::span<const double>(grid_nv)
+              : std::span<const double>(&hp_.noise_variance, 1);
     t.lml = -1e300;
-    for (double lf : {0.25, 0.5, 1.0, 2.0, 4.0}) {
-      for (double nf : {1e-4, 1e-3, 1e-2}) {
-        const GpHyperParams hp{base_l * lf, y_var, y_var * nf};
-        const double lml = fit_from_dists(d2, yc, hp, &chol, &alpha);
+    for (const double l : lengthscales) {
+      for (const double nv : nvs) {
+        const GpHyperParams hp{l, sv, nv};
+        if (spare.empty()) spare = Matrix(n, n);
+        const double lml =
+            fit_from_dists(d2, yc, hp, std::move(spare), &trial, &trial_alpha);
         // The winning grid point's factorisation is kept as the fitted
-        // state — no redundant refit of the best hyper-parameters.
-        if (lml > t.lml) {
+        // state — no redundant refit of the best hyper-parameters.  An
+        // untuned model keeps its one point whatever its likelihood.
+        if (!tune_ || lml > t.lml) {
           t.lml = lml;
           t.hp = hp;
-          t.alpha = std::move(alpha);
-          t.chol = std::move(chol);
+          t.alpha = std::move(trial_alpha);
+          std::swap(t.chol, trial);
         }
+        spare = std::move(trial).release();  // the loser's storage
       }
     }
-    YOSO_REQUIRE(t.chol != nullptr,
+    YOSO_REQUIRE(!t.chol.lower().empty(),
                  "GpRegressor::fit: no grid point has a finite likelihood");
   }
   return fitted;
@@ -267,7 +279,7 @@ std::pair<double, double> GpRegressor::predict_with_variance(
   if (backend_ == GpBackend::kExact) {
     // var = k(x,x) - k*^T K^-1 k*; the solve overwrites krow in place
     // (safe: forward substitution consumes krow[i] before writing it).
-    t.chol->solve_lower_into(krow, krow.data());
+    t.chol.solve_lower_into(krow, krow.data());
     const double reduce = kernels::dot(krow.data(), krow.data(), n);
     return {mu, std::max(0.0, hp.signal_variance + hp.noise_variance -
                                   reduce)};
@@ -277,9 +289,9 @@ std::pair<double, double> GpRegressor::predict_with_variance(
   // Both quadratic forms come from forward solves into a scratch row
   // (krow itself must stay intact between them).
   std::vector<double> vrow(n);
-  t.chol_kmm->solve_lower_into(krow, vrow.data());
+  t.chol_kmm.solve_lower_into(krow, vrow.data());
   const double prior_drop = kernels::dot(vrow.data(), vrow.data(), n);
-  t.chol->solve_lower_into(krow, vrow.data());
+  t.chol.solve_lower_into(krow, vrow.data());
   const double info_gain = kernels::dot(vrow.data(), vrow.data(), n);
   return {mu, std::max(0.0, hp.signal_variance + hp.noise_variance -
                                 prior_drop + hp.noise_variance * info_gain)};
@@ -301,8 +313,8 @@ GpRegressorState GpRegressor::export_state() const {
     GpRegressorState::Target& st = s.targets.emplace_back();
     st.hp = t.hp;
     st.alpha = t.alpha;
-    st.chol_lower = t.chol->lower();
-    if (t.chol_kmm != nullptr) st.chol_kmm_lower = t.chol_kmm->lower();
+    st.chol_lower = t.chol.lower();
+    st.chol_kmm_lower = t.chol_kmm.lower();
     st.b = t.b;
     st.y_mean = t.y_mean;
     st.lml = t.lml;
@@ -325,10 +337,9 @@ GpRegressor GpRegressor::from_state(const GpRegressorState& state) {
     Target& t = gp.targets_.emplace_back();
     t.hp = s.hp;
     t.alpha = s.alpha;
-    t.chol = std::make_unique<Cholesky>(Cholesky::from_lower(s.chol_lower));
+    t.chol = Cholesky::from_lower(s.chol_lower);
     if (state.backend == GpBackend::kSparse) {
-      t.chol_kmm =
-          std::make_unique<Cholesky>(Cholesky::from_lower(s.chol_kmm_lower));
+      t.chol_kmm = Cholesky::from_lower(s.chol_kmm_lower);
       t.b = s.b;
     }
     t.y_mean = s.y_mean;

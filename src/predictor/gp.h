@@ -13,8 +13,9 @@
 //
 //  * kExact — the paper's O(n^3) GP.  fit computes the pairwise
 //    squared-distance matrix once and re-exponentiates it per
-//    hyper-parameter grid point (the winning point's Cholesky/alpha are
-//    reused directly, no final refit).
+//    hyper-parameter grid point into the storage of the last factor that
+//    lost, which it factors in place (the winning point's Cholesky/alpha
+//    are reused directly, no final refit).
 //  * kSparse — a Nystrom / deterministic-training-conditional (DTC)
 //    approximation on m inducing points chosen by deterministic
 //    farthest-point (k-center) selection over the standardized inputs.
@@ -28,7 +29,6 @@
 // predict_means() share one per-row operation chain: batched means are
 // bit-identical to per-row calls for either backend.
 
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -219,10 +219,10 @@ class GpRegressor : public Regressor {
   /// What one target owns on top of the shared input side.
   struct Target {
     GpHyperParams hp;
-    std::vector<double> alpha;       // exact: K^-1 (y - mean); sparse: A^-1 b
-    std::unique_ptr<Cholesky> chol;  // exact: K + nv I; sparse: A
-    std::unique_ptr<Cholesky> chol_kmm;  // sparse only: K_mm (DTC variance)
-    std::vector<double> b;               // sparse only: K_mn (y - mean)
+    std::vector<double> alpha;  // exact: K^-1 (y - mean); sparse: A^-1 b
+    Cholesky chol;              // exact: K + nv I; sparse: A
+    Cholesky chol_kmm;          // sparse only: K_mm (DTC variance)
+    std::vector<double> b;      // sparse only: K_mn (y - mean)
     double y_mean = 0.0;
     double lml = 0.0;
   };

@@ -17,8 +17,8 @@
 #include <cmath>
 #include <limits>
 #include <numbers>
-#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "base/contract.h"
@@ -45,8 +45,8 @@ struct SparsePanels {
   std::vector<Matrix> spare;  // storage of factors no grid point kept
   // factors[0] factors K_mm and moves to chol_kmm; factors[k + 1] factors
   // A = nv * K_mm + gram for the k-th noise value.
-  std::vector<std::optional<Cholesky>> factors;
-  std::unique_ptr<Cholesky> chol_kmm;  // factor of kmm (DTC variance, lml)
+  std::vector<Cholesky> factors;
+  Cholesky chol_kmm;  // factor of kmm (DTC variance, lml)
   double kmm_logdet = 0.0;
 };
 
@@ -127,24 +127,22 @@ void build_panels(const GpHyperParams& hp, const Matrix& d_mm,
 
 // Hands a factor's storage to the next lengthscale's factorizations, so a
 // fit allocates factor storage only as its live set grows.
-void recycle(std::unique_ptr<Cholesky>* chol, SparsePanels* p) {
-  if (*chol == nullptr) return;
-  p->spare.push_back(std::move(**chol).release());
-  chol->reset();
+void recycle(Cholesky* chol, SparsePanels* p) {
+  Matrix storage = std::move(*chol).release();
+  if (!storage.empty()) p->spare.push_back(std::move(storage));
 }
 
 // One lengthscale's factorizations as one parallel_for: K_mm at index 0,
 // so the pool rethrows the exception the serial order would have thrown
 // first, then A = nv * K_mm + gram for each noise value nvs[k] at k + 1.
-// Each task writes its matrix into its storage and factors it in place;
-// K_mm, the gram and A are exactly symmetric, so in_place() keeps
-// Cholesky(a)'s bits.  The coordinator hands out every buffer a worker
-// writes: buffers a worker allocates itself stay cached in glibc's
-// per-thread arenas after free.
+// Each task writes its matrix into its storage and factors it in place,
+// reading the upper triangle; K_mm, the gram and A are exactly symmetric.
+// The coordinator hands out every buffer a worker writes: buffers a worker
+// allocates itself stay cached in glibc's per-thread arenas after free.
 void factor_lengthscale(std::span<const double> nvs, ThreadPool& pool,
                         SparsePanels* p) {
   const std::size_t m = p->kmm.rows();
-  recycle(&p->chol_kmm, p);  // a losing lengthscale's
+  recycle(&p->chol_kmm, p);  // a losing lengthscale's, or a displaced winner
   std::vector<Matrix> storage(nvs.size() + 1);
   for (Matrix& f : storage) {
     if (p->spare.empty()) {
@@ -154,7 +152,7 @@ void factor_lengthscale(std::span<const double> nvs, ThreadPool& pool,
     f = std::move(p->spare.back());
     p->spare.pop_back();
   }
-  p->factors.assign(nvs.size() + 1, std::nullopt);
+  p->factors.resize(nvs.size() + 1);
   pool.parallel_for(0, p->factors.size(), [&](std::size_t k) {
     const double* kd = p->kmm.data().data();
     double* ad = storage[k].data().data();
@@ -165,10 +163,10 @@ void factor_lengthscale(std::span<const double> nvs, ThreadPool& pool,
       const double* gd = p->gram.data().data();
       for (std::size_t i = 0; i < m * m; ++i) ad[i] = gd[i] + nv * kd[i];
     }
-    p->factors[k].emplace(Cholesky::in_place(std::move(storage[k])));
+    p->factors[k] = Cholesky(std::move(storage[k]));
   });
-  p->chol_kmm = std::make_unique<Cholesky>(std::move(*p->factors[0]));
-  p->kmm_logdet = p->chol_kmm->log_determinant();
+  std::swap(p->chol_kmm, p->factors[0]);
+  p->kmm_logdet = p->chol_kmm.log_determinant();
 }
 
 // One noise-grid point from its factor of A = nv * K_mm + gram: solve for
@@ -176,22 +174,17 @@ void factor_lengthscale(std::span<const double> nvs, ThreadPool& pool,
 // determinant lemma:
 //   log|Q + nv I| = (n - m) log nv + log|A| - log|K_mm|
 //   y^T (Q + nv I)^-1 y = (y^T y - b^T A^-1 b) / nv
-double eval_noise_point(const SparsePanels& p, Cholesky&& factor, double nv,
-                        double y_sq, std::size_t n,
-                        std::unique_ptr<Cholesky>* chol_out,
+double eval_noise_point(const SparsePanels& p, const Cholesky& chol,
+                        double nv, double y_sq, std::size_t n,
                         std::vector<double>* alpha_out) {
   const std::size_t m = p.kmm.rows();
-  auto chol = std::make_unique<Cholesky>(std::move(factor));
-  std::vector<double> alpha = chol->solve(p.b);
-  const double quad = (y_sq - kernels::dot(p.b.data(), alpha.data(), m)) / nv;
+  *alpha_out = chol.solve(p.b);
+  const double quad =
+      (y_sq - kernels::dot(p.b.data(), alpha_out->data(), m)) / nv;
   const double logdet_cov = static_cast<double>(n - m) * std::log(nv) +
-                            chol->log_determinant() - p.kmm_logdet;
-  const double lml = -0.5 * quad - 0.5 * logdet_cov -
-                     0.5 * static_cast<double>(n) *
-                         std::log(2.0 * std::numbers::pi);
-  *chol_out = std::move(chol);
-  *alpha_out = std::move(alpha);
-  return lml;
+                            chol.log_determinant() - p.kmm_logdet;
+  return -0.5 * quad - 0.5 * logdet_cov -
+         0.5 * static_cast<double>(n) * std::log(2.0 * std::numbers::pi);
 }
 
 }  // namespace
@@ -282,7 +275,6 @@ std::vector<GpRegressor::Target> GpRegressor::fit_sparse(
   // Scratch reused across lengthscales and targets, so the peak is one
   // lengthscale's working set.
   SparsePanels panels;
-  std::unique_ptr<Cholesky> trial_chol;
   std::vector<double> trial_alpha;
   for (const std::span<const double> y : ys) {
     Target& t = fitted.emplace_back();
@@ -310,9 +302,9 @@ std::vector<GpRegressor::Target> GpRegressor::fit_sparse(
       factor_lengthscale(nvs, fit_pool, &panels);
       bool l_won = false;
       for (std::size_t k = 0; k < nvs.size(); ++k) {
+        Cholesky& trial = panels.factors[k + 1];
         const double lml =
-            eval_noise_point(panels, std::move(*panels.factors[k + 1]),
-                             nvs[k], y_sq, n, &trial_chol, &trial_alpha);
+            eval_noise_point(panels, trial, nvs[k], y_sq, n, &trial_alpha);
         // Serially, in grid order: as in the exact flow, the winning grid
         // point's factorisation IS the fitted state — no redundant refit.
         // An untuned model keeps its one point whatever its likelihood.
@@ -320,19 +312,17 @@ std::vector<GpRegressor::Target> GpRegressor::fit_sparse(
           t.lml = lml;
           t.hp = {l, sv, nvs[k]};
           t.alpha = std::move(trial_alpha);
-          recycle(&t.chol, &panels);
-          t.chol = std::move(trial_chol);
+          std::swap(t.chol, trial);
           l_won = true;
         }
-        recycle(&trial_chol, &panels);
+        recycle(&trial, &panels);  // this point, or the winner it displaced
       }
       if (l_won) {
-        recycle(&t.chol_kmm, &panels);
-        t.chol_kmm = std::move(panels.chol_kmm);
+        std::swap(t.chol_kmm, panels.chol_kmm);
         t.b = std::move(panels.b);
       }
     }
-    YOSO_REQUIRE(t.chol != nullptr,
+    YOSO_REQUIRE(!t.chol.lower().empty(),
                  "GpRegressor::fit: no grid point has a finite likelihood");
   }
   return fitted;
@@ -367,10 +357,10 @@ void GpRegressor::update(std::span<const double> x,
     const double l = t.hp.lengthscale;
     kernels::exp_scale(upd_d2_.data(), upd_k_.data(), m, -1.0 / (2.0 * l * l),
                        t.hp.signal_variance);
-    t.chol->rank1_update(upd_k_);
+    t.chol.rank1_update(upd_k_);
     const double r = ys[i] - t.y_mean;
     for (std::size_t j = 0; j < m; ++j) t.b[j] += upd_k_[j] * r;
-    t.alpha = t.chol->solve(t.b);
+    t.alpha = t.chol.solve(t.b);
   }
   ++updates_applied_;
   obs::counter_add("gp.sparse_updates", 1);

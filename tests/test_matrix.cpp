@@ -20,13 +20,6 @@ TEST(Matrix, ConstructionAndAccess) {
   EXPECT_DOUBLE_EQ(m(0, 1), 7.0);
 }
 
-TEST(Matrix, Identity) {
-  const Matrix i = Matrix::identity(3);
-  for (std::size_t r = 0; r < 3; ++r)
-    for (std::size_t c = 0; c < 3; ++c)
-      EXPECT_DOUBLE_EQ(i(r, c), r == c ? 1.0 : 0.0);
-}
-
 TEST(Matrix, FromRowsRaggedThrows) {
   EXPECT_THROW(Matrix::from_rows({{1.0, 2.0}, {3.0}}), std::invalid_argument);
 }
@@ -120,10 +113,10 @@ TEST(Cholesky, IndefiniteMatrixThrows) {
   EXPECT_THROW(Cholesky c(a), std::runtime_error);
 }
 
-// Both forms run one factor loop.  The in-place form equals the copying
-// one bit for bit on an exactly symmetric matrix, also through the jitter
-// retry, and the copying form reads only the lower triangle.
-TEST(Cholesky, InPlaceMatchesCopyingFormBitForBit) {
+// The factor reads only the diagonal and the upper triangle: garbage below
+// the diagonal gives the symmetric matrix's factor bit for bit, also
+// through the jittered retry.
+TEST(Cholesky, ReadsOnlyDiagonalAndUpperTriangle) {
   Rng rng(29);
   const std::size_t n = 9;
   Matrix b(n, n);
@@ -143,14 +136,27 @@ TEST(Cholesky, InPlaceMatchesCopyingFormBitForBit) {
   const Matrix* const cases[] = {&spd, &ones};
   for (const Matrix* a : cases) {
     ASSERT_TRUE(*a == a->transpose());
-    expect_same(Cholesky::in_place(*a).lower(), Cholesky(*a).lower());
+    Matrix lower_noise = *a;
+    for (std::size_t i = 0; i < a->rows(); ++i)
+      for (std::size_t j = 0; j < i; ++j) lower_noise(i, j) = 99.0;
+    expect_same(Cholesky(lower_noise).lower(), Cholesky(*a).lower());
   }
   EXPECT_GT(Cholesky(ones).lower()(0, 0), 1.0);  // the jitter was applied
-  Matrix upper_noise = spd;
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i + 1; j < n; ++j) upper_noise(i, j) = 99.0;
-  expect_same(Cholesky(upper_noise).lower(), Cholesky(spd).lower());
-  EXPECT_THROW(Cholesky::in_place(Matrix(n, n + 1)), std::invalid_argument);
+  EXPECT_THROW(Cholesky(Matrix(n, n + 1)), std::invalid_argument);
+}
+
+// A default-constructed factor is empty, and release() hands the factor's
+// storage over and leaves that same empty factor behind.
+TEST(Cholesky, DefaultAndReleasedAreEmpty) {
+  const Cholesky none;
+  EXPECT_TRUE(none.lower().empty());
+  EXPECT_EQ(none.lower().rows(), 0u);
+  Cholesky chol(Matrix::from_rows({{4, 2}, {2, 3}}));
+  const Matrix factor = chol.lower();
+  const auto release = [](Cholesky* c) { return std::move(*c).release(); };
+  EXPECT_TRUE(release(&chol) == factor);
+  EXPECT_TRUE(chol.lower() == none.lower());
+  EXPECT_TRUE(release(&chol).empty());
 }
 
 TEST(Cholesky, NearSingularRecoversWithJitter) {
@@ -192,13 +198,12 @@ TEST(RidgeSolve, RegularisationShrinks) {
   EXPECT_LT(std::abs(w1[0]), std::abs(w0[0]));
 }
 
-TEST(VectorOps, DotAndDistance) {
+TEST(VectorOps, SquaredDistance) {
   const std::vector<double> a = {1.0, 2.0};
   const std::vector<double> b = {3.0, -1.0};
-  EXPECT_DOUBLE_EQ(dot(a, b), 1.0);
   EXPECT_DOUBLE_EQ(squared_distance(a, b), 13.0);
   const std::vector<double> c = {1.0};
-  EXPECT_THROW(dot(a, c), std::invalid_argument);
+  EXPECT_THROW(squared_distance(a, c), std::invalid_argument);
 }
 
 }  // namespace

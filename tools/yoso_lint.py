@@ -1554,12 +1554,13 @@ NS_VAR_DECL_RE = re.compile(
 
 
 class _Scope:
-    __slots__ = ("kind", "name", "start")
+    __slots__ = ("kind", "name", "start", "resume")
 
-    def __init__(self, kind, name, start):
+    def __init__(self, kind, name, start, resume=None):
         self.kind = kind    # namespace | class | function | block
         self.name = name
         self.start = start  # offset of the opening brace
+        self.resume = resume  # preamble start to restore on close, if any
 
 
 def collect_aliases(clean):
@@ -1592,7 +1593,10 @@ def classify_braces(clean):
     offset its scope kind, and [(name, start, end)] for function-like
     bodies, named as defined: `Class::method` for a qualified definition
     or one inside a class body, else the bare name.  Classification looks
-    at the preamble between the previous ';' / '{' / '}' and the brace."""
+    at the preamble between the previous ';' / '{' / '}' and the brace.  A
+    brace opened inside a statement (a lambda, a braced argument or member
+    initializer) does not end it: once it closes, the next preamble starts
+    where its own did."""
     stack = []
     scopes_at = {}
     function_spans = []
@@ -1603,54 +1607,99 @@ def classify_braces(clean):
         if c in ";":
             boundary = i + 1
         elif c == "{":
-            preamble = clean[boundary:i]
-            kind, name = classify_preamble(preamble)
+            kind, name, inside = classify_preamble(clean[boundary:i])
             if kind == "function" and "::" not in name and stack and \
                     stack[-1].kind == "class" and stack[-1].name:
                 name = f"{stack[-1].name}::{name}"
             # A brace directly inside a class with no '(' is usually a
             # member initializer — treat as block; close enough.
             scopes_at[i] = kind
-            stack.append(_Scope(kind, name, i))
+            stack.append(_Scope(kind, name, i, boundary if inside else None))
             boundary = i + 1
         elif c == "}":
+            boundary = i + 1
             if stack:
                 scope = stack.pop()
                 if scope.kind == "function" and scope.name:
                     function_spans.append((scope.name, scope.start, i))
-            boundary = i + 1
+                if scope.resume is not None:
+                    boundary = scope.resume
         i += 1
     return scopes_at, function_spans
 
 
+#: keywords whose parenthesised head opens a block, not a function
+CONTROL_KEYWORDS = frozenset(("if", "for", "while", "switch", "catch"))
+#: words that end a function declarator just before its body
+SPECIFIER_TAIL_RE = r"\b(?:const|override|final|noexcept|mutable|try)$"
+
+
+def _open_parens(text):
+    return text.count("(") - text.count(")")
+
+
+def _inside_statement(p):
+    """True for a brace that opens inside an unfinished statement: in an
+    argument list (a lambda, a braced argument), or as a constructor's
+    braced member initializer (`Ctor(...) : member_{`)."""
+    return _open_parens(p) > 0 or bool(
+        re.search(r"\)\s*:(?!:)", p) and re.search(r"\w$", p) and
+        not re.search(SPECIFIER_TAIL_RE, p))
+
+
+def _drop_balanced(text, head_re):
+    """Removes every match of `head_re` together with the balanced
+    parenthesised group that follows it: `__attribute__((...))`,
+    `alignas(...)`, `decltype(...)`."""
+    while True:
+        m = re.search(head_re, text)
+        if not m:
+            return text
+        j = m.end()
+        while j < len(text) and text[j] in " \t\n":
+            j += 1
+        if j >= len(text) or text[j] != "(":
+            return text[:m.start()] + text[m.end():]
+        text = text[:m.start()] + text[match_close(text, j, "(", ")") + 1:]
+
+
 def classify_preamble(preamble):
-    p = preamble.strip()
+    """(kind, name, inside): the scope a brace opens, its function name,
+    and whether the brace opens inside an unfinished statement — an
+    argument list (a lambda, a braced argument) or a constructor's braced
+    member initializer."""
+    p = re.sub(r"(?m)^[ \t]*#.*$", "", preamble).strip()  # preprocessor
     if re.search(r"\bnamespace\b", p):
-        return "namespace", None
+        return "namespace", None, False
     if re.search(r'\bextern\s*$', p):
-        return "namespace", None
+        return "namespace", None, False
     m_class = re.match(r"^(?:template\s*<[^{]*>\s*)?"
                        r"(?:class|struct|union|enum)\b", p)
     if m_class:
         m_name = re.search(r"\b(?:class|struct|union)\s+"
-                           r"(?:alignas\s*\([^)]*\)\s*)?(\w+(?:::\w+)*)", p)
-        return "class", m_name.group(1) if m_name else None
-    if "=" in p.split("(")[0] and "(" not in p:
-        return "block", None  # brace initializer
-    # Function-ish: has a parameter list; name is the (possibly qualified)
-    # identifier before the last top-level '('.
-    if "(" in p:
-        flat = re.sub(r"<[^<>]*>", "", p)
-        m = None
-        for m in re.finditer(r"((?:\w+\s*::\s*)*~?\w+)\s*\(", flat):
-            pass
-        if m and bare_name(m.group(1)) not in ("if", "for", "while",
-                                               "switch", "catch"):
-            name = "::".join(part.strip().lstrip("~")
-                             for part in m.group(1).split("::"))
-            return "function", name
-        return "block", None
-    return "block", None
+                           r"(?:(?:alignas\s*\([^)]*\)|[A-Z][A-Z0-9_]*"
+                           r"(?:\s*\([^)]*\))?)\s*)?(\w+(?:::\w+)*)", p)
+        return "class", m_name.group(1) if m_name else None, False
+    if _inside_statement(p):
+        return "block", None, True
+    if "(" not in p or _open_parens(p) != 0:
+        return "block", None, False  # initializer, else/do/try, for head
+    # Function-ish: a parameter list.  The name is the (possibly qualified)
+    # identifier before the first '(' once attributes, decltype and
+    # template arguments are dropped, so a constructor is not named after
+    # its last member initializer, nor a function after a trailing macro;
+    # a control keyword heads a block.
+    flat = re.sub(r"\[\[.*?\]\]", "", p, flags=re.S)
+    flat = _drop_balanced(flat, r"\b(?:__attribute__|alignas|decltype)\b")
+    prev = None
+    while prev != flat:
+        prev, flat = flat, re.sub(r"<[^<>]*>", "", flat)
+    m = re.search(r"((?:\w+\s*::\s*)*~?\w+)\s*\(", flat)
+    if m is None or bare_name(m.group(1)) in CONTROL_KEYWORDS:
+        return "block", None, False
+    name = "::".join(part.strip().lstrip("~")
+                     for part in m.group(1).split("::"))
+    return "function", name, False
 
 
 def line_of(clean, offset):
