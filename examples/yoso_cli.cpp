@@ -45,6 +45,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "accel/area.h"
 #include "accel/rtl_export.h"
@@ -224,7 +225,7 @@ int main(int argc, char** argv) {
   obs::begin_span("phase.build_evaluator");
   FastEvaluator fast =
       bundle.has_value()
-          ? make_fast_evaluator(*bundle, exec)
+          ? make_fast_evaluator(std::move(*bundle), exec)
           : FastEvaluator(space, skeleton, simulator,
                           {.predictor_samples = cli.samples,
                            .seed = cli.seed,

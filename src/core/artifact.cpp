@@ -17,6 +17,7 @@
 #include "linalg/matrix.h"
 #include "predictor/gp.h"
 #include "predictor/perf_predictor.h"
+#include "predictor/regressor.h"
 #include "surrogate/accuracy_model.h"
 #include "util/exec_context.h"
 
@@ -27,6 +28,11 @@ namespace {
 constexpr std::size_t kHeaderSize = 32;
 constexpr std::size_t kTableEntrySize = 32;
 constexpr std::size_t kPayloadAlign = 8;
+
+// `n` rounded up to the next payload boundary.
+constexpr std::size_t padded(std::size_t n) {
+  return (n + kPayloadAlign - 1) & ~(kPayloadAlign - 1);
+}
 
 // Skeleton bounds: within them every layer shape extract_layers builds fits
 // an int and network_stats' MAC sum fits an int64 (arch/network.cpp), with
@@ -213,57 +219,62 @@ bool ArtifactWriter::has_section(ArtifactSection id) const {
   return false;
 }
 
-std::vector<std::uint8_t> ArtifactWriter::to_bytes() const {
+std::vector<std::uint8_t> ArtifactWriter::head() const {
   const std::size_t table_size = sections_.size() * kTableEntrySize;
-  std::size_t offset = kHeaderSize + table_size;
-  offset = (offset + kPayloadAlign - 1) & ~(kPayloadAlign - 1);
+  std::vector<std::uint8_t> out(padded(kHeaderSize + table_size), 0);
 
   // Section table + total size first (offsets depend on payload sizes).
-  std::vector<std::uint8_t> table(table_size);
-  std::size_t cursor = offset;
+  std::uint8_t* table = out.data() + kHeaderSize;
+  std::size_t cursor = out.size();
   for (std::size_t i = 0; i < sections_.size(); ++i) {
     const auto& [id, payload] = sections_[i];
-    std::uint8_t* e = table.data() + i * kTableEntrySize;
+    std::uint8_t* e = table + i * kTableEntrySize;
     put_u32(e + 0, static_cast<std::uint32_t>(id));
     put_u32(e + 4, 0);  // reserved
     put_u64(e + 8, cursor);
     put_u64(e + 16, payload.size());
     put_u64(e + 24, fnv1a64(payload));
-    cursor += payload.size();
-    cursor = (cursor + kPayloadAlign - 1) & ~(kPayloadAlign - 1);
+    cursor = padded(cursor + payload.size());
   }
-  const std::size_t file_size = cursor;
 
-  std::vector<std::uint8_t> out(file_size, 0);
   std::uint8_t* h = out.data();
   put_u32(h + 0, kArtifactMagic);
   put_u16(h + 4, kArtifactVersionMajor);
   put_u16(h + 6, kArtifactVersionMinor);
   put_u32(h + 8, static_cast<std::uint32_t>(sections_.size()));
   put_u32(h + 12, 0);  // reserved
-  put_u64(h + 16, file_size);
-  put_u32(h + 24, crc32(table));
+  put_u64(h + 16, cursor);  // file size
+  put_u32(h + 24, crc32(std::span<const std::uint8_t>(table, table_size)));
   // header_crc32 covers bytes [0, 28) — everything before itself.
   put_u32(h + 28, crc32(std::span<const std::uint8_t>(out.data(), 28)));
+  return out;
+}
 
-  std::memcpy(out.data() + kHeaderSize, table.data(), table.size());
-  cursor = offset;
+std::vector<std::uint8_t> ArtifactWriter::to_bytes() const {
+  std::vector<std::uint8_t> out = head();
   for (const auto& [id, payload] : sections_) {
-    std::memcpy(out.data() + cursor, payload.data(), payload.size());
-    cursor += payload.size();
-    cursor = (cursor + kPayloadAlign - 1) & ~(kPayloadAlign - 1);
+    out.insert(out.end(), payload.begin(), payload.end());
+    out.resize(padded(out.size()), 0);
   }
   return out;
 }
 
 void ArtifactWriter::write_file(const std::string& path) const {
-  const std::vector<std::uint8_t> bytes = to_bytes();
+  const std::vector<std::uint8_t> h = head();
   const std::string tmp = path + ".tmp";
   {
     std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
     YOSO_REQUIRE(f.good(), "artifact: cannot open '", tmp, "' for writing");
-    f.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
+    const auto put = [&f](const std::uint8_t* bytes, std::size_t n) {
+      f.write(reinterpret_cast<const char*>(bytes),
+              static_cast<std::streamsize>(n));
+    };
+    const std::uint8_t zeros[kPayloadAlign] = {};
+    put(h.data(), h.size());
+    for (const auto& [id, payload] : sections_) {
+      put(payload.data(), payload.size());
+      put(zeros, padded(payload.size()) - payload.size());
+    }
     YOSO_REQUIRE(f.good(), "artifact: short write to '", tmp, "'");
   }
   YOSO_REQUIRE(std::rename(tmp.c_str(), path.c_str()) == 0,
@@ -478,15 +489,21 @@ void encode_matrix(ByteWriter& w, const Matrix& m) {
 Matrix decode_matrix(ByteReader& r) {
   const std::uint64_t rows = r.u64();
   const std::uint64_t cols = r.u64();
-  const std::vector<double> data = r.f64_vec();
+  std::vector<double> data = r.f64_vec();
   if (rows == 0 && cols == 0 && data.empty()) return Matrix();
   YOSO_REQUIRE(rows > 0 && cols > 0 && rows <= data.size() / cols &&
                    data.size() == rows * cols,
                "artifact: matrix shape ", rows, "x", cols, " does not match ",
                data.size(), " elements");
-  Matrix m(rows, cols);
-  std::copy(data.begin(), data.end(), m.data().begin());
-  return m;
+  return Matrix(rows, cols, std::move(data));
+}
+
+// An empty matrix is the empty factor (the exact backend's K_mm slot);
+// any other must be a lower factor with a positive diagonal.
+Cholesky decode_factor(ByteReader& r) {
+  Matrix lower = decode_matrix(r);
+  if (lower.empty()) return Cholesky();
+  return Cholesky::from_lower(std::move(lower));
 }
 
 }  // namespace
@@ -496,8 +513,8 @@ void encode_gp_state(ByteWriter& w, const GpRegressorState& state) {
   w.u8(state.tune ? 1 : 0);
   w.u64(state.inducing_target);
   w.u64(state.updates_applied);
-  w.f64_vec(state.scaler_mean);
-  w.f64_vec(state.scaler_std);
+  w.f64_vec(state.scaler.mean());
+  w.f64_vec(state.scaler.stddev());
   encode_matrix(w, state.train_x);
   w.u64_vec(state.inducing_idx);
   w.u32(static_cast<std::uint32_t>(state.targets.size()));
@@ -506,8 +523,8 @@ void encode_gp_state(ByteWriter& w, const GpRegressorState& state) {
     w.f64(t.hp.signal_variance);
     w.f64(t.hp.noise_variance);
     w.f64_vec(t.alpha);
-    encode_matrix(w, t.chol_lower);
-    encode_matrix(w, t.chol_kmm_lower);
+    encode_matrix(w, t.chol.lower());
+    encode_matrix(w, t.chol_kmm.lower());
     w.f64_vec(t.b);
     w.f64(t.y_mean);
     w.f64(t.lml);
@@ -524,8 +541,8 @@ GpRegressorState decode_gp_state(ByteReader& r) {
   s.tune = r.u8() != 0;
   s.inducing_target = r.u64();
   s.updates_applied = r.u64();
-  s.scaler_mean = r.f64_vec();
-  s.scaler_std = r.f64_vec();
+  std::vector<double> scaler_mean = r.f64_vec();
+  s.scaler = Standardizer::from_moments(std::move(scaler_mean), r.f64_vec());
   s.train_x = decode_matrix(r);
   s.inducing_idx = r.u64_vec();
   const std::uint32_t targets = r.u32();
@@ -536,8 +553,8 @@ GpRegressorState decode_gp_state(ByteReader& r) {
     t.hp.signal_variance = r.f64();
     t.hp.noise_variance = r.f64();
     t.alpha = r.f64_vec();
-    t.chol_lower = decode_matrix(r);
-    t.chol_kmm_lower = decode_matrix(r);
+    t.chol = decode_factor(r);
+    t.chol_kmm = decode_factor(r);
     t.b = r.f64_vec();
     t.y_mean = r.f64();
     t.lml = r.f64();
@@ -618,7 +635,7 @@ void save_fast_evaluator(const std::string& path, const FastEvaluator& fast,
   }
   {
     ByteWriter w;
-    encode_gp_state(w, predictor.model().export_state());
+    encode_gp_state(w, predictor.model().state());
     writer.add_section(ArtifactSection::kGp, w.take());
   }
   writer.write_file(path);
@@ -657,14 +674,14 @@ FastEvaluatorArtifact decode_fast_evaluator(const ArtifactReader& reader) {
   return bundle;
 }
 
-FastEvaluator make_fast_evaluator(const FastEvaluatorArtifact& bundle,
+FastEvaluator make_fast_evaluator(FastEvaluatorArtifact bundle,
                                   ExecContextPtr exec) {
-  // from_state re-validates every shape contract, so a hand-edited payload
+  // from_state checks every cross-field shape, so a hand-edited payload
   // that survived the checksums is still rejected here.
   return FastEvaluator(
       AccuracyModel(bundle.skeleton, bundle.accuracy_params,
                     bundle.accuracy_seed),
-      PerformancePredictor::from_state(bundle.skeleton, bundle.gp),
+      PerformancePredictor::from_state(bundle.skeleton, std::move(bundle.gp)),
       std::move(exec));
 }
 

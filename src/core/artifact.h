@@ -18,9 +18,10 @@
 //     the magic, version, both header CRCs and every section's FNV-1a
 //     checksum before handing out a single byte; corruption or a version
 //     mismatch throws ContractViolation, never a partially-decoded model.
-//   * Decoding validates every cross-field shape contract (via
-//     GpRegressor::from_state etc.) and bounds the skeleton to what the
-//     network arithmetic holds, so a structurally valid file with an
+//   * Decoding checks each GP factor and the input scaler as it builds
+//     them, every cross-field shape contract is checked on restore (via
+//     GpRegressor::from_state etc.), and the skeleton is bounded to what
+//     the network arithmetic holds, so a structurally valid file with an
 //     inconsistent payload is rejected too.
 //   * Round-trips are bit-exact: doubles are stored as raw IEEE-754
 //     little-endian bytes and the packed kernel panel is recomputed by the
@@ -122,8 +123,9 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-/// Assembles an artifact in memory, then writes it in one pass.  Sections
-/// keep insertion order in the file; ids must be unique.
+/// Collects an artifact's section payloads, then writes the header, the
+/// table and the payloads in order.  Sections keep insertion order in the
+/// file; ids must be unique.
 class ArtifactWriter {
  public:
   /// Adds one section (ContractViolation on a duplicate id).
@@ -133,11 +135,15 @@ class ArtifactWriter {
 
   /// Serializes header + table + payloads (8-byte-aligned, zero-padded).
   std::vector<std::uint8_t> to_bytes() const;
-  /// to_bytes() to `path` atomically (write temp + rename); throws
-  /// ContractViolation when the file cannot be written.
+  /// Writes to_bytes()'s bytes to `path` atomically (write temp + rename),
+  /// one payload at a time, so a save holds no second copy of them;
+  /// throws ContractViolation when the file cannot be written.
   void write_file(const std::string& path) const;
 
  private:
+  /// Header and section table, zero-padded to the first payload's offset.
+  std::vector<std::uint8_t> head() const;
+
   std::vector<std::pair<ArtifactSection, std::vector<std::uint8_t>>>
       sections_;
 };
@@ -226,9 +232,10 @@ FastEvaluatorArtifact load_fast_evaluator_artifact(const std::string& path);
 /// mapped for snapshot support and decodes through this).
 FastEvaluatorArtifact decode_fast_evaluator(const ArtifactReader& reader);
 
-/// Rebuilds the evaluator from a decoded bundle.  Evaluations are
+/// Rebuilds the evaluator from a decoded bundle, whose GP state it moves
+/// in: pass an rvalue to hold one copy of the factors.  Evaluations are
 /// bit-identical to the evaluator that was saved.
-FastEvaluator make_fast_evaluator(const FastEvaluatorArtifact& bundle,
+FastEvaluator make_fast_evaluator(FastEvaluatorArtifact bundle,
                                   ExecContextPtr exec = nullptr);
 
 }  // namespace yoso

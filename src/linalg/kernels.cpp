@@ -24,7 +24,9 @@
 namespace yoso::kernels {
 namespace {
 
-constexpr std::size_t kAccIBlock = 128; // i-blocking for A^T B accumulation
+// Rows of A and B per sgemm_atb_acc pass, so a pass's slices stay cache
+// resident across C's tiles.
+constexpr std::size_t kAccIBlock = 128;
 // Rows of the two panels per gram_panels pass: 64 rows of two 32-wide
 // double panels are 32 KB, inside a 48 KB L1.
 constexpr std::size_t kGramSteps = 64;
@@ -44,7 +46,7 @@ bool use_avx2() {
 // exp(r) by a degree-12 Taylor/Horner polynomial on |r| <= ln2/2 (max
 // relative error ~3e-16 vs std::exp).  The scalar core below is the exact
 // operation sequence of the vector body, so the vector remainder lanes can
-// call it and still satisfy "element i depends only on in[i] and i".
+// call it and still satisfy "element i depends only on in[i]".
 
 constexpr double kExpLo = -708.0;
 constexpr double kExpHi = 708.0;
@@ -123,24 +125,6 @@ void gemm_rows_generic(const GemmOperands<T>& op, std::size_t rows,
       const T av = op.a[i * op.ars + t * op.ats];
       const T* bt = op.b + t * op.ldb;
       for (std::size_t j = 0; j < n; ++j) ci[j] += av * bt[j];
-    }
-  }
-}
-
-void satb_rows_generic(const float* a, const float* b, float* c,
-                       std::size_t m, std::size_t kk, std::size_t n) {
-  // i is blocked so an i-block of A and B stays cache resident across the
-  // t sweep; C is reloaded once per i-block, in ascending block order.
-  for (std::size_t ib = 0; ib < m; ib += kAccIBlock) {
-    const std::size_t ie = std::min(m, ib + kAccIBlock);
-    for (std::size_t t = 0; t < kk; ++t) {
-      float* ct = c + t * n;
-      for (std::size_t j = 0; j < n; ++j) {
-        float s = ct[j];
-        for (std::size_t i = ib; i < ie; ++i)
-          s += a[i * kk + t] * b[i * n + j];
-        ct[j] = s;
-      }
     }
   }
 }
@@ -335,50 +319,6 @@ __attribute__((target("avx2,fma"))) void gemm_avx2(GemmOperands<T> op,
     op.c += 2 * op.ldc;
   }
   if (i < rows) gemm_row_group<T, 1>(op, kk, n);
-}
-
-__attribute__((target("avx2,fma"))) void satb_rows_avx2(
-    const float* a, const float* b, float* c, std::size_t m, std::size_t kk,
-    std::size_t n) {
-  for (std::size_t ib = 0; ib < m; ib += kAccIBlock) {
-    const std::size_t ie = std::min(m, ib + kAccIBlock);
-    for (std::size_t t = 0; t < kk; ++t) {
-      float* ct = c + t * n;
-      const float* at = a + t;
-      std::size_t j = 0;
-      for (; j + 32 <= n; j += 32) {
-        __m256 s0 = _mm256_loadu_ps(ct + j);
-        __m256 s1 = _mm256_loadu_ps(ct + j + 8);
-        __m256 s2 = _mm256_loadu_ps(ct + j + 16);
-        __m256 s3 = _mm256_loadu_ps(ct + j + 24);
-        for (std::size_t i = ib; i < ie; ++i) {
-          const __m256 av = _mm256_set1_ps(at[i * kk]);
-          const float* bi = b + i * n + j;
-          s0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bi), s0);
-          s1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bi + 8), s1);
-          s2 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bi + 16), s2);
-          s3 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bi + 24), s3);
-        }
-        _mm256_storeu_ps(ct + j, s0);
-        _mm256_storeu_ps(ct + j + 8, s1);
-        _mm256_storeu_ps(ct + j + 16, s2);
-        _mm256_storeu_ps(ct + j + 24, s3);
-      }
-      for (; j + 8 <= n; j += 8) {
-        __m256 s0 = _mm256_loadu_ps(ct + j);
-        for (std::size_t i = ib; i < ie; ++i)
-          s0 = _mm256_fmadd_ps(_mm256_set1_ps(at[i * kk]),
-                               _mm256_loadu_ps(b + i * n + j), s0);
-        _mm256_storeu_ps(ct + j, s0);
-      }
-      for (; j < n; ++j) {
-        float s = ct[j];
-        for (std::size_t i = ib; i < ie; ++i)
-          s = std::fma(at[i * kk], b[i * n + j], s);
-        ct[j] = s;
-      }
-    }
-  }
 }
 
 /// out[r][t, t + 4V) for R query rows: the tile's cross products with the
@@ -635,13 +575,11 @@ void sgemm_atb_acc(const float* a, const float* b, float* c, std::size_t m,
   if (k == 0 || n == 0 || m == 0) return;
   YOSO_REQUIRE(a != nullptr && b != nullptr && c != nullptr,
                "kernels::sgemm_atb_acc: null operand");
-#if YOSO_KERNELS_X86
-  if (use_avx2()) {
-    satb_rows_avx2(a, b, c, m, k, n);
-    return;
-  }
-#endif
-  satb_rows_generic(a, b, c, m, k, n);
+  // C's row t reads A's column t as its row (row stride 1, step stride k);
+  // each pass continues every element's chain from the sum C holds.
+  for (std::size_t i0 = 0; i0 < m; i0 += kAccIBlock)
+    gemm_any(GemmOperands<float>{a + i0 * k, 1, k, b + i0 * n, n, c, n, true},
+             k, std::min(kAccIBlock, m - i0), n);
 }
 
 PackedRows pack_rows(const double* src, std::size_t rows, std::size_t dim) {

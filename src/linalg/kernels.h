@@ -88,7 +88,8 @@ void pairwise_sq_dists(const double* queries, std::size_t q,
 /// Both engines use the same range-reduced polynomial (max relative error
 /// ~3e-16 vs std::exp), and the vector path's remainder lanes run a scalar
 /// replica of the identical operation sequence, so the result for element
-/// i depends only on in[i] and i's position within the row.
+/// i depends only on in[i], scale and mult: a slice of a row starting at
+/// any offset gives the whole row's bits.
 void exp_scale(const double* in, double* out, std::size_t n, double scale,
                double mult);
 

@@ -13,6 +13,15 @@ namespace yoso {
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
+Matrix::Matrix(std::size_t rows, std::size_t cols, std::vector<double> data)
+    : rows_(rows), cols_(cols), data_(std::move(data)) {
+  YOSO_REQUIRE(cols_ == 0 ? data_.empty()
+                          : data_.size() % cols_ == 0 &&
+                                data_.size() / cols_ == rows_,
+               "Matrix: ", data_.size(), " elements for a ", rows_, "x",
+               cols_, " matrix");
+}
+
 Matrix Matrix::from_rows(const std::vector<std::vector<double>>& rows) {
   if (rows.empty()) return Matrix{};
   const std::size_t cols = rows.front().size();

@@ -15,6 +15,8 @@ class Matrix {
  public:
   Matrix() = default;
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
+  /// Adopts `data` (rows * cols elements, row-major) as the storage.
+  Matrix(std::size_t rows, std::size_t cols, std::vector<double> data);
 
   /// Builds a matrix from nested initialiser data; all rows must match.
   static Matrix from_rows(const std::vector<std::vector<double>>& rows);

@@ -13,12 +13,11 @@
 namespace yoso {
 namespace {
 
-// One exact grid point: writes K + nv I into `k` (n x n storage, recycled
-// from a factor no grid point kept), factors it in place and solves for
-// the weights; returns the log marginal likelihood.  d2 is exactly
-// symmetric and exp_scale's result does not depend on an element's
-// position in its row, so K is too, and the factor may read its upper
-// triangle.
+// One exact grid point: writes the diagonal and upper triangle of
+// K + nv I into `k` (n x n storage, recycled from a factor no grid point
+// kept), factors it in place and solves for the weights; returns the log
+// marginal likelihood.  The factor reads only those elements, and d2 is
+// exactly symmetric, so they are the whole of K.
 double fit_from_dists(const Matrix& d2, std::span<const double> yc,
                       const GpHyperParams& hp, Matrix k, Cholesky* chol_out,
                       std::vector<double>* alpha_out) {
@@ -26,12 +25,12 @@ double fit_from_dists(const Matrix& d2, std::span<const double> yc,
   const double l = hp.lengthscale;
   const double* din = d2.data().data();
   double* kout = k.data().data();
-  // K = s^2 exp(-D / (2 l^2)), exponentiated row by row so an element's
-  // vector/remainder position depends only on the row length — the same
-  // rule the predict path follows.
+  // K = s^2 exp(-D / (2 l^2)), row i from column i on.  An element's value
+  // does not depend on where its slice starts
+  // (KernelsTest.ExpScaleInPanelSlicesMatchesWholeRow).
   for (std::size_t i = 0; i < n; ++i)
-    kernels::exp_scale(din + i * n, kout + i * n, n, -1.0 / (2.0 * l * l),
-                       hp.signal_variance);
+    kernels::exp_scale(din + i * n + i, kout + i * n + i, n - i,
+                       -1.0 / (2.0 * l * l), hp.signal_variance);
   k.add_diagonal(hp.noise_variance);
   *chol_out = Cholesky(std::move(k));
   *alpha_out = chol_out->solve(yc);
@@ -41,6 +40,9 @@ double fit_from_dists(const Matrix& d2, std::span<const double> yc,
          0.5 * static_cast<double>(n) * std::log(2.0 * std::numbers::pi);
 }
 
+// The cross-field shapes.  Each factor and the scaler checked their own
+// values where they were built (Cholesky::from_lower,
+// Standardizer::from_moments).
 void require_valid_state(const GpRegressorState& state) {
   const std::size_t n = state.train_x.rows();
   const std::size_t d = state.train_x.cols();
@@ -50,10 +52,9 @@ void require_valid_state(const GpRegressorState& state) {
   YOSO_REQUIRE(n > 0 && d > 0,
                "GpRegressor::from_state: empty training panel (", n, "x", d,
                ")");
-  YOSO_REQUIRE(state.scaler_mean.size() == d && state.scaler_std.size() == d,
+  YOSO_REQUIRE(state.scaler.mean().size() == d,
                "GpRegressor::from_state: scaler width ",
-               state.scaler_mean.size(), "/", state.scaler_std.size(),
-               " != panel width ", d);
+               state.scaler.mean().size(), " != panel width ", d);
   YOSO_REQUIRE(state.inducing_idx.size() == (sparse ? n : 0),
                "GpRegressor::from_state: ", state.inducing_idx.size(),
                " inducing indices for an ", n, "-row ",
@@ -62,22 +63,21 @@ void require_valid_state(const GpRegressorState& state) {
   for (const GpRegressorState::Target& t : state.targets) {
     YOSO_REQUIRE(t.alpha.size() == n, "GpRegressor::from_state: alpha has ",
                  t.alpha.size(), " entries for an ", n, "-row panel");
-    YOSO_REQUIRE(t.chol_lower.rows() == n && t.chol_lower.cols() == n,
+    YOSO_REQUIRE(t.chol.lower().rows() == n,
                  "GpRegressor::from_state: Cholesky factor is ",
-                 t.chol_lower.rows(), "x", t.chol_lower.cols(), " for an ", n,
-                 "-row panel");
+                 t.chol.lower().rows(), "x", t.chol.lower().cols(),
+                 " for an ", n, "-row panel");
     YOSO_REQUIRE(t.hp.lengthscale > 0.0 && t.hp.signal_variance > 0.0,
                  "GpRegressor::from_state: non-positive hyper-parameters");
     if (sparse) {
-      YOSO_REQUIRE(
-          t.chol_kmm_lower.rows() == n && t.chol_kmm_lower.cols() == n,
-          "GpRegressor::from_state: sparse K_mm factor is ",
-          t.chol_kmm_lower.rows(), "x", t.chol_kmm_lower.cols(), " for m = ",
-          n);
+      YOSO_REQUIRE(t.chol_kmm.lower().rows() == n,
+                   "GpRegressor::from_state: sparse K_mm factor is ",
+                   t.chol_kmm.lower().rows(), "x", t.chol_kmm.lower().cols(),
+                   " for m = ", n);
       YOSO_REQUIRE(t.b.size() == n, "GpRegressor::from_state: sparse b has ",
                    t.b.size(), " entries for m = ", n);
     } else {
-      YOSO_REQUIRE(t.chol_kmm_lower.empty() && t.b.empty(),
+      YOSO_REQUIRE(t.chol_kmm.lower().empty() && t.b.empty(),
                    "GpRegressor::from_state: exact backend carries a sparse "
                    "tail");
     }
@@ -86,10 +86,11 @@ void require_valid_state(const GpRegressorState& state) {
 
 }  // namespace
 
-const GpRegressor::Target& GpRegressor::fitted_target(std::size_t t) const {
-  YOSO_REQUIRE(t < targets_.size(), "GpRegressor: no target ", t,
-               " in a model with ", targets_.size(), " fitted targets");
-  return targets_[t];
+const GpRegressorState::Target& GpRegressor::fitted_target(
+    std::size_t t) const {
+  YOSO_REQUIRE(t < targets(), "GpRegressor: no target ", t,
+               " in a model with ", targets(), " fitted targets");
+  return state_.targets[t];
 }
 
 void GpRegressor::fit(const Matrix& x,
@@ -101,26 +102,28 @@ void GpRegressor::fit(const Matrix& x,
     YOSO_REQUIRE(x.rows() == y.size() && x.rows() > 0,
                  "GpRegressor::fit: design matrix is ", x.rows(), "x",
                  x.cols(), " but y has ", y.size(), " targets");
-  targets_.clear();
+  state_.targets.clear();
   dist_builds_ = {};
-  updates_applied_ = 0;
-  inducing_idx_.clear();
-  scaler_.fit(x);
-  targets_ = backend_ == GpBackend::kSparse ? fit_sparse(x, ys, pool)
-                                            : fit_exact(x, ys);
+  state_.updates_applied = 0;
+  state_.inducing_idx.clear();
+  state_.scaler.fit(x);
+  state_.targets = state_.backend == GpBackend::kSparse
+                       ? fit_sparse(x, ys, pool)
+                       : fit_exact(x, ys);
 }
 
-std::vector<GpRegressor::Target> GpRegressor::fit_exact(
+std::vector<GpRegressorState::Target> GpRegressor::fit_exact(
     const Matrix& x, std::span<const std::span<const double>> ys) {
-  train_x_ = scaler_.transform(x);
+  state_.train_x = state_.scaler.transform(x);
+  const Matrix& xs = state_.train_x;
+  const bool tune = state_.tune;
   // One distance-matrix build per fit: only the exponentiation depends on
   // the hyper-parameters, so every target's tuning grid re-reads this
   // matrix instead of recomputing O(n^2 d) kernel dots per grid point.
-  const std::size_t n = train_x_.rows();
-  packed_train_ =
-      kernels::pack_rows(train_x_.data().data(), n, train_x_.cols());
+  const std::size_t n = xs.rows();
+  packed_train_ = kernels::pack_rows(xs.data().data(), n, xs.cols());
   Matrix d2(n, n);
-  kernels::pairwise_sq_dists(train_x_.data().data(), n, packed_train_,
+  kernels::pairwise_sq_dists(xs.data().data(), n, packed_train_,
                              d2.data().data());
   dist_builds_.full = 1;
 
@@ -129,7 +132,7 @@ std::vector<GpRegressor::Target> GpRegressor::fit_exact(
   // untuned model is the one grid point hp_.
   const double base_l = std::sqrt(static_cast<double>(x.cols()));
   std::vector<double> yc(n);
-  std::vector<Target> fitted;
+  std::vector<GpRegressorState::Target> fitted;
   fitted.reserve(ys.size());
   // Each grid point factors its kernel matrix in the storage of the last
   // factor that lost, so the live set is d2, this spare (or the trial
@@ -138,7 +141,7 @@ std::vector<GpRegressor::Target> GpRegressor::fit_exact(
   Cholesky trial;
   std::vector<double> trial_alpha;
   for (const std::span<const double> y : ys) {
-    Target& t = fitted.emplace_back();
+    GpRegressorState::Target& t = fitted.emplace_back();
     t.y_mean = mean(y);
     double y_var = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -146,16 +149,16 @@ std::vector<GpRegressor::Target> GpRegressor::fit_exact(
       y_var += yc[i] * yc[i];
     }
     y_var = std::max(y_var / static_cast<double>(n), 1e-12);
-    const double sv = tune_ ? y_var : hp_.signal_variance;
+    const double sv = tune ? y_var : hp_.signal_variance;
     const double grid_l[] = {base_l * 0.25, base_l * 0.5, base_l * 1.0,
                              base_l * 2.0, base_l * 4.0};
     const double grid_nv[] = {y_var * 1e-4, y_var * 1e-3, y_var * 1e-2};
     const std::span<const double> lengthscales =
-        tune_ ? std::span<const double>(grid_l)
-              : std::span<const double>(&hp_.lengthscale, 1);
+        tune ? std::span<const double>(grid_l)
+             : std::span<const double>(&hp_.lengthscale, 1);
     const std::span<const double> nvs =
-        tune_ ? std::span<const double>(grid_nv)
-              : std::span<const double>(&hp_.noise_variance, 1);
+        tune ? std::span<const double>(grid_nv)
+             : std::span<const double>(&hp_.noise_variance, 1);
     t.lml = -1e300;
     for (const double l : lengthscales) {
       for (const double nv : nvs) {
@@ -166,7 +169,7 @@ std::vector<GpRegressor::Target> GpRegressor::fit_exact(
         // The winning grid point's factorisation is kept as the fitted
         // state — no redundant refit of the best hyper-parameters.  An
         // untuned model keeps its one point whatever its likelihood.
-        if (!tune_ || lml > t.lml) {
+        if (!tune || lml > t.lml) {
           t.lml = lml;
           t.hp = hp;
           t.alpha = std::move(trial_alpha);
@@ -185,8 +188,8 @@ void GpRegressor::predict_rows(const double* x, std::size_t nq,
                                std::span<double* const> mu) const {
   YOSO_REQUIRE(nq == 0 || x != nullptr,
                "GpRegressor::predict_rows: null input");
-  const std::size_t n = train_x_.rows();
-  const std::size_t dim = train_x_.cols();
+  const std::size_t n = state_.train_x.rows();
+  const std::size_t dim = state_.train_x.cols();
   // Queries go through in fixed-size chunks so the K* panel stays cache
   // resident; the chunk size never affects results (each row's chain is
   // self-contained).
@@ -199,7 +202,7 @@ void GpRegressor::predict_rows(const double* x, std::size_t nq,
     const std::size_t cnt = std::min(kChunk, nq - lo);
     // Standardize with the exact per-row arithmetic single predict() uses.
     for (std::size_t r = 0; r < cnt; ++r) {
-      scaler_.transform_row_into(
+      state_.scaler.transform_row_into(
           std::span<const double>(x + (lo + r) * dim, dim),
           xs.data() + r * dim);
     }
@@ -208,7 +211,7 @@ void GpRegressor::predict_rows(const double* x, std::size_t nq,
       const double* drow = d2.data() + r * n;
       for (std::size_t t = 0; t < mu.size(); ++t) {
         if (mu[t] == nullptr) continue;
-        const Target& tg = targets_[t];
+        const GpRegressorState::Target& tg = state_.targets[t];
         const double l = tg.hp.lengthscale;
         // One fused pass: erow = s^2 exp(scale * d2), mean = erow . alpha.
         // The distance row stays intact for the next target.
@@ -224,9 +227,9 @@ void GpRegressor::predict_rows(const double* x, std::size_t nq,
 
 double GpRegressor::predict(std::span<const double> x) const {
   YOSO_REQUIRE(fitted(), "GpRegressor::predict: not fitted");
-  YOSO_REQUIRE(x.size() == train_x_.cols(),
+  YOSO_REQUIRE(x.size() == state_.train_x.cols(),
                "GpRegressor::predict: feature dimension ", x.size(),
-               " != fitted dimension ", train_x_.cols());
+               " != fitted dimension ", state_.train_x.cols());
   double mu = 0.0;
   double* out = &mu;
   predict_rows(x.data(), 1, {&out, 1});
@@ -237,9 +240,10 @@ std::vector<double> GpRegressor::predict_batch(const Matrix& queries) const {
   YOSO_TRACE_SPAN("gp.predict_batch");
   obs::counter_add("gp.predict_rows", queries.rows());
   YOSO_REQUIRE(fitted(), "GpRegressor::predict_batch: not fitted");
-  YOSO_REQUIRE(queries.cols() == train_x_.cols(),
+  YOSO_REQUIRE(queries.cols() == state_.train_x.cols(),
                "GpRegressor::predict_batch: feature dimension ",
-               queries.cols(), " != fitted dimension ", train_x_.cols());
+               queries.cols(), " != fitted dimension ",
+               state_.train_x.cols());
   std::vector<double> mu(queries.rows());
   double* out = mu.data();
   predict_rows(queries.data().data(), queries.rows(), {&out, 1});
@@ -249,9 +253,8 @@ std::vector<double> GpRegressor::predict_batch(const Matrix& queries) const {
 void GpRegressor::predict_means(const double* x, std::size_t nq,
                                 std::span<double* const> mu) const {
   YOSO_REQUIRE(fitted(), "GpRegressor::predict_means: not fitted");
-  YOSO_REQUIRE(mu.size() == targets_.size(),
-               "GpRegressor::predict_means: ", mu.size(),
-               " outputs for a ", targets_.size(), "-target model");
+  YOSO_REQUIRE(mu.size() == targets(), "GpRegressor::predict_means: ",
+               mu.size(), " outputs for a ", targets(), "-target model");
   const auto wanted = static_cast<std::size_t>(std::count_if(
       mu.begin(), mu.end(), [](const double* p) { return p != nullptr; }));
   obs::counter_add("gp.predict_rows", wanted * nq);
@@ -260,15 +263,15 @@ void GpRegressor::predict_means(const double* x, std::size_t nq,
 
 std::pair<double, double> GpRegressor::predict_with_variance(
     std::span<const double> x, std::size_t target) const {
-  const Target& t = fitted_target(target);
-  YOSO_REQUIRE(x.size() == train_x_.cols(),
+  const GpRegressorState::Target& t = fitted_target(target);
+  YOSO_REQUIRE(x.size() == state_.train_x.cols(),
                "GpRegressor::predict_with_variance: feature dimension ",
-               x.size(), " != fitted dimension ", train_x_.cols());
-  const std::size_t n = train_x_.rows();
+               x.size(), " != fitted dimension ", state_.train_x.cols());
+  const std::size_t n = state_.train_x.rows();
   const GpHyperParams& hp = t.hp;
   std::vector<double> xs(x.size());
   std::vector<double> krow(n);
-  scaler_.transform_row_into(x, xs.data());
+  state_.scaler.transform_row_into(x, xs.data());
   kernels::pairwise_sq_dists(xs.data(), 1, packed_train_, krow.data());
   // krow = s^2 exp(scale * d2) in place, mean = krow . alpha.
   const double mu =
@@ -276,7 +279,7 @@ std::pair<double, double> GpRegressor::predict_with_variance(
                      krow.data(), krow.data(), t.alpha.data(), n,
                      -1.0 / (2.0 * hp.lengthscale * hp.lengthscale),
                      hp.signal_variance);
-  if (backend_ == GpBackend::kExact) {
+  if (state_.backend == GpBackend::kExact) {
     // var = k(x,x) - k*^T K^-1 k*; the solve overwrites krow in place
     // (safe: forward substitution consumes krow[i] before writing it).
     t.chol.solve_lower_into(krow, krow.data());
@@ -297,54 +300,17 @@ std::pair<double, double> GpRegressor::predict_with_variance(
                                 prior_drop + hp.noise_variance * info_gain)};
 }
 
-GpRegressorState GpRegressor::export_state() const {
-  YOSO_REQUIRE(fitted(), "GpRegressor::export_state: not fitted");
-  GpRegressorState s;
-  s.backend = backend_;
-  s.tune = tune_;
-  s.inducing_target = inducing_target_;
-  s.updates_applied = updates_applied_;
-  s.scaler_mean.assign(scaler_.mean().begin(), scaler_.mean().end());
-  s.scaler_std.assign(scaler_.stddev().begin(), scaler_.stddev().end());
-  s.train_x = train_x_;
-  s.inducing_idx = inducing_idx_;
-  s.targets.reserve(targets_.size());
-  for (const Target& t : targets_) {
-    GpRegressorState::Target& st = s.targets.emplace_back();
-    st.hp = t.hp;
-    st.alpha = t.alpha;
-    st.chol_lower = t.chol.lower();
-    st.chol_kmm_lower = t.chol_kmm.lower();
-    st.b = t.b;
-    st.y_mean = t.y_mean;
-    st.lml = t.lml;
-  }
-  return s;
+const GpRegressorState& GpRegressor::state() const {
+  YOSO_REQUIRE(fitted(), "GpRegressor::state: not fitted");
+  return state_;
 }
 
-GpRegressor GpRegressor::from_state(const GpRegressorState& state) {
+GpRegressor GpRegressor::from_state(GpRegressorState state) {
   require_valid_state(state);
-  GpRegressor gp(state.targets.front().hp, state.tune, state.backend,
-                 state.inducing_target);
-  gp.scaler_ = Standardizer::from_moments(state.scaler_mean, state.scaler_std);
-  gp.train_x_ = state.train_x;
-  gp.packed_train_ = kernels::pack_rows(
-      gp.train_x_.data().data(), gp.train_x_.rows(), gp.train_x_.cols());
-  gp.inducing_idx_ = state.inducing_idx;
-  gp.updates_applied_ = state.updates_applied;
-  gp.targets_.reserve(state.targets.size());
-  for (const GpRegressorState::Target& s : state.targets) {
-    Target& t = gp.targets_.emplace_back();
-    t.hp = s.hp;
-    t.alpha = s.alpha;
-    t.chol = Cholesky::from_lower(s.chol_lower);
-    if (state.backend == GpBackend::kSparse) {
-      t.chol_kmm = Cholesky::from_lower(s.chol_kmm_lower);
-      t.b = s.b;
-    }
-    t.y_mean = s.y_mean;
-    t.lml = s.lml;
-  }
+  GpRegressor gp(state.targets.front().hp);
+  gp.state_ = std::move(state);
+  const Matrix& z = gp.state_.train_x;
+  gp.packed_train_ = kernels::pack_rows(z.data().data(), z.rows(), z.cols());
   return gp;
 }
 

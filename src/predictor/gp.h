@@ -8,14 +8,19 @@
 // One model carries one or more targets on one input side: the scaler and
 // (inducing) panel are built once, and each target's hyper-parameters,
 // weights, factors and mean come out bit-identical to a one-target fit.
+// The fitted model is one GpRegressorState, and the regressor holds no
+// other copy of it: fit() builds it, predict() reads it, update() folds
+// into it, the artifact writer encodes it in place (state()), and
+// from_state() moves a decoded one in.
 //
 // Two backends share the public API:
 //
 //  * kExact — the paper's O(n^3) GP.  fit computes the pairwise
-//    squared-distance matrix once and re-exponentiates it per
-//    hyper-parameter grid point into the storage of the last factor that
-//    lost, which it factors in place (the winning point's Cholesky/alpha
-//    are reused directly, no final refit).
+//    squared-distance matrix once and re-exponentiates its diagonal and
+//    upper triangle, all the factor reads, per hyper-parameter grid point
+//    into the storage of the last factor that lost, which it factors in
+//    place (the winning point's Cholesky/alpha are reused directly, no
+//    final refit).
 //  * kSparse — a Nystrom / deterministic-training-conditional (DTC)
 //    approximation on m inducing points chosen by deterministic
 //    farthest-point (k-center) selection over the standardized inputs.
@@ -62,22 +67,22 @@ struct GpDistanceBuilds {
   std::size_t inducing = 0;  ///< m x m inducing-vs-inducing panels (sparse)
 };
 
-/// The complete fitted state of a GpRegressor, as plain matrices/vectors —
-/// everything the predict/update paths read, nothing derived: the settings
-/// and the input side once, then one entry per target.  This is the
-/// persistence boundary the binary artifact format (core/artifact.h)
-/// serializes: export_state() -> save, load -> GpRegressor::from_state(),
-/// which recomputes the packed kernel panel with the same deterministic
-/// code fit() runs, so a round-tripped model predicts bit-identically to
-/// the original.
+/// The fitted model of a GpRegressor, which holds it as this one value:
+/// everything the predict/update paths read, nothing derived — the
+/// settings and the input side once, then one entry per target.  This is
+/// the persistence boundary the binary artifact format (core/artifact.h)
+/// serializes: state() hands the live model to the writer, and the loader
+/// moves the decoded one into GpRegressor::from_state(), which recomputes
+/// the packed kernel panel with the same deterministic code fit() runs, so
+/// a round-tripped model predicts bit-identically to the original.
 struct GpRegressorState {
   /// What one target owns on top of the shared input side.
   struct Target {
-    GpHyperParams hp;  ///< tuned values, not the constructor's
-    std::vector<double> alpha;
-    Matrix chol_lower;      ///< exact: chol(K + nv I); sparse: chol(A)
-    Matrix chol_kmm_lower;  ///< sparse only: chol(K_mm); empty for exact
-    std::vector<double> b;  ///< sparse only: K_mn (y - mean) + updates
+    GpHyperParams hp;           ///< tuned values, not the constructor's
+    std::vector<double> alpha;  ///< exact: K^-1 (y - mean); sparse: A^-1 b
+    Cholesky chol;              ///< exact: K + nv I; sparse: A
+    Cholesky chol_kmm;          ///< sparse only: K_mm; empty for exact
+    std::vector<double> b;      ///< sparse only: K_mn (y - mean) + updates
     double y_mean = 0.0;
     double lml = 0.0;
   };
@@ -85,12 +90,11 @@ struct GpRegressorState {
   GpBackend backend = GpBackend::kExact;
   bool tune = true;
   std::size_t inducing_target = 512;
-  std::size_t updates_applied = 0;
-  std::vector<double> scaler_mean;  ///< input scaler moments, d each
-  std::vector<double> scaler_std;
+  std::size_t updates_applied = 0;  ///< update() calls since the fit
+  Standardizer scaler;              ///< input moments, d each
   Matrix train_x;  ///< standardized training (exact) / inducing (sparse)
   std::vector<std::size_t> inducing_idx;  ///< sparse only, selection order
-  std::vector<Target> targets;            ///< in fit()'s target order
+  std::vector<Target> targets;  ///< in fit()'s target order; empty unfitted
 };
 
 class GpRegressor : public Regressor {
@@ -102,8 +106,11 @@ class GpRegressor : public Regressor {
   explicit GpRegressor(GpHyperParams hp = {}, bool tune = true,
                        GpBackend backend = GpBackend::kExact,
                        std::size_t inducing_points = 512)
-      : hp_(hp), tune_(tune), backend_(backend),
-        inducing_target_(inducing_points) {}
+      : hp_(hp) {
+    state_.backend = backend;
+    state_.tune = tune;
+    state_.inducing_target = inducing_points;
+  }
 
   void fit(const Matrix& x, std::span<const double> y) override {
     fit(x, {&y, 1});
@@ -120,8 +127,8 @@ class GpRegressor : public Regressor {
   /// Target 0's mean for one input.
   double predict(std::span<const double> x) const override;
   std::string name() const override {
-    return backend_ == GpBackend::kSparse ? "sparse_gaussian_process"
-                                          : "gaussian_process";
+    return state_.backend == GpBackend::kSparse ? "sparse_gaussian_process"
+                                                : "gaussian_process";
   }
 
   /// Target 0's means for every row of `queries` (raw feature space).
@@ -147,37 +154,37 @@ class GpRegressor : public Regressor {
   void update(std::span<const double> x, std::span<const double> ys);
   void update(std::span<const double> x, double y) { update(x, {&y, 1}); }
 
-  bool fitted() const { return !targets_.empty(); }
-  std::size_t targets() const { return targets_.size(); }  ///< 0 unfitted
+  bool fitted() const { return !state_.targets.empty(); }
+  std::size_t targets() const { return state_.targets.size(); }  ///< 0 unfitted
 
   /// True when update() is available: a fitted sparse-backend model.
   bool supports_update() const {
-    return backend_ == GpBackend::kSparse && fitted();
+    return state_.backend == GpBackend::kSparse && fitted();
   }
 
-  /// Deep copy of the fitted state, every target included, for
-  /// persistence (ContractViolation before fit()).
-  GpRegressorState export_state() const;
+  /// The fitted model itself, every target included, for persistence
+  /// (ContractViolation before fit()).
+  const GpRegressorState& state() const;
 
-  /// Rebuilds a fitted model from `state`.  Validates every cross-field
+  /// Adopts `state` as the fitted model.  Validates every cross-field
   /// shape (ContractViolation otherwise), then recomputes the packed panel
   /// as fit() would, so the restored model predicts and updates
   /// bit-identically to the original.
-  static GpRegressor from_state(const GpRegressorState& state);
+  static GpRegressor from_state(GpRegressorState state);
 
-  GpBackend backend() const { return backend_; }
+  GpBackend backend() const { return state_.backend; }
 
   /// update() calls applied since the last fit().
-  std::size_t updates_applied() const { return updates_applied_; }
+  std::size_t updates_applied() const { return state_.updates_applied; }
 
   /// Inducing rows actually selected by the last sparse fit (m <= n); the
   /// exact backend reports its full training-set size.
-  std::size_t inducing_count() const { return train_x_.rows(); }
+  std::size_t inducing_count() const { return state_.train_x.rows(); }
 
   /// Training-row indices of the selected inducing points, in selection
   /// order (empty for the exact backend).
   std::span<const std::size_t> inducing_indices() const {
-    return inducing_idx_;
+    return state_.inducing_idx;
   }
 
   /// Log marginal likelihood of one fitted target on its training data
@@ -206,8 +213,8 @@ class GpRegressor : public Regressor {
   /// Fitted-state access so benches/tests can replicate the scalar
   /// per-candidate baseline against the same fitted model.  For the sparse
   /// backend train_inputs() is the standardized m-row inducing panel.
-  const Matrix& train_inputs() const { return train_x_; }
-  const Standardizer& input_scaler() const { return scaler_; }
+  const Matrix& train_inputs() const { return state_.train_x; }
+  const Standardizer& input_scaler() const { return state_.scaler; }
   std::span<const double> alpha(std::size_t t = 0) const {
     return fitted_target(t).alpha;
   }
@@ -216,45 +223,27 @@ class GpRegressor : public Regressor {
   }
 
  private:
-  /// What one target owns on top of the shared input side.
-  struct Target {
-    GpHyperParams hp;
-    std::vector<double> alpha;  // exact: K^-1 (y - mean); sparse: A^-1 b
-    Cholesky chol;              // exact: K + nv I; sparse: A
-    Cholesky chol_kmm;          // sparse only: K_mm (DTC variance)
-    std::vector<double> b;      // sparse only: K_mn (y - mean)
-    double y_mean = 0.0;
-    double lml = 0.0;
-  };
-
   /// ContractViolation before fit() or for a target out of range.
-  const Target& fitted_target(std::size_t t) const;
+  const GpRegressorState::Target& fitted_target(std::size_t t) const;
   /// Exact-backend fit body: one distance matrix, then each target's grid.
-  std::vector<Target> fit_exact(const Matrix& x,
-                                std::span<const std::span<const double>> ys);
+  std::vector<GpRegressorState::Target> fit_exact(
+      const Matrix& x, std::span<const std::span<const double>> ys);
   /// Sparse-backend fit body (gp_sparse.cpp).
-  std::vector<Target> fit_sparse(const Matrix& x,
-                                 std::span<const std::span<const double>> ys,
-                                 ThreadPool* pool);
+  std::vector<GpRegressorState::Target> fit_sparse(
+      const Matrix& x, std::span<const std::span<const double>> ys,
+      ThreadPool* pool);
   /// Deterministic farthest-point selection over standardized rows; fills
-  /// inducing_idx_ and the train_x_ / packed_train_ inducing panel.
+  /// the state's inducing indices and panel, and packed_train_.
   void select_inducing_rows(const Matrix& xs, std::size_t m);
   /// Means of the first mu.size() targets over `nq` contiguous raw rows;
   /// a null mu[t] skips target t.
   void predict_rows(const double* x, std::size_t nq,
                     std::span<double* const> mu) const;
 
-  GpHyperParams hp_;  // every target's hyper-parameters when !tune_
-  bool tune_;
-  GpBackend backend_ = GpBackend::kExact;
-  std::size_t inducing_target_ = 512;
-  Standardizer scaler_;
-  Matrix train_x_;                    // standardized (inducing rows if sparse)
+  GpHyperParams hp_;  // every target's hyper-parameters when untuned
+  GpRegressorState state_;            // the fitted model
   kernels::PackedRows packed_train_;  // transposed train panel + row norms
-  std::vector<std::size_t> inducing_idx_;
-  std::vector<Target> targets_;
   GpDistanceBuilds dist_builds_;
-  std::size_t updates_applied_ = 0;
   // update() scratch (standardized query, distance row, kernel row), sized
   // on first use so repeated online refinements allocate nothing.
   std::vector<double> upd_xs_;

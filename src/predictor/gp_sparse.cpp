@@ -194,10 +194,11 @@ void GpRegressor::select_inducing_rows(const Matrix& xs, std::size_t m) {
   YOSO_REQUIRE(m >= 1, "GpRegressor: inducing-set size m must be >= 1");
   const std::size_t n = xs.rows();
   const std::size_t d = xs.cols();
-  inducing_idx_.clear();
-  inducing_idx_.reserve(m);
+  std::vector<std::size_t>& idx = state_.inducing_idx;
+  idx.clear();
+  idx.reserve(m);
   if (m >= n) {
-    for (std::size_t i = 0; i < n; ++i) inducing_idx_.push_back(i);
+    for (std::size_t i = 0; i < n; ++i) idx.push_back(i);
   } else {
     // Greedy k-center (farthest-point) over the standardized rows: the
     // seed is the row with the largest squared norm (ties -> lowest
@@ -214,7 +215,7 @@ void GpRegressor::select_inducing_rows(const Matrix& xs, std::size_t m) {
     std::vector<double> min_d2(n, std::numeric_limits<double>::infinity());
     std::vector<double> dist_row(n);
     for (std::size_t k = 0; k < m; ++k) {
-      inducing_idx_.push_back(pick);
+      idx.push_back(pick);
       if (k + 1 == m) break;
       kernels::pairwise_sq_dists(xs.row(pick).data(), 1, packed_all,
                                  dist_row.data());
@@ -230,28 +231,30 @@ void GpRegressor::select_inducing_rows(const Matrix& xs, std::size_t m) {
       pick = next;
     }
   }
-  const std::size_t mm = inducing_idx_.size();
-  train_x_ = Matrix(mm, d);
-  double* dst = train_x_.data().data();
+  const std::size_t mm = idx.size();
+  state_.train_x = Matrix(mm, d);
+  double* dst = state_.train_x.data().data();
   for (std::size_t r = 0; r < mm; ++r) {
-    const std::span<const double> src = xs.row(inducing_idx_[r]);
+    const std::span<const double> src = xs.row(idx[r]);
     std::copy(src.begin(), src.end(), dst + r * d);
   }
   packed_train_ = kernels::pack_rows(dst, mm, d);
 }
 
-std::vector<GpRegressor::Target> GpRegressor::fit_sparse(
+std::vector<GpRegressorState::Target> GpRegressor::fit_sparse(
     const Matrix& x, std::span<const std::span<const double>> ys,
     ThreadPool* pool) {
   YOSO_TRACE_SPAN("gp.sparse_fit");
   ThreadPool inline_pool(0);
   ThreadPool& fit_pool = pool != nullptr ? *pool : inline_pool;
-  const Matrix xs = scaler_.transform(x);
+  const Matrix xs = state_.scaler.transform(x);
+  const bool tune = state_.tune;
   const std::size_t n = xs.rows();
   const std::size_t m =
-      std::min(std::max<std::size_t>(inducing_target_, 1), n);
+      std::min(std::max<std::size_t>(state_.inducing_target, 1), n);
   select_inducing_rows(xs, m);
-  const std::size_t mm = train_x_.rows();
+  const Matrix& z = state_.train_x;
+  const std::size_t mm = z.rows();
 
   // Two distance panels per fit (vs the exact path's one full n x n
   // matrix); every target's tuning grid re-exponentiates them per grid
@@ -261,7 +264,7 @@ std::vector<GpRegressor::Target> GpRegressor::fit_sparse(
                              d_nm.data().data());
   dist_builds_.cross = 1;
   Matrix d_mm(mm, mm);
-  kernels::pairwise_sq_dists(train_x_.data().data(), mm, packed_train_,
+  kernels::pairwise_sq_dists(z.data().data(), mm, packed_train_,
                              d_mm.data().data());
   dist_builds_.inducing = 1;
 
@@ -270,14 +273,14 @@ std::vector<GpRegressor::Target> GpRegressor::fit_sparse(
   // untuned model is the one grid point hp_.
   const double base_l = std::sqrt(static_cast<double>(x.cols()));
   std::vector<double> yc(n);
-  std::vector<Target> fitted;
+  std::vector<GpRegressorState::Target> fitted;
   fitted.reserve(ys.size());
   // Scratch reused across lengthscales and targets, so the peak is one
   // lengthscale's working set.
   SparsePanels panels;
   std::vector<double> trial_alpha;
   for (const std::span<const double> y : ys) {
-    Target& t = fitted.emplace_back();
+    GpRegressorState::Target& t = fitted.emplace_back();
     t.y_mean = mean(y);
     double y_sq = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -285,16 +288,16 @@ std::vector<GpRegressor::Target> GpRegressor::fit_sparse(
       y_sq += yc[i] * yc[i];
     }
     const double y_var = std::max(y_sq / static_cast<double>(n), 1e-12);
-    const double sv = tune_ ? y_var : hp_.signal_variance;
+    const double sv = tune ? y_var : hp_.signal_variance;
     const double grid_l[] = {base_l * 0.25, base_l * 0.5, base_l * 1.0,
                              base_l * 2.0, base_l * 4.0};
     const double grid_nv[] = {y_var * 1e-4, y_var * 1e-3, y_var * 1e-2};
     const std::span<const double> lengthscales =
-        tune_ ? std::span<const double>(grid_l)
-              : std::span<const double>(&hp_.lengthscale, 1);
+        tune ? std::span<const double>(grid_l)
+             : std::span<const double>(&hp_.lengthscale, 1);
     const std::span<const double> nvs =
-        tune_ ? std::span<const double>(grid_nv)
-              : std::span<const double>(&hp_.noise_variance, 1);
+        tune ? std::span<const double>(grid_nv)
+             : std::span<const double>(&hp_.noise_variance, 1);
     t.lml = -1e300;
     for (const double l : lengthscales) {
       build_panels({l, sv, 0.0}, d_mm, d_nm, yc, fit_pool, &panels);
@@ -308,7 +311,7 @@ std::vector<GpRegressor::Target> GpRegressor::fit_sparse(
         // Serially, in grid order: as in the exact flow, the winning grid
         // point's factorisation IS the fitted state — no redundant refit.
         // An untuned model keeps its one point whatever its likelihood.
-        if (!tune_ || lml > t.lml) {
+        if (!tune || lml > t.lml) {
           t.lml = lml;
           t.hp = {l, sv, nvs[k]};
           t.alpha = std::move(trial_alpha);
@@ -331,29 +334,29 @@ std::vector<GpRegressor::Target> GpRegressor::fit_sparse(
 void GpRegressor::update(std::span<const double> x,
                          std::span<const double> ys) {
   YOSO_TRACE_SPAN("gp.sparse_update");
-  YOSO_REQUIRE(backend_ == GpBackend::kSparse,
+  YOSO_REQUIRE(state_.backend == GpBackend::kSparse,
                "GpRegressor::update: the exact backend has no incremental "
                "path — construct with GpBackend::kSparse");
   YOSO_REQUIRE(fitted(), "GpRegressor::update: not fitted");
-  YOSO_REQUIRE(ys.size() == targets_.size(), "GpRegressor::update: ",
-               ys.size(), " values for a ", targets_.size(), "-target model");
-  YOSO_REQUIRE(x.size() == train_x_.cols(),
-               "GpRegressor::update: feature dimension ", x.size(),
-               " != fitted dimension ", train_x_.cols());
-  const std::size_t m = train_x_.rows();
+  YOSO_REQUIRE(ys.size() == targets(), "GpRegressor::update: ", ys.size(),
+               " values for a ", targets(), "-target model");
+  const Matrix& z = state_.train_x;
+  YOSO_REQUIRE(x.size() == z.cols(), "GpRegressor::update: feature dimension ",
+               x.size(), " != fitted dimension ", z.cols());
+  const std::size_t m = z.rows();
   // Scratch is member-owned and sized once, so a refinement stream of
   // updates allocates only inside the O(m^2) solves.
-  upd_xs_.resize(train_x_.cols());
+  upd_xs_.resize(z.cols());
   upd_d2_.resize(m);
   upd_k_.resize(m);
-  scaler_.transform_row_into(x, upd_xs_.data());
+  state_.scaler.transform_row_into(x, upd_xs_.data());
   kernels::pairwise_sq_dists(upd_xs_.data(), 1, packed_train_,
                              upd_d2_.data());
   // Per target: A += k k^T (rank-1, O(m^2)), b += k (y - mean), one
   // re-solve.  No distance panel is rebuilt — distance_builds() stays
   // flat, which is the counter-based no-refit proof the tests assert.
-  for (std::size_t i = 0; i < targets_.size(); ++i) {
-    Target& t = targets_[i];
+  for (std::size_t i = 0; i < targets(); ++i) {
+    GpRegressorState::Target& t = state_.targets[i];
     const double l = t.hp.lengthscale;
     kernels::exp_scale(upd_d2_.data(), upd_k_.data(), m, -1.0 / (2.0 * l * l),
                        t.hp.signal_variance);
@@ -362,7 +365,7 @@ void GpRegressor::update(std::span<const double> x,
     for (std::size_t j = 0; j < m; ++j) t.b[j] += upd_k_[j] * r;
     t.alpha = t.chol.solve(t.b);
   }
-  ++updates_applied_;
+  ++state_.updates_applied;
   obs::counter_add("gp.sparse_updates", 1);
 }
 

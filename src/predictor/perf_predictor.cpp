@@ -190,11 +190,11 @@ void PerformancePredictor::predict_latency_energy_batch(
 }
 
 PerformancePredictor PerformancePredictor::from_state(
-    NetworkSkeleton skeleton, const GpRegressorState& state) {
+    NetworkSkeleton skeleton, GpRegressorState state) {
   YOSO_REQUIRE(state.targets.size() == 2, "PerformancePredictor::from_state: ",
                state.targets.size(), " GP targets, not energy and latency");
   PerformancePredictor p(std::move(skeleton));
-  p.gp_ = GpRegressor::from_state(state);
+  p.gp_ = GpRegressor::from_state(std::move(state));
   YOSO_REQUIRE(p.gp_.train_inputs().cols() == kCodesignFeatureDim,
                "PerformancePredictor::from_state: the model takes ",
                p.gp_.train_inputs().cols(), "-wide rows, not ",

@@ -136,13 +136,13 @@ class PerformancePredictor {
   /// updates_applied() counts the refine() calls since the last fit().
   const GpRegressor& model() const { return gp_; }
 
-  /// Rebuilds a fitted predictor for `skeleton` from an exported (or
-  /// artifact-loaded) model().export_state() through
-  /// GpRegressor::from_state, so predictions and later refine() calls are
-  /// bit-identical to the original.  ContractViolation unless the state
-  /// holds the two targets over kCodesignFeatureDim-wide rows.
+  /// Rebuilds a fitted predictor for `skeleton` by moving a copied (or
+  /// artifact-loaded) model().state() into GpRegressor::from_state, so
+  /// predictions and later refine() calls are bit-identical to the
+  /// original.  ContractViolation unless the state holds the two targets
+  /// over kCodesignFeatureDim-wide rows.
   static PerformancePredictor from_state(NetworkSkeleton skeleton,
-                                         const GpRegressorState& state);
+                                         GpRegressorState state);
 
  private:
   /// One target's prediction for one design, exponentiated back.

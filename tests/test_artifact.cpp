@@ -11,8 +11,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "accel/simulator.h"
@@ -121,6 +123,17 @@ TEST(ArtifactFormat, WriterProducesVerifiableContainer) {
   ASSERT_EQ(ids.size(), 2u);
   EXPECT_EQ(ids[0], static_cast<std::uint32_t>(ArtifactSection::kMeta));
   EXPECT_EQ(ids[1], static_cast<std::uint32_t>(ArtifactSection::kSkeleton));
+
+  // write_file writes the payloads one at a time, each with its padding:
+  // the file holds to_bytes() exactly.
+  const std::string path =
+      temp_path("artifact_writer_" + std::to_string(::getpid()) + ".bin");
+  writer.write_file(path);
+  std::ifstream f(path, std::ios::binary);
+  const std::vector<std::uint8_t> file((std::istreambuf_iterator<char>(f)),
+                                       std::istreambuf_iterator<char>());
+  EXPECT_EQ(file, writer.to_bytes());
+  std::remove(path.c_str());
 }
 
 TEST(ArtifactFormat, ChecksumCorruptionRejected) {
@@ -218,14 +231,16 @@ TEST(ArtifactFormat, ByteReaderRejectsTruncatedPayload) {
   EXPECT_THROW(r3.f64_vec(), ContractViolation);
 
   // A well-formed GP state except for a 2^32 x 2^32 training panel over
-  // zero elements: rows * cols wraps to the stored element count.
+  // zero elements: rows * cols wraps to the stored element count.  The
+  // scaler is valid, so the decoder gets as far as the panel.
+  const double zero = 0.0, one = 1.0;
   ByteWriter gp;
   gp.u32(static_cast<std::uint32_t>(GpBackend::kExact));
   gp.u8(1);                                  // tune
   gp.u64(512);                               // inducing target
   gp.u64(0);                                 // updates applied
-  gp.f64_vec({});                            // scaler mean
-  gp.f64_vec({});                            // scaler std
+  gp.f64_vec({&zero, 1});                    // scaler mean
+  gp.f64_vec({&one, 1});                     // scaler std
   gp.u64(std::uint64_t{1} << 32);            // train_x rows
   gp.u64(std::uint64_t{1} << 32);            // train_x cols
   gp.f64_vec({});                            // train_x data
@@ -233,6 +248,56 @@ TEST(ArtifactFormat, ByteReaderRejectsTruncatedPayload) {
   gp.u32(0);                                 // targets
   ByteReader rg(gp.bytes());
   EXPECT_THROW(decode_gp_state(rg), ContractViolation);
+}
+
+// decode_gp_state builds the input scaler and each Cholesky factor as it
+// reads them, so their own checks run there: a non-positive scaler stddev
+// or factor diagonal is rejected at decode, and the valid one-row model
+// decodes and restores.
+TEST(ArtifactCodec, GpScalerAndFactorsCheckedOnDecode) {
+  const auto one_row_model = [](double stddev, double diag) {
+    const double zero = 0.0, half = 0.5;
+    ByteWriter w;
+    w.u32(static_cast<std::uint32_t>(GpBackend::kExact));
+    w.u8(1);                    // tune
+    w.u64(512);                 // inducing target
+    w.u64(0);                   // updates applied
+    w.f64_vec({&zero, 1});      // scaler mean
+    w.f64_vec({&stddev, 1});    // scaler std
+    w.u64(1);                   // train_x rows
+    w.u64(1);                   // train_x cols
+    w.f64_vec({&zero, 1});      // train_x data
+    w.u64_vec({});              // inducing indices
+    w.u32(1);                   // targets
+    w.f64(1.0);                 // lengthscale
+    w.f64(1.0);                 // signal variance
+    w.f64(1e-3);                // noise variance
+    w.f64_vec({&half, 1});      // alpha
+    w.u64(1);                   // factor rows
+    w.u64(1);                   // factor cols
+    w.f64_vec({&diag, 1});      // factor data
+    w.u64(0);                   // K_mm factor rows
+    w.u64(0);                   // K_mm factor cols
+    w.f64_vec({});              // K_mm factor data
+    w.f64_vec({});              // b
+    w.f64(0.0);                 // target mean
+    w.f64(0.0);                 // log likelihood
+    return w.take();
+  };
+  const std::vector<std::uint8_t> good = one_row_model(1.0, 1.0);
+  ByteReader r(good);
+  GpRegressorState state = decode_gp_state(r);
+  EXPECT_TRUE(r.done());
+  const GpRegressor gp = GpRegressor::from_state(std::move(state));
+  EXPECT_EQ(gp.predict(std::vector<double>{0.0}), 0.5);  // s^2 e^0 alpha
+  const std::pair<double, double> bad_cases[] = {
+      {0.0, 1.0}, {-1.0, 1.0}, {1.0, 0.0}, {1.0, -2.0}};
+  for (const auto& [stddev, diag] : bad_cases) {
+    const std::vector<std::uint8_t> bad = one_row_model(stddev, diag);
+    ByteReader rb(bad);
+    EXPECT_THROW(decode_gp_state(rb), ContractViolation)
+        << "stddev " << stddev << ", diagonal " << diag;
+  }
 }
 
 // Every skeleton the program builds passes the decoder's bounds, up to the

@@ -1,13 +1,15 @@
 // Sparse GP backend: deterministic inducing selection, batched prediction
 // parity with per-row calls (chunk seams, after updates), rank-1 update
 // parity against a naive from-scratch rebuild of the information matrix,
-// distance-build accounting, multi-target parity with one-target fits and
-// all-or-nothing multi-target fits (both backends), pooled fits equal to
-// inline ones, and an exact-vs-sparse accuracy bound on seeded simulator
-// samples.
+// distance-build accounting, multi-target parity with one-target fits,
+// all-or-nothing multi-target fits and tuned fits equal to their best grid
+// point (both backends), pooled fits equal to inline ones, and an
+// exact-vs-sparse accuracy bound on seeded simulator samples.
 
+#include <algorithm>
 #include <cmath>
 #include <gtest/gtest.h>
+#include <limits>
 #include <span>
 #include <string>
 #include <utility>
@@ -22,6 +24,7 @@
 #include "predictor/gp.h"
 #include "predictor/perf_predictor.h"
 #include "util/rng.h"
+#include "util/stats.h"
 #include "util/thread_pool.h"
 
 namespace yoso {
@@ -309,8 +312,8 @@ void expect_same_state(const GpRegressorState& a, const GpRegressorState& b) {
   EXPECT_EQ(a.tune, b.tune);
   EXPECT_EQ(a.inducing_target, b.inducing_target);
   EXPECT_EQ(a.updates_applied, b.updates_applied);
-  EXPECT_EQ(a.scaler_mean, b.scaler_mean);
-  EXPECT_EQ(a.scaler_std, b.scaler_std);
+  EXPECT_TRUE(std::ranges::equal(a.scaler.mean(), b.scaler.mean()));
+  EXPECT_TRUE(std::ranges::equal(a.scaler.stddev(), b.scaler.stddev()));
   EXPECT_TRUE(a.train_x == b.train_x);
   EXPECT_EQ(a.inducing_idx, b.inducing_idx);
   ASSERT_EQ(a.targets.size(), b.targets.size());
@@ -322,8 +325,8 @@ void expect_same_state(const GpRegressorState& a, const GpRegressorState& b) {
     EXPECT_EQ(at.hp.signal_variance, bt.hp.signal_variance);
     EXPECT_EQ(at.hp.noise_variance, bt.hp.noise_variance);
     EXPECT_EQ(at.alpha, bt.alpha);
-    EXPECT_TRUE(at.chol_lower == bt.chol_lower);
-    EXPECT_TRUE(at.chol_kmm_lower == bt.chol_kmm_lower);
+    EXPECT_TRUE(at.chol.lower() == bt.chol.lower());
+    EXPECT_TRUE(at.chol_kmm.lower() == bt.chol_kmm.lower());
     EXPECT_EQ(at.b, bt.b);
     EXPECT_EQ(at.y_mean, bt.y_mean);
     EXPECT_EQ(at.lml, bt.lml);
@@ -353,9 +356,47 @@ TEST(GpSparseTest, ParallelFitMatchesSerialBitForBit) {
         ThreadPool pool(workers);
         GpRegressor pooled = sparse_gp(m, tune);
         pooled.fit(d.x, ys, &pool);
-        expect_same_state(serial.export_state(), pooled.export_state());
+        expect_same_state(serial.state(), pooled.state());
       }
     }
+}
+
+// Each backend walks its own copy of the tuning grid, and both must walk
+// the same one: a tuned fit's hyper-parameters, likelihood and weights
+// equal, bit for bit, the first best of the 15 untuned fits at lengthscales
+// sqrt(d) * {1/4, 1/2, 1, 2, 4}, signal variance y_var and noise
+// y_var * {1e-4, 1e-3, 1e-2}.
+TEST(GpSparseTest, TunedFitIsFirstBestUntunedGridPoint) {
+  constexpr std::size_t kDim = 6;
+  const GpData d = make_data(120, kDim, 1, 59);
+  const double y_mean = mean(d.y);
+  double y_var = 0.0;
+  for (const double v : d.y) y_var += (v - y_mean) * (v - y_mean);
+  y_var /= static_cast<double>(d.y.size());
+  const double base_l = std::sqrt(static_cast<double>(kDim));
+  for (const GpBackend backend : {GpBackend::kExact, GpBackend::kSparse}) {
+    SCOPED_TRACE(backend == GpBackend::kSparse ? "sparse" : "exact");
+    GpRegressor tuned({}, true, backend, 40);
+    tuned.fit(d.x, d.y);
+    double best_lml = -std::numeric_limits<double>::infinity();
+    GpHyperParams best_hp;
+    std::vector<double> best_alpha;
+    for (const double lf : {0.25, 0.5, 1.0, 2.0, 4.0})
+      for (const double nf : {1e-4, 1e-3, 1e-2}) {
+        const GpHyperParams hp{base_l * lf, y_var, y_var * nf};
+        GpRegressor point(hp, false, backend, 40);
+        point.fit(d.x, d.y);
+        if (point.log_marginal_likelihood() <= best_lml) continue;
+        best_lml = point.log_marginal_likelihood();
+        best_hp = hp;
+        best_alpha.assign(point.alpha().begin(), point.alpha().end());
+      }
+    EXPECT_EQ(tuned.hyper_params().lengthscale, best_hp.lengthscale);
+    EXPECT_EQ(tuned.hyper_params().signal_variance, best_hp.signal_variance);
+    EXPECT_EQ(tuned.hyper_params().noise_variance, best_hp.noise_variance);
+    EXPECT_EQ(tuned.log_marginal_likelihood(), best_lml);
+    EXPECT_TRUE(std::ranges::equal(tuned.alpha(), best_alpha));
+  }
 }
 
 // fit() builds every target before it installs any: a target that cannot

@@ -133,7 +133,11 @@ TEST(KernelsTest, SgemmAbtMatchesNaive) {
   }
 }
 
+// Each element of C continues from its value in C and adds a * b for i
+// ascending: one fma per step on avx2+fma, a multiply then an add on the
+// generic engine.  m = 140 and 260 span several 128-row passes.
 TEST(KernelsTest, SgemmAtbAccAccumulatesOnTopOfC) {
+  const bool fused = kernels::active_isa() == "avx2+fma";
   Rng rng(23);
   const std::size_t shapes[][3] = {
       {1, 1, 1}, {5, 3, 9}, {140, 6, 33}, {17, 40, 32}, {260, 9, 7}};
@@ -147,12 +151,19 @@ TEST(KernelsTest, SgemmAtbAccAccumulatesOnTopOfC) {
     for (std::size_t t = 0; t < k; ++t)
       for (std::size_t j = 0; j < n; ++j) {
         float ref = c0[t * n + j];
-        for (std::size_t i = 0; i < m; ++i)
-          ref += a[i * k + t] * b[i * n + j];
-        ASSERT_NEAR(c[t * n + j], ref,
-                    1e-3f * (1.0f + std::abs(ref)) +
-                        1e-4f * static_cast<float>(m))
-            << m << "x" << k << "x" << n;
+        for (std::size_t i = 0; i < m; ++i) {
+          const float av = a[i * k + t];
+          const float bv = b[i * n + j];
+          if (fused) {
+            ref = std::fma(av, bv, ref);
+          } else {
+            const float prod = av * bv;
+            ref += prod;
+          }
+        }
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(c[t * n + j]),
+                  std::bit_cast<std::uint32_t>(ref))
+            << m << "x" << k << "x" << n << " @" << t << "," << j;
       }
   }
 }
@@ -368,12 +379,15 @@ TEST(KernelsTest, GramPanelsMatchGemmOfTransposeBitForBit) {
     }
 }
 
-// gp_sparse.cpp exponentiates each K_nm row in 32-wide panel slices: the
-// slices must equal one exp_scale over the whole row, element for element.
+// gp_sparse.cpp exponentiates each K_nm row in 32-wide panel slices, and
+// the exact fit exponentiates row i of K from column i on: the slices, and
+// a tail starting at any offset, must equal one exp_scale over the whole
+// row, element for element.  Offsets that are not multiples of 4 move
+// elements between the avx2 engine's 4-wide body and its scalar remainder.
 TEST(KernelsTest, ExpScaleInPanelSlicesMatchesWholeRow) {
   constexpr std::size_t kPanel = 32;
   Rng rng(89);
-  for (const std::size_t m : {1u, 5u, 37u, 64u, 70u}) {
+  for (const std::size_t m : {1u, 3u, 5u, 9u, 37u, 64u, 70u, 500u}) {
     std::vector<double> row(m);
     for (double& v : row) v = rng.uniform(0.0, 30.0);
     std::vector<double> whole(m), sliced(m);
@@ -385,6 +399,14 @@ TEST(KernelsTest, ExpScaleInPanelSlicesMatchesWholeRow) {
       ASSERT_EQ(std::bit_cast<std::uint64_t>(sliced[i]),
                 std::bit_cast<std::uint64_t>(whole[i]))
           << "m " << m << " @" << i;
+    for (std::size_t lo = 0; lo < m; ++lo) {
+      std::vector<double> tail(m - lo);
+      kernels::exp_scale(row.data() + lo, tail.data(), m - lo, -0.29, 1.3);
+      for (std::size_t i = lo; i < m; ++i)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(tail[i - lo]),
+                  std::bit_cast<std::uint64_t>(whole[i]))
+            << "m " << m << " from " << lo << " @" << i;
+    }
   }
 }
 

@@ -153,7 +153,7 @@ TEST_F(PerfPredictorTest, PredictionRespondsToConfig) {
 TEST_F(PerfPredictorTest, FromStateNeedsEnergyAndLatencyTargets) {
   PerformancePredictor pred(*skeleton_, GpBackend::kSparse, 32);
   pred.fit(*samples_);
-  const GpRegressorState good = pred.model().export_state();
+  const GpRegressorState& good = pred.model().state();
   const PerformancePredictor restored =
       PerformancePredictor::from_state(*skeleton_, good);
   Rng rng(5);

@@ -2,8 +2,8 @@
 // reachable from a parallel_for body — directly or through the call graph —
 // are a data race and make results depend on the thread count.  Finding
 // them needs scope classification plus a call-graph walk: one seeded
-// violation writes the global directly, the other reaches it through two
-// calls.
+// violation writes the global directly, one reaches it through two calls,
+// and one writes it from a named lambda handed to parallel_for.
 
 namespace yoso {
 
@@ -36,6 +36,17 @@ double run_batch(Pool& pool, double* out, unsigned long n) {
     out[i] = record_and_scale(1.0);  // expect-lint: parallel-purity
   });
   return static_cast<double>(g_eval_count);
+}
+
+// A lambda declared first and passed by name is a parallel_for body too.
+double run_batch_named(Pool& pool, double* out, unsigned long n) {
+  if (out == nullptr) return 0.0;
+  auto body = [&](unsigned long i) {
+    g_eval_count += 1;  // expect-lint: parallel-purity
+    out[i] = 0.0;
+  };
+  pool.parallel_for(0, n, body);
+  return out[0];
 }
 
 // Not a violation: the body writes only caller-owned slots indexed by i —

@@ -22,8 +22,9 @@ nondeterminism are banned outright:
   naked-new         raw `new` / `delete` — ownership must be expressed with
                     containers or smart pointers (make_unique/make_shared).
   parallel-purity   writes to namespace-scope mutable state reachable from a
-                    parallel_for body (directly or through the call graph) —
-                    a data race and a determinism leak at once.
+                    parallel_for body, inline or a named lambda (directly or
+                    through the call graph) — a data race and a determinism
+                    leak at once.
   header-self-contained (with --check-headers)
                     every header under src/ must compile standalone, so any
                     TU can include it first without hidden include-order
@@ -1224,7 +1225,7 @@ class PerfFileInfo:
 
     def __init__(self, text, clean):
         self.clean = clean
-        _, self.function_spans = classify_braces(clean)
+        self.scopes_at, self.function_spans = classify_braces(clean)
         self.spans_of = {}        # fn -> set of span names it opens
         self.calls = {}           # fn -> set of called names
         self.worker_regions = []  # [(start, end)] worker-body char spans
@@ -1345,7 +1346,7 @@ def _enclosing_fn(function_spans, off):
     return best[0] if best else None
 
 
-def scan_perf(rel, text, clean, ctx):
+def scan_perf(rel, clean, info, ctx):
     """The v4 perf-rule family.  Applies to src/ only (fixtures map there);
     fixtures outside the project index classify themselves through their
     own YOSO_TRACE_SPAN roots, merged with the project-wide hot set."""
@@ -1353,7 +1354,6 @@ def scan_perf(rel, text, clean, ctx):
     if not norm.startswith("src/") or norm.startswith(PERF_EXEMPT_PREFIXES):
         return []
 
-    info = PerfFileInfo(text, clean)
     profile = ctx.hot_profile if ctx is not None else HotProfile()
     local_cost, local_span = propagate_hot_costs(info.spans_of, info.calls,
                                                  profile)
@@ -1762,8 +1762,11 @@ def unordered_names(clean, clean_lines):
 
 # -- rule: parallel-purity --------------------------------------------------
 
-def parallel_purity_violations(rel, clean):
-    scopes_at, function_spans = classify_braces(clean)
+def parallel_purity_violations(rel, clean, info):
+    """Writes to namespace-scope mutable state in, or reachable through the
+    call graph from, the file's parallel_for bodies (info.worker_regions:
+    inline lambdas and named ones)."""
+    scopes_at, function_spans = info.scopes_at, info.function_spans
 
     # Namespace-scope mutable variables (the shared state the rule
     # protects).  thread_local is exempt here — it is per-thread by
@@ -1817,13 +1820,7 @@ def parallel_purity_violations(rel, clean):
             break
 
     violations = []
-    for m in re.finditer(r"\bparallel_for\s*\(", clean):
-        args_open = m.end() - 1
-        args_close = match_close(clean, args_open, "(", ")")
-        body_open = clean.find("{", args_open, args_close)
-        if body_open == -1:
-            continue
-        body_close = match_close(clean, body_open)
+    for body_open, body_close in info.worker_regions:
         body = clean[body_open:body_close]
         for name, rel_off in sorted(writes_in(body).items(),
                                     key=lambda kv: kv[1]):
@@ -1859,11 +1856,12 @@ def scan_file(rel, text, ctx=None):
     violations.extend(include_hygiene_violations(
         rel, raw_lines, clean, clean_lines, ctx))
     violations.extend(contract_coverage_violations(rel, clean))
-    violations.extend(scan_perf(rel, text, clean, ctx))
+    info = PerfFileInfo(text, clean)
+    violations.extend(scan_perf(rel, clean, info, ctx))
     unordered_vars, unordered_fns = unordered_names(clean, clean_lines)
     violations.extend(unordered_iter_violations(
         rel, clean_lines, unordered_vars, unordered_fns))
-    violations.extend(parallel_purity_violations(rel, clean))
+    violations.extend(parallel_purity_violations(rel, clean, info))
     return violations
 
 
